@@ -14,11 +14,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .model import PieceOde
 
-DEFAULT_CLUSTER_TOL = 1e-8
+# Roots closer than this (relative to the largest root modulus, at least 1)
+# are merged.  A double root comes out of the quadratic formula or the
+# companion eigenvalues split by about sqrt(eps)*scale ~ 1.5e-8*scale; left
+# unmerged it gives two numerically identical exp columns.  Merging roots
+# delta apart at their mean r leaves an ODE residual of about
+# (delta/2)^2*|Q(r)|, Q the characteristic polynomial with the pair divided
+# out: at most 2.5e-13*scale^2 here, far inside the verification tolerance.
+CLUSTER_TOL = 1e-6
 
 POLY_EXP = "PolyExp"
 EXP_COS = "ExpCos"
@@ -41,7 +47,7 @@ class CharRoot:
 class BasisFunction:
     """One real fundamental solution.
 
-    kind 'PolyExp':  x^k e^(alpha x)   (beta unused; alpha = 0 is a monomial)
+    kind 'PolyExp':  x^k e^(alpha x)   (beta = 0; alpha = 0 is a monomial)
     kind 'ExpCos':   x^k e^(alpha x) cos(beta x)
     kind 'ExpSin':   x^k e^(alpha x) sin(beta x)
     """
@@ -58,6 +64,8 @@ class BasisFunction:
             raise ValueError("power k must be non-negative")
         if self.kind in (EXP_COS, EXP_SIN) and not self.beta > 0:
             raise ValueError("trigonometric kinds require beta > 0")
+        if self.kind == POLY_EXP and self.beta != 0.0:
+            raise ValueError("kind PolyExp requires beta = 0")
 
     def render(self) -> str:
         """Human-readable form, e.g. 'x^2*exp(-0.5x)*cos(0.866x)'."""
@@ -94,11 +102,11 @@ def characteristic_coeffs(piece: PieceOde) -> np.ndarray:
     return c
 
 
-def find_roots(coeffs, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list[CharRoot]:
+def find_roots(coeffs) -> list[CharRoot]:
     """All roots of a monic real polynomial of degree 2..4, with multiplicity.
 
     Degree 2 uses the quadratic formula; degrees 3 and 4 use companion-matrix
-    eigenvalues.  Nearby roots (relative distance below cluster_tol) are merged
+    eigenvalues.  Nearby roots (relative distance below CLUSTER_TOL) are merged
     into one root with higher multiplicity, and conjugate symmetry is restored
     exactly by averaging each pair.
     """
@@ -122,7 +130,7 @@ def find_roots(coeffs, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list[CharRoo
         raise RootFindingError(f"root finder diverged on polynomial {coeffs.tolist()}")
 
     scale = max(1.0, max(abs(complex(r)) for r in raw))
-    tol = cluster_tol * scale
+    tol = CLUSTER_TOL * scale
 
     # Snap near-real roots onto the axis before clustering / pairing.
     snapped = []
@@ -203,45 +211,24 @@ def real_basis(roots: list[CharRoot]) -> list[BasisFunction]:
     return out
 
 
-def _poly_shift(p: np.ndarray, alpha: float) -> np.ndarray:
-    """p'(x) + alpha*p(x) as a coefficient vector of the same length."""
-    out = alpha * np.asarray(p, dtype=float)
-    d = npoly.polyder(p)
-    out[: len(d)] += d
-    return out
+def eval_basis(fn: BasisFunction, x, deriv_order: int = 0):
+    """Exact analytic derivative of a basis function at a scalar or an array.
 
-
-def eval_basis(fn: BasisFunction, x: float, deriv_order: int = 0) -> float:
-    """Exact analytic derivative of a basis function.
-
-    Derivatives are propagated on the polynomial envelopes: for
-    e^(ax)(p(x)cos(bx) + q(x)sin(bx)) one differentiation maps
-    (p, q) -> (p' + a p + b q, q' + a q - b p).
+    Every kind is the real part (PolyExp, ExpCos) or the imaginary part
+    (ExpSin) of x^k e^(lambda x) with lambda = alpha + i beta, whose m-th
+    derivative is e^(lambda x) * sum_i C(m, i) k!/(k-i)! lambda^(m-i) x^(k-i).
     """
     if not 0 <= deriv_order <= 4:
         raise ValueError(f"derivative order {deriv_order} outside [0, 4]")
-    size = fn.k + 1 + deriv_order
-    if fn.kind == POLY_EXP:
-        p = np.zeros(size)
-        p[fn.k] = 1.0
-        for _ in range(deriv_order):
-            p = _poly_shift(p, fn.alpha)
-        return float(npoly.polyval(x, p) * math.exp(fn.alpha * x))
-    pc = np.zeros(size)
-    ps = np.zeros(size)
-    if fn.kind == EXP_COS:
-        pc[fn.k] = 1.0
-    else:
-        ps[fn.k] = 1.0
-    for _ in range(deriv_order):
-        pc, ps = (_poly_shift(pc, fn.alpha) + fn.beta * ps,
-                  _poly_shift(ps, fn.alpha) - fn.beta * pc)
-    bx = fn.beta * x
-    return float(math.exp(fn.alpha * x)
-                 * (npoly.polyval(x, pc) * math.cos(bx)
-                    + npoly.polyval(x, ps) * math.sin(bx)))
+    x = np.asarray(x, dtype=float)
+    lam = complex(fn.alpha, fn.beta)
+    k, m = fn.k, deriv_order
+    envelope = sum(math.comb(m, i) * math.perm(k, i) * lam ** (m - i) * x ** (k - i)
+                   for i in range(min(k, m) + 1))
+    z = np.exp(lam * x) * envelope
+    return z.imag if fn.kind == EXP_SIN else z.real
 
 
-def piece_basis(piece: PieceOde, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list[BasisFunction]:
+def piece_basis(piece: PieceOde) -> list[BasisFunction]:
     """Convenience composition: characteristic polynomial -> roots -> real basis."""
-    return real_basis(find_roots(characteristic_coeffs(piece), cluster_tol))
+    return real_basis(find_roots(characteristic_coeffs(piece)))

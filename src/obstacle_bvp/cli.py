@@ -106,10 +106,10 @@ def load_problem(path: str) -> PiecewiseBvp:
 def _solution_table(sol, bvp, samples: int) -> str:
     a, b = bvp.domain
     header = ["x", "piece"] + ["u"] + [f"du{j}" for j in range(1, bvp.order)]
+    xs = np.linspace(a, b, samples)
+    columns = [eval_solution(sol, bvp, xs, j) for j in range(bvp.order)]
     lines = [",".join(header)]
-    for x in np.linspace(a, b, samples):
-        k = bvp.owning_piece(float(x), side="right")
-        values = [eval_solution(sol, bvp, float(x), j) for j in range(bvp.order)]
+    for x, k, *values in zip(xs, bvp.owning_piece(xs), *columns):
         lines.append(",".join([f"{x:.17g}", str(k)] + [f"{v:.17g}" for v in values]))
     return "\n".join(lines) + "\n"
 

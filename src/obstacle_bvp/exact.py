@@ -10,14 +10,13 @@ labels so the caller can pin them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .basis import BasisFunction, eval_basis, piece_basis
-from .model import PieceOde, PiecewiseBvp, ProblemError
+from .model import PieceOde, PiecewiseBvp
 
 CONSISTENCY_TOL = 1e-9
 
@@ -67,11 +66,8 @@ class MatchSystem:
 
 @dataclass(frozen=True)
 class GaussResult:
-    status: str  # "solved" | "rank_deficient"
-    constants: np.ndarray | None
+    constants: np.ndarray
     rank: int
-    nullity: int
-    free_columns: tuple[tuple[int, int], ...]
     residual_norm: float
 
 
@@ -94,9 +90,9 @@ class PieceSolution:
         if len(self.constants) != len(self.basis):
             raise ValueError("one constant per basis function required")
 
-    def value(self, x: float, deriv_order: int = 0) -> float:
-        part = npoly.polyder(self.particular, deriv_order) if deriv_order else self.particular
-        total = float(npoly.polyval(x, part))
+    def value(self, x, deriv_order: int = 0):
+        """u^(deriv_order) at a scalar or an array x."""
+        total = npoly.polyval(x, npoly.polyder(self.particular, deriv_order))
         for c, b in zip(self.constants, self.basis):
             total += c * eval_basis(b, x, deriv_order)
         return total
@@ -181,14 +177,13 @@ def particular_solution(piece: PieceOde) -> tuple[float, ...]:
     return tuple(float(c) for c in poly)
 
 
-def assemble_system(bvp: PiecewiseBvp, bases, particulars,
-                    condition_side: str = "left") -> MatchSystem:
+def assemble_system(bvp: PiecewiseBvp, bases, particulars) -> MatchSystem:
     """Dense matching system over all piece constants.
 
     Row order is deterministic: point conditions in input order, then
     continuity rows by breakpoint then by enforced order, then pins.  A point
     condition sitting exactly on an interior breakpoint is evaluated on the
-    left-adjacent piece by default (``condition_side``).
+    left-adjacent piece.
     """
     n = bvp.order
     n_pieces = len(bvp.pieces)
@@ -203,7 +198,7 @@ def assemble_system(bvp: PiecewiseBvp, bases, particulars,
         return row
 
     for cond in bvp.conditions:
-        k = bvp.owning_piece(cond.location, side=condition_side)
+        k = bvp.owning_piece(cond.location, side="left")
         rows.append(basis_row(k, cond.location, cond.deriv_order))
         rhs.append(cond.value - _poly_deriv_val(particulars[k], cond.location, cond.deriv_order))
         row_labels.append(f"u^({cond.deriv_order})({cond.location:g}) = {cond.value:g}")
@@ -266,39 +261,29 @@ def gauss_solve(system: MatchSystem) -> GaussResult:
 
     Square full-rank systems are solved directly; overdetermined full-column-
     rank systems go through least squares (normal equations) gated on a
-    residual inf-norm consistency check; rank-deficient systems are reported
-    with their free-column labels rather than failing.
+    residual inf-norm consistency check.  Rank-deficient systems raise
+    :class:`RankDeficientError` with their free-column labels.
     """
     matrix, rhs = system.matrix, system.rhs
     m, n = matrix.shape
     aug, pivot_cols = _echelon(matrix, rhs)
+    if len(pivot_cols) == n and m > n:
+        aug, pivot_cols = _echelon(matrix.T @ matrix, matrix.T @ rhs)
     rank = len(pivot_cols)
-
     if rank < n:
         free = tuple(system.labels[c] for c in range(n) if c not in pivot_cols)
-        return GaussResult("rank_deficient", None, rank, n - rank, free, math.inf)
-
-    if m == n:
-        x = _back_substitute(aug, n)
-    else:
-        normal = MatchSystem(matrix.T @ matrix, matrix.T @ rhs,
-                             system.labels, ())
-        aug_n, pivots_n = _echelon(normal.matrix, normal.rhs)
-        if len(pivots_n) < n:
-            free = tuple(system.labels[c] for c in range(n) if c not in pivots_n)
-            return GaussResult("rank_deficient", None, len(pivots_n),
-                               n - len(pivots_n), free, math.inf)
-        x = _back_substitute(aug_n, n)
+        raise RankDeficientError(rank, n - rank, free)
+    x = _back_substitute(aug, n)
 
     residual = float(np.abs(matrix @ x - rhs).max(initial=0.0))
     if m > n:
         gate = CONSISTENCY_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
         if residual > gate:
             raise InconsistentSystemError(residual)
-    return GaussResult("solved", x, rank, 0, (), residual)
+    return GaussResult(x, rank, residual)
 
 
-def solve_exact(bvp: PiecewiseBvp, condition_side: str = "left") -> PiecewiseSolution:
+def solve_exact(bvp: PiecewiseBvp) -> PiecewiseSolution:
     """Closed-form solve: roots -> real bases -> particulars -> matching system.
 
     Raises :class:`RankDeficientError` with pin advice when the system is
@@ -307,26 +292,25 @@ def solve_exact(bvp: PiecewiseBvp, condition_side: str = "left") -> PiecewiseSol
     """
     bases = [piece_basis(p) for p in bvp.pieces]
     particulars = [particular_solution(p) for p in bvp.pieces]
-    system = assemble_system(bvp, bases, particulars, condition_side=condition_side)
-    result = gauss_solve(system)
-    if result.status == "rank_deficient":
-        raise RankDeficientError(result.rank, result.nullity, result.free_columns)
+    result = gauss_solve(assemble_system(bvp, bases, particulars))
     n = bvp.order
     pieces = tuple(
         PieceSolution(tuple(bases[k]), result.constants[k * n:(k + 1) * n],
                       particulars[k])
         for k in range(len(bvp.pieces))
     )
-    return PiecewiseSolution(pieces, RankReport(result.rank, result.nullity,
-                                                result.residual_norm))
+    return PiecewiseSolution(pieces, RankReport(result.rank, 0, result.residual_norm))
 
 
-def eval_solution(sol: PiecewiseSolution, bvp: PiecewiseBvp, x: float,
-                  deriv_order: int = 0) -> float:
-    """Evaluate the piecewise solution; breakpoints belong to the right piece
-    (except the global endpoint b, owned by the last piece)."""
-    a, b = bvp.domain
-    if not (a <= x <= b):
-        raise ProblemError(f"x = {x} outside [{a}, {b}]")
-    k = bvp.owning_piece(x, side="right")
-    return sol.pieces[k].value(x, deriv_order)
+def eval_solution(sol: PiecewiseSolution, bvp: PiecewiseBvp, x,
+                  deriv_order: int = 0):
+    """Evaluate the piecewise solution at a scalar or an array x; breakpoints
+    belong to the right piece (except the global endpoint b, owned by the
+    last piece)."""
+    x = np.asarray(x, dtype=float)
+    owner = bvp.owning_piece(x)
+    out = np.empty(x.shape)
+    for k in np.unique(owner):
+        mask = owner == k
+        out[mask] = sol.pieces[k].value(x[mask], deriv_order)
+    return out[()]

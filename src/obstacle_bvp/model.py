@@ -70,8 +70,8 @@ class PieceOde:
     def hi(self) -> float:
         return self.interval[1]
 
-    def forcing_value(self, x: float) -> float:
-        return float(np.polynomial.polynomial.polyval(x, self.forcing))
+    def forcing_value(self, x):
+        return np.polynomial.polynomial.polyval(x, self.forcing)
 
 
 @dataclass(frozen=True)
@@ -170,23 +170,20 @@ class PiecewiseBvp:
     def interior_breakpoints(self) -> tuple[float, ...]:
         return tuple(p.hi for p in self.pieces[:-1])
 
-    def owning_piece(self, x: float, side: str = "right") -> int:
-        """Index of the piece that owns x.
+    def owning_piece(self, x, side: str = "right"):
+        """Index of the piece that owns x (a scalar or an array).
 
         Breakpoints belong to the right piece for ``side='right'`` (used for
         evaluation; intervals are half-open [lo, hi) except the last) and to
         the left-adjacent piece for ``side='left'`` (used for point
         conditions placed at interior breakpoints).
         """
+        x = np.asarray(x, dtype=float)
         a, b = self.domain
-        if not (a <= x <= b):
-            raise ProblemError(f"x = {x} outside domain [{a}, {b}]")
-        for k, p in enumerate(self.pieces):
-            if side == "left" and x == p.hi:
-                return k
-            if p.lo <= x < p.hi:
-                return k
-        return len(self.pieces) - 1
+        outside = x[~((a <= x) & (x <= b))]
+        if outside.size:
+            raise ProblemError(f"x = {outside[0]} outside domain [{a}, {b}]")
+        return np.searchsorted(self.interior_breakpoints, x, side=side)
 
 
 @dataclass(frozen=True)
@@ -197,8 +194,6 @@ class BvpDiagnostics:
     n_condition_rows: int
     n_continuity_rows: int
     n_pin_rows: int
-    contiguity_ok: bool
-    messages: tuple[str, ...]
 
     @property
     def n_equations(self) -> int:
@@ -234,23 +229,14 @@ def normalize_piece(sign, raw_coeffs, raw_forcing, interval, order) -> PieceOde:
 
 def validate_bvp(bvp: PiecewiseBvp) -> BvpDiagnostics:
     """Count unknowns vs equations and report the predicted determinacy class."""
-    msgs = []
-    contiguous = True
-    for left, right in zip(bvp.pieces, bvp.pieces[1:]):
-        if left.hi != right.lo:  # unreachable for constructed bvps; kept for raw input
-            contiguous = False
-            msgs.append(f"gap between {left.interval} and {right.interval}")
     n_unknowns = bvp.order * len(bvp.pieces)
     n_cont = len(bvp.continuity.enforced_orders) * (len(bvp.pieces) - 1)
-    diag = BvpDiagnostics(
+    return BvpDiagnostics(
         n_unknowns=n_unknowns,
         n_condition_rows=len(bvp.conditions),
         n_continuity_rows=n_cont,
         n_pin_rows=len(bvp.pins),
-        contiguity_ok=contiguous,
-        messages=tuple(msgs),
     )
-    return diag
 
 
 def _three_piece(order, g, f, r, a, c, d, b, conditions, continuity, coupling, pins):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import RankDeficientError, gauss_solve, MatchSystem
+from .exact import MatchSystem, gauss_solve
 from .model import PiecewiseBvp, PieceOde, PointCondition, ProblemError
 
 DEFAULT_STEP = 1e-3
@@ -135,8 +135,7 @@ class NumericSolution:
 
 
 def shooting_solve(bvp: PiecewiseBvp, h: float = DEFAULT_STEP,
-                   anchors: tuple[PointCondition, ...] = (),
-                   condition_side: str = "left") -> NumericSolution:
+                   anchors: tuple[PointCondition, ...] = ()) -> NumericSolution:
     """Multipoint solve by superposition of RK4 fundamental solutions.
 
     Unknowns are the n initial-state components of every piece.  Pins on
@@ -157,7 +156,7 @@ def shooting_solve(bvp: PiecewiseBvp, h: float = DEFAULT_STEP,
 
     rows, rhs, row_labels = [], [], []
     for cond in list(bvp.conditions) + list(anchors):
-        k = bvp.owning_piece(cond.location, side=condition_side)
+        k = bvp.owning_piece(cond.location, side="left")
         piece = bvp.pieces[k]
         if cond.location == piece.hi:
             phi, part = trajectories[k].end_matrix(), trajectories[k].end_particular()
@@ -183,8 +182,6 @@ def shooting_solve(bvp: PiecewiseBvp, h: float = DEFAULT_STEP,
     system = MatchSystem(np.array(rows), np.array(rhs, dtype=float),
                          labels, tuple(row_labels))
     result = gauss_solve(system)
-    if result.status == "rank_deficient":
-        raise RankDeficientError(result.rank, result.nullity, result.free_columns)
 
     piece_trajs = []
     grid_parts, state_parts = [], []
@@ -219,30 +216,32 @@ def _hermite(x, x0, x1, v0, v1, d0, d1):
     return h00 * v0 + h10 * dh * d0 + h01 * v1 + h11 * dh * d1
 
 
-def sample(sol: NumericSolution, x: float, deriv_order: int = 0) -> float:
-    """Cubic Hermite interpolation of one state component.
+def sample(sol: NumericSolution, x, deriv_order: int = 0):
+    """Cubic Hermite interpolation of one state component at a scalar or an
+    array x.
 
     Each derivative order j uses state component j as values and component
     j+1 (or the ODE right-hand side for the top component) as slopes.
     Breakpoints belong to the right piece.
     """
+    x = np.asarray(x, dtype=float)
     a, b = sol.domain
-    if not (a <= x <= b):
-        raise ProblemError(f"x = {x} outside [{a}, {b}]")
+    outside = x[~((a <= x) & (x <= b))]
+    if outside.size:
+        raise ProblemError(f"x = {outside[0]} outside [{a}, {b}]")
     n = sol.order
     if not 0 <= deriv_order < n:
         raise ProblemError(f"derivative order {deriv_order} outside [0, {n - 1}]")
-    # Right ownership: the last piece whose interval start is <= x.
-    k = 0
-    for idx in range(len(sol.piece_trajectories)):
-        if sol.breakpoints[idx] <= x:
-            k = idx
-    xs, ys, top = sol.piece_trajectories[k]
-    i = int(np.searchsorted(xs, x))
-    if i < len(xs) and xs[i] == x:
-        return float(ys[i, deriv_order])
-    i -= 1
-    d0 = ys[i, deriv_order + 1] if deriv_order + 1 < n else top[i]
-    d1 = ys[i + 1, deriv_order + 1] if deriv_order + 1 < n else top[i + 1]
-    return float(_hermite(x, xs[i], xs[i + 1],
-                          ys[i, deriv_order], ys[i + 1, deriv_order], d0, d1))
+    owner = np.searchsorted(sol.breakpoints[1:-1], x, side="right")
+    out = np.empty(x.shape)
+    for k in np.unique(owner):
+        mask = owner == k
+        xs, ys, top = sol.piece_trajectories[k]
+        values = ys[:, deriv_order]
+        slopes = ys[:, deriv_order + 1] if deriv_order + 1 < n else top
+        # Interval [xs[i], xs[i+1]] holding x; a grid node is its interval's
+        # left end (t = 0, the node value exactly), the piece end t = 1.
+        i = np.minimum(np.searchsorted(xs, x[mask], side="right"), len(xs) - 1) - 1
+        out[mask] = _hermite(x[mask], xs[i], xs[i + 1], values[i], values[i + 1],
+                             slopes[i], slopes[i + 1])
+    return out[()]

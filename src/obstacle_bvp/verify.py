@@ -114,25 +114,20 @@ def residual_report(sol: PiecewiseSolution, bvp: PiecewiseBvp,
     out = []
     for piece, psol in zip(bvp.pieces, sol.pieces):
         xs = np.linspace(piece.lo, piece.hi, samples_per_piece + 2)[1:-1]
-        worst = 0.0
-        for x in xs:
-            r = psol.value(x, n) - piece.forcing_value(x)
-            for j, aj in enumerate(piece.coeffs):
-                if aj != 0.0:
-                    r -= aj * psol.value(x, j)
-            worst = max(worst, abs(r))
-        out.append(worst)
+        r = psol.value(xs, n) - piece.forcing_value(xs)
+        for j, aj in enumerate(piece.coeffs):
+            if aj != 0.0:
+                r -= aj * psol.value(xs, j)
+        out.append(float(np.abs(r).max()))
     return tuple(out)
 
 
 def solution_scale(sol: PiecewiseSolution, bvp: PiecewiseBvp,
                    samples_per_piece: int = 100) -> float:
     """1 + max|u| over the domain, the natural residual normalization."""
-    worst = 0.0
-    for piece, psol in zip(bvp.pieces, sol.pieces):
-        for x in np.linspace(piece.lo, piece.hi, samples_per_piece):
-            worst = max(worst, abs(psol.value(x, 0)))
-    return 1.0 + worst
+    return 1.0 + max(
+        float(np.abs(psol.value(np.linspace(piece.lo, piece.hi, samples_per_piece))).max())
+        for piece, psol in zip(bvp.pieces, sol.pieces))
 
 
 def continuity_report(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> tuple[JumpEntry, ...]:
@@ -151,11 +146,10 @@ def continuity_report(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> tuple[JumpEn
     return tuple(out)
 
 
-def condition_report(sol: PiecewiseSolution, bvp: PiecewiseBvp,
-                     condition_side: str = "left") -> tuple[float, ...]:
+def condition_report(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> tuple[float, ...]:
     out = []
     for cond in bvp.conditions:
-        k = bvp.owning_piece(cond.location, side=condition_side)
+        k = bvp.owning_piece(cond.location, side="left")
         out.append(abs(sol.pieces[k].value(cond.location, cond.deriv_order) - cond.value))
     return tuple(out)
 
@@ -169,10 +163,8 @@ def compare_solutions(sol: PiecewiseSolution, bvp: PiecewiseBvp,
         raise ProblemError(
             f"domain mismatch: exact on [{a}, {b}], numeric on [{na}, {nb}]"
         )
-    worst = 0.0
-    for x in np.linspace(a, b, grid_points):
-        worst = max(worst, abs(eval_solution(sol, bvp, x) - sample(numeric, x)))
-    return worst
+    xs = np.linspace(a, b, grid_points)
+    return float(np.abs(eval_solution(sol, bvp, xs) - sample(numeric, xs)).max())
 
 
 def pin_anchors(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> tuple[PointCondition, ...]:
@@ -195,14 +187,13 @@ def pin_anchors(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> tuple[PointConditi
 def verification_report(sol: PiecewiseSolution, bvp: PiecewiseBvp,
                         numeric: NumericSolution | None = None,
                         profile: ToleranceProfile = DEFAULT_PROFILE,
-                        samples_per_piece: int = 1000,
-                        condition_side: str = "left") -> VerificationReport:
+                        samples_per_piece: int = 1000) -> VerificationReport:
     """Full report: residuals, jumps, conditions and (optionally) oracle delta."""
     delta = compare_solutions(sol, bvp, numeric) if numeric is not None else None
     return VerificationReport(
         piece_residuals=residual_report(sol, bvp, samples_per_piece),
         jumps=continuity_report(sol, bvp),
-        condition_violations=condition_report(sol, bvp, condition_side),
+        condition_violations=condition_report(sol, bvp),
         oracle_delta=delta,
         profile=profile,
         residual_scale=solution_scale(sol, bvp),

@@ -9,7 +9,9 @@ from obstacle_bvp.exact import (InconsistentSystemError, MatchSystem,
                                 eval_solution, gauss_solve,
                                 particular_solution, solve_exact)
 from obstacle_bvp.examples import get_example
-from obstacle_bvp.model import (PieceOde, PointCondition, build_second_order,
+from obstacle_bvp.verify import verification_report
+from obstacle_bvp.model import (ContinuitySpec, PieceOde, PiecewiseBvp,
+                                PointCondition, ProblemError, build_second_order,
                                 build_third_order)
 
 E = math.e
@@ -84,16 +86,15 @@ class TestGaussSolve:
         system = MatchSystem(np.eye(2), np.array([3.0, 4.0]),
                              ((0, 0), (0, 1)), ())
         result = gauss_solve(system)
-        assert result.status == "solved"
         assert result.constants == pytest.approx([3.0, 4.0])
 
     def test_consistent_singular_reports_rank(self):
         system = MatchSystem(np.array([[1.0, 1.0], [2.0, 2.0]]),
                              np.array([1.0, 2.0]), ((0, 0), (0, 1)), ())
-        result = gauss_solve(system)
-        assert result.status == "rank_deficient"
-        assert (result.rank, result.nullity) == (1, 1)
-        assert len(result.free_columns) == 1
+        with pytest.raises(RankDeficientError) as exc:
+            gauss_solve(system)
+        assert (exc.value.rank, exc.value.nullity) == (1, 1)
+        assert len(exc.value.free_columns) == 1
 
     def test_inconsistent_overdetermined_raises(self):
         system = MatchSystem(np.array([[1.0], [1.0]]), np.array([0.0, 1.0]),
@@ -172,6 +173,23 @@ class TestSolveExact:
         system = _system_for(unpinned)
         assert np.abs(system.matrix @ diff).max() <= 1e-8
 
+    @pytest.mark.parametrize("roots", [
+        [1.3, 1.3 + 1e-7],
+        [0.8, 0.8, -0.5],
+        [1.2, 1.2, 0.5, -0.5],
+    ])
+    def test_near_double_roots_merge_and_verify(self, roots):
+        n = len(roots)
+        monic = np.real(np.poly(roots))[::-1]
+        piece = PieceOde(n, (0.0, 1.0), tuple(float(-c) for c in monic[:-1]), (1.0,))
+        conditions = ([PointCondition(0.0, j, 1.0) for j in range((n + 1) // 2)]
+                      + [PointCondition(1.0, j, 0.0) for j in range(n // 2)])
+        bvp = PiecewiseBvp(n, (piece,), tuple(conditions),
+                           ContinuitySpec(frozenset({0})))
+        assert [fn.k for fn in piece_basis(piece)].count(1) == 1
+        sol = solve_exact(bvp)
+        assert verification_report(sol, bvp).passed
+
     def test_rank_report_attached(self):
         sol = solve_exact(get_example("3.1.1").bvp)
         assert sol.rank_report.rank == 6
@@ -199,8 +217,26 @@ class TestEvalSolution:
         middle = sol.pieces[1].value(-0.5, 2)
         assert eval_solution(sol, entry.bvp, -0.5, 2) == pytest.approx(middle)
 
+    @pytest.mark.parametrize("ex_id", ["3.1.1", "3.1.4", "3.1.6"])
+    def test_array_matches_scalar_calls(self, ex_id):
+        bvp = get_example(ex_id).bvp
+        sol = solve_exact(bvp)
+        a, b = bvp.domain
+        xs = np.concatenate([np.linspace(a, b, 41), bvp.breakpoints])
+        for j in range(bvp.order + 1):
+            scalar = np.array([eval_solution(sol, bvp, x, j) for x in xs])
+            got = eval_solution(sol, bvp, xs, j)
+            assert got.shape == xs.shape
+            assert np.abs(got - scalar).max() <= 1e-15 * np.abs(scalar).max()
+            piece = sol.pieces[1]
+            per_point = np.array([piece.value(x, j) for x in xs])
+            assert np.abs(piece.value(xs, j) - per_point).max() <= (
+                1e-15 * np.abs(per_point).max())
+
     def test_outside_domain_rejected(self):
         entry = get_example("3.1.1")
         sol = solve_exact(entry.bvp)
         with pytest.raises(Exception):
             eval_solution(sol, entry.bvp, 2.0)
+        with pytest.raises(ProblemError):
+            eval_solution(sol, entry.bvp, np.array([-1.0, 0.0, 1.0 + 1e-12]))

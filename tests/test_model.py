@@ -117,6 +117,12 @@ class TestPiecewiseBvp:
         assert bvp.owning_piece(0.25, side="left") == 0
         assert bvp.owning_piece(0.0) == 0
         assert bvp.owning_piece(1.0) == 2
+        xs = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]
+        for side in ("left", "right"):
+            assert bvp.owning_piece(xs, side=side).tolist() == [
+                bvp.owning_piece(x, side=side) for x in xs]
+        with pytest.raises(ProblemError):
+            bvp.owning_piece([0.0, 0.5, 1.5])
 
 
 class TestValidateBvp:

@@ -97,6 +97,7 @@ class TestSample:
         numeric = shooting_solve(bvp, 0.125)
         i = 3
         assert sample(numeric, float(numeric.grid[i])) == numeric.states[i, 0]
+        assert np.array_equal(sample(numeric, numeric.grid), numeric.states[:, 0])
 
     def test_trig_example_midpoint(self):
         entry = get_example("3.1.4")
@@ -115,6 +116,11 @@ class TestSample:
         for x in (-0.8, -0.3, 0.1, 0.9):
             assert sample(numeric, x, 1) == pytest.approx(
                 eval_solution(sol, entry.bvp, x, 1), abs=1e-8)
+        xs = np.concatenate([np.linspace(-1.0, 1.0, 37), entry.bvp.breakpoints])
+        for j in (0, 1):
+            scalar = np.array([sample(numeric, x, j) for x in xs])
+            assert np.abs(sample(numeric, xs, j) - scalar).max() <= (
+                1e-15 * np.abs(scalar).max())
 
     def test_out_of_range(self):
         entry = get_example("3.1.1")
@@ -123,6 +129,8 @@ class TestSample:
             sample(numeric, 2.0)
         with pytest.raises(ProblemError):
             sample(numeric, 0.0, 2)
+        with pytest.raises(ProblemError):
+            sample(numeric, np.array([-1.0, 0.0, 2.0]))
 
 
 class TestConvergence:
