@@ -176,7 +176,10 @@ def find_roots(coeffs) -> list[CharRoot]:
         paired.append(CharRoot(complex(alpha, beta), r.multiplicity))
         paired.append(CharRoot(complex(alpha, -beta), r.multiplicity))
     roots = real_roots + paired
-    assert sum(r.multiplicity for r in roots) == n
+    total = sum(r.multiplicity for r in roots)
+    if total != n:
+        raise RootFindingError(f"root multiplicities sum to {total}, expected {n}, "
+                               f"for polynomial {coeffs.tolist()}")
     return sorted(roots, key=lambda r: (r.value.real, r.value.imag))
 
 

@@ -13,7 +13,8 @@ Problem files are JSON with fields mirroring the model types:
     }
 
 Numbers are plain literals (no expression evaluation).  Exit codes: 0 ok,
-1 input error, 2 rank/consistency error, 3 verification failure.
+1 input error, 2 matching-system error (rank, consistency, overflow),
+3 verification failure (including an oracle integration that blows up).
 """
 
 from __future__ import annotations
@@ -21,16 +22,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
 
-from .exact import (InconsistentSystemError, RankDeficientError, eval_solution,
-                    solve_exact)
+from .basis import RootFindingError
+from .exact import SolveError, eval_solution, solve_exact
 from .model import (ContinuitySpec, PiecewiseBvp, PinnedConstant,
                     PointCondition, ProblemError, normalize_piece,
                     validate_bvp)
-from .oracle import DEFAULT_STEP, shooting_solve
+from .oracle import DEFAULT_STEP, IntegrationError, shooting_solve
 from .verify import pin_anchors, verification_report
 from . import examples as registry
 
@@ -38,6 +40,14 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_RANK = 2
 EXIT_VERIFY = 3
+
+# Failures of the closed-form solve on an accepted problem (exit 2).
+SOLVE_FAILURES = (SolveError, RootFindingError)
+
+
+def _error(message, code: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def parse_problem(data: dict) -> PiecewiseBvp:
@@ -125,22 +135,16 @@ def cmd_solve(args) -> int:
     try:
         bvp = load_problem(args.input)
     except ProblemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _error(exc, EXIT_INPUT)
     if args.samples < 2:
-        print("error: --samples must be at least 2", file=sys.stderr)
-        return EXIT_INPUT
+        return _error("--samples must be at least 2", EXIT_INPUT)
     diag = validate_bvp(bvp)
     print(f"unknowns: {diag.n_unknowns}, equations: {diag.n_equations}"
           f" ({diag.determinacy})")
     try:
         sol = solve_exact(bvp)
-    except RankDeficientError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RANK
-    except InconsistentSystemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RANK
+    except SOLVE_FAILURES as exc:
+        return _error(exc, EXIT_RANK)
     with open(args.output, "w") as fh:
         fh.write(_solution_table(sol, bvp, args.samples))
     print(_constants_report(sol))
@@ -152,17 +156,15 @@ def _reproduce_one(example_id: str, with_oracle: bool, step: float) -> int:
     try:
         entry = registry.get_example(example_id)
     except ProblemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _error(exc, EXIT_INPUT)
     print(f"== {entry.id}: {entry.description}")
     if entry.notes:
         print(f"   note: {entry.notes}")
     bvp = entry.bvp
     try:
         sol = solve_exact(bvp)
-    except (RankDeficientError, InconsistentSystemError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RANK
+    except SOLVE_FAILURES as exc:
+        return _error(exc, EXIT_RANK)
     print(_constants_report(sol))
     if entry.reference_constants:
         print("published constants:")
@@ -172,7 +174,10 @@ def _reproduce_one(example_id: str, with_oracle: bool, step: float) -> int:
     if with_oracle:
         if entry.oracle_comparable:
             pinless = dataclasses.replace(bvp, pins=())
-            numeric = shooting_solve(pinless, step, anchors=pin_anchors(sol, bvp))
+            try:
+                numeric = shooting_solve(pinless, step, anchors=pin_anchors(sol, bvp))
+            except IntegrationError as exc:
+                return _error(exc, EXIT_VERIFY)
         else:
             print("   oracle comparison skipped: printed solution inconsistent")
     report = verification_report(sol, bvp, numeric)
@@ -193,15 +198,15 @@ def cmd_verify(args) -> int:
     try:
         bvp = load_problem(args.input)
     except ProblemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _error(exc, EXIT_INPUT)
     try:
         sol = solve_exact(bvp)
         pinless = dataclasses.replace(bvp, pins=())
         numeric = shooting_solve(pinless, args.step, anchors=pin_anchors(sol, bvp))
-    except (RankDeficientError, InconsistentSystemError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RANK
+    except SOLVE_FAILURES as exc:
+        return _error(exc, EXIT_RANK)
+    except IntegrationError as exc:
+        return _error(exc, EXIT_VERIFY)
     report = verification_report(sol, bvp, numeric)
     print(report.render_table())
     return EXIT_OK if report.passed else EXIT_VERIFY
@@ -247,6 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    step = getattr(args, "step", DEFAULT_STEP)  # reproduce and verify only
+    if not (math.isfinite(step) and step > 0):
+        return _error(f"--step must be positive and finite, got {step}", EXIT_INPUT)
     return args.func(args)
 
 

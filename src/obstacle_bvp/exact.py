@@ -22,7 +22,8 @@ CONSISTENCY_TOL = 1e-9
 
 
 class SolveError(RuntimeError):
-    """Base class for matching-system failures."""
+    """A closed-form solve failed: a matching system that is non-finite,
+    rank-deficient or inconsistent, or a particular ansatz that did not hold."""
 
 
 class InconsistentSystemError(SolveError):
@@ -171,7 +172,10 @@ def particular_solution(piece: PieceOde) -> tuple[float, ...]:
     target = np.zeros(s + m + 1)
     target[: len(q)] = q
     scale = 1.0 + float(np.abs(q).max(initial=0.0)) + float(np.abs(poly).max(initial=0.0))
-    assert np.abs(full - target).max() <= 1e-10 * scale, "particular ansatz failed"
+    defect, tol = float(np.abs(full - target).max()), 1e-10 * scale
+    if not defect <= tol:  # also catches a NaN from an overflowing solve
+        raise SolveError(f"particular ansatz failed on {piece.interval}: identity "
+                         f"defect {defect:.3e}, tolerance {tol:.3e}")
     while len(poly) > 1 and poly[-1] == 0.0:
         poly = poly[:-1]
     return tuple(float(c) for c in poly)
@@ -262,9 +266,18 @@ def gauss_solve(system: MatchSystem) -> GaussResult:
     Square full-rank systems are solved directly; overdetermined full-column-
     rank systems go through least squares (normal equations) gated on a
     residual inf-norm consistency check.  Rank-deficient systems raise
-    :class:`RankDeficientError` with their free-column labels.
+    :class:`RankDeficientError` with their free-column labels; a system with
+    non-finite entries raises :class:`SolveError` before elimination.
     """
     matrix, rhs = system.matrix, system.rhs
+    bad = ~np.isfinite(matrix).all(axis=1) | ~np.isfinite(rhs)
+    if bad.any():
+        raise SolveError(
+            f"matching system has non-finite entries (overflow) in "
+            f"{int(bad.sum())} of {len(bad)} rows, first: "
+            f"{system.row_labels[int(np.argmax(bad))]}; the basis functions or "
+            f"particular solution overflow on this domain"
+        )
     m, n = matrix.shape
     aug, pivot_cols = _echelon(matrix, rhs)
     if len(pivot_cols) == n and m > n:

@@ -61,6 +61,11 @@ class PieceOde:
             raise ProblemError(
                 f"forcing degree {len(self.forcing) - 1} exceeds maximum {MAX_FORCING_DEGREE}"
             )
+        if not all(map(math.isfinite, (*self.coeffs, *self.forcing))):
+            raise ProblemError(
+                f"non-finite coefficient or forcing on {self.interval}: "
+                f"coeffs {self.coeffs}, forcing {self.forcing}"
+            )
 
     @property
     def lo(self) -> float:
@@ -85,6 +90,8 @@ class PointCondition:
     def __post_init__(self):
         if self.deriv_order < 0:
             raise ProblemError(f"negative derivative order {self.deriv_order}")
+        if not math.isfinite(self.value):
+            raise ProblemError(f"non-finite condition value {self.value}")
 
 
 @dataclass(frozen=True)
@@ -112,6 +119,10 @@ class PinnedConstant:
     piece_index: int
     basis_index: int
     value: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ProblemError(f"non-finite pin value {self.value}")
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,19 @@
 
 Each piece's companion system is integrated with classic fixed-step RK4 from
 n unit initial states (homogeneous) plus one zero state carrying the forcing
-(particular).  By linearity the global solution is affine in the per-piece
-initial states, so the same condition/continuity row semantics as the exact
-matcher apply, with numerically integrated values in place of basis
-evaluations.  This module deliberately shares no root-finding, basis or
-particular-solution code with the closed-form path.
+(particular).  On a linear system one RK4 step is an exact affine map, so it
+is built once per step length and all n + 1 states advance in one sweep; a
+condition off the grid is reached by one partial step.  By linearity the
+global solution is affine in the per-piece initial states, so the same
+condition/continuity row semantics as the exact matcher apply, with
+numerically integrated values in place of basis evaluations.  This module
+deliberately shares no root-finding, basis or particular-solution code with
+the closed-form path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,45 +29,31 @@ class IntegrationError(RuntimeError):
     """RK4 produced non-finite values (blow-up)."""
 
 
-def _companion_rhs(piece: PieceOde, forced: bool):
-    coeffs = np.asarray(piece.coeffs)
-    forcing = piece.forcing
-
-    def rhs(x, y):
-        dy = np.empty_like(y)
-        dy[:-1] = y[1:]
-        top = float(coeffs @ y)
-        if forced:
-            top += float(np.polynomial.polynomial.polyval(x, forcing))
-        dy[-1] = top
-        return dy
-
-    return rhs
+def _companion(piece: PieceOde) -> np.ndarray:
+    """Matrix A of the first-order system y' = A y + e_n q(x), y = (u, ..., u^(n-1))."""
+    n = piece.order
+    a = np.zeros((n, n))
+    a[:-1, 1:] = np.eye(n - 1)
+    a[-1] = piece.coeffs
+    return a
 
 
-def _rk4_path(rhs, x0: float, x1: float, y0: np.ndarray, h: float):
-    """Classic RK4 from x0 to x1 (fixed step, last step shortened).
+def _step_maps(a: np.ndarray, h: float):
+    """One classic RK4 step of length h on y' = A y + e_n q(x) as an affine map.
 
-    Returns (xs, ys) with ys[i] the state at xs[i].
+    Returns (T, B) with y(x + h) = T y(x) + B @ (q(x), q(x + h/2), q(x + h)):
+    with M = hA, T = I + M + M²/2 + M³/6 + M⁴/24 and the columns of B are
+    h/6·(I + M + M²/2 + M³/4) e_n, h/6·(4I + 2M + M²/2) e_n and h/6·e_n.
     """
-    if h <= 0:
-        raise ProblemError(f"step h must be positive, got {h}")
-    xs = [x0]
-    ys = [np.array(y0, dtype=float)]
-    x, y = x0, np.array(y0, dtype=float)
-    while x < x1 - 1e-15 * max(1.0, abs(x1)):
-        step = min(h, x1 - x)
-        k1 = rhs(x, y)
-        k2 = rhs(x + step / 2, y + step / 2 * k1)
-        k3 = rhs(x + step / 2, y + step / 2 * k2)
-        k4 = rhs(x + step, y + step * k3)
-        y = y + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        x = min(x + step, x1)
-        if not np.all(np.isfinite(y)):
-            raise IntegrationError(f"integration blew up near x = {x}")
-        xs.append(x)
-        ys.append(y)
-    return np.array(xs), np.array(ys)
+    eye = np.eye(len(a))
+    m = h * a
+    m2 = m @ m
+    m3 = m2 @ m
+    t = eye + m + m2 / 2 + m3 / 6 + m3 @ m / 24
+    b = h / 6 * np.column_stack([(eye + m + m2 / 2 + m3 / 4)[:, -1],
+                                 (4 * eye + 2 * m + m2 / 2)[:, -1],
+                                 eye[:, -1]])
+    return t, b
 
 
 @dataclass(frozen=True)
@@ -82,37 +72,53 @@ class FundamentalTrajectory:
 
 
 def integrate_fundamental(piece: PieceOde, h: float = DEFAULT_STEP) -> FundamentalTrajectory:
-    """Integrate the n unit initial states (unforced) and one forced zero state."""
-    n = piece.order
-    rhs_h = _companion_rhs(piece, forced=False)
-    rhs_f = _companion_rhs(piece, forced=True)
-    xs = None
-    homo = []
-    for j in range(n):
-        y0 = np.zeros(n)
-        y0[j] = 1.0
-        xs, ys = _rk4_path(rhs_h, piece.lo, piece.hi, y0, h)
-        homo.append(ys)
-    _, part = _rk4_path(rhs_f, piece.lo, piece.hi, np.zeros(n), h)
-    homogeneous = np.stack(homo, axis=-1)  # (len(xs), n, n)
-    return FundamentalTrajectory(xs, homogeneous, part)
+    """RK4 on the grid of step h from the n unit initial states (unforced) and
+    one zero state carrying the forcing, advanced together in one sweep.
+
+    The state is the augmented matrix [[Φ, p], [0, 1]], so one step is one
+    product with [[T, B q_i], [0, 1]]: the step map plus the forcing column.
+    """
+    if not (math.isfinite(h) and h > 0):
+        raise ProblemError(f"step h must be positive and finite, got {h}")
+    n, lo, hi = piece.order, piece.lo, piece.hi
+    # Grid: nodes lo + i·h strictly below hi, then hi (a shortened last step).
+    xs = lo + h * np.arange(int((hi - lo) / h) + 2)
+    xs = np.append(xs[xs < hi - 1e-15 * max(1.0, abs(hi))], hi)
+    a = _companion(piece)
+    steps = np.diff(xs)
+    steps[:-1] = h
+    q = np.polynomial.polynomial.polyval(xs, piece.forcing)
+    q_mid = np.polynomial.polynomial.polyval(xs[:-1] + steps / 2, piece.forcing)
+    stages = np.column_stack([q[:-1], q_mid, q[1:]])
+
+    maps = np.zeros((len(steps), n + 1, n + 1))
+    maps[:, n, n] = 1.0
+    t, b = _step_maps(a, h)
+    maps[:, :n, :n] = t
+    maps[:, :n, n] = stages @ b.T
+    t, b = _step_maps(a, steps[-1])  # the shortened last step
+    maps[-1, :n, :n] = t
+    maps[-1, :n, n] = b @ stages[-1]
+
+    ys = np.empty((len(xs), n + 1, n + 1))
+    ys[0] = np.eye(n + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step_map, y, y_next in zip(maps, ys, ys[1:]):
+            np.matmul(step_map, y, out=y_next)
+    bad = ~np.isfinite(ys).all(axis=(1, 2))
+    if bad.any():
+        raise IntegrationError(f"integration blew up near x = {xs[np.argmax(bad)]}")
+    return FundamentalTrajectory(xs, ys[:, :n, :n], ys[:, :n, n])
 
 
-def _state_at(piece: PieceOde, x: float, h: float):
-    """Fundamental matrix and particular state at an arbitrary x in the piece."""
-    n = piece.order
-    if x == piece.lo:
-        return np.eye(n), np.zeros(n)
-    rhs_h = _companion_rhs(piece, forced=False)
-    rhs_f = _companion_rhs(piece, forced=True)
-    cols = []
-    for j in range(n):
-        y0 = np.zeros(n)
-        y0[j] = 1.0
-        _, ys = _rk4_path(rhs_h, piece.lo, x, y0, h)
-        cols.append(ys[-1])
-    _, part = _rk4_path(rhs_f, piece.lo, x, np.zeros(n), h)
-    return np.stack(cols, axis=-1), part[-1]
+def _partial_step(piece: PieceOde, traj: FundamentalTrajectory, x: float):
+    """Fundamental matrix and particular state at x in the piece: one partial
+    RK4 step of length x - xs[i] from the grid node xs[i] at or below x."""
+    i = int(np.searchsorted(traj.xs, x, side="right")) - 1
+    x0 = traj.xs[i]
+    t, b = _step_maps(_companion(piece), x - x0)
+    q = np.polynomial.polynomial.polyval([x0, (x0 + x) / 2, x], piece.forcing)
+    return t @ traj.homogeneous[i], t @ traj.particular[i] + b @ q
 
 
 @dataclass(frozen=True)
@@ -157,11 +163,7 @@ def shooting_solve(bvp: PiecewiseBvp, h: float = DEFAULT_STEP,
     rows, rhs, row_labels = [], [], []
     for cond in list(bvp.conditions) + list(anchors):
         k = bvp.owning_piece(cond.location, side="left")
-        piece = bvp.pieces[k]
-        if cond.location == piece.hi:
-            phi, part = trajectories[k].end_matrix(), trajectories[k].end_particular()
-        else:
-            phi, part = _state_at(piece, cond.location, h)
+        phi, part = _partial_step(bvp.pieces[k], trajectories[k], cond.location)
         row = np.zeros(width)
         row[k * n:(k + 1) * n] = phi[cond.deriv_order]
         rows.append(row)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,11 +11,26 @@ from obstacle_bvp.cli import (EXIT_INPUT, EXIT_OK, EXIT_RANK, EXIT_VERIFY,
 from obstacle_bvp.exact import solve_exact
 from obstacle_bvp.examples import get_example
 from obstacle_bvp.model import ProblemError
+from obstacle_bvp.oracle import IntegrationError
 
 
 def _write_problem(tmp_path, bvp, name="problem.json"):
     path = tmp_path / name
     path.write_text(json.dumps(export_problem(bvp)))
+    return str(path)
+
+
+def _write_single_piece(tmp_path, interval, coeffs, forcing=(1.0,)):
+    """u'' = coeffs . (u, u') + forcing on interval, u = 0 at both ends."""
+    data = {
+        "order": 2,
+        "pieces": [{"interval": list(interval), "coeffs": list(coeffs),
+                    "forcing": list(forcing)}],
+        "conditions": [{"x": x, "deriv": 0, "value": 0.0} for x in interval],
+        "continuity": [0, 1],
+    }
+    path = tmp_path / "single.json"
+    path.write_text(json.dumps(data))
     return str(path)
 
 
@@ -73,6 +89,24 @@ class TestCmdSolve:
         assert code == EXIT_RANK
         assert "pin" in capsys.readouterr().err
 
+    def test_non_finite_coefficient_is_input_error(self, tmp_path, capsys):
+        path = _write_single_piece(tmp_path, (0.0, 1.0), (math.nan, 0.0))
+        code = main(["solve", "--input", path, "--output", str(tmp_path / "o.csv")])
+        assert code == EXIT_INPUT
+        assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("interval, coeffs", [((0.0, 1.0), (1e6, 0.0)),
+                                                  ((0.0, 800.0), (1.0, 0.0)),
+                                                  ((0.0, 1.0), (0.0, 1e200))])
+    def test_overflow_is_solve_error_without_pin_advice(self, tmp_path, capsys,
+                                                        interval, coeffs):
+        path = _write_single_piece(tmp_path, interval, coeffs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["solve", "--input", path,
+                         "--output", str(tmp_path / "o.csv")])
+        assert code == EXIT_RANK
+        assert "pin" not in capsys.readouterr().err
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -103,6 +137,18 @@ class TestCmdVerify:
         path.write_text(json.dumps(data))
         assert main(["verify", "--input", str(path)]) == EXIT_RANK
 
+    @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf"])
+    def test_bad_step_is_input_error(self, tmp_path, step):
+        path = _write_problem(tmp_path, get_example("3.1.1").bvp)
+        assert main(["verify", "--input", path, "--step", step]) == EXIT_INPUT
+
+    def test_oracle_blow_up_is_verification_failure(self, tmp_path, capsys):
+        # u'' = -1e4 u on [0, 100]: the exact cos/sin solution is bounded, but
+        # RK4 with h*|lambda| = 100 is far outside its stability region.
+        path = _write_single_piece(tmp_path, (0.0, 100.0), (-1e4, 0.0))
+        assert main(["verify", "--input", path, "--step", "1"]) == EXIT_VERIFY
+        assert "blew up" in capsys.readouterr().err
+
     def test_pinned_problem_verifies(self, tmp_path):
         path = _write_problem(tmp_path, get_example("3.1.6").bvp)
         assert main(["verify", "--input", path, "--step", "0.002"]) == EXIT_OK
@@ -122,6 +168,20 @@ class TestCmdReproduce:
 
     def test_reproduce_unknown(self, capsys):
         assert main(["reproduce", "--example", "nope"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("step", ["0", "-0.001", "nan", "inf"])
+    def test_bad_step_is_input_error(self, capsys, step):
+        code = main(["reproduce", "--example", "3.1.1", "--oracle", "--step", step])
+        assert code == EXIT_INPUT
+        assert "--step" in capsys.readouterr().err
+
+    def test_oracle_blow_up_is_verification_failure(self, monkeypatch, capsys):
+        def blow_up(*args, **kwargs):
+            raise IntegrationError("integration blew up near x = 0.5")
+
+        monkeypatch.setattr("obstacle_bvp.cli.shooting_solve", blow_up)
+        assert main(["reproduce", "--example", "3.1.1", "--oracle"]) == EXIT_VERIFY
+        assert "blew up" in capsys.readouterr().err
 
     def test_reproduce_all(self, capsys):
         assert main(["reproduce", "--example", "all"]) == EXIT_OK

@@ -5,7 +5,7 @@ import pytest
 
 from obstacle_bvp.basis import piece_basis
 from obstacle_bvp.exact import (InconsistentSystemError, MatchSystem,
-                                RankDeficientError, assemble_system,
+                                RankDeficientError, SolveError, assemble_system,
                                 eval_solution, gauss_solve,
                                 particular_solution, solve_exact)
 from obstacle_bvp.examples import get_example
@@ -39,6 +39,14 @@ class TestParticularSolution:
     def test_quartic_resonance(self):
         piece = PieceOde(3, (0.0, 1.0), (0.0, 0.0, 0.0), (0.0, 1.0))  # u''' = x
         assert particular_solution(piece) == pytest.approx((0.0, 0.0, 0.0, 0.0, 1.0 / 24.0))
+
+    def test_failed_ansatz_raises(self):
+        # a_0 = 1e-200 makes the ansatz solve overflow; the identity check is
+        # an explicit error, so it still fires under python -O.
+        piece = PieceOde(2, (0.0, 1.0), (1e-200, 0.0), (1.0,) * 7)
+        with np.errstate(all="ignore"):
+            with pytest.raises(SolveError, match="particular ansatz failed"):
+                particular_solution(piece)
 
     def test_identity_holds_for_random_pieces(self):
         rng = np.random.default_rng(3)
@@ -113,6 +121,20 @@ class TestGaussSolve:
         result = gauss_solve(_system_for(get_example("3.1.1").bvp))
         a1 = 2.0 * (E - 1.0) / (1.0 + 3.0 * E)
         assert result.constants[1] == pytest.approx(a1, abs=1e-12)
+
+    @pytest.mark.parametrize("coeff, hi", [(1e6, 1.0), (1.0, 800.0)])
+    def test_overflowing_system_is_not_rank_deficient(self, coeff, hi):
+        # u'' = coeff*u on [0, hi]: e^{sqrt(coeff)*hi} overflows, so no pin
+        # can help; the solve must name the overflow, not give pin advice.
+        piece = PieceOde(2, (0.0, hi), (coeff, 0.0), (1.0,))
+        bvp = PiecewiseBvp(2, (piece,), (PointCondition(0.0, 0, 0.0),
+                                         PointCondition(hi, 0, 0.0)),
+                           ContinuitySpec(frozenset({0, 1})))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolveError, match="non-finite") as exc:
+                solve_exact(bvp)
+        assert not isinstance(exc.value, RankDeficientError)
+        assert "pin" not in str(exc.value)
 
     def test_random_square_systems_residual(self):
         rng = np.random.default_rng(13)

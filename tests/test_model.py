@@ -3,7 +3,7 @@ import math
 import pytest
 
 from obstacle_bvp.model import (ContinuitySpec, PieceOde, PiecewiseBvp,
-                                PointCondition, ProblemError,
+                                PinnedConstant, PointCondition, ProblemError,
                                 build_second_order, build_third_order,
                                 normalize_piece, validate_bvp)
 
@@ -104,6 +104,19 @@ class TestPiecewiseBvp:
                   PieceOde(3, (0.5, 1.0), (0.0, 0.0, 0.0), (0.0,)))
         with pytest.raises(ProblemError):
             PiecewiseBvp(2, pieces, (), ContinuitySpec(frozenset({0})))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_inputs(self, bad):
+        with pytest.raises(ProblemError, match="non-finite"):
+            PieceOde(2, (0.0, 1.0), (bad, 0.0), (0.0,))
+        with pytest.raises(ProblemError, match="non-finite"):
+            PieceOde(2, (0.0, 1.0), (0.0, 0.0), (1.0, bad))
+        with pytest.raises(ProblemError, match="non-finite"):
+            normalize_piece(-1, [bad], [1.0], (0.0, 1.0), 2)
+        with pytest.raises(ProblemError, match="non-finite"):
+            PointCondition(0.0, 0, bad)
+        with pytest.raises(ProblemError, match="non-finite"):
+            PinnedConstant(0, 0, bad)
 
     def test_rejects_condition_outside_domain(self):
         with pytest.raises(ProblemError):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from obstacle_bvp.examples import get_example
 from obstacle_bvp.model import (ContinuitySpec, PieceOde, PiecewiseBvp,
                                 PointCondition, ProblemError,
                                 build_second_order)
-from obstacle_bvp.oracle import (integrate_fundamental, sample, shooting_solve)
+from obstacle_bvp.oracle import (IntegrationError, _partial_step,
+                                 integrate_fundamental, sample, shooting_solve)
 from obstacle_bvp.verify import compare_solutions, pin_anchors
 
 
@@ -40,8 +42,42 @@ class TestIntegrateFundamental:
 
     def test_rejects_bad_step(self):
         piece = PieceOde(2, (0.0, 1.0), (0.0, 0.0), (0.0,))
-        with pytest.raises(ProblemError):
-            integrate_fundamental(piece, -0.1)
+        for h in (-0.1, 0.0, math.nan, math.inf):
+            with pytest.raises(ProblemError):
+                integrate_fundamental(piece, h)
+
+    def test_cubic_particular_is_exact(self):
+        # u'' = 6x from the zero state is (x^3, 3x^2); RK4 integrates a cubic
+        # exactly, on the full steps and on the shortened last one.
+        piece = PieceOde(2, (0.0, 1.3), (0.0, 0.0), (0.0, 6.0))
+        traj = integrate_fundamental(piece, 0.125)
+        assert traj.xs[-1] - traj.xs[-2] == pytest.approx(0.05)
+        assert np.abs(traj.particular[:, 0] - traj.xs ** 3).max() <= 1e-13
+        assert np.abs(traj.particular[:, 1] - 3 * traj.xs ** 2).max() <= 1e-13
+
+    def test_off_grid_state_matches_shorter_piece(self):
+        coeffs, forcing = (-2.0, 0.5), (1.0, -3.0, 0.5)
+        piece = PieceOde(2, (0.0, 1.0), coeffs, forcing)
+        traj = integrate_fundamental(piece, 0.1)
+        for x in (0.537, 0.05, 0.99):
+            phi, part = _partial_step(piece, traj, x)
+            short = integrate_fundamental(PieceOde(2, (0.0, x), coeffs, forcing), 0.1)
+            assert np.abs(phi - short.end_matrix()).max() <= (
+                1e-13 * np.abs(phi).max())
+            assert np.abs(part - short.end_particular()).max() <= (
+                1e-13 * np.abs(part).max())
+        # On a grid node (both ends included) the state is the node's own.
+        for i in (0, 5, len(traj.xs) - 1):
+            phi, part = _partial_step(piece, traj, traj.xs[i])
+            assert np.array_equal(phi, traj.homogeneous[i])
+            assert np.array_equal(part, traj.particular[i])
+
+    def test_blow_up_raises_without_warnings(self):
+        piece = PieceOde(2, (0.0, 1.0), (1e6, 0.0), (0.0,))  # u'' = 1e6 u
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match="blew up near x"):
+                integrate_fundamental(piece, 1e-3)
 
 
 class TestShootingSolve:
