@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -118,7 +119,7 @@ def find_roots(coeffs) -> list[CharRoot]:
         raise RootFindingError("polynomial must be monic")
 
     if n == 2:
-        c0, c1, _ = coeffs
+        c0, c1, _ = coeffs.tolist()  # Python floats overflow to inf silently
         disc = cmath.sqrt(c1 * c1 - 4.0 * c0)
         raw = [(-c1 + disc) / 2.0, (-c1 - disc) / 2.0]
     else:
@@ -214,22 +215,56 @@ def real_basis(roots: list[CharRoot]) -> list[BasisFunction]:
     return out
 
 
-def eval_basis(fn: BasisFunction, x, deriv_order: int = 0):
-    """Exact analytic derivative of a basis function at a scalar or an array.
+@np.errstate(over="ignore", invalid="ignore")
+def basis_derivatives(fns, x, orders):
+    """Entry [..., j] is fns[j]^(orders[j]) at x[..., j], exact and analytic.
 
+    The last axis of x matches fns; orders is one int or one per function.
     Every kind is the real part (PolyExp, ExpCos) or the imaginary part
     (ExpSin) of x^k e^(lambda x) with lambda = alpha + i beta, whose m-th
     derivative is e^(lambda x) * sum_i C(m, i) k!/(k-i)! lambda^(m-i) x^(k-i).
+    Coefficients are Python complex numbers, x meets only scalar integer
+    powers and complex products are written out in real arithmetic (numpy's
+    vectorised complex multiply rounds differently from its scalar one), so
+    an entry does not depend on its neighbours.  Overflow is silent (inf/nan).
     """
-    if not 0 <= deriv_order <= 4:
-        raise ValueError(f"derivative order {deriv_order} outside [0, 4]")
     x = np.asarray(x, dtype=float)
-    lam = complex(fn.alpha, fn.beta)
-    k, m = fn.k, deriv_order
-    envelope = sum(math.comb(m, i) * math.perm(k, i) * lam ** (m - i) * x ** (k - i)
-                   for i in range(min(k, m) + 1))
-    z = np.exp(lam * x) * envelope
-    return z.imag if fn.kind == EXP_SIN else z.real
+    if isinstance(orders, (int, np.integer)):
+        orders = (orders,) * len(fns)
+    terms = []  # per function: lambda, coefficients, powers of x
+    for fn, m in zip(fns, orders):
+        m = int(m)  # lambda ** m stays CPython's complex power
+        if not 0 <= m <= 4:
+            raise ValueError(f"derivative order {m} outside [0, 4]")
+        lam = complex(fn.alpha, fn.beta)
+        cs = [math.comb(m, i) * math.perm(fn.k, i) * lam ** (m - i)
+              for i in range(min(fn.k, m) + 1)]
+        if fn.kind == EXP_SIN:  # Im(z) = Re(-i z)
+            cs = [complex(c.imag, -c.real) for c in cs]
+        terms.append((lam, cs, range(fn.k, fn.k - len(cs), -1)))
+    lams, coefs, powers = zip(*terms)
+    # Row i: term i of every function (zero where a function has fewer terms).
+    coefs = np.array(list(zip_longest(*coefs, fillvalue=0j)))
+    real = all(fn.kind == POLY_EXP for fn in fns)  # real lambda: e.imag = +-0
+    k_max = max(fn.k for fn in fns)
+    if k_max == 0:  # one term, times x^0 = 1
+        env_r, env_i = coefs[0].real, coefs[0].imag
+    else:
+        x_pows = [1.0] + [x ** p for p in range(1, k_max + 1)]
+        env_r = env_i = 0.0
+        for c, p in zip(coefs, zip_longest(*powers, fillvalue=0)):
+            xp = x_pows[p[0]] if len(set(p)) == 1 else np.choose(p, x_pows)
+            env_r = env_r + c.real * xp
+            if not real:
+                env_i = env_i + c.imag * xp
+    e = np.exp(np.array(lams) * x)
+    return e.real * env_r if real else e.real * env_r - e.imag * env_i
+
+
+def eval_basis(fn: BasisFunction, x, deriv_order: int = 0):
+    """Exact analytic derivative of one basis function at a scalar or an array."""
+    x = np.asarray(x, dtype=float)[..., None]
+    return basis_derivatives((fn,), x, deriv_order)[..., 0][()]
 
 
 def piece_basis(piece: PieceOde) -> list[BasisFunction]:

@@ -117,10 +117,11 @@ def _solution_table(sol, bvp, samples: int) -> str:
     a, b = bvp.domain
     header = ["x", "piece"] + ["u"] + [f"du{j}" for j in range(1, bvp.order)]
     xs = np.linspace(a, b, samples)
-    columns = [eval_solution(sol, bvp, xs, j) for j in range(bvp.order)]
+    columns = [eval_solution(sol, bvp, xs, j).tolist() for j in range(bvp.order)]
+    row = ",".join(["%.17g", "%d"] + ["%.17g"] * bvp.order)
     lines = [",".join(header)]
-    for x, k, *values in zip(xs, bvp.owning_piece(xs), *columns):
-        lines.append(",".join([f"{x:.17g}", str(k)] + [f"{v:.17g}" for v in values]))
+    lines += [row % values
+              for values in zip(xs.tolist(), bvp.owning_piece(xs).tolist(), *columns)]
     return "\n".join(lines) + "\n"
 
 
@@ -250,8 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     step = getattr(args, "step", DEFAULT_STEP)  # reproduce and verify only
     if not (math.isfinite(step) and step > 0):
         return _error(f"--step must be positive and finite, got {step}", EXIT_INPUT)

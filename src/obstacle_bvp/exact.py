@@ -10,12 +10,13 @@ labels so the caller can pin them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .basis import BasisFunction, eval_basis, piece_basis
+from .basis import BasisFunction, basis_derivatives, eval_basis, piece_basis
 from .model import PieceOde, PiecewiseBvp
 
 CONSISTENCY_TOL = 1e-9
@@ -113,18 +114,6 @@ class PiecewiseSolution:
         return out
 
 
-def _poly_deriv_val(poly, x: float, deriv_order: int) -> float:
-    p = npoly.polyder(poly, deriv_order) if deriv_order else poly
-    return float(npoly.polyval(x, p))
-
-
-def _falling(p: int, k: int) -> float:
-    out = 1.0
-    for i in range(k):
-        out *= p - i
-    return out
-
-
 def particular_solution(piece: PieceOde) -> tuple[float, ...]:
     """Polynomial u_p with u_p^(n) - sum_j a_j u_p^(j) = forcing identically.
 
@@ -136,43 +125,25 @@ def particular_solution(piece: PieceOde) -> tuple[float, ...]:
     a = piece.coeffs
     q = np.asarray(piece.forcing, dtype=float)
     m = len(q) - 1
-    s = n
-    for j, aj in enumerate(a):
-        if aj != 0.0:
-            s = j
-            break
+    s = next((j for j, aj in enumerate(a) if aj != 0.0), n)
 
-    def op_on_monomial(p: int) -> np.ndarray:
-        """Coefficients of L[x^p] = (x^p)^(n) - sum_j a_j (x^p)^(j)."""
-        out = np.zeros(p + 1)
+    # Column p holds the coefficients of L[x^p] = (x^p)^(n) - sum_j a_j (x^p)^(j).
+    size = s + m + 1
+    full_op = np.zeros((size, size))
+    for p in range(size):
         if p - n >= 0:
-            out[p - n] += _falling(p, n)
+            full_op[p - n, p] = math.perm(p, n)
         for j, aj in enumerate(a):
             if aj != 0.0 and p - j >= 0:
-                out[p - j] -= aj * _falling(p, j)
-        return out
+                full_op[p - j, p] = -aj * math.perm(p, j)
+    t = np.linalg.solve(full_op[: m + 1, s:], q)
 
-    mat = np.zeros((m + 1, m + 1))
-    for i in range(m + 1):
-        col = op_on_monomial(s + i)
-        mat[: min(m + 1, len(col)), i] = col[: m + 1]
-    t = np.linalg.solve(mat, q)
-
-    poly = np.zeros(s + m + 1)
-    poly[s:] = t
+    poly = np.concatenate([np.zeros(s), t])
     # Internal consistency check: the full identity must hold, not just the
     # low-order coefficients the square system matched.
-    full = np.zeros(s + m + 1)
-    d = npoly.polyder(poly, n)
-    full[: len(d)] += d
-    for j, aj in enumerate(a):
-        if aj != 0.0:
-            dj = npoly.polyder(poly, j) if j else poly
-            full[: len(dj)] -= aj * np.asarray(dj)
-    target = np.zeros(s + m + 1)
-    target[: len(q)] = q
     scale = 1.0 + float(np.abs(q).max(initial=0.0)) + float(np.abs(poly).max(initial=0.0))
-    defect, tol = float(np.abs(full - target).max()), 1e-10 * scale
+    defect = float(np.abs(full_op @ poly - np.pad(q, (0, s))).max())
+    tol = 1e-10 * scale
     if not defect <= tol:  # also catches a NaN from an overflowing solve
         raise SolveError(f"particular ansatz failed on {piece.interval}: identity "
                          f"defect {defect:.3e}, tolerance {tol:.3e}")
@@ -181,50 +152,78 @@ def particular_solution(piece: PieceOde) -> tuple[float, ...]:
     return tuple(float(c) for c in poly)
 
 
+def _derivative_table(particulars, orders: int) -> np.ndarray:
+    """table[d, k]: zero-padded coefficients of particulars[k]^(d), d < orders,
+    built by numpy polyder's own step, so bitwise equal to polyder's."""
+    width = max(len(p) for p in particulars)
+    table = np.zeros((orders, len(particulars), width))
+    for k, p in enumerate(particulars):
+        table[0, k, : len(p)] = p
+    for d in range(1, orders):
+        table[d, :, :-1] = np.arange(1, width) * table[d - 1, :, 1:]
+    return table
+
+
+def _horner(coeffs: np.ndarray, x) -> np.ndarray:
+    """Polynomials with ascending coefficients on the last axis, at x, in
+    numpy polyval's operation order (a zero leading coefficient adds +-0)."""
+    out = 0.0
+    for c in np.moveaxis(coeffs, -1, 0)[::-1]:
+        out = c + out * x
+    return out
+
+
 def assemble_system(bvp: PiecewiseBvp, bases, particulars) -> MatchSystem:
     """Dense matching system over all piece constants.
 
     Row order is deterministic: point conditions in input order, then
     continuity rows by breakpoint then by enforced order, then pins.  A point
     condition sitting exactly on an interior breakpoint is evaluated on the
-    left-adjacent piece.
+    left-adjacent piece.  Basis and particular values come from one array
+    pass each for the conditions and for the continuity rows.
     """
-    n = bvp.order
-    n_pieces = len(bvp.pieces)
-    width = n * n_pieces
-    labels = tuple((k, i) for k in range(n_pieces) for i in range(n))
-    rows, rhs, row_labels = [], [], []
+    n, n_pieces = bvp.order, len(bvp.pieces)
+    conds, orders, pins = bvp.conditions, bvp.continuity.sorted_orders, bvp.pins
+    n_cond, n_ord = len(conds), len(orders)
+    n_rows = n_cond + (n_pieces - 1) * n_ord + len(pins)
+    matrix, rhs = np.zeros((n_rows, n * n_pieces)), np.zeros(n_rows)
+    table = _derivative_table(particulars, n)
 
-    def basis_row(piece_index: int, x: float, deriv: int) -> np.ndarray:
-        row = np.zeros(width)
-        for i, b in enumerate(bases[piece_index]):
-            row[piece_index * n + i] = eval_basis(b, x, deriv)
-        return row
+    if conds:
+        where = np.array([c.location for c in conds])
+        deriv = [c.deriv_order for c in conds]
+        owner = bvp.owning_piece(where, side="left")
+        fns = [b for k in owner for b in bases[k]]
+        values = basis_derivatives(fns, np.repeat(where, n), np.repeat(deriv, n))
+        cols = owner[:, None] * n + np.arange(n)
+        matrix[np.arange(n_cond)[:, None], cols] = values.reshape(n_cond, n)
+        rhs[:n_cond] = (np.array([c.value for c in conds])
+                        - _horner(table[deriv, owner], where))
 
-    for cond in bvp.conditions:
-        k = bvp.owning_piece(cond.location, side="left")
-        rows.append(basis_row(k, cond.location, cond.deriv_order))
-        rhs.append(cond.value - _poly_deriv_val(particulars[k], cond.location, cond.deriv_order))
-        row_labels.append(f"u^({cond.deriv_order})({cond.location:g}) = {cond.value:g}")
+    if n_pieces > 1:
+        # Every column's basis function at its piece's lo and hi, per order.
+        ends = np.array([p.interval for p in bvp.pieces])
+        fns = [b for basis in bases for b in basis] * n_ord
+        x = np.tile(np.repeat(ends.T, n, axis=1), n_ord)
+        at_lo, at_hi = basis_derivatives(fns, x, np.repeat(orders, n * n_pieces)).reshape(
+            2, n_ord, n_pieces, n)
+        p_lo, p_hi = _horner(table[list(orders)], ends.T[:, None, :])
+        for k in range(n_pieces - 1):
+            rows = slice(n_cond + k * n_ord, n_cond + (k + 1) * n_ord)
+            matrix[rows, k * n:(k + 1) * n] = at_hi[:, k]
+            matrix[rows, (k + 1) * n:(k + 2) * n] = -at_lo[:, k + 1]
+            rhs[rows] = p_lo[:, k + 1] - p_hi[:, k]
 
-    for k, x in enumerate(bvp.interior_breakpoints):
-        for j in bvp.continuity.sorted_orders:
-            row = basis_row(k, x, j) - basis_row(k + 1, x, j)
-            rows.append(row)
-            rhs.append(_poly_deriv_val(particulars[k + 1], x, j)
-                       - _poly_deriv_val(particulars[k], x, j))
-            row_labels.append(f"continuity order {j} at x = {x:g}")
-
-    for pin in bvp.pins:
-        row = np.zeros(width)
-        row[pin.piece_index * n + pin.basis_index] = 1.0
-        rows.append(row)
-        rhs.append(pin.value)
+    row_labels = [f"u^({c.deriv_order})({c.location:g}) = {c.value:g}" for c in conds]
+    row_labels += [f"continuity order {j} at x = {x:g}"
+                   for x in bvp.interior_breakpoints for j in orders]
+    for r, pin in enumerate(pins, start=n_rows - len(pins)):
+        matrix[r, pin.piece_index * n + pin.basis_index] = 1.0
+        rhs[r] = pin.value
         row_labels.append(f"pin (piece {pin.piece_index}, basis {pin.basis_index})"
                           f" = {pin.value:g}")
-
-    return MatchSystem(np.array(rows), np.array(rhs, dtype=float),
-                       labels, tuple(row_labels))
+    labels = tuple((k, i) for k in range(n_pieces) for i in range(n))
+    return MatchSystem(matrix, rhs, labels, tuple(row_labels))
 
 
 def _echelon(matrix: np.ndarray, rhs: np.ndarray):

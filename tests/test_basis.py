@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obstacle_bvp.basis import (BasisFunction, CharRoot, RootFindingError,
-                                characteristic_coeffs, eval_basis, find_roots,
-                                monomial, piece_basis, real_basis)
+                                basis_derivatives, characteristic_coeffs,
+                                eval_basis, find_roots, monomial, piece_basis,
+                                real_basis)
 from obstacle_bvp.model import PieceOde, normalize_piece
 
 SQ3_HALF = math.sqrt(3.0) / 2.0
@@ -133,6 +135,48 @@ class TestEvalBasis:
     def test_rejects_order_out_of_range(self):
         with pytest.raises(ValueError):
             eval_basis(monomial(1), 0.0, 5)
+
+
+def _one_point(fn, x, m):
+    """The closed form at one point in numpy's scalar complex arithmetic."""
+    lam, x = complex(fn.alpha, fn.beta), np.asarray(x, dtype=float)
+    envelope = sum(math.comb(m, i) * math.perm(fn.k, i) * lam ** (m - i) * x ** (fn.k - i)
+                   for i in range(min(fn.k, m) + 1))
+    z = np.exp(lam * x) * envelope
+    return z.imag if fn.kind == "ExpSin" else z.real
+
+
+class TestBasisDerivatives:
+    @pytest.mark.parametrize("kind", ["PolyExp", "ExpCos", "ExpSin"])
+    def test_array_equals_scalar_calls_bitwise(self, kind):
+        xs = np.linspace(-2.0, 3.0, 61)
+        for alpha in (0.0, -0.8, 1.3):
+            beta = 0.0 if kind == "PolyExp" else 1.7
+            for k in range(4):
+                fn = BasisFunction(kind, k, alpha, beta)
+                for m in range(5):
+                    one_point = np.array([_one_point(fn, x, m) for x in xs])
+                    scalar = np.array([eval_basis(fn, x, m) for x in xs])
+                    assert np.array_equal(scalar, one_point), (fn, m)
+                    assert np.array_equal(eval_basis(fn, xs, m), one_point), (fn, m)
+
+    def test_columns_equal_one_function_calls(self):
+        fns = [BasisFunction("ExpCos", 1, -0.5, 2.0), BasisFunction("ExpSin", 0, -0.5, 2.0),
+               monomial(2), BasisFunction("PolyExp", 1, 1.5)]
+        x = np.linspace(-1.0, 2.0, 20).reshape(5, 4)
+        for orders in ([0, 3, 2, 4], 2):
+            got = basis_derivatives(fns, x, orders)
+            assert got.shape == x.shape
+            for j, fn in enumerate(fns):
+                m = orders if isinstance(orders, int) else orders[j]
+                assert np.array_equal(got[:, j], eval_basis(fn, x[:, j], m))
+
+    def test_overflow_is_silent_and_non_finite(self):
+        fns = [BasisFunction("PolyExp", 0, 1.0), BasisFunction("ExpSin", 1, 1.0, 2.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = basis_derivatives(fns, np.array([800.0, 800.0]), 1)
+        assert not np.isfinite(got).any()
 
 
 _basis_fn = st.one_of(

@@ -1,17 +1,19 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from obstacle_bvp.cli import (EXIT_INPUT, EXIT_OK, EXIT_RANK, EXIT_VERIFY,
-                              export_problem, load_problem, main,
-                              parse_problem)
-from obstacle_bvp.exact import solve_exact
+                              _solution_table, export_problem, load_problem,
+                              main, parse_problem)
+from obstacle_bvp.exact import eval_solution, solve_exact
 from obstacle_bvp.examples import get_example
-from obstacle_bvp.model import ProblemError
-from obstacle_bvp.oracle import IntegrationError
+from obstacle_bvp.model import PointCondition, ProblemError
+from obstacle_bvp.oracle import DEFAULT_STEP, IntegrationError
+from obstacle_bvp.penalty import Obstacle, PenaltyProblem, reformulate
 
 
 def _write_problem(tmp_path, bvp, name="problem.json"):
@@ -101,9 +103,11 @@ class TestCmdSolve:
     def test_overflow_is_solve_error_without_pin_advice(self, tmp_path, capsys,
                                                         interval, coeffs):
         path = _write_single_piece(tmp_path, interval, coeffs)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["solve", "--input", path,
                          "--output", str(tmp_path / "o.csv")])
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert code == EXIT_RANK
         assert "pin" not in capsys.readouterr().err
 
@@ -193,3 +197,43 @@ class TestCmdList:
         out = capsys.readouterr().out
         for ex_id in ("3.1.1", "3.1.8", "eq11"):
             assert ex_id in out
+
+
+class TestMain:
+    def test_consecutive_calls_get_independent_namespaces(self, monkeypatch, capsys):
+        calls = []
+
+        def record(example_id, with_oracle, step):
+            calls.append((example_id, with_oracle, step))
+            return EXIT_OK
+
+        monkeypatch.setattr("obstacle_bvp.cli._reproduce_one", record)
+        assert main(["reproduce", "--example", "3.1.1", "--oracle", "--step", "0.01"]) == EXIT_OK
+        assert main(["list"]) == EXIT_OK
+        assert main(["reproduce", "--example", "3.1.2"]) == EXIT_OK
+        assert main(["reproduce", "--example", "3.1.3", "--oracle"]) == EXIT_OK
+        assert calls == [("3.1.1", True, 0.01), ("3.1.2", False, DEFAULT_STEP),
+                         ("3.1.3", True, DEFAULT_STEP)]
+
+
+def _sixteen_region_obstacle():
+    cuts = np.linspace(0.0, 2.0, 17).tolist()
+    regions = tuple(((cuts[k], cuts[k + 1]), 1.0 if k % 3 else -0.5) for k in range(16))
+    return reformulate(PenaltyProblem(Obstacle(regions), 0.7,
+                                      (PointCondition(0.0, 0, 0.0),
+                                       PointCondition(2.0, 0, 0.0))))
+
+
+class TestSolutionTable:
+    @pytest.mark.parametrize("make_bvp", [lambda: get_example("3.1.6").bvp,
+                                          _sixteen_region_obstacle])
+    def test_same_text_as_f_string_formatting(self, make_bvp):
+        bvp = make_bvp()
+        sol = solve_exact(bvp)
+        xs = np.linspace(*bvp.domain, 2001)
+        columns = [eval_solution(sol, bvp, xs, j) for j in range(bvp.order)]
+        header = ["x", "piece", "u"] + [f"du{j}" for j in range(1, bvp.order)]
+        lines = [",".join(header)]
+        for x, k, *values in zip(xs, bvp.owning_piece(xs), *columns):
+            lines.append(",".join([f"{x:.17g}", str(k)] + [f"{v:.17g}" for v in values]))
+        assert _solution_table(sol, bvp, 2001) == "\n".join(lines) + "\n"

@@ -1,18 +1,21 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
-from obstacle_bvp.basis import piece_basis
+from obstacle_bvp.basis import eval_basis, piece_basis
 from obstacle_bvp.exact import (InconsistentSystemError, MatchSystem,
                                 RankDeficientError, SolveError, assemble_system,
                                 eval_solution, gauss_solve,
                                 particular_solution, solve_exact)
-from obstacle_bvp.examples import get_example
+from obstacle_bvp.examples import EXAMPLE_IDS, get_example
 from obstacle_bvp.verify import verification_report
 from obstacle_bvp.model import (ContinuitySpec, PieceOde, PiecewiseBvp,
-                                PointCondition, ProblemError, build_second_order,
-                                build_third_order)
+                                PinnedConstant, PointCondition, ProblemError,
+                                build_second_order, build_third_order)
 
 E = math.e
 
@@ -22,6 +25,73 @@ def _system_for(bvp):
     parts = [particular_solution(p) for p in bvp.pieces]
     return assemble_system(bvp, bases, parts)
 
+
+
+def _reference_system(bvp, bases, particulars):
+    """Row-by-row assembly: one scalar eval_basis call per matrix entry and
+    polyder/polyval for every particular value."""
+    n = bvp.order
+    width = n * len(bvp.pieces)
+    rows, rhs, labels = [], [], []
+
+    def basis_row(k, x, j):
+        row = np.zeros(width)
+        for i, b in enumerate(bases[k]):
+            row[k * n + i] = eval_basis(b, x, j)
+        return row
+
+    def particular(k, x, j):
+        poly = npoly.polyder(particulars[k], j) if j else particulars[k]
+        return float(npoly.polyval(x, poly))
+
+    for cond in bvp.conditions:
+        k = int(bvp.owning_piece(cond.location, side="left"))
+        rows.append(basis_row(k, cond.location, cond.deriv_order))
+        rhs.append(cond.value - particular(k, cond.location, cond.deriv_order))
+        labels.append(f"u^({cond.deriv_order})({cond.location:g}) = {cond.value:g}")
+    for k, x in enumerate(bvp.interior_breakpoints):
+        for j in bvp.continuity.sorted_orders:
+            rows.append(basis_row(k, x, j) - basis_row(k + 1, x, j))
+            rhs.append(particular(k + 1, x, j) - particular(k, x, j))
+            labels.append(f"continuity order {j} at x = {x:g}")
+    for pin in bvp.pins:
+        row = np.zeros(width)
+        row[pin.piece_index * n + pin.basis_index] = 1.0
+        rows.append(row)
+        rhs.append(pin.value)
+        labels.append(f"pin (piece {pin.piece_index}, basis {pin.basis_index})"
+                      f" = {pin.value:g}")
+    return np.array(rows), np.array(rhs), tuple(labels)
+
+
+# Characteristic roots per order: repeated, complex and zero.
+_ROOT_FAMILIES = {
+    2: ([0.7, 0.7], [-0.4 + 1.8j, -0.4 - 1.8j], [0.0, 0.0], [0.0, -1.1]),
+    3: ([-1.0, -1.0, 0.6], [0.3 + 1.2j, 0.3 - 1.2j, -0.9], [0.0, 0.0, 1.4],
+        [0.0, 0.0, 0.0]),
+    4: ([0.5 + 1.0j, 0.5 - 1.0j, 0.5 + 1.0j, 0.5 - 1.0j], [0.0, 0.0, 1j, -1j],
+        [-0.8, -0.8, 1.2, 0.4], [0.0, 0.0, 0.0, 0.0]),
+}
+
+
+def _mixed_bvp(order, n_pieces, continuity=None, conditions=None):
+    """Pieces on [-0.5, 2.5] cycling through the order's root families, with
+    forcing polynomials of degree 0 to 3."""
+    cuts = np.linspace(-0.5, 2.5, n_pieces + 1).tolist()
+    families = _ROOT_FAMILIES[order]
+    pieces = []
+    for k in range(n_pieces):
+        monic = np.real(np.poly(families[k % len(families)]))[::-1]
+        forcing = tuple(0.5 - 0.3 * i + 0.1 * k for i in range(k % 4 + 1))
+        pieces.append(PieceOde(order, (cuts[k], cuts[k + 1]),
+                               tuple(float(-c) for c in monic[:-1]), forcing))
+    if conditions is None:
+        conditions = ([PointCondition(cuts[0], j, 1.0 - j) for j in range((order + 1) // 2)]
+                      + [PointCondition(cuts[-1], j, 0.5) for j in range(order // 2)])
+    if continuity is None:
+        continuity = set(range(order))
+    return PiecewiseBvp(order, tuple(pieces), tuple(conditions),
+                        ContinuitySpec(frozenset(continuity)))
 
 class TestParticularSolution:
     def test_constant_forcing_with_coupling(self):
@@ -89,6 +159,48 @@ class TestAssembleSystem:
         assert "continuity order 1 at x = 0.5" in system.row_labels[5]
 
 
+class TestArrayAssemblyIsBitwise:
+    """The array assembly reproduces the row-by-row one bit for bit."""
+
+    @staticmethod
+    def _check(bvp):
+        bases = [piece_basis(p) for p in bvp.pieces]
+        parts = [particular_solution(p) for p in bvp.pieces]
+        system = assemble_system(bvp, bases, parts)
+        matrix, rhs, labels = _reference_system(bvp, bases, parts)
+        assert np.array_equal(system.matrix, matrix)
+        assert np.array_equal(system.rhs, rhs)
+        assert system.row_labels == labels
+
+    @pytest.mark.parametrize("ex_id", EXAMPLE_IDS)
+    def test_registry(self, ex_id):
+        self._check(get_example(ex_id).bvp)
+
+    def test_condition_on_interior_breakpoint(self):
+        bvp = _mixed_bvp(2, 3, conditions=(PointCondition(-0.5, 0, 0.0),
+                                           PointCondition(0.5, 1, 1.0),
+                                           PointCondition(1.5, 0, -1.0),
+                                           PointCondition(2.5, 0, 0.0)))
+        assert bvp.owning_piece(0.5, side="left") == 0
+        self._check(bvp)
+
+    @pytest.mark.parametrize("order, continuity", [(2, {0}), (3, {0, 2})])
+    def test_partial_continuity(self, order, continuity):
+        self._check(_mixed_bvp(order, 4, continuity=continuity))
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_repeated_complex_and_zero_roots(self, order):
+        bvp = _mixed_bvp(order, 4)
+        kinds = {(b.kind, b.k, b.alpha == 0.0) for p in bvp.pieces for b in piece_basis(p)}
+        assert ("ExpSin", 0, False) in kinds and ("PolyExp", 1, True) in kinds
+        assert any(k >= 1 and not zero for _, k, zero in kinds)
+        self._check(bvp)
+
+    def test_sixteen_pieces_with_pin(self):
+        bvp = dataclasses.replace(_mixed_bvp(4, 16),
+                                  pins=(PinnedConstant(5, 1, 0.25),))
+        self._check(bvp)
+
 class TestGaussSolve:
     def test_identity(self):
         system = MatchSystem(np.eye(2), np.array([3.0, 4.0]),
@@ -130,9 +242,11 @@ class TestGaussSolve:
         bvp = PiecewiseBvp(2, (piece,), (PointCondition(0.0, 0, 0.0),
                                          PointCondition(hi, 0, 0.0)),
                            ContinuitySpec(frozenset({0, 1})))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             with pytest.raises(SolveError, match="non-finite") as exc:
                 solve_exact(bvp)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not isinstance(exc.value, RankDeficientError)
         assert "pin" not in str(exc.value)
 
