@@ -177,6 +177,8 @@ def _reproduce_one(example_id: str, with_oracle: bool, step: float) -> int:
             pinless = dataclasses.replace(bvp, pins=())
             try:
                 numeric = shooting_solve(pinless, step, anchors=pin_anchors(sol, bvp))
+            except SOLVE_FAILURES as exc:
+                return _error(exc, EXIT_RANK)
             except IntegrationError as exc:
                 return _error(exc, EXIT_VERIFY)
         else:

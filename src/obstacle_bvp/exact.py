@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .basis import BasisFunction, basis_derivatives, eval_basis, piece_basis
-from .model import PieceOde, PiecewiseBvp
+# eval_basis is no longer called here; it stays importable from this module
+# because perfbench/spans.py hooks it under this name.
+from .basis import BasisFunction, basis_derivatives, eval_basis, piece_basis  # noqa: F401
+from .model import SUPPORTED_ORDERS, PieceOde, PiecewiseBvp
 
 CONSISTENCY_TOL = 1e-9
 
@@ -92,12 +94,20 @@ class PieceSolution:
         if len(self.constants) != len(self.basis):
             raise ValueError("one constant per basis function required")
 
+    @cached_property
+    def _particular_table(self) -> np.ndarray:
+        """Row d: the particular's d-th derivative, for every supported d."""
+        return _derivative_table([self.particular], max(SUPPORTED_ORDERS) + 1)[:, 0]
+
     def value(self, x, deriv_order: int = 0):
-        """u^(deriv_order) at a scalar or an array x."""
-        total = npoly.polyval(x, npoly.polyder(self.particular, deriv_order))
-        for c, b in zip(self.constants, self.basis):
-            total += c * eval_basis(b, x, deriv_order)
-        return total
+        """u^(deriv_order) at a scalar or an array x: one kernel call for the
+        whole basis, then c_j times column j added in basis order."""
+        x = np.asarray(x, dtype=float)
+        columns = basis_derivatives(self.basis, x[..., None], deriv_order)
+        total = _horner(self._particular_table[deriv_order], x)
+        for j, c in enumerate(self.constants):
+            total += c * columns[..., j]
+        return total[()]
 
 
 @dataclass(frozen=True)

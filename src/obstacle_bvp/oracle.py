@@ -2,14 +2,13 @@
 
 Each piece's companion system is integrated with classic fixed-step RK4 from
 n unit initial states (homogeneous) plus one zero state carrying the forcing
-(particular).  On a linear system one RK4 step is an exact affine map, so it
-is built once per step length and all n + 1 states advance in one sweep; a
-condition off the grid is reached by one partial step.  By linearity the
-global solution is affine in the per-piece initial states, so the same
-condition/continuity row semantics as the exact matcher apply, with
-numerically integrated values in place of basis evaluations.  This module
-deliberately shares no root-finding, basis or particular-solution code with
-the closed-form path.
+(particular).  One RK4 step is an exact affine map y -> T y + c_i with one T
+for every full step, so the node states come from ceil(log2 m) doubling
+passes; a condition off the grid is one partial step.  By linearity the
+global solution is affine in the per-piece initial states, so the exact
+matcher's condition/continuity row semantics apply, with integrated values in
+place of basis evaluations.  This module deliberately shares no root-finding,
+basis or particular-solution code with the closed-form path.
 """
 
 from __future__ import annotations
@@ -73,10 +72,10 @@ class FundamentalTrajectory:
 
 def integrate_fundamental(piece: PieceOde, h: float = DEFAULT_STEP) -> FundamentalTrajectory:
     """RK4 on the grid of step h from the n unit initial states (unforced) and
-    one zero state carrying the forcing, advanced together in one sweep.
-
-    The state is the augmented matrix [[Φ, p], [0, 1]], so one step is one
-    product with [[T, B q_i], [0, 1]]: the step map plus the forcing column.
+    one zero state carrying the forcing.  Every full step is y -> T y + c_i,
+    so node i < m holds Φ_i = T^i and p_i = sum_{j<i} T^(i-1-j) c_j, built by
+    doubling: pass s sets Φ[s:2s] = Φ[:s] T^s and adds T^s p[i-s] to p[i],
+    i >= s.  The shortened last step maps node m - 1 to hi.
     """
     if not (math.isfinite(h) and h > 0):
         raise ProblemError(f"step h must be positive and finite, got {h}")
@@ -90,25 +89,26 @@ def integrate_fundamental(piece: PieceOde, h: float = DEFAULT_STEP) -> Fundament
     q = np.polynomial.polynomial.polyval(xs, piece.forcing)
     q_mid = np.polynomial.polynomial.polyval(xs[:-1] + steps / 2, piece.forcing)
     stages = np.column_stack([q[:-1], q_mid, q[1:]])
-
-    maps = np.zeros((len(steps), n + 1, n + 1))
-    maps[:, n, n] = 1.0
+    m = len(steps)
     t, b = _step_maps(a, h)
-    maps[:, :n, :n] = t
-    maps[:, :n, n] = stages @ b.T
-    t, b = _step_maps(a, steps[-1])  # the shortened last step
-    maps[-1, :n, :n] = t
-    maps[-1, :n, n] = b @ stages[-1]
-
-    ys = np.empty((len(xs), n + 1, n + 1))
-    ys[0] = np.eye(n + 1)
+    phi = np.empty((m + 1, n, n))
+    phi[0] = np.eye(n)
+    rows = phi.reshape(-1, n)  # node i is rows i·n to (i+1)·n: one product per pass
+    part = np.zeros((m + 1, n))
+    part[1:m] = stages[:-1] @ b.T
     with np.errstate(over="ignore", invalid="ignore"):
-        for step_map, y, y_next in zip(maps, ys, ys[1:]):
-            np.matmul(step_map, y, out=y_next)
-    bad = ~np.isfinite(ys).all(axis=(1, 2))
+        s, power = 1, t
+        while s < m:
+            k = min(s, m - s)
+            rows[s * n:(s + k) * n] = rows[:k * n] @ power
+            part[s:m] += part[:m - s] @ power.T
+            s, power = 2 * s, power @ power
+        t, b = _step_maps(a, steps[-1])
+        phi[m], part[m] = t @ phi[m - 1], t @ part[m - 1] + b @ stages[-1]
+    bad = ~(np.isfinite(phi).all(axis=(1, 2)) & np.isfinite(part).all(axis=1))
     if bad.any():
         raise IntegrationError(f"integration blew up near x = {xs[np.argmax(bad)]}")
-    return FundamentalTrajectory(xs, ys[:, :n, :n], ys[:, :n, n])
+    return FundamentalTrajectory(xs, phi, part)
 
 
 def _partial_step(piece: PieceOde, traj: FundamentalTrajectory, x: float):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import PiecewiseSolution, eval_solution
+from .exact import PiecewiseSolution, SolveError, eval_solution
 from .model import PiecewiseBvp, PointCondition, ProblemError
 from .oracle import NumericSolution, sample
 
@@ -134,23 +134,35 @@ def continuity_report(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> tuple[JumpEn
     """Jumps across every interior breakpoint for every order 0..n-1.
 
     Orders outside the enforced continuity set are reported too, flagged
-    informational; they never fail a profile.
+    informational; they never fail a profile.  Each piece is evaluated once
+    per order at both of its ends.
     """
-    out = []
-    for k, x in enumerate(bvp.interior_breakpoints):
-        for j in range(bvp.order):
-            left = sol.pieces[k].value(x, j)
-            right = sol.pieces[k + 1].value(x, j)
-            out.append(JumpEntry(x, j, abs(left - right),
-                                 j in bvp.continuity.enforced_orders))
-    return tuple(out)
+    if not bvp.interior_breakpoints:
+        return ()
+    # ends[j][k] = (u_k^(j)(lo_k), u_k^(j)(hi_k))
+    ends = [[psol.value(np.array(piece.interval), j)
+             for piece, psol in zip(bvp.pieces, sol.pieces)]
+            for j in range(bvp.order)]
+    return tuple(JumpEntry(x, j, abs(ends[j][k][1] - ends[j][k + 1][0]),
+                           j in bvp.continuity.enforced_orders)
+                 for k, x in enumerate(bvp.interior_breakpoints)
+                 for j in range(bvp.order))
 
 
 def condition_report(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> tuple[float, ...]:
-    out = []
-    for cond in bvp.conditions:
-        k = bvp.owning_piece(cond.location, side="left")
-        out.append(abs(sol.pieces[k].value(cond.location, cond.deriv_order) - cond.value))
+    """|u^(j)(x) - value| per point condition, in input order; a condition on
+    an interior breakpoint is evaluated on the left-adjacent piece.  Each
+    piece is evaluated once per derivative order at all of its points."""
+    conds = bvp.conditions
+    owner = bvp.owning_piece([c.location for c in conds], side="left").tolist()
+    groups = {}  # (piece, order) -> indices of its conditions
+    for i, (k, c) in enumerate(zip(owner, conds)):
+        groups.setdefault((k, c.deriv_order), []).append(i)
+    out = [0.0] * len(conds)
+    for (k, j), idx in groups.items():
+        values = sol.pieces[k].value(np.array([conds[i].location for i in idx]), j)
+        for i, v in zip(idx, values):
+            out[i] = abs(v - conds[i].value)
     return tuple(out)
 
 
@@ -180,7 +192,12 @@ def pin_anchors(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> tuple[PointConditi
     for pin in bvp.pins:
         piece = bvp.pieces[pin.piece_index]
         x = 0.5 * (piece.lo + piece.hi)
-        anchors.append(PointCondition(x, 0, sol.pieces[pin.piece_index].value(x, 0)))
+        value = sol.pieces[pin.piece_index].value(x, 0)
+        if not np.isfinite(value):
+            raise SolveError(f"closed-form solution is non-finite (overflow) at "
+                             f"x = {x:g} in piece {pin.piece_index}, so the "
+                             f"oracle cannot be anchored there")
+        anchors.append(PointCondition(x, 0, value))
     return tuple(anchors)
 
 

@@ -9,7 +9,7 @@ import pytest
 from obstacle_bvp.cli import (EXIT_INPUT, EXIT_OK, EXIT_RANK, EXIT_VERIFY,
                               _solution_table, export_problem, load_problem,
                               main, parse_problem)
-from obstacle_bvp.exact import eval_solution, solve_exact
+from obstacle_bvp.exact import PieceSolution, eval_solution, solve_exact
 from obstacle_bvp.examples import get_example
 from obstacle_bvp.model import PointCondition, ProblemError
 from obstacle_bvp.oracle import DEFAULT_STEP, IntegrationError
@@ -34,6 +34,11 @@ def _write_single_piece(tmp_path, interval, coeffs, forcing=(1.0,)):
     path = tmp_path / "single.json"
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def _overflow_closed_form(monkeypatch):
+    """Every closed-form evaluation is inf, as on a domain where it overflows."""
+    monkeypatch.setattr(PieceSolution, "value", lambda self, x, deriv_order=0: np.inf)
 
 
 class TestProblemFile:
@@ -157,6 +162,13 @@ class TestCmdVerify:
         path = _write_problem(tmp_path, get_example("3.1.6").bvp)
         assert main(["verify", "--input", path, "--step", "0.002"]) == EXIT_OK
 
+    def test_non_finite_anchor_is_solve_error(self, tmp_path, monkeypatch, capsys):
+        path = _write_problem(tmp_path, get_example("3.1.6").bvp)
+        _overflow_closed_form(monkeypatch)
+        assert main(["verify", "--input", path]) == EXIT_RANK
+        err = capsys.readouterr().err
+        assert "overflow" in err and "pin" not in err
+
 
 class TestCmdReproduce:
     def test_reproduce_with_reference(self, capsys):
@@ -186,6 +198,12 @@ class TestCmdReproduce:
         monkeypatch.setattr("obstacle_bvp.cli.shooting_solve", blow_up)
         assert main(["reproduce", "--example", "3.1.1", "--oracle"]) == EXIT_VERIFY
         assert "blew up" in capsys.readouterr().err
+
+    def test_non_finite_anchor_is_solve_error(self, monkeypatch, capsys):
+        _overflow_closed_form(monkeypatch)
+        assert main(["reproduce", "--example", "3.1.6", "--oracle"]) == EXIT_RANK
+        err = capsys.readouterr().err
+        assert "overflow" in err and "pin" not in err
 
     def test_reproduce_all(self, capsys):
         assert main(["reproduce", "--example", "all"]) == EXIT_OK

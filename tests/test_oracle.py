@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from obstacle_bvp.exact import solve_exact
-from obstacle_bvp.examples import get_example
+from obstacle_bvp.examples import EXAMPLE_IDS, get_example
 from obstacle_bvp.model import (ContinuitySpec, PieceOde, PiecewiseBvp,
                                 PointCondition, ProblemError,
                                 build_second_order)
-from obstacle_bvp.oracle import (IntegrationError, _partial_step,
-                                 integrate_fundamental, sample, shooting_solve)
+from obstacle_bvp.oracle import (IntegrationError, _companion, _partial_step,
+                                 _step_maps, integrate_fundamental, sample,
+                                 shooting_solve)
 from obstacle_bvp.verify import compare_solutions, pin_anchors
 
 
@@ -78,6 +79,58 @@ class TestIntegrateFundamental:
             warnings.simplefilter("error")
             with pytest.raises(IntegrationError, match="blew up near x"):
                 integrate_fundamental(piece, 1e-3)
+
+
+def _sequential_sweep(piece, h):
+    """Reference sweep: one affine RK4 step per node, in grid order."""
+    n, lo, hi = piece.order, piece.lo, piece.hi
+    xs = lo + h * np.arange(int((hi - lo) / h) + 2)
+    xs = np.append(xs[xs < hi - 1e-15 * max(1.0, abs(hi))], hi)
+    a = _companion(piece)
+    full = _step_maps(a, h)
+    phi, part = [np.eye(n)], [np.zeros(n)]
+    for i, (x0, x1) in enumerate(zip(xs, xs[1:])):
+        step = x1 - x0 if i == len(xs) - 2 else h
+        t, b = full if step == h else _step_maps(a, step)
+        q = np.polynomial.polynomial.polyval([x0, x0 + step / 2, x1], piece.forcing)
+        phi.append(t @ phi[-1])
+        part.append(t @ part[-1] + b @ q)
+    return xs, np.array(phi), np.array(part)
+
+
+class TestDoublingSweep:
+    """The doubling sweep against the per-step one: the same grid, and states
+    equal up to rounding relative to the largest state."""
+
+    @staticmethod
+    def _assert_matches_sequential(piece, h, rel):
+        traj = integrate_fundamental(piece, h)
+        xs, phi, part = _sequential_sweep(piece, h)
+        assert np.array_equal(traj.xs, xs)
+        assert np.abs(traj.homogeneous - phi).max() <= rel * np.abs(phi).max()
+        assert np.abs(traj.particular - part).max() <= rel * np.abs(part).max()
+
+    @pytest.mark.parametrize("h", [1e-3, 0.01, 0.025, 0.05, 0.125])
+    def test_registry_pieces(self, h):
+        for ex_id in EXAMPLE_IDS:
+            for piece in get_example(ex_id).bvp.pieces:
+                self._assert_matches_sequential(piece, h, 1e-12)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4, 5, 64, 65, 1024, 1025])
+    def test_step_counts(self, steps):
+        # steps - 1 full steps and a last one of h/2; one step is a piece
+        # shorter than h.
+        h = 0.01
+        piece = PieceOde(3, (0.2, 0.2 + (steps - 0.5) * h), (-1.0, 0.5, -0.3),
+                         (1.0, -2.0, 0.5))
+        assert len(integrate_fundamental(piece, h).xs) == steps + 1
+        self._assert_matches_sequential(piece, h, 1e-12)
+
+    def test_long_fourth_order_piece(self):
+        # u^(4) = -u - 2u'' + q: roots +-i, each double; 30,000 steps.
+        piece = PieceOde(4, (0.0, 30.0), (-1.0, 0.0, -2.0, 0.0), (1.0, -0.5, 0.02))
+        assert len(integrate_fundamental(piece, 1e-3).xs) == 30_001
+        self._assert_matches_sequential(piece, 1e-3, 1e-11)
 
 
 class TestShootingSolve:

@@ -155,6 +155,19 @@ class TestVerificationReport:
         sol = solve_exact(entry.bvp)
         assert max(condition_report(sol, entry.bvp)) <= 1e-9
 
+    def test_breakpoint_condition_uses_left_piece(self):
+        # u jumps by 1e-3 at both interior breakpoints, -0.5 and 0.5.
+        entry = get_example("3.1.1")
+        sol = _perturb_particular(solve_exact(entry.bvp), 1, 1e-3)
+        conds = (PointCondition(-0.5, 0, 0.25), PointCondition(1.0, 0, 0.0),
+                 PointCondition(0.5, 1, 0.0), PointCondition(-1.0, 0, 0.0),
+                 PointCondition(0.5, 0, 0.0), PointCondition(-0.5, 0, -0.5))
+        bvp = dataclasses.replace(entry.bvp, conditions=conds)
+        owners = (0, 2, 1, 0, 1, 0)
+        expected = tuple(abs(sol.pieces[k].value(c.location, c.deriv_order) - c.value)
+                         for k, c in zip(owners, conds))
+        assert condition_report(sol, bvp) == expected
+
 
 class TestPinAnchors:
     def test_one_anchor_per_pin(self):
