@@ -250,15 +250,10 @@ def basis_derivatives(fns, x, orders):
     if k_max == 0:  # one term, times x^0 = 1
         env_r, env_i = coefs[0].real, coefs[0].imag
     else:
-        x_pows = [x ** p for p in range(k_max + 1)]
+        x_pows = [1.0] + [x ** p for p in range(1, k_max + 1)]
         env_r = env_i = 0.0
         for c, p in zip(coefs, zip_longest(*powers, fillvalue=0)):
-            if len(set(p)) == 1:
-                xp = x_pows[p[0]]
-            elif x.shape[-1] == 1:  # points shared by every function: one copy each
-                xp = np.concatenate([x_pows[q] for q in p], axis=-1)
-            else:
-                xp = np.choose(p, x_pows)
+            xp = x_pows[p[0]] if len(set(p)) == 1 else np.choose(p, x_pows)
             env_r = env_r + c.real * xp
             if not real:
                 env_i = env_i + c.imag * xp

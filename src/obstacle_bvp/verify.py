@@ -150,19 +150,10 @@ def continuity_report(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> tuple[JumpEn
 
 
 def condition_report(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> tuple[float, ...]:
-    """|u^(j)(x) - value| per point condition, in input order; a condition on
-    an interior breakpoint is evaluated on the left-adjacent piece.  Each
-    piece is evaluated once per derivative order at all of its points."""
-    conds = bvp.conditions
-    owner = bvp.owning_piece([c.location for c in conds], side="left").tolist()
-    groups = {}  # (piece, order) -> indices of its conditions
-    for i, (k, c) in enumerate(zip(owner, conds)):
-        groups.setdefault((k, c.deriv_order), []).append(i)
-    out = [0.0] * len(conds)
-    for (k, j), idx in groups.items():
-        values = sol.pieces[k].value(np.array([conds[i].location for i in idx]), j)
-        for i, v in zip(idx, values):
-            out[i] = abs(v - conds[i].value)
+    out = []
+    for cond in bvp.conditions:
+        k = bvp.owning_piece(cond.location, side="left")
+        out.append(abs(sol.pieces[k].value(cond.location, cond.deriv_order) - cond.value))
     return tuple(out)
 
 
