@@ -8,7 +8,7 @@ from .model import (ContinuitySpec, PieceOde, PiecewiseBvp, PinnedConstant,
 from .exact import (InconsistentSystemError, PiecewiseSolution,
                     RankDeficientError, eval_solution, solve_exact)
 from .oracle import NumericSolution, sample, shooting_solve
-from .penalty import Obstacle, PenaltyProblem, mu, reformulate, standard_obstacle
+from .penalty import Obstacle, PenaltyProblem, reformulate, standard_obstacle
 from .verify import (ToleranceProfile, VerificationReport, compare_solutions,
                      verification_report)
 from .examples import get_example, list_examples, reference_values
@@ -19,7 +19,7 @@ __all__ = [
     "build_third_order", "build_fourth_order", "normalize_piece",
     "validate_bvp", "InconsistentSystemError", "PiecewiseSolution",
     "RankDeficientError", "eval_solution", "solve_exact", "NumericSolution",
-    "sample", "shooting_solve", "Obstacle", "PenaltyProblem", "mu",
+    "sample", "shooting_solve", "Obstacle", "PenaltyProblem",
     "reformulate", "standard_obstacle", "ToleranceProfile",
     "VerificationReport", "compare_solutions", "verification_report",
     "get_example", "list_examples", "reference_values",

@@ -191,22 +191,16 @@ def real_basis(roots: list[CharRoot]) -> list[BasisFunction]:
     exp), then power k, so solved constants are comparable across runs.
     """
     out: list[BasisFunction] = []
-    seen_pairs = set()
     for r in roots:
         if r.value.imag == 0.0:
             for k in range(r.multiplicity):
                 out.append(BasisFunction(POLY_EXP, k, r.value.real))
-        else:
-            key = (r.value.real, abs(r.value.imag))
-            if key in seen_pairs:
-                continue
-            pair_tol = 1e-12 * (1.0 + abs(r.value))
-            mates = [s for s in roots
-                     if s is not r and abs(s.value - r.value.conjugate()) <= pair_tol]
-            if not mates:
-                raise RootFindingError(f"unpaired complex root {r.value}")
-            seen_pairs.add(key)
-            alpha, beta = key
+        elif CharRoot(r.value.conjugate(), r.multiplicity) not in roots:
+            # find_roots emits exact conjugate pairs of equal multiplicity.
+            raise RootFindingError(f"unpaired complex root {r.value} "
+                                   f"(multiplicity {r.multiplicity})")
+        elif r.value.imag > 0.0:  # the pair's basis; its mate adds nothing
+            alpha, beta = r.value.real, r.value.imag
             for k in range(r.multiplicity):
                 out.append(BasisFunction(EXP_COS, k, alpha, beta))
             for k in range(r.multiplicity):

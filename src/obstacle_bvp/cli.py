@@ -153,6 +153,23 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _report(sol, bvp, step) -> int:
+    """Print the verification table and return the verdict's exit code; a
+    ``step`` first runs the oracle with pins as anchors, ``None`` skips it."""
+    numeric = None
+    if step is not None:
+        try:
+            numeric = shooting_solve(dataclasses.replace(bvp, pins=()), step,
+                                     anchors=pin_anchors(sol, bvp))
+        except SOLVE_FAILURES as exc:
+            return _error(exc, EXIT_RANK)
+        except IntegrationError as exc:
+            return _error(exc, EXIT_VERIFY)
+    report = verification_report(sol, bvp, numeric)
+    print(report.render_table())
+    return EXIT_OK if report.passed else EXIT_VERIFY
+
+
 def _reproduce_one(example_id: str, with_oracle: bool, step: float) -> int:
     try:
         entry = registry.get_example(example_id)
@@ -171,21 +188,10 @@ def _reproduce_one(example_id: str, with_oracle: bool, step: float) -> int:
         print("published constants:")
         for name, value in entry.reference_constants:
             print(f"  {name} = {value:.17g}")
-    numeric = None
-    if with_oracle:
-        if entry.oracle_comparable:
-            pinless = dataclasses.replace(bvp, pins=())
-            try:
-                numeric = shooting_solve(pinless, step, anchors=pin_anchors(sol, bvp))
-            except SOLVE_FAILURES as exc:
-                return _error(exc, EXIT_RANK)
-            except IntegrationError as exc:
-                return _error(exc, EXIT_VERIFY)
-        else:
-            print("   oracle comparison skipped: printed solution inconsistent")
-    report = verification_report(sol, bvp, numeric)
-    print(report.render_table())
-    return EXIT_OK if report.passed else EXIT_VERIFY
+    if with_oracle and not entry.oracle_comparable:
+        print("   oracle comparison skipped: printed solution inconsistent")
+        with_oracle = False
+    return _report(sol, bvp, step if with_oracle else None)
 
 
 def cmd_reproduce(args) -> int:
@@ -204,15 +210,9 @@ def cmd_verify(args) -> int:
         return _error(exc, EXIT_INPUT)
     try:
         sol = solve_exact(bvp)
-        pinless = dataclasses.replace(bvp, pins=())
-        numeric = shooting_solve(pinless, args.step, anchors=pin_anchors(sol, bvp))
     except SOLVE_FAILURES as exc:
         return _error(exc, EXIT_RANK)
-    except IntegrationError as exc:
-        return _error(exc, EXIT_VERIFY)
-    report = verification_report(sol, bvp, numeric)
-    print(report.render_table())
-    return EXIT_OK if report.passed else EXIT_VERIFY
+    return _report(sol, bvp, args.step)
 
 
 def cmd_list(_args) -> int:

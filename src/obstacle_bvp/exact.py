@@ -74,12 +74,9 @@ class GaussResult:
     rank: int
     residual_norm: float
 
-
-@dataclass(frozen=True)
-class RankReport:
-    rank: int
-    nullity: int
-    residual_norm: float
+    @property
+    def nullity(self) -> int:
+        return len(self.constants) - self.rank
 
 
 @dataclass(frozen=True)
@@ -113,7 +110,7 @@ class PieceSolution:
 @dataclass(frozen=True)
 class PiecewiseSolution:
     pieces: tuple[PieceSolution, ...]
-    rank_report: RankReport
+    rank_report: GaussResult
 
     def labeled_constants(self):
         """Flat list of (piece_index, basis_render, constant)."""
@@ -321,7 +318,7 @@ def solve_exact(bvp: PiecewiseBvp) -> PiecewiseSolution:
                       particulars[k])
         for k in range(len(bvp.pieces))
     )
-    return PiecewiseSolution(pieces, RankReport(result.rank, 0, result.residual_norm))
+    return PiecewiseSolution(pieces, result)
 
 
 def eval_solution(sol: PiecewiseSolution, bvp: PiecewiseBvp, x,

@@ -10,7 +10,7 @@ from oracle cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -214,17 +214,23 @@ def _entry_318() -> ExampleEntry:
     )
 
 
-def _entry_eq11(force: float = 1.0) -> ExampleEntry:
+def eq11_printed_bvp() -> PiecewiseBvp:
+    """The string system with all three stated conditions (overdetermined)."""
     problem = PenaltyProblem(
         obstacle=standard_obstacle(),
-        force=force,
-        conditions=(PointCondition(0.0, 0, 0.0), PointCondition(0.0, 1, 0.0)),
+        force=1.0,
+        conditions=(PointCondition(0.0, 0, 0.0), PointCondition(0.0, 1, 0.0),
+                    PointCondition(1.0, 1, 0.0)),
     )
-    bvp = reformulate(problem)
+    return reformulate(problem)
+
+
+def _entry_eq11() -> ExampleEntry:
+    printed = eq11_printed_bvp()
     return ExampleEntry(
         "eq11",
-        f"penalty reformulation of the string-over-obstacle system, force={force:g}",
-        bvp,
+        "penalty reformulation of the string-over-obstacle system, force=1",
+        replace(printed, conditions=printed.conditions[:2]),
         notes=(
             "the source states a third condition u'(1)=0, which makes the "
             "second-order system overdetermined and inconsistent; the entry "
@@ -232,17 +238,6 @@ def _entry_eq11(force: float = 1.0) -> ExampleEntry:
             "(see eq11_printed_bvp for the verbatim version)"
         ),
     )
-
-
-def eq11_printed_bvp(force: float = 1.0) -> PiecewiseBvp:
-    """The string system with all three stated conditions (overdetermined)."""
-    problem = PenaltyProblem(
-        obstacle=standard_obstacle(),
-        force=force,
-        conditions=(PointCondition(0.0, 0, 0.0), PointCondition(0.0, 1, 0.0),
-                    PointCondition(1.0, 1, 0.0)),
-    )
-    return reformulate(problem)
 
 
 _BUILDERS = {

@@ -63,12 +63,6 @@ class FundamentalTrajectory:
     homogeneous: np.ndarray  # shape (len(xs), n, n); [:, :, j] = j-th unit solution
     particular: np.ndarray   # shape (len(xs), n)
 
-    def end_matrix(self) -> np.ndarray:
-        return self.homogeneous[-1]
-
-    def end_particular(self) -> np.ndarray:
-        return self.particular[-1]
-
 
 def integrate_fundamental(piece: PieceOde, h: float = DEFAULT_STEP) -> FundamentalTrajectory:
     """RK4 on the grid of step h from the n unit initial states (unforced) and
@@ -123,21 +117,18 @@ def _partial_step(piece: PieceOde, traj: FundamentalTrajectory, x: float):
 
 @dataclass(frozen=True)
 class NumericSolution:
-    """Stitched grid solution of the state vector (u, u', ..., u^(n-1))."""
+    """Per-piece grid solutions of the state vector (u, u', ..., u^(n-1))."""
 
-    grid: np.ndarray
-    states: np.ndarray  # shape (len(grid), n)
-    step: float
     piece_trajectories: tuple  # per piece: (xs, ys, top_derivative)
     breakpoints: tuple[float, ...]
 
     @property
     def order(self) -> int:
-        return self.states.shape[1]
+        return self.piece_trajectories[0][1].shape[1]
 
     @property
     def domain(self) -> tuple[float, float]:
-        return float(self.grid[0]), float(self.grid[-1])
+        return self.breakpoints[0], self.breakpoints[-1]
 
 
 def shooting_solve(bvp: PiecewiseBvp, h: float = DEFAULT_STEP,
@@ -171,8 +162,8 @@ def shooting_solve(bvp: PiecewiseBvp, h: float = DEFAULT_STEP,
         row_labels.append(f"u^({cond.deriv_order})({cond.location:g}) = {cond.value:g}")
 
     for k, x in enumerate(bvp.interior_breakpoints):
-        phi = trajectories[k].end_matrix()
-        part = trajectories[k].end_particular()
+        phi = trajectories[k].homogeneous[-1]
+        part = trajectories[k].particular[-1]
         for j in bvp.continuity.sorted_orders:
             row = np.zeros(width)
             row[k * n:(k + 1) * n] = phi[j]
@@ -186,26 +177,13 @@ def shooting_solve(bvp: PiecewiseBvp, h: float = DEFAULT_STEP,
     result = gauss_solve(system)
 
     piece_trajs = []
-    grid_parts, state_parts = [], []
     for k, (piece, traj) in enumerate(zip(bvp.pieces, trajectories)):
         s = result.constants[k * n:(k + 1) * n]
         ys = traj.homogeneous @ s + traj.particular
         forcing_vals = np.polynomial.polynomial.polyval(traj.xs, piece.forcing)
         top = ys @ np.asarray(piece.coeffs) + forcing_vals  # y_{n-1}' from the ODE
         piece_trajs.append((traj.xs, ys, top))
-        if k == 0:
-            grid_parts.append(traj.xs)
-            state_parts.append(ys)
-        else:
-            # Shared breakpoint node keeps the right piece's state (half-open
-            # interval convention, matching exact.eval_solution ownership).
-            grid_parts.append(traj.xs[1:])
-            state_parts.append(ys[1:])
-            state_parts[-2] = state_parts[-2].copy()
-            state_parts[-2][-1] = ys[0]
-    grid = np.concatenate(grid_parts)
-    states = np.vstack(state_parts)
-    return NumericSolution(grid, states, h, tuple(piece_trajs), bvp.breakpoints)
+    return NumericSolution(tuple(piece_trajs), bvp.breakpoints)
 
 
 def _hermite(x, x0, x1, v0, v1, d0, d1):

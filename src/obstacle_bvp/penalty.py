@@ -65,11 +65,6 @@ def standard_obstacle() -> Obstacle:
     ))
 
 
-def mu(t: float) -> float:
-    """Discontinuous penalty multiplier: -1 on t >= 0, else 0."""
-    return -1.0 if t >= 0 else 0.0
-
-
 def reformulate(problem: PenaltyProblem, contact_level: float = 1.0) -> PiecewiseBvp:
     """Emit one second-order piece per obstacle region.
 

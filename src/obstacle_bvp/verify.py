@@ -9,7 +9,7 @@ against a tolerance profile.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,18 +46,28 @@ class VerificationReport:
     profile: ToleranceProfile
     residual_scale: float
 
+    def _rows(self) -> list[tuple[str, float, float, str]]:
+        """(label, value, tolerance, status) per table row.  A check passes
+        only when value <= tolerance, so a NaN fails; an informational jump
+        never fails and shows status '-'."""
+        p = self.profile
+        checks = [(f"residual piece {k:<2}              ", r,
+                   p.residual * self.residual_scale, True)
+                  for k, r in enumerate(self.piece_residuals)]
+        checks += [(f"jump x={j.breakpoint:<7g} order {j.order} "
+                    f"({'enforced' if j.enforced else 'info':<8}) ",
+                    j.jump, p.jump, j.enforced) for j in self.jumps]
+        checks += [(f"condition {i:<2}                   ", v, p.condition, True)
+                   for i, v in enumerate(self.condition_violations)]
+        if self.oracle_delta is not None:
+            checks.append(("oracle max delta               ", self.oracle_delta,
+                           p.oracle_delta, True))
+        return [(label, value, tol, ("ok" if value <= tol else "FAIL") if counted else "-")
+                for label, value, tol, counted in checks]
+
     @property
     def passed(self) -> bool:
-        if any(r > self.profile.residual * self.residual_scale
-               for r in self.piece_residuals):
-            return False
-        if any(j.enforced and j.jump > self.profile.jump for j in self.jumps):
-            return False
-        if any(v > self.profile.condition for v in self.condition_violations):
-            return False
-        if self.oracle_delta is not None and self.oracle_delta > self.profile.oracle_delta:
-            return False
-        return True
+        return all(status != "FAIL" for *_, status in self._rows())
 
     def to_dict(self) -> dict:
         return {
@@ -84,23 +94,8 @@ class VerificationReport:
 
     def render_table(self) -> str:
         lines = ["check                          value         tolerance    status"]
-        tol_r = self.profile.residual * self.residual_scale
-        for k, r in enumerate(self.piece_residuals):
-            lines.append(f"residual piece {k:<2}              {r:<13.3e} {tol_r:<12.1e}"
-                         f" {'ok' if r <= tol_r else 'FAIL'}")
-        for j in self.jumps:
-            tag = "enforced" if j.enforced else "info"
-            status = ("ok" if j.jump <= self.profile.jump else "FAIL") if j.enforced else "-"
-            lines.append(f"jump x={j.breakpoint:<7g} order {j.order} ({tag:<8})"
-                         f" {j.jump:<13.3e} {self.profile.jump:<12.1e} {status}")
-        for i, v in enumerate(self.condition_violations):
-            lines.append(f"condition {i:<2}                   {v:<13.3e}"
-                         f" {self.profile.condition:<12.1e}"
-                         f" {'ok' if v <= self.profile.condition else 'FAIL'}")
-        if self.oracle_delta is not None:
-            ok = self.oracle_delta <= self.profile.oracle_delta
-            lines.append(f"oracle max delta               {self.oracle_delta:<13.3e}"
-                         f" {self.profile.oracle_delta:<12.1e} {'ok' if ok else 'FAIL'}")
+        lines += [f"{label}{value:<13.3e} {tol:<12.1e} {status}"
+                  for label, value, tol, status in self._rows()]
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
 

@@ -105,6 +105,12 @@ class TestRealBasis:
         with pytest.raises(RootFindingError):
             real_basis([CharRoot(1j, 1), CharRoot(2.0 + 0j, 1)])
 
+    def test_conjugate_multiplicity_mismatch_rejected(self):
+        # 1+i twice but 1-i once: total multiplicity 3, yet a real basis
+        # built from the pair would hold 4 functions.
+        with pytest.raises(RootFindingError):
+            real_basis([CharRoot(1 + 1j, 2), CharRoot(1 - 1j, 1)])
+
     def test_length_matches_degree_randomized(self):
         rng = np.random.default_rng(11)
         for _ in range(100):

@@ -33,13 +33,13 @@ class TestIntegrateFundamental:
         piece = PieceOde(2, (0.0, 1.0), (1.0, 0.0), (0.0,))
         traj = integrate_fundamental(piece, 1e-3)
         # unit state (1, 0) evolves to (cosh, sinh)
-        assert traj.end_matrix()[0, 0] == pytest.approx(math.cosh(1.0), abs=1e-10)
-        assert traj.end_matrix()[1, 0] == pytest.approx(math.sinh(1.0), abs=1e-10)
+        assert traj.homogeneous[-1][0, 0] == pytest.approx(math.cosh(1.0), abs=1e-10)
+        assert traj.homogeneous[-1][1, 0] == pytest.approx(math.sinh(1.0), abs=1e-10)
 
     def test_forced_particular_endpoint(self):
         piece = PieceOde(2, (0.0, 1.0), (1.0, 0.0), (-1.0,))  # u'' = u - 1
         traj = integrate_fundamental(piece, 1e-3)
-        assert traj.end_particular()[0] == pytest.approx(1.0 - math.cosh(1.0), abs=1e-9)
+        assert traj.particular[-1][0] == pytest.approx(1.0 - math.cosh(1.0), abs=1e-9)
 
     def test_rejects_bad_step(self):
         piece = PieceOde(2, (0.0, 1.0), (0.0, 0.0), (0.0,))
@@ -63,9 +63,9 @@ class TestIntegrateFundamental:
         for x in (0.537, 0.05, 0.99):
             phi, part = _partial_step(piece, traj, x)
             short = integrate_fundamental(PieceOde(2, (0.0, x), coeffs, forcing), 0.1)
-            assert np.abs(phi - short.end_matrix()).max() <= (
+            assert np.abs(phi - short.homogeneous[-1]).max() <= (
                 1e-13 * np.abs(phi).max())
-            assert np.abs(part - short.end_particular()).max() <= (
+            assert np.abs(part - short.particular[-1]).max() <= (
                 1e-13 * np.abs(part).max())
         # On a grid node (both ends included) the state is the node's own.
         for i in (0, 5, len(traj.xs) - 1):
@@ -184,9 +184,24 @@ class TestSample:
         bvp = _single_piece_bvp(piece, (PointCondition(0.0, 0, 0.0),
                                         PointCondition(1.0, 0, 1.0)))
         numeric = shooting_solve(bvp, 0.125)
-        i = 3
-        assert sample(numeric, float(numeric.grid[i])) == numeric.states[i, 0]
-        assert np.array_equal(sample(numeric, numeric.grid), numeric.states[:, 0])
+        xs, ys, _ = numeric.piece_trajectories[0]
+        assert sample(numeric, float(xs[3])) == ys[3, 0]
+        assert np.array_equal(sample(numeric, xs), ys[:, 0])
+
+    def test_breakpoint_is_right_piece_first_node(self):
+        # Breakpoints belong to the right piece: sampling there returns that
+        # piece's first node state exactly, in every state component.
+        entry = get_example("3.1.2")
+        numeric = shooting_solve(entry.bvp, 1e-3)
+        assert len(numeric.piece_trajectories) == 3
+        breakpoints = entry.bvp.interior_breakpoints
+        for k, x in enumerate(breakpoints, start=1):
+            xs, ys, _ = numeric.piece_trajectories[k]
+            assert xs[0] == x
+            for j in range(numeric.order):
+                assert sample(numeric, x, j) == ys[0, j]
+                assert np.array_equal(sample(numeric, np.array(breakpoints), j)[k - 1],
+                                      ys[0, j])
 
     def test_trig_example_midpoint(self):
         entry = get_example("3.1.4")

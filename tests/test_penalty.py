@@ -1,28 +1,10 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from obstacle_bvp.model import PointCondition, ProblemError
-from obstacle_bvp.penalty import (Obstacle, PenaltyProblem, mu, reformulate,
+from obstacle_bvp.penalty import (Obstacle, PenaltyProblem, reformulate,
                                   standard_obstacle)
 
 BCS = (PointCondition(0.0, 0, 0.0), PointCondition(0.0, 1, 0.0))
-
-
-class TestMu:
-    def test_positive(self):
-        assert mu(0.5) == -1.0
-
-    def test_negative(self):
-        assert mu(-0.2) == 0.0
-
-    def test_boundary_is_contact(self):
-        assert mu(0.0) == -1.0
-
-    @given(st.floats(allow_nan=False, allow_infinity=False))
-    def test_range_and_threshold(self, t):
-        assert mu(t) in (-1.0, 0.0)
-        assert (mu(t) == -1.0) == (t >= 0)
 
 
 class TestObstacle:

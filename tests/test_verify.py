@@ -9,10 +9,11 @@ from obstacle_bvp.examples import get_example
 from obstacle_bvp.model import (ContinuitySpec, PieceOde, PiecewiseBvp,
                                 PointCondition, ProblemError)
 from obstacle_bvp.oracle import shooting_solve
-from obstacle_bvp.verify import (ToleranceProfile, compare_solutions,
-                                 condition_report, continuity_report,
-                                 pin_anchors, residual_report,
-                                 verification_report)
+from obstacle_bvp.verify import (DEFAULT_PROFILE, JumpEntry,
+                                 ToleranceProfile, VerificationReport,
+                                 compare_solutions, condition_report,
+                                 continuity_report, pin_anchors,
+                                 residual_report, verification_report)
 
 E = math.e
 
@@ -167,6 +168,60 @@ class TestVerificationReport:
         expected = tuple(abs(sol.pieces[k].value(c.location, c.deriv_order) - c.value)
                          for k, c in zip(owners, conds))
         assert condition_report(sol, bvp) == expected
+
+
+def _report(**changes):
+    """A passing report with rows of every kind (residual tolerance 2e-8),
+    with the given fields replaced."""
+    report = VerificationReport(
+        piece_residuals=(1e-12, 2e-12),
+        jumps=(JumpEntry(0.5, 0, 1e-13, True), JumpEntry(0.5, 1, 0.3, False)),
+        condition_violations=(0.0, 1e-12),
+        oracle_delta=1e-8,
+        profile=DEFAULT_PROFILE,
+        residual_scale=2.0,
+    )
+    return dataclasses.replace(report, **changes)
+
+
+def _statuses(table):
+    """Status column of every check row (header and verdict line dropped)."""
+    return [line.split()[-1] for line in table.splitlines()[1:-1]]
+
+
+class TestVerdict:
+    @pytest.mark.parametrize("changes", [
+        {"piece_residuals": (1e-12, math.nan)},
+        {"jumps": (JumpEntry(0.5, 0, math.nan, True), JumpEntry(0.5, 1, 0.3, False))},
+        {"condition_violations": (math.nan, 0.0)},
+        {"oracle_delta": math.nan},
+    ], ids=["residual", "jump", "condition", "oracle"])
+    def test_nan_check_fails(self, changes):
+        report = _report(**changes)
+        assert not report.passed
+        table = report.render_table()
+        assert table.endswith("overall: FAIL")
+        assert _statuses(table).count("FAIL") == 1
+
+    @pytest.mark.parametrize("changes, passed", [
+        ({}, True),
+        ({"piece_residuals": (1e-12, 3e-8)}, False),
+        ({"piece_residuals": (1e-12, 2e-8)}, True),  # value == tolerance passes
+        ({"jumps": (JumpEntry(0.5, 0, 2e-9, True), JumpEntry(0.5, 1, 0.3, False))}, False),
+        ({"jumps": (JumpEntry(0.5, 0, 1e-13, True), JumpEntry(0.5, 1, 1e9, False))}, True),
+        ({"condition_violations": (0.0, 1e-6)}, False),
+        ({"oracle_delta": 1e-3}, False),
+        ({"oracle_delta": None}, True),
+    ])
+    def test_status_column_agrees_with_verdict(self, changes, passed):
+        report = _report(**changes)
+        assert report.passed is passed
+        table = report.render_table()
+        statuses = _statuses(table)
+        assert ("FAIL" in statuses) is not passed
+        assert table.endswith(f"overall: {'PASS' if passed else 'FAIL'}")
+        for line, status in zip(table.splitlines()[1:-1], statuses):
+            assert (status == "-") == ("(info" in line)
 
 
 class TestPinAnchors:
