@@ -231,8 +231,11 @@ def basis_derivatives(fns, x, orders):
         if not 0 <= m <= 4:
             raise ValueError(f"derivative order {m} outside [0, 4]")
         lam = complex(fn.alpha, fn.beta)
-        cs = [math.comb(m, i) * math.perm(fn.k, i) * lam ** (m - i)
-              for i in range(min(fn.k, m) + 1)]
+        try:
+            cs = [math.comb(m, i) * math.perm(fn.k, i) * lam ** (m - i)
+                  for i in range(min(fn.k, m) + 1)]
+        except OverflowError:  # CPython's complex power raises, numpy's gives inf
+            cs = [complex(math.nan, math.nan)] * (min(fn.k, m) + 1)
         if fn.kind == EXP_SIN:  # Im(z) = Re(-i z)
             cs = [complex(c.imag, -c.real) for c in cs]
         terms.append((lam, cs, range(fn.k, fn.k - len(cs), -1)))

@@ -50,30 +50,67 @@ def _error(message, code: int) -> int:
     return code
 
 
+def _number(value, what: str):
+    """A JSON number; a string, a bool or a list is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProblemError(f"{what} must be a number, got {value!r}")
+    return value
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer, or a float with an integral value."""
+    if isinstance(_number(value, what), float):
+        if not value.is_integer():
+            raise ProblemError(f"{what} must be an integer, got {value!r}")
+        return int(value)
+    return value
+
+
+def _numbers(value, what: str) -> list:
+    """A JSON list of numbers; a bare number is a list of one."""
+    values = value if isinstance(value, list) else [value]
+    for v in values:
+        _number(v, what)
+    return values
+
+
+def _records(data: dict, name: str, default=None) -> list[dict]:
+    """The list of objects under ``name``, required unless a default is given."""
+    records = data[name] if default is None else data.get(name, default)
+    if not (isinstance(records, list) and all(isinstance(r, dict) for r in records)):
+        raise ProblemError(f"{name} must be a list of objects, got {records!r}")
+    return records
+
+
 def parse_problem(data: dict) -> PiecewiseBvp:
-    """Build a PiecewiseBvp from a problem-file dictionary."""
+    """Build a PiecewiseBvp from a problem-file dictionary.  Numbers must be
+    JSON numbers and lists JSON lists: nothing is read out of a string."""
     try:
-        order = int(data["order"])
+        order = _integer(data["order"], "order")
         pieces = tuple(
             normalize_piece(
-                int(p.get("sign", 1)),
-                p.get("coeffs", ()),
-                p.get("forcing", (0.0,)),
-                tuple(p["interval"]),
+                _integer(p.get("sign", 1), "sign"),
+                _numbers(p.get("coeffs", []), "coeffs"),
+                _numbers(p.get("forcing", 0.0), "forcing"),
+                _numbers(p["interval"], "interval"),
                 order,
             )
-            for p in data["pieces"]
+            for p in _records(data, "pieces")
         )
         conditions = tuple(
-            PointCondition(float(c["x"]), int(c["deriv"]), float(c["value"]))
-            for c in data.get("conditions", ())
+            PointCondition(float(_number(c["x"], "x")), _integer(c["deriv"], "deriv"),
+                           float(_number(c["value"], "value")))
+            for c in _records(data, "conditions", [])
         )
-        continuity = ContinuitySpec(frozenset(int(j) for j in data["continuity"]))
+        orders = _numbers(data["continuity"], "continuity")
+        continuity = ContinuitySpec(frozenset(_integer(j, "continuity order") for j in orders))
         pins = tuple(
-            PinnedConstant(int(p["piece"]), int(p["basis"]), float(p["value"]))
-            for p in data.get("pins", ())
+            PinnedConstant(_integer(p["piece"], "pin piece"),
+                           _integer(p["basis"], "pin basis"),
+                           float(_number(p["value"], "pin value")))
+            for p in _records(data, "pins", [])
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ProblemError):
             raise
         raise ProblemError(f"malformed problem file: {exc}") from exc
@@ -117,7 +154,13 @@ def _solution_table(sol, bvp, samples: int) -> str:
     a, b = bvp.domain
     header = ["x", "piece"] + ["u"] + [f"du{j}" for j in range(1, bvp.order)]
     xs = np.linspace(a, b, samples)
-    columns = [eval_solution(sol, bvp, xs, j).tolist() for j in range(bvp.order)]
+    columns = [eval_solution(sol, bvp, xs, j) for j in range(bvp.order)]
+    for j, column in enumerate(columns):
+        if not np.isfinite(column).all():
+            x = xs[np.argmin(np.isfinite(column))]
+            raise SolveError(f"closed-form solution is non-finite (overflow): "
+                             f"u^({j})({x:g}) on piece {bvp.owning_piece(x)}")
+    columns = [column.tolist() for column in columns]
     row = ",".join(["%.17g", "%d"] + ["%.17g"] * bvp.order)
     lines = [",".join(header)]
     lines += [row % values
@@ -144,10 +187,11 @@ def cmd_solve(args) -> int:
           f" ({diag.determinacy})")
     try:
         sol = solve_exact(bvp)
+        table = _solution_table(sol, bvp, args.samples)
     except SOLVE_FAILURES as exc:
         return _error(exc, EXIT_RANK)
     with open(args.output, "w") as fh:
-        fh.write(_solution_table(sol, bvp, args.samples))
+        fh.write(table)
     print(_constants_report(sol))
     print(f"wrote {args.samples} samples to {args.output}")
     return EXIT_OK

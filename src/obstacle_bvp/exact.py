@@ -97,20 +97,34 @@ class PieceSolution:
         return _derivative_table([self.particular], max(SUPPORTED_ORDERS) + 1)[:, 0]
 
     def value(self, x, deriv_order: int = 0):
-        """u^(deriv_order) at a scalar or an array x: one kernel call for the
-        whole basis, then c_j times column j added in basis order."""
-        x = np.asarray(x, dtype=float)
+        """u^(deriv_order) at a scalar or an array x; an overflow gives inf or
+        nan without a numpy warning."""
+        return self._combine(np.asarray(x, dtype=float), self.constants, deriv_order)[()]
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _combine(self, x, constants, deriv_order: int):
+        """One kernel call for the whole basis at x, then constants[..., j]
+        times column j added in basis order to the particular."""
         columns = basis_derivatives(self.basis, x[..., None], deriv_order)
         total = _horner(self._particular_table[deriv_order], x)
-        for j, c in enumerate(self.constants):
-            total += c * columns[..., j]
-        return total[()]
+        for j in range(len(self.basis)):
+            total += constants[..., j] * columns[..., j]
+        return total
 
 
 @dataclass(frozen=True)
 class PiecewiseSolution:
     pieces: tuple[PieceSolution, ...]
     rank_report: GaussResult
+
+    @cached_property
+    def _groups(self):
+        """Pieces with bit-identical basis and particular share one group:
+        (one piece solution per group, each piece's group, all constants)."""
+        shared, group = _distinct(self.pieces, lambda ps: (
+            tuple((b.kind, b.k) + _bits((b.alpha, b.beta)) for b in ps.basis),
+            _bits(ps.particular)))
+        return shared, np.array(group), np.array([ps.constants for ps in self.pieces])
 
     def labeled_constants(self):
         """Flat list of (piece_index, basis_render, constant)."""
@@ -121,6 +135,21 @@ class PiecewiseSolution:
         return out
 
 
+def _bits(values) -> tuple[str, ...]:
+    """Exact key of a float sequence: -0.0 and 0.0 differ, as they may in the
+    results computed from them."""
+    return tuple(float(v).hex() for v in values)
+
+
+def _distinct(items, key):
+    """(the first item of each distinct key, in first-seen order; per item,
+    the index of its key in that list)."""
+    first = {}
+    index = [first.setdefault(key(item), (len(first), item))[0] for item in items]
+    return [item for _, item in first.values()], index
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def particular_solution(piece: PieceOde) -> tuple[float, ...]:
     """Polynomial u_p with u_p^(n) - sum_j a_j u_p^(j) = forcing identically.
 
@@ -180,6 +209,7 @@ def _horner(coeffs: np.ndarray, x) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def assemble_system(bvp: PiecewiseBvp, bases, particulars) -> MatchSystem:
     """Dense matching system over all piece constants.
 
@@ -187,7 +217,8 @@ def assemble_system(bvp: PiecewiseBvp, bases, particulars) -> MatchSystem:
     continuity rows by breakpoint then by enforced order, then pins.  A point
     condition sitting exactly on an interior breakpoint is evaluated on the
     left-adjacent piece.  Basis and particular values come from one array
-    pass each for the conditions and for the continuity rows.
+    pass each for the conditions and for the continuity rows.  An overflow
+    leaves a non-finite entry, which :func:`gauss_solve` reports.
     """
     n, n_pieces = bvp.order, len(bvp.pieces)
     conds, orders, pins = bvp.conditions, bvp.continuity.sorted_orders, bvp.pins
@@ -266,6 +297,7 @@ def _back_substitute(aug: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def gauss_solve(system: MatchSystem) -> GaussResult:
     """Solve the matching system by Gauss elimination with partial pivoting.
 
@@ -273,7 +305,8 @@ def gauss_solve(system: MatchSystem) -> GaussResult:
     rank systems go through least squares (normal equations) gated on a
     residual inf-norm consistency check.  Rank-deficient systems raise
     :class:`RankDeficientError` with their free-column labels; a system with
-    non-finite entries raises :class:`SolveError` before elimination.
+    non-finite entries raises :class:`SolveError` before elimination, and
+    one whose elimination overflows raises it after.
     """
     matrix, rhs = system.matrix, system.rhs
     bad = ~np.isfinite(matrix).all(axis=1) | ~np.isfinite(rhs)
@@ -293,11 +326,15 @@ def gauss_solve(system: MatchSystem) -> GaussResult:
         free = tuple(system.labels[c] for c in range(n) if c not in pivot_cols)
         raise RankDeficientError(rank, n - rank, free)
     x = _back_substitute(aug, n)
+    if not np.isfinite(x).all():
+        piece, index = system.labels[int(np.argmin(np.isfinite(x)))]
+        raise SolveError(f"matching system solution is non-finite (overflow), "
+                         f"first at unknown (piece {piece}, {index})")
 
     residual = float(np.abs(matrix @ x - rhs).max(initial=0.0))
     if m > n:
         gate = CONSISTENCY_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
-        if residual > gate:
+        if not residual <= gate:
             raise InconsistentSystemError(residual)
     return GaussResult(x, rank, residual)
 
@@ -309,13 +346,17 @@ def solve_exact(bvp: PiecewiseBvp) -> PiecewiseSolution:
     underdetermined and :class:`InconsistentSystemError` when overdetermined
     rows contradict each other.
     """
-    bases = [piece_basis(p) for p in bvp.pieces]
-    particulars = [particular_solution(p) for p in bvp.pieces]
+    # Roots, basis and particular once per distinct ODE: a penalty obstacle
+    # has many pieces but only two ODEs.  Two loops: interleaving the two
+    # calls in one loop measured slower.
+    odes, slot = _distinct(bvp.pieces, lambda p: _bits(p.coeffs + p.forcing))
+    bases = [tuple(piece_basis(p)) for p in odes]
+    particulars = [particular_solution(p) for p in odes]
+    bases, particulars = [bases[i] for i in slot], [particulars[i] for i in slot]
     result = gauss_solve(assemble_system(bvp, bases, particulars))
     n = bvp.order
     pieces = tuple(
-        PieceSolution(tuple(bases[k]), result.constants[k * n:(k + 1) * n],
-                      particulars[k])
+        PieceSolution(bases[k], result.constants[k * n:(k + 1) * n], particulars[k])
         for k in range(len(bvp.pieces))
     )
     return PiecewiseSolution(pieces, result)
@@ -325,11 +366,15 @@ def eval_solution(sol: PiecewiseSolution, bvp: PiecewiseBvp, x,
                   deriv_order: int = 0):
     """Evaluate the piecewise solution at a scalar or an array x; breakpoints
     belong to the right piece (except the global endpoint b, owned by the
-    last piece)."""
+    last piece).  One kernel pass per group of pieces that share their basis
+    and particular; each point takes its own piece's constants."""
     x = np.asarray(x, dtype=float)
     owner = bvp.owning_piece(x)
+    shared, group, constants = sol._groups
+    at_group = group[owner]
     out = np.empty(x.shape)
-    for k in np.unique(owner):
-        mask = owner == k
-        out[mask] = sol.pieces[k].value(x[mask], deriv_order)
+    for g, ps in enumerate(shared):
+        at = at_group == g
+        if at.any():
+            out[at] = ps._combine(x[at], constants[owner[at]], deriv_order)
     return out[()]

@@ -57,6 +57,8 @@ class PieceOde:
             raise ProblemError(
                 f"coeffs must have length {self.order}, got {len(self.coeffs)}"
             )
+        if not self.forcing:
+            raise ProblemError(f"forcing on {self.interval} has no coefficients")
         if len(self.forcing) - 1 > MAX_FORCING_DEGREE:
             raise ProblemError(
                 f"forcing degree {len(self.forcing) - 1} exceeds maximum {MAX_FORCING_DEGREE}"
@@ -226,6 +228,10 @@ def normalize_piece(sign, raw_coeffs, raw_forcing, interval, order) -> PieceOde:
     """
     if sign not in (1, -1):
         raise ProblemError(f"leading sign must be +1 or -1, got {sign}")
+    if order not in SUPPORTED_ORDERS:  # before padding the coefficients to it
+        raise ProblemError(f"unsupported order {order}; expected one of {SUPPORTED_ORDERS}")
+    if len(interval) != 2:
+        raise ProblemError(f"interval must be (lo, hi), got {tuple(interval)}")
     coeffs = [float(c) for c in raw_coeffs]
     if len(coeffs) > order:
         raise ProblemError(f"too many coefficients ({len(coeffs)}) for order {order}")

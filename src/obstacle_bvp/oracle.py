@@ -64,6 +64,7 @@ class FundamentalTrajectory:
     particular: np.ndarray   # shape (len(xs), n)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def integrate_fundamental(piece: PieceOde, h: float = DEFAULT_STEP) -> FundamentalTrajectory:
     """RK4 on the grid of step h from the n unit initial states (unforced) and
     one zero state carrying the forcing.  Every full step is y -> T y + c_i,
@@ -90,15 +91,14 @@ def integrate_fundamental(piece: PieceOde, h: float = DEFAULT_STEP) -> Fundament
     rows = phi.reshape(-1, n)  # node i is rows i·n to (i+1)·n: one product per pass
     part = np.zeros((m + 1, n))
     part[1:m] = stages[:-1] @ b.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        s, power = 1, t
-        while s < m:
-            k = min(s, m - s)
-            rows[s * n:(s + k) * n] = rows[:k * n] @ power
-            part[s:m] += part[:m - s] @ power.T
-            s, power = 2 * s, power @ power
-        t, b = _step_maps(a, steps[-1])
-        phi[m], part[m] = t @ phi[m - 1], t @ part[m - 1] + b @ stages[-1]
+    s, power = 1, t
+    while s < m:
+        k = min(s, m - s)
+        rows[s * n:(s + k) * n] = rows[:k * n] @ power
+        part[s:m] += part[:m - s] @ power.T
+        s, power = 2 * s, power @ power
+    t, b = _step_maps(a, steps[-1])
+    phi[m], part[m] = t @ phi[m - 1], t @ part[m - 1] + b @ stages[-1]
     bad = ~(np.isfinite(phi).all(axis=(1, 2)) & np.isfinite(part).all(axis=1))
     if bad.any():
         raise IntegrationError(f"integration blew up near x = {xs[np.argmax(bad)]}")
@@ -131,6 +131,7 @@ class NumericSolution:
         return self.breakpoints[0], self.breakpoints[-1]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def shooting_solve(bvp: PiecewiseBvp, h: float = DEFAULT_STEP,
                    anchors: tuple[PointCondition, ...] = ()) -> NumericSolution:
     """Multipoint solve by superposition of RK4 fundamental solutions.
@@ -182,6 +183,8 @@ def shooting_solve(bvp: PiecewiseBvp, h: float = DEFAULT_STEP,
         ys = traj.homogeneous @ s + traj.particular
         forcing_vals = np.polynomial.polynomial.polyval(traj.xs, piece.forcing)
         top = ys @ np.asarray(piece.coeffs) + forcing_vals  # y_{n-1}' from the ODE
+        if not (np.isfinite(ys).all() and np.isfinite(top).all()):
+            raise IntegrationError(f"oracle solution blew up (overflow) on piece {k}")
         piece_trajs.append((traj.xs, ys, top))
     return NumericSolution(tuple(piece_trajs), bvp.breakpoints)
 

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from obstacle_bvp.cli import (EXIT_INPUT, EXIT_OK, EXIT_RANK, EXIT_VERIFY,
                               _solution_table, export_problem, load_problem,
@@ -126,6 +128,110 @@ class TestCmdSolve:
         code = main(["solve", "--input", str(tmp_path / "absent.json"),
                      "--output", str(tmp_path / "o.csv")])
         assert code == EXIT_INPUT
+
+
+def _unit_problem(**piece):
+    """u'' = 1 on [0, 1] with u = 0 at both ends, piece fields overridden."""
+    return {"order": 2,
+            "pieces": [{"interval": [0.0, 1.0], "coeffs": [0.0, 0.0],
+                        "forcing": [1.0], **piece}],
+            "conditions": [{"x": 0.0, "deriv": 0, "value": 0.0},
+                           {"x": 1.0, "deriv": 0, "value": 0.0}],
+            "continuity": [0, 1]}
+
+
+def _run_both(tmp_path, data):
+    """Exit codes of solve and verify on one problem-file dictionary."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    solve = main(["solve", "--input", str(path), "--output", str(tmp_path / "o.csv"),
+                  "--samples", "21"])
+    return solve, main(["verify", "--input", str(path), "--step", "0.01"])
+
+
+class TestMalformedProblem:
+    @pytest.mark.parametrize("data", [
+        _unit_problem(interval=[0.0]),
+        _unit_problem(interval=[0.0, 1.0, 2.0]),
+        _unit_problem(forcing=[]),
+        _unit_problem(coeffs="12"),
+        {**_unit_problem(), "pieces": {"a": 1}},
+        {**_unit_problem(), "pieces": ["a"]},
+    ], ids=["short-interval", "long-interval", "empty-forcing", "string-coeffs",
+            "pieces-object", "pieces-of-strings"])
+    def test_is_input_error(self, tmp_path, capsys, data):
+        assert _run_both(tmp_path, data) == (EXIT_INPUT, EXIT_INPUT)
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_well_formed_unit_problem_solves(self, tmp_path, capsys):
+        assert _run_both(tmp_path, _unit_problem()) == (EXIT_OK, EXIT_OK)
+
+
+class TestNonFiniteTable:
+    def test_overflowing_derivative_is_solve_error(self, tmp_path, capsys):
+        # u'' = u + 1 with u(0) = 1e308, u(1) = -1e308: the constants are
+        # finite, but u' = -c0 e^-x + c1 e^x overflows on the whole grid.
+        data = _unit_problem(coeffs=[1.0, 0.0])
+        data["conditions"] = [{"x": 0.0, "deriv": 0, "value": 1e308},
+                              {"x": 1.0, "deriv": 0, "value": -1e308}]
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "o.csv"
+        assert main(["solve", "--input", str(path), "--output", str(out)]) == EXIT_RANK
+        err = capsys.readouterr().err
+        assert "non-finite (overflow)" in err and "u^(1)" in err
+        assert not out.exists()
+        # The oracle's shooting system overflows in back substitution.
+        assert main(["verify", "--input", str(path)]) == EXIT_RANK
+        assert "overflow" in capsys.readouterr().err
+
+
+# Ordinary and extreme finite numbers; the mutations add the rest.
+_NUMBER = st.sampled_from([0, 1, -1, 0.25, -2.5, 4, 1e-12, 1e6, -1e4, 1e200, 1e308, -1e308])
+_ANY = st.one_of(_NUMBER, st.lists(_NUMBER, max_size=3), st.sampled_from(
+    [math.inf, -math.inf, math.nan, 10 ** 400, None, True, "1", "12", [], {}, ["a"],
+     {"a": 1}, [[0, 1]], [{"a": 1}]]))
+
+
+@st.composite
+def _problem_files(draw):
+    """A well-formed problem of order 2-4 on 1-3 pieces with values from a
+    finite alphabet of ordinary and extreme numbers, then 0-2 fields deleted
+    or replaced by anything JSON can hold."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    cuts = draw(st.sampled_from([(0, 1), (0, 0.5, 1), (-1, -0.5, 0.5, 1), (0, 1, 30)]))
+    pieces = [{"interval": [lo, hi], "sign": draw(st.sampled_from([1, -1])),
+               "coeffs": draw(st.lists(_NUMBER, max_size=n)),
+               "forcing": draw(st.lists(_NUMBER, min_size=1, max_size=3))}
+              for lo, hi in zip(cuts, cuts[1:])]
+    conditions = [{"x": x, "deriv": j, "value": draw(_NUMBER)}
+                  for x, count in ((cuts[0], (n + 1) // 2), (cuts[-1], n // 2))
+                  for j in range(count)]
+    data = {"order": n, "pieces": pieces, "conditions": conditions,
+            "continuity": list(range(n))}
+    if draw(st.integers(0, 3)) == 0:
+        data["pins"] = [{"piece": draw(st.integers(0, len(pieces))),
+                         "basis": draw(st.integers(0, n)), "value": draw(_NUMBER)}]
+    holders = [data, *pieces, *conditions, *data.get("pins", [])]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        holder = draw(st.sampled_from(holders))
+        key = draw(st.sampled_from(sorted(holder)))
+        if draw(st.integers(0, 3)) == 0:
+            del holder[key]
+            holders = [h for h in holders if h]
+        else:
+            holder[key] = draw(_ANY)
+    return data
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_problem_files())
+def test_fuzzed_problem_files_exit_cleanly(tmp_path, capsys, data):
+    """solve and verify end in a documented exit code, never an exception
+    (a RuntimeWarning is an error in this suite)."""
+    solve, verify = _run_both(tmp_path, data)
+    assert {solve, verify} <= {EXIT_OK, EXIT_INPUT, EXIT_RANK, EXIT_VERIFY}
 
 
 class TestCmdVerify:

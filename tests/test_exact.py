@@ -8,8 +8,8 @@ from numpy.polynomial import polynomial as npoly
 
 from obstacle_bvp.basis import eval_basis, piece_basis
 from obstacle_bvp.exact import (InconsistentSystemError, MatchSystem,
-                                RankDeficientError, SolveError, assemble_system,
-                                eval_solution, gauss_solve,
+                                PieceSolution, RankDeficientError, SolveError,
+                                assemble_system, eval_solution, gauss_solve,
                                 particular_solution, solve_exact)
 from obstacle_bvp.examples import EXAMPLE_IDS, get_example
 from obstacle_bvp.verify import verification_report
@@ -376,3 +376,126 @@ class TestEvalSolution:
             eval_solution(sol, entry.bvp, 2.0)
         with pytest.raises(ProblemError):
             eval_solution(sol, entry.bvp, np.array([-1.0, 0.0, 1.0 + 1e-12]))
+
+
+def _sixteen_region_obstacle():
+    """A string over a 16-region obstacle: 16 pieces, two distinct ODEs."""
+    from obstacle_bvp.penalty import Obstacle, PenaltyProblem, reformulate
+    rng = np.random.default_rng(7)
+    cuts = np.linspace(0.0, math.pi, 17)
+    contact = rng.permutation([True, False] * 8)
+    regions = tuple(((cuts[k], cuts[k + 1]),
+                     1.0 if contact[k] else float(rng.uniform(-2.0, 0.5)))
+                    for k in range(16))
+    return reformulate(PenaltyProblem(
+        Obstacle(regions), force=0.7,
+        conditions=(PointCondition(0.0, 0, 0.0), PointCondition(math.pi, 0, 0.0))))
+
+
+def _counting(monkeypatch, name):
+    import obstacle_bvp.exact as exact_module
+    calls = []
+    original = getattr(exact_module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(exact_module, name, counted)
+    return calls
+
+
+def _per_piece_eval(sol, bvp, xs, j):
+    """The piece-by-piece evaluation: each piece's own value on its points."""
+    owner = bvp.owning_piece(xs)
+    out = np.empty(xs.shape)
+    for k in np.unique(owner):
+        out[owner == k] = sol.pieces[k].value(xs[owner == k], j)
+    return out
+
+
+def _bitwise(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestSharedOdeWork:
+    def test_two_odes_are_solved_twice(self, monkeypatch):
+        bvp = _sixteen_region_obstacle()
+        assert len(bvp.pieces) == 16
+        bases = _counting(monkeypatch, "piece_basis")
+        particulars = _counting(monkeypatch, "particular_solution")
+        solve_exact(bvp)
+        assert len(bases) == 2
+        assert len(particulars) == 2
+
+    @pytest.mark.parametrize("ex_id", EXAMPLE_IDS)
+    def test_constants_equal_per_piece_solve(self, ex_id):
+        bvp = get_example(ex_id).bvp
+        self._check_constants(bvp)
+
+    def test_obstacle_constants_equal_per_piece_solve(self):
+        self._check_constants(_sixteen_region_obstacle())
+
+    @staticmethod
+    def _check_constants(bvp):
+        reference = gauss_solve(_system_for(bvp)).constants
+        got = np.concatenate([p.constants for p in solve_exact(bvp).pieces])
+        assert _bitwise(got, reference)
+
+    @pytest.mark.parametrize("ex_id", EXAMPLE_IDS)
+    def test_eval_bitwise_equal_to_piece_values(self, ex_id):
+        self._check_eval(get_example(ex_id).bvp)
+
+    def test_obstacle_eval_bitwise_equal_to_piece_values(self):
+        self._check_eval(_sixteen_region_obstacle())
+
+    @staticmethod
+    def _check_eval(bvp):
+        sol = solve_exact(bvp)
+        a, b = bvp.domain
+        rng = np.random.default_rng(3)
+        xs = np.concatenate([rng.uniform(a, b, 300), bvp.breakpoints])
+        for j in range(bvp.order + 1):
+            assert _bitwise(eval_solution(sol, bvp, xs, j), _per_piece_eval(sol, bvp, xs, j))
+            for x in (a, 0.5 * (a + b), *bvp.breakpoints):
+                owner = int(bvp.owning_piece(x))
+                assert _bitwise(eval_solution(sol, bvp, x, j), sol.pieces[owner].value(x, j))
+
+    def test_eval_makes_one_kernel_pass_per_ode(self, monkeypatch):
+        bvp = _sixteen_region_obstacle()
+        sol = solve_exact(bvp)
+        xs = np.linspace(*bvp.domain, 2001)
+        kernel = _counting(monkeypatch, "basis_derivatives")
+        eval_solution(sol, bvp, xs, 1)
+        assert len(kernel) == 2
+
+    def test_perturbed_twin_evaluates_its_own_particular(self):
+        bvp = _sixteen_region_obstacle()
+        sol = solve_exact(bvp)
+        k = next(k for k in range(1, 16)
+                 if bvp.pieces[k].coeffs == bvp.pieces[0].coeffs)
+        piece = sol.pieces[k]
+        shifted = PieceSolution(piece.basis, piece.constants,
+                                (piece.particular[0] + 1e-3,) + piece.particular[1:])
+        perturbed = dataclasses.replace(
+            sol, pieces=sol.pieces[:k] + (shifted,) + sol.pieces[k + 1:])
+        xs = np.linspace(*bvp.domain, 2001)
+        got = eval_solution(perturbed, bvp, xs)
+        assert _bitwise(got, _per_piece_eval(perturbed, bvp, xs, 0))
+        mine = bvp.owning_piece(xs) == k
+        assert np.abs(got[mine] - eval_solution(sol, bvp, xs)[mine]).min() >= 9e-4
+        assert _bitwise(got[~mine], eval_solution(sol, bvp, xs)[~mine])
+
+    def test_negative_zero_coefficient_is_a_distinct_ode(self, monkeypatch):
+        pieces = (PieceOde(2, (0.0, 1.0), (0.0, 0.0), (1.0,)),
+                  PieceOde(2, (1.0, 2.0), (-0.0, 0.0), (1.0,)))
+        bvp = PiecewiseBvp(2, pieces, (PointCondition(0.0, 0, 0.0),
+                                       PointCondition(2.0, 0, 1.0)),
+                           ContinuitySpec(frozenset({0, 1})))
+        bases = _counting(monkeypatch, "piece_basis")
+        particulars = _counting(monkeypatch, "particular_solution")
+        sol = solve_exact(bvp)
+        assert len(bases) == 2 and len(particulars) == 2
+        monkeypatch.undo()
+        assert _bitwise(np.concatenate([p.constants for p in sol.pieces]),
+                        gauss_solve(_system_for(bvp)).constants)
