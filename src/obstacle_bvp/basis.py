@@ -16,7 +16,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .model import PieceOde
+from .model import SUPPORTED_ORDERS
 
 # Roots closer than this (relative to the largest root modulus, at least 1)
 # are merged.  A double root comes out of the quadratic formula or the
@@ -26,6 +26,8 @@ from .model import PieceOde
 # (delta/2)^2*|Q(r)|, Q the characteristic polynomial with the pair divided
 # out: at most 2.5e-13*scale^2 here, far inside the verification tolerance.
 CLUSTER_TOL = 1e-6
+
+MAX_ORDER = max(SUPPORTED_ORDERS)
 
 POLY_EXP = "PolyExp"
 EXP_COS = "ExpCos"
@@ -92,15 +94,33 @@ def monomial(k: int) -> BasisFunction:
     return BasisFunction(POLY_EXP, k, 0.0)
 
 
-def characteristic_coeffs(piece: PieceOde) -> np.ndarray:
-    """Characteristic polynomial lambda^n - sum_j a_j lambda^j.
+def characteristic_coeffs(pieces) -> np.ndarray:
+    """Characteristic polynomials lambda^n - sum_j a_j lambda^j of all pieces.
 
-    Returned in ascending order (c0, ..., cn) with cn = 1.
+    Row k holds pieces[k]'s in ascending order (c0, ..., cn) with cn = 1,
+    zero-padded to degree MAX_ORDER.
     """
-    c = np.zeros(piece.order + 1)
-    c[-1] = 1.0
-    c[:-1] = [-a for a in piece.coeffs]
-    return c
+    return np.array([[-a for a in p.coeffs] + [1.0] + [0.0] * (MAX_ORDER - p.order)
+                     for p in pieces])
+
+
+def _raw_roots(char: np.ndarray) -> list[list[complex]]:
+    """Unmerged roots of every row of a stack of monic polynomials of one
+    degree: the quadratic formula for degree 2, one stacked companion-matrix
+    eigvals call for degrees 3 and 4.  LAPACK solves each matrix on its own,
+    so a row's roots do not depend on the other rows, except that a real root
+    comes back as a float or with a +-0 imaginary part, which merging snaps."""
+    n = char.shape[1] - 1
+    if n == 2:
+        out = []
+        for c0, c1, _ in char.tolist():  # Python floats overflow to inf silently
+            disc = cmath.sqrt(c1 * c1 - 4.0 * c0)
+            out.append([(-c1 + disc) / 2.0, (-c1 - disc) / 2.0])
+        return out
+    comp = np.zeros((len(char), n, n))
+    comp[:, 1:, :-1] = np.eye(n - 1)
+    comp[:, :, -1] = -char[:, :-1]
+    return np.linalg.eigvals(comp).tolist()
 
 
 def find_roots(coeffs) -> list[CharRoot]:
@@ -117,18 +137,15 @@ def find_roots(coeffs) -> list[CharRoot]:
         raise RootFindingError(f"expected degree 2..4, got {n}")
     if coeffs[-1] != 1.0:
         raise RootFindingError("polynomial must be monic")
+    return _merge_roots(_raw_roots(coeffs[None])[0], coeffs.tolist())
 
-    if n == 2:
-        c0, c1, _ = coeffs.tolist()  # Python floats overflow to inf silently
-        disc = cmath.sqrt(c1 * c1 - 4.0 * c0)
-        raw = [(-c1 + disc) / 2.0, (-c1 - disc) / 2.0]
-    else:
-        comp = np.zeros((n, n))
-        comp[1:, :-1] = np.eye(n - 1)
-        comp[:, -1] = -coeffs[:-1]
-        raw = list(np.linalg.eigvals(comp))
+
+def _merge_roots(raw, coeffs: list[float]) -> list[CharRoot]:
+    """Roots with multiplicity from the raw roots of the polynomial coeffs:
+    snapped, clustered and paired as :func:`find_roots` describes."""
+    n = len(coeffs) - 1
     if any(not (math.isfinite(r.real) and math.isfinite(r.imag)) for r in map(complex, raw)):
-        raise RootFindingError(f"root finder diverged on polynomial {coeffs.tolist()}")
+        raise RootFindingError(f"root finder diverged on polynomial {coeffs}")
 
     scale = max(1.0, max(abs(complex(r)) for r in raw))
     tol = CLUSTER_TOL * scale
@@ -169,7 +186,7 @@ def find_roots(coeffs) -> list[CharRoot]:
                 break
         if mate is None or complex_roots[mate].multiplicity != r.multiplicity:
             raise RootFindingError(
-                f"unpaired complex root {r.value} of polynomial {coeffs.tolist()}"
+                f"unpaired complex root {r.value} of polynomial {coeffs}"
             )
         used[i] = used[mate] = True
         alpha = (r.value.real + complex_roots[mate].value.real) / 2.0
@@ -180,7 +197,7 @@ def find_roots(coeffs) -> list[CharRoot]:
     total = sum(r.multiplicity for r in roots)
     if total != n:
         raise RootFindingError(f"root multiplicities sum to {total}, expected {n}, "
-                               f"for polynomial {coeffs.tolist()}")
+                               f"for polynomial {coeffs}")
     return sorted(roots, key=lambda r: (r.value.real, r.value.imag))
 
 
@@ -264,6 +281,16 @@ def eval_basis(fn: BasisFunction, x, deriv_order: int = 0):
     return basis_derivatives((fn,), x, deriv_order)[..., 0][()]
 
 
-def piece_basis(piece: PieceOde) -> list[BasisFunction]:
-    """Convenience composition: characteristic polynomial -> roots -> real basis."""
-    return real_basis(find_roots(characteristic_coeffs(piece)))
+def piece_basis(pieces) -> list[tuple[BasisFunction, ...]]:
+    """Real basis of every piece: characteristic polynomials as one array,
+    raw roots in one pass per order, then merging and the basis piece by
+    piece, so the first piece that fails raises."""
+    char = characteristic_coeffs(pieces)
+    orders = [p.order for p in pieces]
+    raw = [None] * len(pieces)
+    for n in set(orders):
+        at = [k for k, order in enumerate(orders) if order == n]
+        for k, roots in zip(at, _raw_roots(char[at, :n + 1])):
+            raw[k] = roots
+    return [tuple(real_basis(_merge_roots(roots, c[:n + 1])))
+            for roots, c, n in zip(raw, char.tolist(), orders)]

@@ -41,6 +41,9 @@ EXIT_INPUT = 1
 EXIT_RANK = 2
 EXIT_VERIFY = 3
 
+# Rows of the solve table: 10^6 rows are 60-110 MB of CSV text.
+MAX_SAMPLES = 10 ** 6
+
 # Failures of the closed-form solve on an accepted problem (exit 2).
 SOLVE_FAILURES = (SolveError, RootFindingError)
 
@@ -180,8 +183,9 @@ def cmd_solve(args) -> int:
         bvp = load_problem(args.input)
     except ProblemError as exc:
         return _error(exc, EXIT_INPUT)
-    if args.samples < 2:
-        return _error("--samples must be at least 2", EXIT_INPUT)
+    if not 2 <= args.samples <= MAX_SAMPLES:
+        return _error(f"--samples must be between 2 and {MAX_SAMPLES}, got {args.samples}",
+                      EXIT_INPUT)
     diag = validate_bvp(bvp)
     print(f"unknowns: {diag.n_unknowns}, equations: {diag.n_equations}"
           f" ({diag.determinacy})")
@@ -205,6 +209,8 @@ def _report(sol, bvp, step) -> int:
         try:
             numeric = shooting_solve(dataclasses.replace(bvp, pins=()), step,
                                      anchors=pin_anchors(sol, bvp))
+        except ProblemError as exc:  # a step too small for the domain
+            return _error(exc, EXIT_INPUT)
         except SOLVE_FAILURES as exc:
             return _error(exc, EXIT_RANK)
         except IntegrationError as exc:

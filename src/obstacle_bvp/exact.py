@@ -18,10 +18,16 @@ import numpy as np
 
 # eval_basis is no longer called here; it stays importable from this module
 # because perfbench/spans.py hooks it under this name.
-from .basis import BasisFunction, basis_derivatives, eval_basis, piece_basis  # noqa: F401
-from .model import SUPPORTED_ORDERS, PieceOde, PiecewiseBvp
+from .basis import (MAX_ORDER, BasisFunction, basis_derivatives,  # noqa: F401
+                    characteristic_coeffs, eval_basis, piece_basis)
+from .model import MAX_FORCING_DEGREE, PiecewiseBvp
 
 CONSISTENCY_TOL = 1e-9
+
+# _FALLING[p, j] = perm(p, j), the coefficient of x^(p-j) in (x^p)^(j); zero
+# for p < j.  Rows cover every particular the ansatz can need.
+_FALLING = np.array([[math.perm(p, j) for j in range(MAX_ORDER + 1)]
+                     for p in range(MAX_ORDER + MAX_FORCING_DEGREE + 1)], dtype=float)
 
 
 class SolveError(RuntimeError):
@@ -94,7 +100,7 @@ class PieceSolution:
     @cached_property
     def _particular_table(self) -> np.ndarray:
         """Row d: the particular's d-th derivative, for every supported d."""
-        return _derivative_table([self.particular], max(SUPPORTED_ORDERS) + 1)[:, 0]
+        return _derivative_table([self.particular], MAX_ORDER + 1)[:, 0]
 
     def value(self, x, deriv_order: int = 0):
         """u^(deriv_order) at a scalar or an array x; an overflow gives inf or
@@ -150,42 +156,48 @@ def _distinct(items, key):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def particular_solution(piece: PieceOde) -> tuple[float, ...]:
-    """Polynomial u_p with u_p^(n) - sum_j a_j u_p^(j) = forcing identically.
+def particular_solution(pieces) -> list[tuple[float, ...]]:
+    """Polynomial u_p with u_p^(n) - sum_j a_j u_p^(j) = forcing identically,
+    for every piece.
 
     The ansatz is x^s * (t_0 + ... + t_m x^m) where s is the multiplicity of
     the characteristic root 0 (resonance shift) and m = deg(forcing); the
     (m+1)x(m+1) coefficient system is square and nonsingular by construction.
+    Pieces with the same (s, m) share one stacked build, one solve and one
+    identity check; the first piece whose identity fails raises.
     """
-    n = piece.order
-    a = piece.coeffs
-    q = np.asarray(piece.forcing, dtype=float)
-    m = len(q) - 1
-    s = next((j for j, aj in enumerate(a) if aj != 0.0), n)
-
-    # Column p holds the coefficients of L[x^p] = (x^p)^(n) - sum_j a_j (x^p)^(j).
-    size = s + m + 1
-    full_op = np.zeros((size, size))
-    for p in range(size):
-        if p - n >= 0:
-            full_op[p - n, p] = math.perm(p, n)
-        for j, aj in enumerate(a):
-            if aj != 0.0 and p - j >= 0:
-                full_op[p - j, p] = -aj * math.perm(p, j)
-    t = np.linalg.solve(full_op[: m + 1, s:], q)
-
-    poly = np.concatenate([np.zeros(s), t])
-    # Internal consistency check: the full identity must hold, not just the
-    # low-order coefficients the square system matched.
-    scale = 1.0 + float(np.abs(q).max(initial=0.0)) + float(np.abs(poly).max(initial=0.0))
-    defect = float(np.abs(full_op @ poly - np.pad(q, (0, s))).max())
-    tol = 1e-10 * scale
-    if not defect <= tol:  # also catches a NaN from an overflowing solve
-        raise SolveError(f"particular ansatz failed on {piece.interval}: identity "
-                         f"defect {defect:.3e}, tolerance {tol:.3e}")
-    while len(poly) > 1 and poly[-1] == 0.0:
-        poly = poly[:-1]
-    return tuple(float(c) for c in poly)
+    char = characteristic_coeffs(pieces)
+    groups = {}
+    for k, piece in enumerate(pieces):
+        s = next((j for j, aj in enumerate(piece.coeffs) if aj != 0.0), piece.order)
+        groups.setdefault((s, len(piece.forcing) - 1), []).append(k)
+    polys, checks = [None] * len(pieces), [None] * len(pieces)
+    for (s, m), at in groups.items():
+        size = s + m + 1
+        c = char[at]
+        q = np.array([pieces[k].forcing for k in at])
+        # Column p holds the coefficients of L[x^p] = sum_j c_j (x^p)^(j):
+        # c_j * perm(p, j) in row p - j, and +0.0 where c_j is zero.
+        p, j = np.nonzero(_FALLING[:size])
+        full_op = np.zeros((len(at), size, size))
+        full_op[:, p - j, p] = np.where(c[:, j] != 0.0, c[:, j] * _FALLING[p, j], 0.0)
+        t = np.linalg.solve(full_op[:, : m + 1, s:], q[..., None])[..., 0]
+        poly = np.concatenate([np.zeros((len(at), s)), t], axis=1)
+        # Internal consistency check: the full identity must hold, not just the
+        # low-order coefficients the square system matched.
+        residual = (full_op @ poly[..., None])[..., 0]
+        residual[:, : m + 1] -= q
+        scale = 1.0 + np.abs(q).max(axis=1) + np.abs(poly).max(axis=1)
+        for k, row, defect, tol in zip(at, poly.tolist(), np.abs(residual).max(axis=1).tolist(),
+                                       (1e-10 * scale).tolist()):
+            polys[k], checks[k] = row, (defect, tol)
+    for piece, poly, (defect, tol) in zip(pieces, polys, checks):
+        if not defect <= tol:  # also catches a NaN from an overflowing solve
+            raise SolveError(f"particular ansatz failed on {piece.interval}: identity "
+                             f"defect {defect:.3e}, tolerance {tol:.3e}")
+        while len(poly) > 1 and poly[-1] == 0.0:
+            poly.pop()
+    return [tuple(poly) for poly in polys]
 
 
 def _derivative_table(particulars, orders: int) -> np.ndarray:
@@ -346,12 +358,11 @@ def solve_exact(bvp: PiecewiseBvp) -> PiecewiseSolution:
     underdetermined and :class:`InconsistentSystemError` when overdetermined
     rows contradict each other.
     """
-    # Roots, basis and particular once per distinct ODE: a penalty obstacle
-    # has many pieces but only two ODEs.  Two loops: interleaving the two
-    # calls in one loop measured slower.
+    # Roots, basis and particular once per distinct ODE (a penalty obstacle
+    # has many pieces but only two ODEs), each stage in stacked array passes
+    # over all of them.
     odes, slot = _distinct(bvp.pieces, lambda p: _bits(p.coeffs + p.forcing))
-    bases = [tuple(piece_basis(p)) for p in odes]
-    particulars = [particular_solution(p) for p in odes]
+    bases, particulars = piece_basis(odes), particular_solution(odes)
     bases, particulars = [bases[i] for i in slot], [particulars[i] for i in slot]
     result = gauss_solve(assemble_system(bvp, bases, particulars))
     n = bvp.order

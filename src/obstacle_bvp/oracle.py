@@ -23,6 +23,11 @@ from .model import PiecewiseBvp, PieceOde, PointCondition, ProblemError
 
 DEFAULT_STEP = 1e-3
 
+# RK4 steps over a whole domain.  Every piece's trajectory is held at once,
+# so the cap is on the domain, not the piece; the default step still covers
+# a domain of length 1e3.
+MAX_STEPS = 2 ** 20
+
 
 class IntegrationError(RuntimeError):
     """RK4 produced non-finite values (blow-up)."""
@@ -146,12 +151,19 @@ def shooting_solve(bvp: PiecewiseBvp, h: float = DEFAULT_STEP,
             "basis-constant pins are not expressible in shooting unknowns; "
             "replace them with anchor point conditions"
         )
+    a, b = bvp.domain
+    if not b - a <= MAX_STEPS * h:
+        raise ProblemError(f"step h must be positive and at least {(b - a) / MAX_STEPS:.3g} "
+                           f"(at most {MAX_STEPS} RK4 steps on [{a:g}, {b:g}]), got {h}")
     n = bvp.order
     n_pieces = len(bvp.pieces)
     width = n * n_pieces
     labels = tuple((k, i) for k in range(n_pieces) for i in range(n))
     trajectories = [integrate_fundamental(p, h) for p in bvp.pieces]
 
+    # These rows repeat the row semantics of exact.assemble_system on
+    # purpose: sharing that code would make the oracle depend on the path it
+    # checks.
     rows, rhs, row_labels = [], [], []
     for cond in list(bvp.conditions) + list(anchors):
         k = bvp.owning_piece(cond.location, side="left")

@@ -25,15 +25,15 @@ def _roots_set(roots):
 class TestCharacteristicCoeffs:
     def test_coupled_second_order(self):
         piece = PieceOde(2, (0.25, 0.75), (1.0, 0.0), (-1.0,))
-        assert characteristic_coeffs(piece).tolist() == [-1.0, 0.0, 1.0]
+        assert characteristic_coeffs([piece])[0].tolist() == [-1.0, 0.0, 1.0, 0.0, 0.0]
 
     def test_coupled_third_order(self):
         piece = PieceOde(3, (0.25, 0.75), (1.0, 0.0, 0.0), (-1.0,))
-        assert characteristic_coeffs(piece).tolist() == [-1.0, 0.0, 0.0, 1.0]
+        assert characteristic_coeffs([piece])[0].tolist() == [-1.0, 0.0, 0.0, 1.0, 0.0]
 
     def test_uncoupled(self):
         piece = PieceOde(2, (0.0, 1.0), (0.0, 0.0), (0.0,))
-        assert characteristic_coeffs(piece).tolist() == [0.0, 0.0, 1.0]
+        assert characteristic_coeffs([piece])[0].tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
 
 
 class TestFindRoots:
@@ -220,7 +220,7 @@ class TestOperatorAnnihilation:
     ])
     def test_example_operators(self, coeffs, order):
         piece = PieceOde(order, (0.0, 1.0), coeffs, (0.0,))
-        for fn in piece_basis(piece):
+        for fn in piece_basis([piece])[0]:
             for x in np.linspace(0.0, 1.0, 100):
                 lhs = eval_basis(fn, x, order)
                 for j, aj in enumerate(coeffs):
@@ -233,7 +233,7 @@ class TestOperatorAnnihilation:
             order = int(rng.integers(2, 4))
             coeffs = tuple(rng.uniform(-3, 3, order))
             piece = PieceOde(order, (0.0, 1.0), coeffs, (0.0,))
-            for fn in piece_basis(piece):
+            for fn in piece_basis([piece])[0]:
                 for x in np.linspace(0.0, 1.0, 20):
                     lhs = eval_basis(fn, x, order)
                     for j, aj in enumerate(coeffs):

@@ -91,6 +91,16 @@ class TestCmdSolve:
         captured = capsys.readouterr()
         assert "constants:" in captured.out
 
+    def test_huge_sample_count_is_input_error(self, tmp_path, capsys):
+        # 1e14 rows would need a 728 TiB grid: rejected before any allocation.
+        path = _write_problem(tmp_path, get_example("3.1.1").bvp)
+        out = tmp_path / "table.csv"
+        code = main(["solve", "--input", path, "--output", str(out),
+                     "--samples", "100000000000000"])
+        assert code == EXIT_INPUT
+        assert "--samples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rank_deficiency_gives_pin_advice(self, tmp_path, capsys):
         bvp = dataclasses.replace(get_example("3.1.6").bvp, pins=())
         path = _write_problem(tmp_path, bvp)
@@ -257,6 +267,11 @@ class TestCmdVerify:
         path = _write_problem(tmp_path, get_example("3.1.1").bvp)
         assert main(["verify", "--input", path, "--step", step]) == EXIT_INPUT
 
+    def test_step_too_small_for_domain_is_input_error(self, tmp_path, capsys):
+        path = _write_problem(tmp_path, get_example("3.1.1").bvp)
+        assert main(["verify", "--input", path, "--step", "1e-14"]) == EXIT_INPUT
+        assert "RK4 steps" in capsys.readouterr().err
+
     def test_oracle_blow_up_is_verification_failure(self, tmp_path, capsys):
         # u'' = -1e4 u on [0, 100]: the exact cos/sin solution is bounded, but
         # RK4 with h*|lambda| = 100 is far outside its stability region.
@@ -296,6 +311,12 @@ class TestCmdReproduce:
         code = main(["reproduce", "--example", "3.1.1", "--oracle", "--step", step])
         assert code == EXIT_INPUT
         assert "--step" in capsys.readouterr().err
+
+    def test_step_too_small_for_domain_is_input_error(self, capsys):
+        # 2e14 RK4 steps would need 364 TiB: rejected before integrating.
+        code = main(["reproduce", "--example", "3.1.1", "--oracle", "--step", "1e-14"])
+        assert code == EXIT_INPUT
+        assert "RK4 steps" in capsys.readouterr().err
 
     def test_oracle_blow_up_is_verification_failure(self, monkeypatch, capsys):
         def blow_up(*args, **kwargs):

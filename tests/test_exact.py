@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import warnings
@@ -21,8 +22,8 @@ E = math.e
 
 
 def _system_for(bvp):
-    bases = [piece_basis(p) for p in bvp.pieces]
-    parts = [particular_solution(p) for p in bvp.pieces]
+    bases = [piece_basis([p])[0] for p in bvp.pieces]
+    parts = [particular_solution([p])[0] for p in bvp.pieces]
     return assemble_system(bvp, bases, parts)
 
 
@@ -96,19 +97,19 @@ def _mixed_bvp(order, n_pieces, continuity=None, conditions=None):
 class TestParticularSolution:
     def test_constant_forcing_with_coupling(self):
         piece = PieceOde(2, (0.25, 0.75), (1.0, 0.0), (-1.0,))  # u'' = u - 1
-        assert particular_solution(piece) == (1.0,)
+        assert particular_solution([piece])[0] == (1.0,)
 
     def test_resonant_monomial(self):
         piece = PieceOde(2, (0.0, 1.0), (0.0, 0.0), (0.0, 1.0))  # u'' = x
-        assert particular_solution(piece) == pytest.approx((0.0, 0.0, 0.0, 1.0 / 6.0))
+        assert particular_solution([piece])[0] == pytest.approx((0.0, 0.0, 0.0, 1.0 / 6.0))
 
     def test_third_order_linear_forcing(self):
         piece = PieceOde(3, (0.25, 0.75), (1.0, 0.0, 0.0), (-1.0, 1.0))  # u''' = u + x - 1
-        assert particular_solution(piece) == pytest.approx((1.0, -1.0))
+        assert particular_solution([piece])[0] == pytest.approx((1.0, -1.0))
 
     def test_quartic_resonance(self):
         piece = PieceOde(3, (0.0, 1.0), (0.0, 0.0, 0.0), (0.0, 1.0))  # u''' = x
-        assert particular_solution(piece) == pytest.approx((0.0, 0.0, 0.0, 0.0, 1.0 / 24.0))
+        assert particular_solution([piece])[0] == pytest.approx((0.0, 0.0, 0.0, 0.0, 1.0 / 24.0))
 
     def test_failed_ansatz_raises(self):
         # a_0 = 1e-200 makes the ansatz solve overflow; the identity check is
@@ -116,7 +117,7 @@ class TestParticularSolution:
         piece = PieceOde(2, (0.0, 1.0), (1e-200, 0.0), (1.0,) * 7)
         with np.errstate(all="ignore"):
             with pytest.raises(SolveError, match="particular ansatz failed"):
-                particular_solution(piece)
+                particular_solution([piece])[0]
 
     def test_identity_holds_for_random_pieces(self):
         rng = np.random.default_rng(3)
@@ -127,7 +128,7 @@ class TestParticularSolution:
                                     rng.uniform(-3, 3, order)))
             forcing = tuple(rng.uniform(-2, 2, int(rng.integers(1, 4))))
             piece = PieceOde(order, (0.0, 1.0), coeffs, forcing)
-            up = particular_solution(piece)
+            up = particular_solution([piece])[0]
             for x in np.linspace(-1.0, 1.0, 7):
                 lhs = poly.polyval(x, poly.polyder(up, order))
                 for j, aj in enumerate(coeffs):
@@ -164,8 +165,8 @@ class TestArrayAssemblyIsBitwise:
 
     @staticmethod
     def _check(bvp):
-        bases = [piece_basis(p) for p in bvp.pieces]
-        parts = [particular_solution(p) for p in bvp.pieces]
+        bases = [piece_basis([p])[0] for p in bvp.pieces]
+        parts = [particular_solution([p])[0] for p in bvp.pieces]
         system = assemble_system(bvp, bases, parts)
         matrix, rhs, labels = _reference_system(bvp, bases, parts)
         assert np.array_equal(system.matrix, matrix)
@@ -191,7 +192,7 @@ class TestArrayAssemblyIsBitwise:
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_repeated_complex_and_zero_roots(self, order):
         bvp = _mixed_bvp(order, 4)
-        kinds = {(b.kind, b.k, b.alpha == 0.0) for p in bvp.pieces for b in piece_basis(p)}
+        kinds = {(b.kind, b.k, b.alpha == 0.0) for p in bvp.pieces for b in piece_basis([p])[0]}
         assert ("ExpSin", 0, False) in kinds and ("PolyExp", 1, True) in kinds
         assert any(k >= 1 and not zero for _, k, zero in kinds)
         self._check(bvp)
@@ -322,7 +323,7 @@ class TestSolveExact:
                       + [PointCondition(1.0, j, 0.0) for j in range(n // 2)])
         bvp = PiecewiseBvp(n, (piece,), tuple(conditions),
                            ContinuitySpec(frozenset({0})))
-        assert [fn.k for fn in piece_basis(piece)].count(1) == 1
+        assert [fn.k for fn in piece_basis([piece])[0]].count(1) == 1
         sol = solve_exact(bvp)
         assert verification_report(sol, bvp).passed
 
@@ -419,14 +420,14 @@ def _bitwise(a, b):
 
 
 class TestSharedOdeWork:
-    def test_two_odes_are_solved_twice(self, monkeypatch):
+    def test_two_odes_share_one_stacked_call(self, monkeypatch):
         bvp = _sixteen_region_obstacle()
         assert len(bvp.pieces) == 16
         bases = _counting(monkeypatch, "piece_basis")
         particulars = _counting(monkeypatch, "particular_solution")
         solve_exact(bvp)
-        assert len(bases) == 2
-        assert len(particulars) == 2
+        assert [len(odes) for (odes,) in bases] == [2]
+        assert [len(odes) for (odes,) in particulars] == [2]
 
     @pytest.mark.parametrize("ex_id", EXAMPLE_IDS)
     def test_constants_equal_per_piece_solve(self, ex_id):
@@ -495,7 +496,138 @@ class TestSharedOdeWork:
         bases = _counting(monkeypatch, "piece_basis")
         particulars = _counting(monkeypatch, "particular_solution")
         sol = solve_exact(bvp)
-        assert len(bases) == 2 and len(particulars) == 2
+        assert [len(odes) for (odes,) in bases] == [2]
+        assert [len(odes) for (odes,) in particulars] == [2]
         monkeypatch.undo()
         assert _bitwise(np.concatenate([p.constants for p in sol.pieces]),
                         gauss_solve(_system_for(bvp)).constants)
+
+
+def _basis_bits(basis):
+    return tuple((b.kind, b.k, b.alpha.hex(), b.beta.hex()) for b in basis)
+
+
+def _mixed_stack():
+    """Orders 2-4 with zero, -0.0 and leading-zero coefficients (shifts 0-2
+    and full), repeated real and complex roots, complex pairs and forcing
+    degrees 0-3, then seeded random pieces of the same mix."""
+    odes = [
+        (2, (0.0, 0.0), (1.0,)),                  # double root 0, shift 2
+        (2, (-0.0, 0.0), (1.0, 2.0)),             # the same with -0.0
+        (2, (-1.0, 0.0), (0.5, 0.0, 0.0, 1.0)),   # +-i
+        (2, (-1.0, 2.0), (1.0, -1.0)),            # double root 1
+        (3, (0.0, 1.0, 0.0), (1.0, 0.0, 2.0)),    # 0, +-1, shift 1
+        (3, (0.0, 0.0, 1.0), (0.0, 1.0)),         # shift 2
+        (3, (-1.0, 0.0, 0.0), (0.5,)),            # a real root and a pair
+        (3, (-1.0, 0.0, 0.0), (-0.0, -2.0, -1e-300)),  # t_0 = +0.0, not -0.0
+        (3, (-2.0, 3.0, 0.0), (1.0, 0.0, 0.0, -1.0)),  # 1, 1, -2
+        (4, (-1.0, 0.0, -2.0, 0.0), (2.0,)),      # +-i twice
+        (4, (0.0, -0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),   # shift 2 with -0.0
+        (4, (0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0)),  # shift 4
+        (4, (-0.0, 1.0, 0.0, -0.0), (3.0,)),      # shift 1
+    ]
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        order = int(rng.integers(2, 5))
+        coeffs = rng.uniform(-2.0, 2.0, order)
+        coeffs[rng.random(order) < 0.3] = 0.0
+        coeffs[rng.random(order) < 0.1] = -0.0
+        odes.append((order, tuple(coeffs.tolist()),
+                     tuple(rng.uniform(-2.0, 2.0, int(rng.integers(1, 5))).tolist())))
+    return [PieceOde(n, (float(k), k + 1.0), coeffs, forcing)
+            for k, (n, coeffs, forcing) in enumerate(odes)]
+
+
+def _reference_particular(piece):
+    """The one-piece particular: a Python loop builds the operator matrix,
+    np.linalg.solve takes one system and the defect is checked against the
+    padded forcing."""
+    n, a = piece.order, piece.coeffs
+    q = np.asarray(piece.forcing, dtype=float)
+    m = len(q) - 1
+    s = next((j for j, aj in enumerate(a) if aj != 0.0), n)
+    size = s + m + 1
+    full_op = np.zeros((size, size))
+    for p in range(size):
+        if p - n >= 0:
+            full_op[p - n, p] = math.perm(p, n)
+        for j, aj in enumerate(a):
+            if aj != 0.0 and p - j >= 0:
+                full_op[p - j, p] = -aj * math.perm(p, j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.linalg.solve(full_op[: m + 1, s:], q)
+        poly = np.concatenate([np.zeros(s), t])
+        scale = 1.0 + float(np.abs(q).max()) + float(np.abs(poly).max())
+        defect = float(np.abs(full_op @ poly - np.pad(q, (0, s))).max())
+    assert defect <= 1e-10 * scale
+    while len(poly) > 1 and poly[-1] == 0.0:
+        poly = poly[:-1]
+    return tuple(float(c) for c in poly)
+
+
+def _reference_basis(piece):
+    """The one-piece basis: the companion matrix of one polynomial, or the
+    quadratic formula, then the same merging and real basis."""
+    from obstacle_bvp.basis import _merge_roots, real_basis
+    n = piece.order
+    c = [-a for a in piece.coeffs] + [1.0]
+    if n == 2:
+        disc = cmath.sqrt(c[1] * c[1] - 4.0 * c[0])
+        raw = [(-c[1] + disc) / 2.0, (-c[1] - disc) / 2.0]
+    else:
+        comp = np.zeros((n, n))
+        comp[1:, :-1] = np.eye(n - 1)
+        comp[:, -1] = -np.array(c[:-1])
+        raw = list(np.linalg.eigvals(comp))
+    return tuple(real_basis(_merge_roots(raw, c)))
+
+
+def _first_failure(calls):
+    """(type, message) of the first call that raises, or None."""
+    for call in calls:
+        try:
+            call()
+        except Exception as exc:
+            return type(exc), str(exc)
+    return None
+
+
+class TestStackedOdeStage:
+    """piece_basis and particular_solution over a stack equal one-piece calls."""
+
+    def test_mixed_stack_equals_one_piece_calls(self):
+        odes = _mixed_stack()
+        shifts = {next((j for j, a in enumerate(p.coeffs) if a != 0.0), p.order)
+                  for p in odes}
+        assert {0, 1, 2} <= shifts and {len(p.forcing) for p in odes} == {1, 2, 3, 4}
+        bases, particulars = piece_basis(odes), particular_solution(odes)
+        assert len(bases) == len(particulars) == len(odes)
+        for p, basis, part in zip(odes, bases, particulars):
+            assert isinstance(basis, tuple) and isinstance(part, tuple)
+            assert _basis_bits(basis) == _basis_bits(piece_basis([p])[0])
+            assert _basis_bits(basis) == _basis_bits(_reference_basis(p))
+            assert _bitwise(part, particular_solution([p])[0])
+            assert _bitwise(part, _reference_particular(p))
+        kinds = {(b.kind, b.k) for basis in bases for b in basis}
+        assert {("ExpCos", 1), ("PolyExp", 2), ("PolyExp", 3)} <= kinds
+
+    @pytest.mark.parametrize("root_at, particular_at", [
+        ((), (3, 40)), ((5, 30), ()), ((30,), (3,)), ((50, 7), (2, 60))])
+    def test_failure_matches_the_one_piece_loop(self, root_at, particular_at):
+        # A diverging quadratic (c1^2 overflows) fails in its roots.  In its
+        # particular, a forcing of degree 6 over a_0 = 1e-200 fails, and so
+        # does 1/(2 a_2) with a_2 = 1e-320, in the group (shift 2, degree 0)
+        # that piece 0 opens.  The old loop computed every basis, then every
+        # particular, each piece in turn.
+        odes = _mixed_stack()
+        for k in root_at:
+            odes[k] = PieceOde(2, odes[k].interval, (0.0, 1e200 * (k + 1)), (1.0,))
+        for k in particular_at:
+            odes[k] = (PieceOde(2, odes[k].interval, (1e-200, 0.0), (1.0,) * 7) if k < 10
+                       else PieceOde(3, odes[k].interval, (0.0, 0.0, 1e-320), (1.0,)))
+        want = _first_failure([lambda p=p: piece_basis([p]) for p in odes]
+                              + [lambda p=p: particular_solution([p]) for p in odes])
+        got = _first_failure([lambda: piece_basis(odes), lambda: particular_solution(odes)])
+        assert want is not None and got == want
+        first = min(root_at) if root_at else min(particular_at)
+        assert str(odes[first].coeffs[1] if root_at else odes[first].interval) in got[1]

@@ -47,6 +47,10 @@ class TestIntegrateFundamental:
             with pytest.raises(ProblemError):
                 integrate_fundamental(piece, h)
 
+    def test_rejects_step_too_small_for_domain(self):
+        with pytest.raises(ProblemError, match="RK4 steps"):
+            shooting_solve(get_example("3.1.1").bvp, 1e-14)
+
     def test_cubic_particular_is_exact(self):
         # u'' = 6x from the zero state is (x^3, 3x^2); RK4 integrates a cubic
         # exactly, on the full steps and on the shortened last one.
