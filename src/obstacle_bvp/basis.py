@@ -41,12 +41,6 @@ class RootFindingError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class CharRoot:
-    value: complex
-    multiplicity: int
-
-
-@dataclass(frozen=True)
 class BasisFunction:
     """One real fundamental solution.
 
@@ -90,10 +84,6 @@ class BasisFunction:
         return "*".join(parts) if parts else "1"
 
 
-def monomial(k: int) -> BasisFunction:
-    return BasisFunction(POLY_EXP, k, 0.0)
-
-
 def characteristic_coeffs(pieces) -> np.ndarray:
     """Characteristic polynomials lambda^n - sum_j a_j lambda^j of all pieces.
 
@@ -123,40 +113,27 @@ def _raw_roots(char: np.ndarray) -> list[list[complex]]:
     return np.linalg.eigvals(comp).tolist()
 
 
-def find_roots(coeffs) -> list[CharRoot]:
-    """All roots of a monic real polynomial of degree 2..4, with multiplicity.
+def _real_basis(raw, coeffs: list[float]) -> tuple[BasisFunction, ...]:
+    """One ODE's real fundamental system from the raw roots of its
+    characteristic polynomial coeffs.
 
-    Degree 2 uses the quadratic formula; degrees 3 and 4 use companion-matrix
-    eigenvalues.  Nearby roots (relative distance below CLUSTER_TOL) are merged
-    into one root with higher multiplicity, and conjugate symmetry is restored
-    exactly by averaging each pair.
+    With tol = CLUSTER_TOL times the largest root modulus (at least 1),
+    near-real roots are snapped onto the axis, roots within tol of a
+    cluster's first root merge into one root of higher multiplicity at the
+    cluster mean, and each complex root pairs with the first unpaired root
+    within 2 tol of its conjugate, which must have the same multiplicity; the
+    pair shares the averaged alpha and beta.  Ordering is deterministic:
+    ascending real part, then kind (cos, sin, exp), then power k, so solved
+    constants are comparable across runs.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    n = len(coeffs) - 1
-    if n not in (2, 3, 4):
-        raise RootFindingError(f"expected degree 2..4, got {n}")
-    if coeffs[-1] != 1.0:
-        raise RootFindingError("polynomial must be monic")
-    return _merge_roots(_raw_roots(coeffs[None])[0], coeffs.tolist())
-
-
-def _merge_roots(raw, coeffs: list[float]) -> list[CharRoot]:
-    """Roots with multiplicity from the raw roots of the polynomial coeffs:
-    snapped, clustered and paired as :func:`find_roots` describes."""
-    n = len(coeffs) - 1
-    if any(not (math.isfinite(r.real) and math.isfinite(r.imag)) for r in map(complex, raw)):
+    raw = [complex(r) for r in raw]
+    if any(not (math.isfinite(r.real) and math.isfinite(r.imag)) for r in raw):
         raise RootFindingError(f"root finder diverged on polynomial {coeffs}")
-
-    scale = max(1.0, max(abs(complex(r)) for r in raw))
-    tol = CLUSTER_TOL * scale
-
-    # Snap near-real roots onto the axis before clustering / pairing.
-    snapped = []
-    for r in map(complex, raw):
-        snapped.append(complex(r.real, 0.0) if abs(r.imag) <= tol else r)
+    tol = CLUSTER_TOL * max(1.0, max(abs(r) for r in raw))
 
     clusters: list[list[complex]] = []
-    for r in sorted(snapped, key=lambda z: (z.real, z.imag)):
+    for r in sorted((complex(r.real, 0.0) if abs(r.imag) <= tol else r for r in raw),
+                    key=lambda z: (z.real, z.imag)):
         for group in clusters:
             if abs(r - group[0]) <= tol:
                 group.append(r)
@@ -164,66 +141,28 @@ def _merge_roots(raw, coeffs: list[float]) -> list[CharRoot]:
         else:
             clusters.append([r])
 
-    roots = []
+    roots = []  # (value, multiplicity): real roots, then one root per pair
+    complex_roots = []
     for group in clusters:
         mean = sum(group) / len(group)
         if abs(mean.imag) <= tol:
-            mean = complex(mean.real, 0.0)
-        roots.append(CharRoot(mean, len(group)))
+            roots.append((complex(mean.real, 0.0), len(group)))
+        else:
+            complex_roots.append((mean, len(group)))
+    while complex_roots:
+        r, m = complex_roots.pop(0)
+        mate = next((j for j, (s, _) in enumerate(complex_roots)
+                     if abs(s - r.conjugate()) <= 2 * tol), None)
+        if mate is None or complex_roots[mate][1] != m:
+            raise RootFindingError(f"unpaired complex root {r} of polynomial {coeffs}")
+        s = complex_roots.pop(mate)[0]
+        roots.append((complex((r.real + s.real) / 2.0, (abs(r.imag) + abs(s.imag)) / 2.0), m))
 
-    # Enforce exact conjugate symmetry on the complex roots.
-    complex_roots = [r for r in roots if r.value.imag != 0.0]
-    real_roots = [r for r in roots if r.value.imag == 0.0]
-    paired: list[CharRoot] = []
-    used = [False] * len(complex_roots)
-    for i, r in enumerate(complex_roots):
-        if used[i]:
-            continue
-        mate = None
-        for j in range(i + 1, len(complex_roots)):
-            if not used[j] and abs(complex_roots[j].value - r.value.conjugate()) <= 2 * tol:
-                mate = j
-                break
-        if mate is None or complex_roots[mate].multiplicity != r.multiplicity:
-            raise RootFindingError(
-                f"unpaired complex root {r.value} of polynomial {coeffs}"
-            )
-        used[i] = used[mate] = True
-        alpha = (r.value.real + complex_roots[mate].value.real) / 2.0
-        beta = (abs(r.value.imag) + abs(complex_roots[mate].value.imag)) / 2.0
-        paired.append(CharRoot(complex(alpha, beta), r.multiplicity))
-        paired.append(CharRoot(complex(alpha, -beta), r.multiplicity))
-    roots = real_roots + paired
-    total = sum(r.multiplicity for r in roots)
-    if total != n:
-        raise RootFindingError(f"root multiplicities sum to {total}, expected {n}, "
-                               f"for polynomial {coeffs}")
-    return sorted(roots, key=lambda r: (r.value.real, r.value.imag))
-
-
-def real_basis(roots: list[CharRoot]) -> list[BasisFunction]:
-    """Real fundamental system from a conjugate-complete root list.
-
-    Ordering is deterministic: ascending real part, then kind (cos, sin,
-    exp), then power k, so solved constants are comparable across runs.
-    """
-    out: list[BasisFunction] = []
-    for r in roots:
-        if r.value.imag == 0.0:
-            for k in range(r.multiplicity):
-                out.append(BasisFunction(POLY_EXP, k, r.value.real))
-        elif CharRoot(r.value.conjugate(), r.multiplicity) not in roots:
-            # find_roots emits exact conjugate pairs of equal multiplicity.
-            raise RootFindingError(f"unpaired complex root {r.value} "
-                                   f"(multiplicity {r.multiplicity})")
-        elif r.value.imag > 0.0:  # the pair's basis; its mate adds nothing
-            alpha, beta = r.value.real, r.value.imag
-            for k in range(r.multiplicity):
-                out.append(BasisFunction(EXP_COS, k, alpha, beta))
-            for k in range(r.multiplicity):
-                out.append(BasisFunction(EXP_SIN, k, alpha, beta))
-    out.sort(key=lambda b: (b.alpha, _KIND_ORDER[b.kind], b.beta, b.k))
-    return out
+    out = []
+    for r, m in sorted(roots, key=lambda rm: (rm[0].real, rm[0].imag)):
+        kinds = (POLY_EXP,) if r.imag == 0.0 else (EXP_COS, EXP_SIN)
+        out += [BasisFunction(kind, k, r.real, r.imag) for kind in kinds for k in range(m)]
+    return tuple(sorted(out, key=lambda b: (b.alpha, _KIND_ORDER[b.kind], b.beta, b.k)))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -283,8 +222,8 @@ def eval_basis(fn: BasisFunction, x, deriv_order: int = 0):
 
 def piece_basis(pieces) -> list[tuple[BasisFunction, ...]]:
     """Real basis of every piece: characteristic polynomials as one array,
-    raw roots in one pass per order, then merging and the basis piece by
-    piece, so the first piece that fails raises."""
+    raw roots in one pass per order, then each piece's basis from its raw
+    roots in piece order, so the first piece that fails raises."""
     char = characteristic_coeffs(pieces)
     orders = [p.order for p in pieces]
     raw = [None] * len(pieces)
@@ -292,5 +231,4 @@ def piece_basis(pieces) -> list[tuple[BasisFunction, ...]]:
         at = [k for k, order in enumerate(orders) if order == n]
         for k, roots in zip(at, _raw_roots(char[at, :n + 1])):
             raw[k] = roots
-    return [tuple(real_basis(_merge_roots(roots, c[:n + 1])))
-            for roots, c, n in zip(raw, char.tolist(), orders)]
+    return [_real_basis(roots, c[:n + 1]) for roots, c, n in zip(raw, char.tolist(), orders)]

@@ -81,8 +81,11 @@ def integrate_fundamental(piece: PieceOde, h: float = DEFAULT_STEP) -> Fundament
         raise ProblemError(f"step h must be positive and finite, got {h}")
     n, lo, hi = piece.order, piece.lo, piece.hi
     # Grid: nodes lo + i·h strictly below hi, then hi (a shortened last step).
+    # Node lo stays even on a piece narrower than the cut-off below hi.
     xs = lo + h * np.arange(int((hi - lo) / h) + 2)
-    xs = np.append(xs[xs < hi - 1e-15 * max(1.0, abs(hi))], hi)
+    keep = xs < hi - 1e-15 * max(1.0, abs(hi))
+    keep[0] = True
+    xs = np.append(xs[keep], hi)
     a = _companion(piece)
     steps = np.diff(xs)
     steps[:-1] = h

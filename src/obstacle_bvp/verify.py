@@ -188,16 +188,14 @@ def pin_anchors(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> tuple[PointConditi
 
 
 def verification_report(sol: PiecewiseSolution, bvp: PiecewiseBvp,
-                        numeric: NumericSolution | None = None,
-                        profile: ToleranceProfile = DEFAULT_PROFILE,
-                        samples_per_piece: int = 1000) -> VerificationReport:
+                        numeric: NumericSolution | None = None) -> VerificationReport:
     """Full report: residuals, jumps, conditions and (optionally) oracle delta."""
     delta = compare_solutions(sol, bvp, numeric) if numeric is not None else None
     return VerificationReport(
-        piece_residuals=residual_report(sol, bvp, samples_per_piece),
+        piece_residuals=residual_report(sol, bvp),
         jumps=continuity_report(sol, bvp),
         condition_violations=condition_report(sol, bvp),
         oracle_delta=delta,
-        profile=profile,
+        profile=DEFAULT_PROFILE,
         residual_scale=solution_scale(sol, bvp),
     )

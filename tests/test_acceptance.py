@@ -11,9 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from obstacle_bvp.basis import eval_basis, find_roots, monomial, BasisFunction
+from obstacle_bvp.basis import eval_basis, piece_basis, BasisFunction
 from obstacle_bvp.exact import RankDeficientError, eval_solution, solve_exact
 from obstacle_bvp.examples import get_example, reference_values
+from obstacle_bvp.model import PieceOde
 from obstacle_bvp.oracle import shooting_solve
 from obstacle_bvp.verify import (compare_solutions, condition_report,
                                  continuity_report, pin_anchors,
@@ -131,10 +132,14 @@ class TestAcceptance:
         for _ in range(500):
             n = int(rng.integers(2, 5))
             coeffs = np.append(rng.uniform(-10, 10, n), 1.0)
+            piece = PieceOde(n, (0.0, 1.0), tuple(float(-c) for c in coeffs[:-1]), (0.0,))
             poly = np.array([1.0 + 0j])
-            for root in find_roots(coeffs):
-                for _ in range(root.multiplicity):
-                    poly = np.convolve(poly, [-root.value, 1.0])
+            for fn in piece_basis([piece])[0]:
+                if fn.kind == "PolyExp":  # the root alpha
+                    poly = np.convolve(poly, [-fn.alpha, 1.0])
+                elif fn.kind == "ExpCos":  # the pair alpha +- i beta
+                    for root in (complex(fn.alpha, fn.beta), complex(fn.alpha, -fn.beta)):
+                        poly = np.convolve(poly, [-root, 1.0])
             worst_poly = max(worst_poly,
                              float(np.abs(poly.real - coeffs).max()),
                              float(np.abs(poly.imag).max()))

@@ -6,19 +6,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obstacle_bvp.basis import (BasisFunction, CharRoot, RootFindingError,
+from obstacle_bvp.basis import (BasisFunction, RootFindingError, _real_basis,
                                 basis_derivatives, characteristic_coeffs,
-                                eval_basis, find_roots, monomial, piece_basis,
-                                real_basis)
+                                eval_basis, piece_basis)
 from obstacle_bvp.model import PieceOde, normalize_piece
 
 SQ3_HALF = math.sqrt(3.0) / 2.0
 
 
-def _roots_set(roots):
+def _basis(c):
+    """The basis of the monic characteristic polynomial c (ascending)."""
+    n = len(c) - 1
+    return piece_basis([PieceOde(n, (0.0, 1.0), tuple(-a for a in c[:-1]), (0.0,))])[0]
+
+
+def _roots_of(basis):
+    """The roots a basis stands for, with multiplicity: a PolyExp function is
+    the root alpha, an ExpCos function the pair alpha +- i beta."""
     out = []
-    for r in roots:
-        out.extend([complex(r.value)] * r.multiplicity)
+    for fn in basis:
+        if fn.kind == "PolyExp":
+            out.append(complex(fn.alpha, 0.0))
+        elif fn.kind == "ExpCos":
+            out += [complex(fn.alpha, fn.beta), complex(fn.alpha, -fn.beta)]
     return sorted(out, key=lambda z: (z.real, z.imag))
 
 
@@ -38,59 +48,44 @@ class TestCharacteristicCoeffs:
 
 class TestFindRoots:
     def test_plus_minus_one(self):
-        roots = _roots_set(find_roots([-1.0, 0.0, 1.0]))
+        roots = _roots_of(_basis([-1.0, 0.0, 1.0]))
         assert roots == pytest.approx([-1.0, 1.0])
 
     def test_cube_roots_of_unity(self):
-        roots = find_roots([-1.0, 0.0, 0.0, 1.0])
-        values = _roots_set(roots)
+        basis = _basis([-1.0, 0.0, 0.0, 1.0])
+        values = _roots_of(basis)
         assert values[0] == pytest.approx(complex(-0.5, -SQ3_HALF))
         assert values[1] == pytest.approx(complex(-0.5, SQ3_HALF))
         assert values[2] == pytest.approx(complex(1.0, 0.0))
-        # conjugate symmetry is exact, not approximate
-        assert values[0] == values[1].conjugate()
+        # the pair's cosine and sine share alpha and beta exactly
+        assert (basis[0].alpha, basis[0].beta) == (basis[1].alpha, basis[1].beta)
 
     def test_golden_ratio_pair(self):
-        roots = _roots_set(find_roots([-1.0, -1.0, 1.0]))
+        roots = _roots_of(_basis([-1.0, -1.0, 1.0]))
         assert roots == pytest.approx([(1 - math.sqrt(5)) / 2, (1 + math.sqrt(5)) / 2])
 
     def test_double_zero(self):
-        roots = find_roots([0.0, 0.0, 1.0])
-        assert len(roots) == 1
-        assert roots[0].value == 0.0
-        assert roots[0].multiplicity == 2
-
-    def test_rejects_non_monic(self):
-        with pytest.raises(RootFindingError):
-            find_roots([1.0, 0.0, 2.0])
-
-    def test_rejects_bad_degree(self):
-        with pytest.raises(RootFindingError):
-            find_roots([1.0, 1.0])
+        assert _roots_of(_basis([0.0, 0.0, 1.0])) == [0.0, 0.0]
 
     def test_product_reconstruction_randomized(self):
         rng = np.random.default_rng(7)
         for _ in range(300):
             n = rng.integers(2, 5)
             coeffs = np.append(rng.uniform(-10, 10, n), 1.0)
-            roots = find_roots(coeffs)
             poly = np.array([1.0 + 0j])
-            for r in roots:
-                for _ in range(r.multiplicity):
-                    poly = np.convolve(poly, [-r.value, 1.0])
+            for root in _roots_of(_basis(coeffs.tolist())):
+                poly = np.convolve(poly, [-root, 1.0])
             assert np.abs(poly.real - coeffs).max() <= 1e-8
             assert np.abs(poly.imag).max() <= 1e-8
 
 
 class TestRealBasis:
     def test_two_real_roots(self):
-        basis = real_basis([CharRoot(-1.0 + 0j, 1), CharRoot(1.0 + 0j, 1)])
-        assert basis == [BasisFunction("PolyExp", 0, -1.0),
-                         BasisFunction("PolyExp", 0, 1.0)]
+        assert _basis([-1.0, 0.0, 1.0]) == (BasisFunction("PolyExp", 0, -1.0),
+                                            BasisFunction("PolyExp", 0, 1.0))
 
     def test_complex_pair_plus_real(self):
-        roots = find_roots([-1.0, 0.0, 0.0, 1.0])
-        basis = real_basis(roots)
+        basis = _basis([-1.0, 0.0, 0.0, 1.0])
         assert [b.kind for b in basis] == ["ExpCos", "ExpSin", "PolyExp"]
         assert basis[0].alpha == pytest.approx(-0.5)
         assert basis[0].beta == pytest.approx(SQ3_HALF)
@@ -98,25 +93,123 @@ class TestRealBasis:
         assert basis[2].alpha == pytest.approx(1.0)
 
     def test_double_zero_gives_affine_basis(self):
-        basis = real_basis([CharRoot(0j, 2)])
-        assert basis == [monomial(0), monomial(1)]
+        assert _basis([0.0, 0.0, 1.0]) == (BasisFunction("PolyExp", 0, 0.0),
+                                           BasisFunction("PolyExp", 1, 0.0))
 
     def test_unpaired_complex_root_rejected(self):
-        with pytest.raises(RootFindingError):
-            real_basis([CharRoot(1j, 1), CharRoot(2.0 + 0j, 1)])
+        with pytest.raises(RootFindingError, match="unpaired complex root 1j"):
+            _real_basis([1j, 2.0], [0.0, 0.0, 0.0, 1.0])
 
     def test_conjugate_multiplicity_mismatch_rejected(self):
-        # 1+i twice but 1-i once: total multiplicity 3, yet a real basis
-        # built from the pair would hold 4 functions.
-        with pytest.raises(RootFindingError):
-            real_basis([CharRoot(1 + 1j, 2), CharRoot(1 - 1j, 1)])
+        # 1+i twice but 1-i once: a real basis built from the pair would
+        # hold 4 functions for 3 roots.
+        with pytest.raises(RootFindingError, match="unpaired complex root"):
+            _real_basis([1 + 1j, 1 + 1j, 1 - 1j, 2.0], [0.0, 0.0, 0.0, 0.0, 1.0])
 
     def test_length_matches_degree_randomized(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             n = int(rng.integers(2, 5))
             coeffs = np.append(rng.uniform(-10, 10, n), 1.0)
-            assert len(real_basis(find_roots(coeffs))) == n
+            assert len(_basis(coeffs.tolist())) == n
+
+
+# Polynomials near the merge tolerance tol (CLUSTER_TOL times the largest root
+# modulus, at least 1): (ascending coefficients, raw roots as (real, imag),
+# the basis as (kind, k, alpha.hex(), beta.hex())).  The raw roots are fixed
+# here because the last bits of companion eigenvalues depend on the LAPACK
+# build.  The bases must not move by a bit: solved constants, and so every
+# printed result, depend on them.
+_PINNED = [
+    # real roots 1e-7 apart: merged
+    ([1.0000001, -2.0000001000000003, 1.0],
+     [(1.0000001016191367, 0.0),
+      (0.9999999983808636, 0.0)],
+     (('PolyExp', 0, '0x1.000000d6bf94ep+0', '0x0.0p+0'),
+      ('PolyExp', 1, '0x1.000000d6bf94ep+0', '0x0.0p+0'))),
+    # real roots 2e-6 apart: kept apart
+    ([1.000002, -2.0000020000000003, 1.0],
+     [(1.0000020001554606, 0.0),
+      (0.9999999998445396, 0.0)],
+     (('PolyExp', 0, '0x1.fffffffeaa239p-1', '0x0.0p+0'),
+      ('PolyExp', 0, '0x1.0000218e9a2fbp+0', '0x0.0p+0'))),
+    # real roots 5e-5 apart near 100: merged, as tol scales with the modulus
+    ([10000.005000000001, -200.00005, 1.0],
+     [(100.00004994181981, 0.0),
+      (100.00000005818018, 0.0)],
+     (('PolyExp', 0, '0x1.9000068db8bacp+6', '0x0.0p+0'),
+      ('PolyExp', 1, '0x1.9000068db8bacp+6', '0x0.0p+0'))),
+    # pair with imaginary part just above tol: kept complex
+    ([0.25000000000225, -1.0, 1.0],
+     [(0.5, 1.4999926605504917e-06),
+      (0.5, -1.4999926605504917e-06)],
+     (('ExpCos', 0, '0x1.0000000000000p-1', '0x1.92a6b5f31d19bp-20'),
+      ('ExpSin', 0, '0x1.0000000000000p-1', '0x1.92a6b5f31d19bp-20'))),
+    # pair with imaginary part just below tol: a double real root
+    ([0.25000000000025, -1.0, 1.0],
+     [(0.5, 5.000222246516501e-07),
+      (0.5, -5.000222246516501e-07)],
+     (('PolyExp', 0, '0x1.0000000000000p-1', '0x0.0p+0'),
+      ('PolyExp', 1, '0x1.0000000000000p-1', '0x0.0p+0'))),
+    # (l^2 + 1)^2: a double complex pair
+    ([1.0, 0.0, 2.0, 0.0, 1.0],
+     [(-3.74514191880948e-09, 0.9999999999774628),
+      (-3.74514191880948e-09, -0.9999999999774628),
+      (3.745142251876388e-09, 1.0000000000225382),
+      (3.745142251876388e-09, -1.0000000000225382)],
+     (('ExpCos', 0, '0x1.8000000000000p-53', '0x1.0000000000002p+0'),
+      ('ExpCos', 1, '0x1.8000000000000p-53', '0x1.0000000000002p+0'),
+      ('ExpSin', 0, '0x1.8000000000000p-53', '0x1.0000000000002p+0'),
+      ('ExpSin', 1, '0x1.8000000000000p-53', '0x1.0000000000002p+0'))),
+    # l^3: a triple zero
+    ([0.0, 0.0, 0.0, 1.0],
+     [(-0.0, 0.0),
+      (0.0, 0.0),
+      (0.0, 0.0)],
+     (('PolyExp', 0, '0x0.0p+0', '0x0.0p+0'),
+      ('PolyExp', 1, '0x0.0p+0', '0x0.0p+0'),
+      ('PolyExp', 2, '0x0.0p+0', '0x0.0p+0'))),
+    # (l^2 + 2l + 5)(l^2 + 1): two complex pairs
+    ([5.0, 2.0, 6.0, 2.0, 1.0],
+     [(3.469446951953614e-17, 1.0000000000000002),
+      (3.469446951953614e-17, -1.0000000000000002),
+      (-0.9999999999999998, 1.9999999999999996),
+      (-0.9999999999999998, -1.9999999999999996)],
+     (('ExpCos', 0, '-0x1.ffffffffffffep-1', '0x1.ffffffffffffep+0'),
+      ('ExpSin', 0, '-0x1.ffffffffffffep-1', '0x1.ffffffffffffep+0'),
+      ('ExpCos', 0, '0x1.4000000000000p-55', '0x1.0000000000001p+0'),
+      ('ExpSin', 0, '0x1.4000000000000p-55', '0x1.0000000000001p+0'))),
+    # (l - 2)^3: split wider than tol, so one real root and a pair
+    ([-8.0, 12.0, -6.0, 1.0],
+     [(2.0000081846639564, 1.4176411202408305e-05),
+      (2.0000081846639564, -1.4176411202408305e-05),
+      (1.9999836306720908, 0.0)],
+     (('PolyExp', 0, '0x1.fffeed5e45a00p+0', '0x0.0p+0'),
+      ('ExpCos', 0, '0x1.000044a86e984p+1', '0x1.dbae71ea13be3p-17'),
+      ('ExpSin', 0, '0x1.000044a86e984p+1', '0x1.dbae71ea13be3p-17'))),
+    # raw roots 7e-7 apart in a chain: the third starts a cluster of its own
+    ([-1.00000210000098, 3.00000420000098, -3.0000021, 1.0],
+     [(1.0, 0.0),
+      (1.0000007, 0.0),
+      (1.0000014, 0.0)],
+     (('PolyExp', 0, '0x1.000005df3d11ep+0', '0x0.0p+0'),
+      ('PolyExp', 1, '0x1.000005df3d11ep+0', '0x0.0p+0'),
+      ('PolyExp', 0, '0x1.0000177cf4476p+0', '0x0.0p+0'))),
+    # raw roots of l^2 - l + 1.25 with one moved 1.5e-6, within 2 tol of
+    # the conjugate: paired and averaged
+    ([1.25, -1.0, 1.0],
+     [(0.5, 1.0),
+      (0.5000015, -1.0)],
+     (('ExpCos', 0, '0x1.0000192a73711p-1', '0x1.0000000000000p+0'),
+      ('ExpSin', 0, '0x1.0000192a73711p-1', '0x1.0000000000000p+0'))),
+]
+
+
+class TestPinnedBases:
+    @pytest.mark.parametrize("coeffs,raw,expected", _PINNED)
+    def test_bitwise(self, coeffs, raw, expected):
+        basis = _real_basis([complex(re, im) for re, im in raw], coeffs)
+        assert tuple((b.kind, b.k, b.alpha.hex(), b.beta.hex()) for b in basis) == expected
 
 
 class TestEvalBasis:
@@ -131,7 +224,7 @@ class TestEvalBasis:
         assert eval_basis(fn, 0.0, 1) == pytest.approx(-0.5)
 
     def test_monomial_derivatives(self):
-        fn = monomial(3)
+        fn = BasisFunction("PolyExp", 3, 0.0)
         assert eval_basis(fn, 2.0, 0) == 8.0
         assert eval_basis(fn, 2.0, 1) == 12.0
         assert eval_basis(fn, 2.0, 2) == 12.0
@@ -140,7 +233,7 @@ class TestEvalBasis:
 
     def test_rejects_order_out_of_range(self):
         with pytest.raises(ValueError):
-            eval_basis(monomial(1), 0.0, 5)
+            eval_basis(BasisFunction("PolyExp", 1, 0.0), 0.0, 5)
 
 
 def _one_point(fn, x, m):
@@ -168,7 +261,7 @@ class TestBasisDerivatives:
 
     def test_columns_equal_one_function_calls(self):
         fns = [BasisFunction("ExpCos", 1, -0.5, 2.0), BasisFunction("ExpSin", 0, -0.5, 2.0),
-               monomial(2), BasisFunction("PolyExp", 1, 1.5)]
+               BasisFunction("PolyExp", 2, 0.0), BasisFunction("PolyExp", 1, 1.5)]
         x = np.linspace(-1.0, 2.0, 20).reshape(5, 4)
         for orders in ([0, 3, 2, 4], 2):
             got = basis_derivatives(fns, x, orders)

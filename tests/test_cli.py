@@ -279,6 +279,26 @@ class TestCmdVerify:
         assert main(["verify", "--input", path, "--step", "1"]) == EXIT_VERIFY
         assert "blew up" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("intervals,coeffs", [
+        # a piece about 1e-15 wide between two wide ones
+        ([(0.0, 3.0), (3.0, 3.000000000000001), (3.000000000000001, 4.0)],
+         [(0.0, 0.0), (-1.0, 0.0), (0.0, 0.0)]),
+        # one piece narrower than 1e-15 relative to its ends
+        ([(1000.0, 1000.0000000000001)], [(0.0, 0.0)]),
+    ])
+    def test_very_narrow_piece_verifies(self, tmp_path, capsys, intervals, coeffs):
+        # The oracle grid of a piece keeps node lo, however narrow the piece.
+        data = {"order": 2,
+                "pieces": [{"interval": list(i), "coeffs": list(c), "forcing": [1.0]}
+                           for i, c in zip(intervals, coeffs)],
+                "conditions": [{"x": intervals[0][0], "deriv": d, "value": 0.0}
+                               for d in (0, 1)],
+                "continuity": [0, 1]}
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify", "--input", str(path)]) == EXIT_OK
+        assert "overall: PASS" in capsys.readouterr().out
+
     def test_pinned_problem_verifies(self, tmp_path):
         path = _write_problem(tmp_path, get_example("3.1.6").bvp)
         assert main(["verify", "--input", path, "--step", "0.002"]) == EXIT_OK

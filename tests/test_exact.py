@@ -567,8 +567,8 @@ def _reference_particular(piece):
 
 def _reference_basis(piece):
     """The one-piece basis: the companion matrix of one polynomial, or the
-    quadratic formula, then the same merging and real basis."""
-    from obstacle_bvp.basis import _merge_roots, real_basis
+    quadratic formula, then the same merge into a real basis."""
+    from obstacle_bvp.basis import _real_basis
     n = piece.order
     c = [-a for a in piece.coeffs] + [1.0]
     if n == 2:
@@ -579,7 +579,7 @@ def _reference_basis(piece):
         comp[1:, :-1] = np.eye(n - 1)
         comp[:, -1] = -np.array(c[:-1])
         raw = list(np.linalg.eigvals(comp))
-    return tuple(real_basis(_merge_roots(raw, c)))
+    return _real_basis(raw, c)
 
 
 def _first_failure(calls):
