@@ -16,7 +16,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .model import SUPPORTED_ORDERS
+from .model import SUPPORTED_ORDERS, SolveError
 
 # Roots closer than this (relative to the largest root modulus, at least 1)
 # are merged.  A double root comes out of the quadratic formula or the
@@ -36,7 +36,7 @@ EXP_SIN = "ExpSin"
 _KIND_ORDER = {EXP_COS: 0, EXP_SIN: 1, POLY_EXP: 2}
 
 
-class RootFindingError(RuntimeError):
+class RootFindingError(SolveError):
     """The characteristic root finder failed or returned an unpaired complex root."""
 
 

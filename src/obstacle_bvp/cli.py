@@ -13,8 +13,10 @@ Problem files are JSON with fields mirroring the model types:
     }
 
 Numbers are plain literals (no expression evaluation).  Exit codes: 0 ok,
-1 input error, 2 matching-system error (rank, consistency, overflow),
-3 verification failure (including an oracle integration that blows up).
+1 input error (including a command-line usage error and an unwritable
+output), 2 solve failure (any SolveError: rank, consistency, overflow, root
+finding), 3 verification failure (including an oracle integration that blows
+up).
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ import sys
 
 import numpy as np
 
-from .basis import RootFindingError
-from .exact import SolveError, eval_solution, solve_exact
+from .exact import eval_solution, solve_exact
 from .model import (ContinuitySpec, PiecewiseBvp, PinnedConstant,
-                    PointCondition, ProblemError, normalize_piece,
+                    PointCondition, ProblemError, SolveError, normalize_piece,
                     validate_bvp)
 from .oracle import DEFAULT_STEP, IntegrationError, shooting_solve
 from .verify import pin_anchors, verification_report
@@ -43,9 +44,6 @@ EXIT_VERIFY = 3
 
 # Rows of the solve table: 10^6 rows are 60-110 MB of CSV text.
 MAX_SAMPLES = 10 ** 6
-
-# Failures of the closed-form solve on an accepted problem (exit 2).
-SOLVE_FAILURES = (SolveError, RootFindingError)
 
 
 def _error(message, code: int) -> int:
@@ -192,10 +190,13 @@ def cmd_solve(args) -> int:
     try:
         sol = solve_exact(bvp)
         table = _solution_table(sol, bvp, args.samples)
-    except SOLVE_FAILURES as exc:
+    except SolveError as exc:
         return _error(exc, EXIT_RANK)
-    with open(args.output, "w") as fh:
-        fh.write(table)
+    try:
+        with open(args.output, "w") as fh:
+            fh.write(table)
+    except OSError as exc:
+        return _error(f"cannot write {args.output}: {exc}", EXIT_INPUT)
     print(_constants_report(sol))
     print(f"wrote {args.samples} samples to {args.output}")
     return EXIT_OK
@@ -203,15 +204,17 @@ def cmd_solve(args) -> int:
 
 def _report(sol, bvp, step) -> int:
     """Print the verification table and return the verdict's exit code; a
-    ``step`` first runs the oracle with pins as anchors, ``None`` skips it."""
+    ``step`` first runs the oracle, ``None`` skips it.  The oracle receives
+    the problem with its pins traded for anchor point conditions."""
     numeric = None
     if step is not None:
         try:
-            numeric = shooting_solve(dataclasses.replace(bvp, pins=()), step,
-                                     anchors=pin_anchors(sol, bvp))
+            anchored = dataclasses.replace(
+                bvp, pins=(), conditions=bvp.conditions + pin_anchors(sol, bvp))
+            numeric = shooting_solve(anchored, step)
         except ProblemError as exc:  # a step too small for the domain
             return _error(exc, EXIT_INPUT)
-        except SOLVE_FAILURES as exc:
+        except SolveError as exc:
             return _error(exc, EXIT_RANK)
         except IntegrationError as exc:
             return _error(exc, EXIT_VERIFY)
@@ -231,7 +234,7 @@ def _reproduce_one(example_id: str, with_oracle: bool, step: float) -> int:
     bvp = entry.bvp
     try:
         sol = solve_exact(bvp)
-    except SOLVE_FAILURES as exc:
+    except SolveError as exc:
         return _error(exc, EXIT_RANK)
     print(_constants_report(sol))
     if entry.reference_constants:
@@ -260,7 +263,7 @@ def cmd_verify(args) -> int:
         return _error(exc, EXIT_INPUT)
     try:
         sol = solve_exact(bvp)
-    except SOLVE_FAILURES as exc:
+    except SolveError as exc:
         return _error(exc, EXIT_RANK)
     return _report(sol, bvp, args.step)
 
@@ -271,8 +274,17 @@ def cmd_list(_args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits with EXIT_INPUT: argparse's own 2 is the code of
+    a solve failure.  Subparsers are built with this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="obstacle-bvp",
         description="Solve piecewise linear obstacle boundary-value problems",
     )

@@ -16,11 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-# eval_basis is no longer called here; it stays importable from this module
-# because perfbench/spans.py hooks it under this name.
-from .basis import (MAX_ORDER, BasisFunction, basis_derivatives,  # noqa: F401
-                    characteristic_coeffs, eval_basis, piece_basis)
-from .model import MAX_FORCING_DEGREE, PiecewiseBvp
+from .basis import (MAX_ORDER, BasisFunction, basis_derivatives,
+                    characteristic_coeffs, piece_basis)
+from .model import MAX_FORCING_DEGREE, PiecewiseBvp, SolveError
 
 CONSISTENCY_TOL = 1e-9
 
@@ -28,11 +26,6 @@ CONSISTENCY_TOL = 1e-9
 # for p < j.  Rows cover every particular the ansatz can need.
 _FALLING = np.array([[math.perm(p, j) for j in range(MAX_ORDER + 1)]
                      for p in range(MAX_ORDER + MAX_FORCING_DEGREE + 1)], dtype=float)
-
-
-class SolveError(RuntimeError):
-    """A closed-form solve failed: a matching system that is non-finite,
-    rank-deficient or inconsistent, or a particular ansatz that did not hold."""
 
 
 class InconsistentSystemError(SolveError):
@@ -62,16 +55,13 @@ class RankDeficientError(SolveError):
 
 @dataclass(frozen=True)
 class MatchSystem:
-    """Dense matching system M c = rhs with per-column (piece, basis) labels."""
+    """Dense matching system M c = rhs; column c is (piece c // order,
+    basis c % order)."""
 
     matrix: np.ndarray
     rhs: np.ndarray
-    labels: tuple[tuple[int, int], ...]
+    order: int
     row_labels: tuple[str, ...]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
 
 
 @dataclass(frozen=True)
@@ -272,8 +262,7 @@ def assemble_system(bvp: PiecewiseBvp, bases, particulars) -> MatchSystem:
         rhs[r] = pin.value
         row_labels.append(f"pin (piece {pin.piece_index}, basis {pin.basis_index})"
                           f" = {pin.value:g}")
-    labels = tuple((k, i) for k in range(n_pieces) for i in range(n))
-    return MatchSystem(matrix, rhs, labels, tuple(row_labels))
+    return MatchSystem(matrix, rhs, n, tuple(row_labels))
 
 
 def _echelon(matrix: np.ndarray, rhs: np.ndarray):
@@ -335,11 +324,11 @@ def gauss_solve(system: MatchSystem) -> GaussResult:
         aug, pivot_cols = _echelon(matrix.T @ matrix, matrix.T @ rhs)
     rank = len(pivot_cols)
     if rank < n:
-        free = tuple(system.labels[c] for c in range(n) if c not in pivot_cols)
+        free = tuple(divmod(c, system.order) for c in range(n) if c not in pivot_cols)
         raise RankDeficientError(rank, n - rank, free)
     x = _back_substitute(aug, n)
     if not np.isfinite(x).all():
-        piece, index = system.labels[int(np.argmin(np.isfinite(x)))]
+        piece, index = divmod(int(np.argmin(np.isfinite(x))), system.order)
         raise SolveError(f"matching system solution is non-finite (overflow), "
                          f"first at unknown (piece {piece}, {index})")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -163,55 +164,18 @@ def _entry_315() -> ExampleEntry:
     )
 
 
-_THIRD_ORDER_CONDITIONS = (
-    PointCondition(0.0, 0, 0.0), PointCondition(1.0, 0, 0.0),
-    PointCondition(0.25, 1, 0.0), PointCondition(0.75, 1, 0.0),
-)
-
-
-def _entry_316() -> ExampleEntry:
+def _third_order_entry(ex_id: str, g, r: float, description: str,
+                       notes: str) -> ExampleEntry:
+    """A third-order entry on (0, 1/4, 3/4, 1) with f = 1, u = 0 at both ends,
+    u' = 0 at both interior breakpoints and the third piece's constant
+    basis coefficient pinned to 1."""
     bvp = build_third_order(
-        g=0.0, f=1.0, r=-1.0, a=0.0, c=0.25, d=0.75, b=1.0,
-        conditions=_THIRD_ORDER_CONDITIONS,
+        g=g, f=1.0, r=r, a=0.0, c=0.25, d=0.75, b=1.0,
+        conditions=(PointCondition(0.0, 0, 0.0), PointCondition(1.0, 0, 0.0),
+                    PointCondition(0.25, 1, 0.0), PointCondition(0.75, 1, 0.0)),
         pins=(PinnedConstant(2, 0, 1.0),),
     )
-    return ExampleEntry(
-        "3.1.6",
-        "3rd order, g=0, f=1, r=-1; u' and u'' matched, constant pinned to 1",
-        bvp,
-        notes=(
-            "the matching system has nullity 1 without the pin; the pinned "
-            "constant is the third piece's constant basis coefficient"
-        ),
-    )
-
-
-def _entry_317() -> ExampleEntry:
-    bvp = build_third_order(
-        g=2.0, f=1.0, r=1.0, a=0.0, c=0.25, d=0.75, b=1.0,
-        conditions=_THIRD_ORDER_CONDITIONS,
-        pins=(PinnedConstant(2, 0, 1.0),),
-    )
-    return ExampleEntry(
-        "3.1.7",
-        "3rd order, g=2, f=1, r=1; u' and u'' matched, constant pinned to 1",
-        bvp,
-        notes="published constant blocks are informational (transcription risk)",
-    )
-
-
-def _entry_318() -> ExampleEntry:
-    bvp = build_third_order(
-        g=(0.0, 1.0), f=1.0, r=-1.0, a=0.0, c=0.25, d=0.75, b=1.0,
-        conditions=_THIRD_ORDER_CONDITIONS,
-        pins=(PinnedConstant(2, 0, 1.0),),
-    )
-    return ExampleEntry(
-        "3.1.8",
-        "3rd order, g=x, f=1, r=-1; u' and u'' matched, constant pinned to 1",
-        bvp,
-        notes="published constant blocks are informational (transcription risk)",
-    )
+    return ExampleEntry(ex_id, description, bvp, notes=notes)
 
 
 def eq11_printed_bvp() -> PiecewiseBvp:
@@ -246,9 +210,19 @@ _BUILDERS = {
     "3.1.3": _entry_313,
     "3.1.4": _entry_314,
     "3.1.5": _entry_315,
-    "3.1.6": _entry_316,
-    "3.1.7": _entry_317,
-    "3.1.8": _entry_318,
+    "3.1.6": partial(
+        _third_order_entry, "3.1.6", 0.0, -1.0,
+        "3rd order, g=0, f=1, r=-1; u' and u'' matched, constant pinned to 1",
+        "the matching system has nullity 1 without the pin; the pinned "
+        "constant is the third piece's constant basis coefficient"),
+    "3.1.7": partial(
+        _third_order_entry, "3.1.7", 2.0, 1.0,
+        "3rd order, g=2, f=1, r=1; u' and u'' matched, constant pinned to 1",
+        "published constant blocks are informational (transcription risk)"),
+    "3.1.8": partial(
+        _third_order_entry, "3.1.8", (0.0, 1.0), -1.0,
+        "3rd order, g=x, f=1, r=-1; u' and u'' matched, constant pinned to 1",
+        "published constant blocks are informational (transcription risk)"),
     "eq11": _entry_eq11,
 }
 

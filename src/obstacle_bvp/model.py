@@ -22,6 +22,11 @@ class ProblemError(ValueError):
     """A problem definition violates a structural invariant."""
 
 
+class SolveError(RuntimeError):
+    """A closed-form solve failed: a matching system that is non-finite,
+    rank-deficient or inconsistent, or a particular ansatz that did not hold."""
+
+
 def _as_poly(coeffs) -> tuple[float, ...]:
     """Coerce a scalar or coefficient sequence to a trimmed tuple (q0, q1, ...)."""
     if np.isscalar(coeffs):
@@ -204,13 +209,7 @@ class BvpDiagnostics:
     """Structural report produced by :func:`validate_bvp` before any solve."""
 
     n_unknowns: int
-    n_condition_rows: int
-    n_continuity_rows: int
-    n_pin_rows: int
-
-    @property
-    def n_equations(self) -> int:
-        return self.n_condition_rows + self.n_continuity_rows + self.n_pin_rows
+    n_equations: int
 
     @property
     def determinacy(self) -> str:
@@ -246,14 +245,9 @@ def normalize_piece(sign, raw_coeffs, raw_forcing, interval, order) -> PieceOde:
 
 def validate_bvp(bvp: PiecewiseBvp) -> BvpDiagnostics:
     """Count unknowns vs equations and report the predicted determinacy class."""
-    n_unknowns = bvp.order * len(bvp.pieces)
     n_cont = len(bvp.continuity.enforced_orders) * (len(bvp.pieces) - 1)
-    return BvpDiagnostics(
-        n_unknowns=n_unknowns,
-        n_condition_rows=len(bvp.conditions),
-        n_continuity_rows=n_cont,
-        n_pin_rows=len(bvp.pins),
-    )
+    return BvpDiagnostics(n_unknowns=bvp.order * len(bvp.pieces),
+                          n_equations=len(bvp.conditions) + n_cont + len(bvp.pins))
 
 
 def _three_piece(order, g, f, r, a, c, d, b, conditions, continuity, coupling, pins):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import MatchSystem, gauss_solve
-from .model import PiecewiseBvp, PieceOde, PointCondition, ProblemError
+from .model import PiecewiseBvp, PieceOde, ProblemError
 
 DEFAULT_STEP = 1e-3
 
@@ -140,14 +140,13 @@ class NumericSolution:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def shooting_solve(bvp: PiecewiseBvp, h: float = DEFAULT_STEP,
-                   anchors: tuple[PointCondition, ...] = ()) -> NumericSolution:
+def shooting_solve(bvp: PiecewiseBvp, h: float = DEFAULT_STEP) -> NumericSolution:
     """Multipoint solve by superposition of RK4 fundamental solutions.
 
     Unknowns are the n initial-state components of every piece.  Pins on
-    basis constants cannot be expressed in these unknowns; for pinned
-    problems pass ``anchors`` (extra point conditions fixing the free
-    parameters, e.g. sampled from a reference solution).
+    basis constants cannot be expressed in these unknowns, so a pinned
+    problem must first trade its pins for anchor point conditions fixing the
+    same free parameters (see :func:`obstacle_bvp.verify.pin_anchors`).
     """
     if bvp.pins:
         raise ProblemError(
@@ -159,16 +158,14 @@ def shooting_solve(bvp: PiecewiseBvp, h: float = DEFAULT_STEP,
         raise ProblemError(f"step h must be positive and at least {(b - a) / MAX_STEPS:.3g} "
                            f"(at most {MAX_STEPS} RK4 steps on [{a:g}, {b:g}]), got {h}")
     n = bvp.order
-    n_pieces = len(bvp.pieces)
-    width = n * n_pieces
-    labels = tuple((k, i) for k in range(n_pieces) for i in range(n))
+    width = n * len(bvp.pieces)
     trajectories = [integrate_fundamental(p, h) for p in bvp.pieces]
 
     # These rows repeat the row semantics of exact.assemble_system on
     # purpose: sharing that code would make the oracle depend on the path it
     # checks.
     rows, rhs, row_labels = [], [], []
-    for cond in list(bvp.conditions) + list(anchors):
+    for cond in bvp.conditions:
         k = bvp.owning_piece(cond.location, side="left")
         phi, part = _partial_step(bvp.pieces[k], trajectories[k], cond.location)
         row = np.zeros(width)
@@ -188,9 +185,8 @@ def shooting_solve(bvp: PiecewiseBvp, h: float = DEFAULT_STEP,
             rhs.append(-part[j])
             row_labels.append(f"continuity order {j} at x = {x:g}")
 
-    system = MatchSystem(np.array(rows), np.array(rhs, dtype=float),
-                         labels, tuple(row_labels))
-    result = gauss_solve(system)
+    result = gauss_solve(MatchSystem(np.array(rows), np.array(rhs, dtype=float),
+                                     n, tuple(row_labels)))
 
     piece_trajs = []
     for k, (piece, traj) in enumerate(zip(bvp.pieces, trajectories)):

@@ -65,10 +65,10 @@ def standard_obstacle() -> Obstacle:
     ))
 
 
-def reformulate(problem: PenaltyProblem, contact_level: float = 1.0) -> PiecewiseBvp:
+def reformulate(problem: PenaltyProblem) -> PiecewiseBvp:
     """Emit one second-order piece per obstacle region.
 
-    Regions at the contact level get the coupled equation
+    Regions at the contact level 1 get the coupled equation
     u'' = u + force - 1; all other regions get u'' = force.  Point conditions
     are copied through verbatim; continuity of u and u' is enforced at every
     region boundary.
@@ -76,7 +76,7 @@ def reformulate(problem: PenaltyProblem, contact_level: float = 1.0) -> Piecewis
     f = float(problem.force)
     pieces = []
     for (lo, hi), level in problem.obstacle.regions:
-        if level == contact_level:
+        if level == 1.0:
             pieces.append(PieceOde(2, (lo, hi), (1.0, 0.0), (f - 1.0,)))
         else:
             pieces.append(PieceOde(2, (lo, hi), (0.0, 0.0), (f,)))

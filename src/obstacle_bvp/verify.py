@@ -9,12 +9,12 @@ against a tolerance profile.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .exact import PiecewiseSolution, SolveError, eval_solution
-from .model import PiecewiseBvp, PointCondition, ProblemError
+from .exact import PiecewiseSolution, eval_solution
+from .model import PiecewiseBvp, PointCondition, ProblemError, SolveError
 from .oracle import NumericSolution, sample
 
 
@@ -43,14 +43,14 @@ class VerificationReport:
     jumps: tuple[JumpEntry, ...]
     condition_violations: tuple[float, ...]
     oracle_delta: float | None
-    profile: ToleranceProfile
+    tolerances: ToleranceProfile
     residual_scale: float
 
     def _rows(self) -> list[tuple[str, float, float, str]]:
         """(label, value, tolerance, status) per table row.  A check passes
         only when value <= tolerance, so a NaN fails; an informational jump
         never fails and shows status '-'."""
-        p = self.profile
+        p = self.tolerances
         checks = [(f"residual piece {k:<2}              ", r,
                    p.residual * self.residual_scale, True)
                   for k, r in enumerate(self.piece_residuals)]
@@ -69,28 +69,8 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(status != "FAIL" for *_, status in self._rows())
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "piece_residuals": list(self.piece_residuals),
-            "residual_scale": self.residual_scale,
-            "jumps": [
-                {"breakpoint": j.breakpoint, "order": j.order,
-                 "jump": j.jump, "enforced": j.enforced}
-                for j in self.jumps
-            ],
-            "condition_violations": list(self.condition_violations),
-            "oracle_delta": self.oracle_delta,
-            "tolerances": {
-                "residual": self.profile.residual,
-                "jump": self.profile.jump,
-                "condition": self.profile.condition,
-                "oracle_delta": self.profile.oracle_delta,
-            },
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps({"passed": self.passed, **asdict(self)}, indent=2)
 
     def render_table(self) -> str:
         lines = ["check                          value         tolerance    status"]
@@ -117,11 +97,11 @@ def residual_report(sol: PiecewiseSolution, bvp: PiecewiseBvp,
     return tuple(out)
 
 
-def solution_scale(sol: PiecewiseSolution, bvp: PiecewiseBvp,
-                   samples_per_piece: int = 100) -> float:
-    """1 + max|u| over the domain, the natural residual normalization."""
+def solution_scale(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> float:
+    """1 + max|u| over 100 points per piece, ends included: the natural
+    residual normalization."""
     return 1.0 + max(
-        float(np.abs(psol.value(np.linspace(piece.lo, piece.hi, samples_per_piece))).max())
+        float(np.abs(psol.value(np.linspace(piece.lo, piece.hi, 100))).max())
         for piece, psol in zip(bvp.pieces, sol.pieces))
 
 
@@ -196,6 +176,6 @@ def verification_report(sol: PiecewiseSolution, bvp: PiecewiseBvp,
         jumps=continuity_report(sol, bvp),
         condition_violations=condition_report(sol, bvp),
         oracle_delta=delta,
-        profile=DEFAULT_PROFILE,
+        tolerances=DEFAULT_PROFILE,
         residual_scale=solution_scale(sol, bvp),
     )

@@ -87,9 +87,9 @@ class TestAcceptance:
         for ex_id in ids:
             entry = get_example(ex_id)
             sol = solve_exact(entry.bvp)
-            pinless = dataclasses.replace(entry.bvp, pins=())
-            numeric = shooting_solve(pinless, 1e-3,
-                                     anchors=pin_anchors(sol, entry.bvp))
+            anchored = dataclasses.replace(
+                entry.bvp, pins=(), conditions=entry.bvp.conditions + pin_anchors(sol, entry.bvp))
+            numeric = shooting_solve(anchored, 1e-3)
             worst = max(worst, compare_solutions(sol, entry.bvp, numeric, 2001))
         elapsed = time.perf_counter() - start
         _report("4 oracle equivalence over registry",

@@ -139,6 +139,14 @@ class TestCmdSolve:
                      "--output", str(tmp_path / "o.csv")])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("output", ["", "absent/o.csv"],
+                             ids=["directory", "missing-directory"])
+    def test_unwritable_output_is_input_error(self, tmp_path, capsys, output):
+        path = _write_problem(tmp_path, get_example("3.1.1").bvp)
+        code = main(["solve", "--input", path, "--output", str(tmp_path / output)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / output}: ")
+
 
 def _unit_problem(**piece):
     """u'' = 1 on [0, 1] with u = 0 at both ends, piece fields overridden."""
@@ -365,6 +373,21 @@ class TestCmdList:
 
 
 class TestMain:
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["nope"],
+        ["solve", "--input", "p.json"],
+        ["solve", "--input", "p.json", "--output", "o.csv", "--samples", "abc"],
+        ["reproduce", "--example", "3.1.1", "--step", "abc"],
+        ["verify", "--input", "p.json", "--step", "abc"],
+    ])
+    def test_usage_error_is_input_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("usage: obstacle-bvp") and "error: " in err
+
     def test_consecutive_calls_get_independent_namespaces(self, monkeypatch, capsys):
         calls = []
 

@@ -13,10 +13,12 @@ from obstacle_bvp.exact import (InconsistentSystemError, MatchSystem,
                                 assemble_system, eval_solution, gauss_solve,
                                 particular_solution, solve_exact)
 from obstacle_bvp.examples import EXAMPLE_IDS, get_example
+from obstacle_bvp.oracle import shooting_solve
 from obstacle_bvp.verify import verification_report
 from obstacle_bvp.model import (ContinuitySpec, PieceOde, PiecewiseBvp,
                                 PinnedConstant, PointCondition, ProblemError,
-                                build_second_order, build_third_order)
+                                build_fourth_order, build_second_order,
+                                build_third_order)
 
 E = math.e
 
@@ -139,8 +141,8 @@ class TestParticularSolution:
 class TestAssembleSystem:
     def test_first_example_is_square(self):
         system = _system_for(get_example("3.1.1").bvp)
-        assert system.shape == (6, 6)
-        assert len(system.labels) == 6
+        assert system.matrix.shape == (6, 6)
+        assert system.order == 2
 
     def test_third_order_without_pin(self):
         bvp = build_third_order(
@@ -148,10 +150,10 @@ class TestAssembleSystem:
             conditions=(PointCondition(0.0, 0, 0.0), PointCondition(1.0, 0, 0.0),
                         PointCondition(0.25, 1, 0.0), PointCondition(0.75, 1, 0.0)),
         )
-        assert _system_for(bvp).shape == (8, 9)
+        assert _system_for(bvp).matrix.shape == (8, 9)
 
     def test_third_order_with_pin(self):
-        assert _system_for(get_example("3.1.6").bvp).shape == (9, 9)
+        assert _system_for(get_example("3.1.6").bvp).matrix.shape == (9, 9)
 
     def test_row_ordering_is_deterministic(self):
         system = _system_for(get_example("3.1.1").bvp)
@@ -204,14 +206,13 @@ class TestArrayAssemblyIsBitwise:
 
 class TestGaussSolve:
     def test_identity(self):
-        system = MatchSystem(np.eye(2), np.array([3.0, 4.0]),
-                             ((0, 0), (0, 1)), ())
+        system = MatchSystem(np.eye(2), np.array([3.0, 4.0]), 2, ())
         result = gauss_solve(system)
         assert result.constants == pytest.approx([3.0, 4.0])
 
     def test_consistent_singular_reports_rank(self):
         system = MatchSystem(np.array([[1.0, 1.0], [2.0, 2.0]]),
-                             np.array([1.0, 2.0]), ((0, 0), (0, 1)), ())
+                             np.array([1.0, 2.0]), 2, ())
         with pytest.raises(RankDeficientError) as exc:
             gauss_solve(system)
         assert (exc.value.rank, exc.value.nullity) == (1, 1)
@@ -219,14 +220,14 @@ class TestGaussSolve:
 
     def test_inconsistent_overdetermined_raises(self):
         system = MatchSystem(np.array([[1.0], [1.0]]), np.array([0.0, 1.0]),
-                             ((0, 0),), ())
+                             1, ())
         with pytest.raises(InconsistentSystemError) as exc:
             gauss_solve(system)
         assert exc.value.residual_norm > 0.1
 
     def test_consistent_redundant_rows_accepted(self):
         system = MatchSystem(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
-                             np.array([2.0, 3.0, 5.0]), ((0, 0), (0, 1)), ())
+                             np.array([2.0, 3.0, 5.0]), 2, ())
         result = gauss_solve(system)
         assert result.constants == pytest.approx([2.0, 3.0])
 
@@ -260,8 +261,7 @@ class TestGaussSolve:
             if np.linalg.cond(a) >= 1e6:
                 continue
             b = rng.normal(size=n)
-            labels = tuple((0, i) for i in range(n))
-            result = gauss_solve(MatchSystem(a, b, labels, ()))
+            result = gauss_solve(MatchSystem(a, b, n, ()))
             assert np.abs(a @ result.constants - b).max() <= 1e-10 * np.abs(b).max()
             checked += 1
 
@@ -326,6 +326,23 @@ class TestSolveExact:
         assert [fn.k for fn in piece_basis([piece])[0]].count(1) == 1
         sol = solve_exact(bvp)
         assert verification_report(sol, bvp).passed
+
+    def test_fourth_order_builder(self):
+        # g=0, f=1, r=-1 on (0, 1/4, 3/4, 1) with u = u' = 0 at both ends.
+        conditions = (PointCondition(0.0, 0, 0.0), PointCondition(0.0, 1, 0.0),
+                      PointCondition(1.0, 0, 0.0), PointCondition(1.0, 1, 0.0))
+        bvp = build_fourth_order(0.0, 1.0, -1.0, a=0.0, c=0.25, d=0.75, b=1.0,
+                                 conditions=conditions,
+                                 continuity=ContinuitySpec(frozenset({0, 1, 2, 3})))
+        assert _system_for(bvp).matrix.shape == (12, 12)
+        sol = solve_exact(bvp)
+        report = verification_report(sol, bvp, shooting_solve(bvp, 1e-3))
+        assert report.passed
+        # The default continuity {1, 2, 3} lets u jump at both breakpoints.
+        with pytest.raises(RankDeficientError) as exc:
+            solve_exact(build_fourth_order(0.0, 1.0, -1.0, a=0.0, c=0.25, d=0.75,
+                                           b=1.0, conditions=conditions))
+        assert exc.value.nullity == 2
 
     def test_rank_report_attached(self):
         sol = solve_exact(get_example("3.1.1").bvp)

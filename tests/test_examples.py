@@ -90,8 +90,9 @@ class TestRegistryVerification:
     def test_pinned_entries_pass_all_checks(self, ex_id):
         entry = get_example(ex_id)
         sol = solve_exact(entry.bvp)
-        pinless = dataclasses.replace(entry.bvp, pins=())
-        numeric = shooting_solve(pinless, 1e-3, anchors=pin_anchors(sol, entry.bvp))
+        anchored = dataclasses.replace(
+            entry.bvp, pins=(), conditions=entry.bvp.conditions + pin_anchors(sol, entry.bvp))
+        numeric = shooting_solve(anchored, 1e-3)
         report = verification_report(sol, entry.bvp, numeric)
         assert report.passed
         assert report.oracle_delta <= 1e-6

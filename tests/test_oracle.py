@@ -170,8 +170,9 @@ class TestShootingSolve:
     def test_pinned_problem_with_anchors(self):
         entry = get_example("3.1.6")
         sol = solve_exact(entry.bvp)
-        pinless = dataclasses.replace(entry.bvp, pins=())
-        numeric = shooting_solve(pinless, 1e-3, anchors=pin_anchors(sol, entry.bvp))
+        anchored = dataclasses.replace(
+            entry.bvp, pins=(), conditions=entry.bvp.conditions + pin_anchors(sol, entry.bvp))
+        numeric = shooting_solve(anchored, 1e-3)
         assert compare_solutions(sol, entry.bvp, numeric) <= 1e-6
 
     def test_no_basis_machinery_dependency(self):

@@ -58,9 +58,3 @@ class TestReformulate:
     def test_deterministic(self):
         p = PenaltyProblem(standard_obstacle(), 1.5, BCS)
         assert reformulate(p) == reformulate(p)
-
-    def test_configurable_contact_level(self):
-        obs = Obstacle((((0.0, 0.5), 2.0), ((0.5, 1.0), -1.0)))
-        bvp = reformulate(PenaltyProblem(obs, 1.0, BCS), contact_level=2.0)
-        assert bvp.pieces[0].coeffs == (1.0, 0.0)
-        assert bvp.pieces[1].coeffs == (0.0, 0.0)

@@ -130,7 +130,7 @@ class TestVerificationReport:
         sol = _perturb_particular(solve_exact(entry.bvp), 1, 1e-6)
         tight = verification_report(sol, entry.bvp)
         loose = dataclasses.replace(
-            tight, profile=ToleranceProfile(residual=1.0, jump=1.0, condition=1.0))
+            tight, tolerances=ToleranceProfile(residual=1.0, jump=1.0, condition=1.0))
         assert loose.passed or not tight.passed
         assert loose.passed  # loosening never flips pass -> fail
 
@@ -149,6 +149,12 @@ class TestVerificationReport:
         data = json.loads(report.to_json())
         assert data["passed"] is True
         assert len(data["piece_residuals"]) == 3
+        # The keys come from the report's field names: renaming a field
+        # changes the JSON.
+        assert set(data) == {"passed", "piece_residuals", "jumps", "condition_violations",
+                             "oracle_delta", "tolerances", "residual_scale"}
+        assert set(data["tolerances"]) == {"residual", "jump", "condition", "oracle_delta"}
+        assert set(data["jumps"][0]) == {"breakpoint", "order", "jump", "enforced"}
         assert "overall: PASS" in report.render_table()
 
     def test_condition_report(self):
@@ -178,7 +184,7 @@ def _report(**changes):
         jumps=(JumpEntry(0.5, 0, 1e-13, True), JumpEntry(0.5, 1, 0.3, False)),
         condition_violations=(0.0, 1e-12),
         oracle_delta=1e-8,
-        profile=DEFAULT_PROFILE,
+        tolerances=DEFAULT_PROFILE,
         residual_scale=2.0,
     )
     return dataclasses.replace(report, **changes)
