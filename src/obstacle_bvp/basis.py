@@ -214,12 +214,6 @@ def basis_derivatives(fns, x, orders):
     return e.real * env_r if real else e.real * env_r - e.imag * env_i
 
 
-def eval_basis(fn: BasisFunction, x, deriv_order: int = 0):
-    """Exact analytic derivative of one basis function at a scalar or an array."""
-    x = np.asarray(x, dtype=float)[..., None]
-    return basis_derivatives((fn,), x, deriv_order)[..., 0][()]
-
-
 def piece_basis(pieces) -> list[tuple[BasisFunction, ...]]:
     """Real basis of every piece: characteristic polynomials as one array,
     raw roots in one pass per order, then each piece's basis from its raw

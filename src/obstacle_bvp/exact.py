@@ -29,12 +29,12 @@ _FALLING = np.array([[math.perm(p, j) for j in range(MAX_ORDER + 1)]
 
 
 class InconsistentSystemError(SolveError):
-    """Overdetermined system whose least-squares residual exceeds the gate."""
+    """Overdetermined system whose solution's residual exceeds the gate."""
 
     def __init__(self, residual_norm: float):
         super().__init__(
-            f"matching system is inconsistent (least-squares residual "
-            f"inf-norm {residual_norm:.3e} exceeds {CONSISTENCY_TOL:.0e} gate)"
+            f"matching system is inconsistent (residual inf-norm "
+            f"{residual_norm:.3e} exceeds {CONSISTENCY_TOL:.0e} gate)"
         )
         self.residual_norm = residual_norm
 
@@ -56,12 +56,24 @@ class RankDeficientError(SolveError):
 @dataclass(frozen=True)
 class MatchSystem:
     """Dense matching system M c = rhs; column c is (piece c // order,
-    basis c % order)."""
+    basis c % order).  Rows follow bvp's layout (None for a bare matrix)."""
 
     matrix: np.ndarray
     rhs: np.ndarray
     order: int
-    row_labels: tuple[str, ...]
+    bvp: PiecewiseBvp | None
+
+    def describe_row(self, r: int) -> str:
+        """Row r's equation in words, for an error message: the layout is
+        point conditions, continuity by breakpoint then order, then pins."""
+        b = self.bvp
+        if b is None:
+            return f"row {r}"
+        return ([f"u^({c.deriv_order})({c.location:g}) = {c.value:g}" for c in b.conditions]
+                + [f"continuity order {j} at x = {x:g}" for x in b.interior_breakpoints
+                   for j in b.continuity.sorted_orders]
+                + [f"pin (piece {p.piece_index}, basis {p.basis_index}) = {p.value:g}"
+                   for p in b.pins])[r]
 
 
 @dataclass(frozen=True)
@@ -248,21 +260,18 @@ def assemble_system(bvp: PiecewiseBvp, bases, particulars) -> MatchSystem:
         at_lo, at_hi = basis_derivatives(fns, x, np.repeat(orders, n * n_pieces)).reshape(
             2, n_ord, n_pieces, n)
         p_lo, p_hi = _horner(table[list(orders)], ends.T[:, None, :])
-        for k in range(n_pieces - 1):
-            rows = slice(n_cond + k * n_ord, n_cond + (k + 1) * n_ord)
-            matrix[rows, k * n:(k + 1) * n] = at_hi[:, k]
-            matrix[rows, (k + 1) * n:(k + 2) * n] = -at_lo[:, k + 1]
-            rhs[rows] = p_lo[:, k + 1] - p_hi[:, k]
+        # blocks[k, j, i] is breakpoint k's order-j row over piece i's
+        # columns: piece k at its hi minus piece k + 1 at its lo.
+        rows = slice(n_cond, n_rows - len(pins))
+        blocks = matrix[rows].reshape(n_pieces - 1, n_ord, n_pieces, n)
+        k = np.arange(n_pieces - 1)[:, None]
+        blocks[k, :, k + [0, 1]] = np.stack([at_hi[:, :-1], -at_lo[:, 1:]]).transpose(2, 0, 1, 3)
+        rhs[rows] = (p_lo[:, 1:] - p_hi[:, :-1]).T.ravel()
 
-    row_labels = [f"u^({c.deriv_order})({c.location:g}) = {c.value:g}" for c in conds]
-    row_labels += [f"continuity order {j} at x = {x:g}"
-                   for x in bvp.interior_breakpoints for j in orders]
     for r, pin in enumerate(pins, start=n_rows - len(pins)):
         matrix[r, pin.piece_index * n + pin.basis_index] = 1.0
         rhs[r] = pin.value
-        row_labels.append(f"pin (piece {pin.piece_index}, basis {pin.basis_index})"
-                          f" = {pin.value:g}")
-    return MatchSystem(matrix, rhs, n, tuple(row_labels))
+    return MatchSystem(matrix, rhs, n, bvp)
 
 
 def _echelon(matrix: np.ndarray, rhs: np.ndarray):
@@ -284,7 +293,7 @@ def _echelon(matrix: np.ndarray, rhs: np.ndarray):
         if p != r:
             aug[[r, p]] = aug[[p, r]]
         factors = aug[r + 1:, c] / aug[r, c]
-        aug[r + 1:, c:] -= np.outer(factors, aug[r, c:])
+        aug[r + 1:, c:] -= factors[:, None] * aug[r, c:]
         aug[r + 1:, c] = 0.0
         pivot_cols.append(c)
         r += 1
@@ -300,13 +309,13 @@ def _back_substitute(aug: np.ndarray, n: int) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def gauss_solve(system: MatchSystem) -> GaussResult:
-    """Solve the matching system by Gauss elimination with partial pivoting.
+    """Solve the matching system by one Gauss elimination with partial pivoting.
 
-    Square full-rank systems are solved directly; overdetermined full-column-
-    rank systems go through least squares (normal equations) gated on a
-    residual inf-norm consistency check.  Rank-deficient systems raise
-    :class:`RankDeficientError` with their free-column labels; a system with
-    non-finite entries raises :class:`SolveError` before elimination, and
+    A full-column-rank system is back-substituted from its pivot rows; an
+    overdetermined one must then pass a residual inf-norm consistency gate.
+    Rank-deficient systems raise :class:`RankDeficientError` with their
+    free-column labels; a system with non-finite entries raises
+    :class:`SolveError` naming its first such row before elimination, and
     one whose elimination overflows raises it after.
     """
     matrix, rhs = system.matrix, system.rhs
@@ -315,13 +324,11 @@ def gauss_solve(system: MatchSystem) -> GaussResult:
         raise SolveError(
             f"matching system has non-finite entries (overflow) in "
             f"{int(bad.sum())} of {len(bad)} rows, first: "
-            f"{system.row_labels[int(np.argmax(bad))]}; the basis functions or "
+            f"{system.describe_row(int(np.argmax(bad)))}; the basis functions or "
             f"particular solution overflow on this domain"
         )
     m, n = matrix.shape
     aug, pivot_cols = _echelon(matrix, rhs)
-    if len(pivot_cols) == n and m > n:
-        aug, pivot_cols = _echelon(matrix.T @ matrix, matrix.T @ rhs)
     rank = len(pivot_cols)
     if rank < n:
         free = tuple(divmod(c, system.order) for c in range(n) if c not in pivot_cols)

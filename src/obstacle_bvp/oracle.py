@@ -164,7 +164,7 @@ def shooting_solve(bvp: PiecewiseBvp, h: float = DEFAULT_STEP) -> NumericSolutio
     # These rows repeat the row semantics of exact.assemble_system on
     # purpose: sharing that code would make the oracle depend on the path it
     # checks.
-    rows, rhs, row_labels = [], [], []
+    rows, rhs = [], []
     for cond in bvp.conditions:
         k = bvp.owning_piece(cond.location, side="left")
         phi, part = _partial_step(bvp.pieces[k], trajectories[k], cond.location)
@@ -172,21 +172,16 @@ def shooting_solve(bvp: PiecewiseBvp, h: float = DEFAULT_STEP) -> NumericSolutio
         row[k * n:(k + 1) * n] = phi[cond.deriv_order]
         rows.append(row)
         rhs.append(cond.value - part[cond.deriv_order])
-        row_labels.append(f"u^({cond.deriv_order})({cond.location:g}) = {cond.value:g}")
 
-    for k, x in enumerate(bvp.interior_breakpoints):
-        phi = trajectories[k].homogeneous[-1]
-        part = trajectories[k].particular[-1]
+    for k, traj in enumerate(trajectories[:-1]):
         for j in bvp.continuity.sorted_orders:
             row = np.zeros(width)
-            row[k * n:(k + 1) * n] = phi[j]
+            row[k * n:(k + 1) * n] = traj.homogeneous[-1, j]
             row[(k + 1) * n + j] = -1.0
             rows.append(row)
-            rhs.append(-part[j])
-            row_labels.append(f"continuity order {j} at x = {x:g}")
+            rhs.append(-traj.particular[-1, j])
 
-    result = gauss_solve(MatchSystem(np.array(rows), np.array(rhs, dtype=float),
-                                     n, tuple(row_labels)))
+    result = gauss_solve(MatchSystem(np.array(rows), np.array(rhs, dtype=float), n, bvp))
 
     piece_trajs = []
     for k, (piece, traj) in enumerate(zip(bvp.pieces, trajectories)):

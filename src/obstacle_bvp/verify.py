@@ -150,14 +150,16 @@ def pin_anchors(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> tuple[PointConditi
 
     A pin fixes a basis constant, which has no counterpart among the shooting
     oracle's initial-state unknowns.  Each pin contributes exactly one scalar
-    of freedom, so anchoring the closed-form solution's value at the pinned
-    piece's midpoint transfers the selection while leaving every other
-    figure of the comparison independent.
+    of freedom, so anchoring the closed-form value at a point of the pinned
+    piece transfers the selection.  The j-th of p pins on a piece sits at
+    ((p - j) lo + (j + 1) hi) / (p + 1): distinct points, a lone pin's midpoint.
     """
     anchors = []
-    for pin in bvp.pins:
+    for i, pin in enumerate(bvp.pins):
         piece = bvp.pieces[pin.piece_index]
-        x = 0.5 * (piece.lo + piece.hi)
+        same = [q.piece_index == pin.piece_index for q in bvp.pins]
+        p, j = sum(same), sum(same[:i])
+        x = ((p - j) * piece.lo + (j + 1) * piece.hi) / (p + 1)
         value = sol.pieces[pin.piece_index].value(x, 0)
         if not np.isfinite(value):
             raise SolveError(f"closed-form solution is non-finite (overflow) at "

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from obstacle_bvp.basis import eval_basis, piece_basis, BasisFunction
+from obstacle_bvp.basis import basis_derivatives, piece_basis, BasisFunction
 from obstacle_bvp.exact import RankDeficientError, eval_solution, solve_exact
 from obstacle_bvp.examples import get_example, reference_values
 from obstacle_bvp.model import PieceOde
@@ -122,9 +122,9 @@ class TestAcceptance:
             x = float(rng.uniform(-1.0, PI))
             order = int(rng.integers(0, 4))
             h = 1e-5
-            fd = (eval_basis(fn, x + h, order)
-                  - eval_basis(fn, x - h, order)) / (2 * h)
-            exact = eval_basis(fn, x, order + 1)
+            fd = (basis_derivatives([fn], [x + h], order)[0]
+                  - basis_derivatives([fn], [x - h], order)[0]) / (2 * h)
+            exact = basis_derivatives([fn], [x], order + 1)[0]
             worst_fd = max(worst_fd,
                            abs(exact - fd) / (1.0 + abs(exact)))
 

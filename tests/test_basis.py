@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from obstacle_bvp.basis import (BasisFunction, RootFindingError, _real_basis,
                                 basis_derivatives, characteristic_coeffs,
-                                eval_basis, piece_basis)
+                                piece_basis)
 from obstacle_bvp.model import PieceOde, normalize_piece
 
 SQ3_HALF = math.sqrt(3.0) / 2.0
@@ -213,27 +213,31 @@ class TestPinnedBases:
 
 
 class TestEvalBasis:
+    """One basis function at one point."""
+
     def test_exponential_value(self):
-        assert eval_basis(BasisFunction("PolyExp", 0, 1.0), 0.0, 0) == 1.0
+        fn = BasisFunction("PolyExp", 0, 1.0)
+        assert basis_derivatives([fn], [0.0], 0)[0] == 1.0
 
     def test_exponential_derivative(self):
-        assert eval_basis(BasisFunction("PolyExp", 0, 1.0), 1.0, 1) == pytest.approx(math.e)
+        fn = BasisFunction("PolyExp", 0, 1.0)
+        assert basis_derivatives([fn], [1.0], 1)[0] == pytest.approx(math.e)
 
     def test_exp_cos_derivative_at_zero(self):
         fn = BasisFunction("ExpCos", 0, -0.5, SQ3_HALF)
-        assert eval_basis(fn, 0.0, 1) == pytest.approx(-0.5)
+        assert basis_derivatives([fn], [0.0], 1)[0] == pytest.approx(-0.5)
 
     def test_monomial_derivatives(self):
         fn = BasisFunction("PolyExp", 3, 0.0)
-        assert eval_basis(fn, 2.0, 0) == 8.0
-        assert eval_basis(fn, 2.0, 1) == 12.0
-        assert eval_basis(fn, 2.0, 2) == 12.0
-        assert eval_basis(fn, 2.0, 3) == 6.0
-        assert eval_basis(fn, 2.0, 4) == 0.0
+        assert basis_derivatives([fn], [2.0], 0)[0] == 8.0
+        assert basis_derivatives([fn], [2.0], 1)[0] == 12.0
+        assert basis_derivatives([fn], [2.0], 2)[0] == 12.0
+        assert basis_derivatives([fn], [2.0], 3)[0] == 6.0
+        assert basis_derivatives([fn], [2.0], 4)[0] == 0.0
 
     def test_rejects_order_out_of_range(self):
         with pytest.raises(ValueError):
-            eval_basis(BasisFunction("PolyExp", 1, 0.0), 0.0, 5)
+            basis_derivatives([BasisFunction("PolyExp", 1, 0.0)], [0.0], 5)
 
 
 def _one_point(fn, x, m):
@@ -255,9 +259,10 @@ class TestBasisDerivatives:
                 fn = BasisFunction(kind, k, alpha, beta)
                 for m in range(5):
                     one_point = np.array([_one_point(fn, x, m) for x in xs])
-                    scalar = np.array([eval_basis(fn, x, m) for x in xs])
+                    scalar = np.array([basis_derivatives([fn], [x], m)[0] for x in xs])
                     assert np.array_equal(scalar, one_point), (fn, m)
-                    assert np.array_equal(eval_basis(fn, xs, m), one_point), (fn, m)
+                    assert np.array_equal(basis_derivatives([fn], xs[:, None], m)[:, 0],
+                                          one_point), (fn, m)
 
     def test_columns_equal_one_function_calls(self):
         fns = [BasisFunction("ExpCos", 1, -0.5, 2.0), BasisFunction("ExpSin", 0, -0.5, 2.0),
@@ -268,7 +273,8 @@ class TestBasisDerivatives:
             assert got.shape == x.shape
             for j, fn in enumerate(fns):
                 m = orders if isinstance(orders, int) else orders[j]
-                assert np.array_equal(got[:, j], eval_basis(fn, x[:, j], m))
+                one = basis_derivatives([fn], x[:, j, None], m)[:, 0]
+                assert np.array_equal(got[:, j], one)
 
     def test_overflow_is_silent_and_non_finite(self):
         fns = [BasisFunction("PolyExp", 0, 1.0), BasisFunction("ExpSin", 1, 1.0, 2.0)]
@@ -296,8 +302,9 @@ class TestDerivativeConsistency:
     @given(fn=_basis_fn, x=st.floats(-1.0, math.pi), k=st.integers(0, 3))
     def test_matches_central_difference(self, fn, x, k):
         h = 1e-5
-        fd = (eval_basis(fn, x + h, k) - eval_basis(fn, x - h, k)) / (2 * h)
-        exact = eval_basis(fn, x, k + 1)
+        fd = (basis_derivatives([fn], [x + h], k)[0]
+              - basis_derivatives([fn], [x - h], k)[0]) / (2 * h)
+        exact = basis_derivatives([fn], [x], k + 1)[0]
         assert abs(exact - fd) <= 1e-5 * (1.0 + abs(exact))
 
 
@@ -315,9 +322,9 @@ class TestOperatorAnnihilation:
         piece = PieceOde(order, (0.0, 1.0), coeffs, (0.0,))
         for fn in piece_basis([piece])[0]:
             for x in np.linspace(0.0, 1.0, 100):
-                lhs = eval_basis(fn, x, order)
+                lhs = basis_derivatives([fn], [x], order)[0]
                 for j, aj in enumerate(coeffs):
-                    lhs -= aj * eval_basis(fn, x, j)
+                    lhs -= aj * basis_derivatives([fn], [x], j)[0]
                 assert abs(lhs) <= 1e-9
 
     def test_random_operators(self):
@@ -328,8 +335,8 @@ class TestOperatorAnnihilation:
             piece = PieceOde(order, (0.0, 1.0), coeffs, (0.0,))
             for fn in piece_basis([piece])[0]:
                 for x in np.linspace(0.0, 1.0, 20):
-                    lhs = eval_basis(fn, x, order)
+                    lhs = basis_derivatives([fn], [x], order)[0]
                     for j, aj in enumerate(coeffs):
-                        lhs -= aj * eval_basis(fn, x, j)
-                    scale = 1.0 + abs(eval_basis(fn, x, 0))
+                        lhs -= aj * basis_derivatives([fn], [x], j)[0]
+                    scale = 1.0 + abs(basis_derivatives([fn], [x], 0)[0])
                     assert abs(lhs) <= 1e-9 * scale

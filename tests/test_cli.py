@@ -311,6 +311,23 @@ class TestCmdVerify:
         path = _write_problem(tmp_path, get_example("3.1.6").bvp)
         assert main(["verify", "--input", path, "--step", "0.002"]) == EXIT_OK
 
+    def test_two_pins_on_one_piece_verify(self, tmp_path, capsys):
+        # u = u - 1 on the middle piece, u = 0 outside, u = u' = 0 at
+        # both ends; u may jump at the breakpoints, and two pins on the last
+        # piece fix the two jumps.  Each pin needs its own oracle anchor.
+        data = {"order": 4,
+                "pieces": [{"interval": [lo, hi], "coeffs": [a0, 0, 0, 0], "forcing": [q]}
+                           for lo, hi, a0, q in ((0.0, 0.25, 0, 0), (0.25, 0.75, 1, -1),
+                                                 (0.75, 1.0, 0, 0))],
+                "conditions": [{"x": x, "deriv": d, "value": 0.0}
+                               for x in (0.0, 1.0) for d in (0, 1)],
+                "continuity": [1, 2, 3],
+                "pins": [{"piece": 2, "basis": b, "value": 0.0} for b in (2, 3)]}
+        path = tmp_path / "two-pins.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify", "--input", str(path)]) == EXIT_OK
+        assert "overall: PASS" in capsys.readouterr().out
+
     def test_non_finite_anchor_is_solve_error(self, tmp_path, monkeypatch, capsys):
         path = _write_problem(tmp_path, get_example("3.1.6").bvp)
         _overflow_closed_form(monkeypatch)

@@ -1,13 +1,14 @@
 import cmath
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from obstacle_bvp.basis import eval_basis, piece_basis
+from obstacle_bvp.basis import basis_derivatives, piece_basis
 from obstacle_bvp.exact import (InconsistentSystemError, MatchSystem,
                                 PieceSolution, RankDeficientError, SolveError,
                                 assemble_system, eval_solution, gauss_solve,
@@ -31,8 +32,8 @@ def _system_for(bvp):
 
 
 def _reference_system(bvp, bases, particulars):
-    """Row-by-row assembly: one scalar eval_basis call per matrix entry and
-    polyder/polyval for every particular value."""
+    """Row-by-row assembly: one one-point basis_derivatives call per matrix
+    entry and polyder/polyval for every particular value."""
     n = bvp.order
     width = n * len(bvp.pieces)
     rows, rhs, labels = [], [], []
@@ -40,7 +41,7 @@ def _reference_system(bvp, bases, particulars):
     def basis_row(k, x, j):
         row = np.zeros(width)
         for i, b in enumerate(bases[k]):
-            row[k * n + i] = eval_basis(b, x, j)
+            row[k * n + i] = basis_derivatives([b], [x], j)[0]
         return row
 
     def particular(k, x, j):
@@ -157,9 +158,9 @@ class TestAssembleSystem:
 
     def test_row_ordering_is_deterministic(self):
         system = _system_for(get_example("3.1.1").bvp)
-        assert system.row_labels[0].startswith("u^(0)(-1)")
-        assert "continuity order 0 at x = -0.5" in system.row_labels[2]
-        assert "continuity order 1 at x = 0.5" in system.row_labels[5]
+        assert system.describe_row(0).startswith("u^(0)(-1)")
+        assert system.describe_row(2) == "continuity order 0 at x = -0.5"
+        assert system.describe_row(5) == "continuity order 1 at x = 0.5"
 
 
 class TestArrayAssemblyIsBitwise:
@@ -173,7 +174,7 @@ class TestArrayAssemblyIsBitwise:
         matrix, rhs, labels = _reference_system(bvp, bases, parts)
         assert np.array_equal(system.matrix, matrix)
         assert np.array_equal(system.rhs, rhs)
-        assert system.row_labels == labels
+        assert tuple(system.describe_row(r) for r in range(len(rhs))) == labels
 
     @pytest.mark.parametrize("ex_id", EXAMPLE_IDS)
     def test_registry(self, ex_id):
@@ -206,13 +207,13 @@ class TestArrayAssemblyIsBitwise:
 
 class TestGaussSolve:
     def test_identity(self):
-        system = MatchSystem(np.eye(2), np.array([3.0, 4.0]), 2, ())
+        system = MatchSystem(np.eye(2), np.array([3.0, 4.0]), 2, None)
         result = gauss_solve(system)
         assert result.constants == pytest.approx([3.0, 4.0])
 
     def test_consistent_singular_reports_rank(self):
         system = MatchSystem(np.array([[1.0, 1.0], [2.0, 2.0]]),
-                             np.array([1.0, 2.0]), 2, ())
+                             np.array([1.0, 2.0]), 2, None)
         with pytest.raises(RankDeficientError) as exc:
             gauss_solve(system)
         assert (exc.value.rank, exc.value.nullity) == (1, 1)
@@ -220,14 +221,14 @@ class TestGaussSolve:
 
     def test_inconsistent_overdetermined_raises(self):
         system = MatchSystem(np.array([[1.0], [1.0]]), np.array([0.0, 1.0]),
-                             1, ())
+                             1, None)
         with pytest.raises(InconsistentSystemError) as exc:
             gauss_solve(system)
         assert exc.value.residual_norm > 0.1
 
     def test_consistent_redundant_rows_accepted(self):
         system = MatchSystem(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
-                             np.array([2.0, 3.0, 5.0]), 2, ())
+                             np.array([2.0, 3.0, 5.0]), 2, None)
         result = gauss_solve(system)
         assert result.constants == pytest.approx([2.0, 3.0])
 
@@ -252,6 +253,27 @@ class TestGaussSolve:
         assert not isinstance(exc.value, RankDeficientError)
         assert "pin" not in str(exc.value)
 
+    @pytest.mark.parametrize("pieces, conditions, first", [
+        # u'' = 1e6 u: e^1000 at the condition x = 1
+        (((0.0, 1.0, 1e6),), ((0.0, 0), (1.0, 0)), "1 of 2 rows, first: u^(0)(1) = 0;"),
+        # u'' = 1e7 u on the second piece: e^1581 at its lo, in both
+        # continuity rows; the conditions sit on the first piece
+        (((0.0, 0.5, 0.0), (0.5, 2.0, 1e7)), ((0.0, 0), (0.0, 1)),
+         "2 of 4 rows, first: continuity order 0 at x = 0.5;"),
+    ], ids=["condition", "continuity"])
+    def test_non_finite_error_names_first_bad_row(self, pieces, conditions, first):
+        bvp = PiecewiseBvp(2, tuple(PieceOde(2, (lo, hi), (a0, 0.0), (1.0,))
+                                    for lo, hi, a0 in pieces),
+                           tuple(PointCondition(x, j, 0.0) for x, j in conditions),
+                           ContinuitySpec(frozenset({0, 1})))
+        with pytest.raises(SolveError, match=re.escape(first)):
+            solve_exact(bvp)
+
+    def test_non_finite_bare_matrix_names_row_index(self):
+        system = MatchSystem(np.array([[1.0, 0.0], [np.inf, 1.0]]), np.ones(2), 2, None)
+        with pytest.raises(SolveError, match="first: row 1;"):
+            gauss_solve(system)
+
     def test_random_square_systems_residual(self):
         rng = np.random.default_rng(13)
         checked = 0
@@ -261,7 +283,7 @@ class TestGaussSolve:
             if np.linalg.cond(a) >= 1e6:
                 continue
             b = rng.normal(size=n)
-            result = gauss_solve(MatchSystem(a, b, n, ()))
+            result = gauss_solve(MatchSystem(a, b, n, None))
             assert np.abs(a @ result.constants - b).max() <= 1e-10 * np.abs(b).max()
             checked += 1
 

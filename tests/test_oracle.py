@@ -179,7 +179,7 @@ class TestShootingSolve:
         # the oracle must stay independent of the closed-form path
         import obstacle_bvp.oracle as oracle_mod
         source = open(oracle_mod.__file__).read()
-        for name in ("piece_basis", "real_basis", "particular_solution", "eval_basis"):
+        for name in ("piece_basis", "real_basis", "particular_solution", "basis_derivatives"):
             assert name not in source
 
 
