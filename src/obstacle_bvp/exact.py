@@ -29,7 +29,8 @@ _FALLING = np.array([[math.perm(p, j) for j in range(MAX_ORDER + 1)]
 
 
 class InconsistentSystemError(SolveError):
-    """Overdetermined system whose solution's residual exceeds the gate."""
+    """System with no solution: the residual of an overdetermined system, or
+    the rhs left below a rank-deficient one's rank, exceeds the gate."""
 
     def __init__(self, residual_norm: float):
         super().__init__(
@@ -313,8 +314,10 @@ def gauss_solve(system: MatchSystem) -> GaussResult:
 
     A full-column-rank system is back-substituted from its pivot rows; an
     overdetermined one must then pass a residual inf-norm consistency gate.
-    Rank-deficient systems raise :class:`RankDeficientError` with their
-    free-column labels; a system with non-finite entries raises
+    A rank-deficient system whose rows below the rank keep a rhs above that
+    gate has no solution and raises :class:`InconsistentSystemError`; any
+    other raises :class:`RankDeficientError` with its free-column labels.
+    A system with non-finite entries raises
     :class:`SolveError` naming its first such row before elimination, and
     one whose elimination overflows raises it after.
     """
@@ -330,7 +333,12 @@ def gauss_solve(system: MatchSystem) -> GaussResult:
     m, n = matrix.shape
     aug, pivot_cols = _echelon(matrix, rhs)
     rank = len(pivot_cols)
+    gate = CONSISTENCY_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
     if rank < n:
+        # Rows below the rank are zero in the matrix: no solution meets their rhs.
+        dropped = float(np.abs(aug[rank:, n]).max(initial=0.0))
+        if not dropped <= gate:
+            raise InconsistentSystemError(dropped)
         free = tuple(divmod(c, system.order) for c in range(n) if c not in pivot_cols)
         raise RankDeficientError(rank, n - rank, free)
     x = _back_substitute(aug, n)
@@ -340,19 +348,17 @@ def gauss_solve(system: MatchSystem) -> GaussResult:
                          f"first at unknown (piece {piece}, {index})")
 
     residual = float(np.abs(matrix @ x - rhs).max(initial=0.0))
-    if m > n:
-        gate = CONSISTENCY_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
-        if not residual <= gate:
-            raise InconsistentSystemError(residual)
+    if m > n and not residual <= gate:
+        raise InconsistentSystemError(residual)
     return GaussResult(x, rank, residual)
 
 
 def solve_exact(bvp: PiecewiseBvp) -> PiecewiseSolution:
     """Closed-form solve: roots -> real bases -> particulars -> matching system.
 
-    Raises :class:`RankDeficientError` with pin advice when the system is
-    underdetermined and :class:`InconsistentSystemError` when overdetermined
-    rows contradict each other.
+    Raises :class:`RankDeficientError` with pin advice when the system has
+    a family of solutions and :class:`InconsistentSystemError` when its rows
+    contradict each other.
     """
     # Roots, basis and particular once per distinct ODE (a penalty obstacle
     # has many pieces but only two ODEs), each stage in stacked array passes

@@ -1,13 +1,14 @@
 """Independent numeric oracle: linear shooting with RK4 fundamental solutions.
 
-Each piece's companion system is integrated with classic fixed-step RK4 from
-n unit initial states (homogeneous) plus one zero state carrying the forcing
-(particular).  One RK4 step is an exact affine map y -> T y + c_i with one T
-for every full step, so the node states come from ceil(log2 m) doubling
-passes; a condition off the grid is one partial step.  By linearity the
-global solution is affine in the per-piece initial states, so the exact
-matcher's condition/continuity row semantics apply, with integrated values in
-place of basis evaluations.  This module deliberately shares no root-finding,
+Each piece's companion state y = (u, ..., u^(n-1)) is extended by the
+forcing's monomials w_k = (x - lo)^k / k!, so the forced ODE becomes the
+constant linear system z' = Â z.  Classic fixed-step RK4 on it is one matrix
+T̂ per full step; the node states T̂^i, whose first n rows hold the
+fundamental matrix and the particular, come from ceil(log2 m) doubling
+passes, and a shortened step is one more matrix.  By linearity the global
+solution is affine in the per-piece initial states, so the exact matcher's
+condition/continuity row semantics apply, with integrated values in place
+of basis evaluations.  This module deliberately shares no root-finding,
 basis or particular-solution code with the closed-form path.
 """
 
@@ -25,7 +26,9 @@ DEFAULT_STEP = 1e-3
 
 # RK4 steps over a whole domain.  Every piece's trajectory is held at once,
 # so the cap is on the domain, not the piece; the default step still covers
-# a domain of length 1e3.
+# a domain of length 1e3.  A node holds n·(n + d) doubles for order n and d
+# forcing coefficients: 44 for order 4 with degree-6 forcing, 352 MiB at
+# the cap.
 MAX_STEPS = 2 ** 20
 
 
@@ -33,49 +36,51 @@ class IntegrationError(RuntimeError):
     """RK4 produced non-finite values (blow-up)."""
 
 
-def _companion(piece: PieceOde) -> np.ndarray:
-    """Matrix A of the first-order system y' = A y + e_n q(x), y = (u, ..., u^(n-1))."""
-    n = piece.order
-    a = np.zeros((n, n))
-    a[:-1, 1:] = np.eye(n - 1)
-    a[-1] = piece.coeffs
+def _generator(piece: PieceOde) -> np.ndarray:
+    """Â of z' = Â z for z = (u, ..., u^(n-1), w_(d-1), ..., w_0), where
+    w_k = (x - lo)^k / k! and d = len(forcing): the companion rows, the ODE
+    row taking q(x) = sum_k q^(k)(lo) w_k, and the shift w_k' = w_(k-1)."""
+    n, d = piece.order, len(piece.forcing)
+    taylor = [np.polynomial.polynomial.polyval(
+        piece.lo, np.polynomial.polynomial.polyder(piece.forcing, k)) for k in range(d)]
+    a = np.eye(n + d, k=1)
+    a[n - 1] = [*piece.coeffs, *taylor[::-1]]
     return a
 
 
-def _step_maps(a: np.ndarray, h: float):
-    """One classic RK4 step of length h on y' = A y + e_n q(x) as an affine map.
-
-    Returns (T, B) with y(x + h) = T y(x) + B @ (q(x), q(x + h/2), q(x + h)):
-    with M = hA, T = I + M + M²/2 + M³/6 + M⁴/24 and the columns of B are
-    h/6·(I + M + M²/2 + M³/4) e_n, h/6·(4I + 2M + M²/2) e_n and h/6·e_n.
-    """
-    eye = np.eye(len(a))
+def _rk4_map(a: np.ndarray, h: float) -> np.ndarray:
+    """One classic RK4 step of length h on z' = A z: with M = hA,
+    T = I + M + M²/2 + M³/6 + M⁴/24."""
     m = h * a
     m2 = m @ m
     m3 = m2 @ m
-    t = eye + m + m2 / 2 + m3 / 6 + m3 @ m / 24
-    b = h / 6 * np.column_stack([(eye + m + m2 / 2 + m3 / 4)[:, -1],
-                                 (4 * eye + 2 * m + m2 / 2)[:, -1],
-                                 eye[:, -1]])
-    return t, b
+    return np.eye(len(a)) + m + m2 / 2 + m3 / 6 + m3 @ m / 24
 
 
 @dataclass(frozen=True)
 class FundamentalTrajectory:
-    """Sampled fundamental matrix and particular trajectory on one piece."""
+    """First n rows of T̂^i at every node of one piece, with the piece's Â."""
 
-    xs: np.ndarray           # grid, lo..hi
-    homogeneous: np.ndarray  # shape (len(xs), n, n); [:, :, j] = j-th unit solution
-    particular: np.ndarray   # shape (len(xs), n)
+    xs: np.ndarray         # grid, lo..hi
+    states: np.ndarray     # shape (len(xs), n, n + d)
+    generator: np.ndarray  # Â, shape (n + d, n + d)
+
+    @property
+    def homogeneous(self) -> np.ndarray:  # [:, :, j]: the j-th unit solution
+        return self.states[:, :, :self.states.shape[1]]
+
+    @property
+    def particular(self) -> np.ndarray:  # the solution from the zero state at lo
+        return self.states[:, :, -1]
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def integrate_fundamental(piece: PieceOde, h: float = DEFAULT_STEP) -> FundamentalTrajectory:
-    """RK4 on the grid of step h from the n unit initial states (unforced) and
-    one zero state carrying the forcing.  Every full step is y -> T y + c_i,
-    so node i < m holds Φ_i = T^i and p_i = sum_{j<i} T^(i-1-j) c_j, built by
-    doubling: pass s sets Φ[s:2s] = Φ[:s] T^s and adds T^s p[i-s] to p[i],
-    i >= s.  The shortened last step maps node m - 1 to hi.
+    """RK4 with step h on z' = Â z from the n unit states y = e_j (w = 0) and
+    the forcing state y = 0, w_0 = 1.  Every full step is the matrix T̂, so
+    node i < m holds the first n rows of T̂^i, built by doubling: pass s sets
+    nodes s..2s-1 to nodes 0..s-1 times T̂^s.  The shortened last step maps
+    node m - 1 to hi as a right product, since step matrices commute.
     """
     if not (math.isfinite(h) and h > 0):
         raise ProblemError(f"step h must be positive and finite, got {h}")
@@ -86,41 +91,29 @@ def integrate_fundamental(piece: PieceOde, h: float = DEFAULT_STEP) -> Fundament
     keep = xs < hi - 1e-15 * max(1.0, abs(hi))
     keep[0] = True
     xs = np.append(xs[keep], hi)
-    a = _companion(piece)
-    steps = np.diff(xs)
-    steps[:-1] = h
-    q = np.polynomial.polynomial.polyval(xs, piece.forcing)
-    q_mid = np.polynomial.polynomial.polyval(xs[:-1] + steps / 2, piece.forcing)
-    stages = np.column_stack([q[:-1], q_mid, q[1:]])
-    m = len(steps)
-    t, b = _step_maps(a, h)
-    phi = np.empty((m + 1, n, n))
-    phi[0] = np.eye(n)
-    rows = phi.reshape(-1, n)  # node i is rows i·n to (i+1)·n: one product per pass
-    part = np.zeros((m + 1, n))
-    part[1:m] = stages[:-1] @ b.T
-    s, power = 1, t
+    a = _generator(piece)
+    m, width = len(xs) - 1, len(a)
+    states = np.empty((m + 1, n, width))
+    states[0] = np.eye(n, width)
+    rows = states.reshape(-1, width)  # node i is rows i·n to (i+1)·n: one product per pass
+    s, power = 1, _rk4_map(a, h)
     while s < m:
         k = min(s, m - s)
         rows[s * n:(s + k) * n] = rows[:k * n] @ power
-        part[s:m] += part[:m - s] @ power.T
         s, power = 2 * s, power @ power
-    t, b = _step_maps(a, steps[-1])
-    phi[m], part[m] = t @ phi[m - 1], t @ part[m - 1] + b @ stages[-1]
-    bad = ~(np.isfinite(phi).all(axis=(1, 2)) & np.isfinite(part).all(axis=1))
+    states[m] = states[m - 1] @ _rk4_map(a, xs[-1] - xs[-2])
+    bad = ~np.isfinite(states).all(axis=(1, 2))
     if bad.any():
         raise IntegrationError(f"integration blew up near x = {xs[np.argmax(bad)]}")
-    return FundamentalTrajectory(xs, phi, part)
+    return FundamentalTrajectory(xs, states, a)
 
 
-def _partial_step(piece: PieceOde, traj: FundamentalTrajectory, x: float):
+def _partial_step(traj: FundamentalTrajectory, x: float):
     """Fundamental matrix and particular state at x in the piece: one partial
     RK4 step of length x - xs[i] from the grid node xs[i] at or below x."""
     i = int(np.searchsorted(traj.xs, x, side="right")) - 1
-    x0 = traj.xs[i]
-    t, b = _step_maps(_companion(piece), x - x0)
-    q = np.polynomial.polynomial.polyval([x0, (x0 + x) / 2, x], piece.forcing)
-    return t @ traj.homogeneous[i], t @ traj.particular[i] + b @ q
+    state = traj.states[i] @ _rk4_map(traj.generator, x - traj.xs[i])
+    return state[:, :len(state)], state[:, -1]
 
 
 @dataclass(frozen=True)
@@ -167,7 +160,7 @@ def shooting_solve(bvp: PiecewiseBvp, h: float = DEFAULT_STEP) -> NumericSolutio
     rows, rhs = [], []
     for cond in bvp.conditions:
         k = bvp.owning_piece(cond.location, side="left")
-        phi, part = _partial_step(bvp.pieces[k], trajectories[k], cond.location)
+        phi, part = _partial_step(trajectories[k], cond.location)
         row = np.zeros(width)
         row[k * n:(k + 1) * n] = phi[cond.deriv_order]
         rows.append(row)

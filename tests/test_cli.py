@@ -106,7 +106,26 @@ class TestCmdSolve:
         path = _write_problem(tmp_path, bvp)
         code = main(["solve", "--input", path, "--output", str(tmp_path / "o.csv")])
         assert code == EXIT_RANK
-        assert "pin" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "nullity 1" in err and "pin" in err
+
+    def test_solution_family_names_its_free_column(self, tmp_path, capsys):
+        # u'' = -u on (0, pi), u = 0 at both ends: the family c·sin x.
+        path = _write_single_piece(tmp_path, (0.0, math.pi), (-1.0, 0.0), forcing=(0.0,))
+        code = main(["solve", "--input", path, "--output", str(tmp_path / "o.csv")])
+        assert code == EXIT_RANK
+        assert "(piece 0, basis 1)" in capsys.readouterr().err
+
+    def test_no_solution_gives_no_pin_advice(self, tmp_path, capsys):
+        # u'' = -u + 1 on (0, pi), u = 0 at both ends: u(0) + u(pi) = 2 for
+        # every solution of the ODE, so no solution exists.
+        path = _write_single_piece(tmp_path, (0.0, math.pi), (-1.0, 0.0))
+        out = tmp_path / "o.csv"
+        code = main(["solve", "--input", path, "--output", str(out)])
+        assert code == EXIT_RANK
+        err = capsys.readouterr().err
+        assert "inconsistent" in err and "pin" not in err
+        assert not out.exists()
 
     def test_non_finite_coefficient_is_input_error(self, tmp_path, capsys):
         path = _write_single_piece(tmp_path, (0.0, 1.0), (math.nan, 0.0))

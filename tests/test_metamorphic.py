@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from obstacle_bvp.exact import RankDeficientError, eval_solution, solve_exact
+from obstacle_bvp.exact import InconsistentSystemError, eval_solution, solve_exact
 from obstacle_bvp.examples import EXAMPLE_IDS, get_example
 from obstacle_bvp.model import PieceOde
+from obstacle_bvp.oracle import shooting_solve
 from obstacle_bvp.verify import solution_scale
 
 # Entries whose continuity covers every order below the problem order, so
 # an extra breakpoint inside a piece leaves the problem unchanged.
 FULL_CONTINUITY = ("3.1.1", "3.1.2", "3.1.3", "3.1.4", "eq11")
+UNPINNED = tuple(e for e in EXAMPLE_IDS if not get_example(e).bvp.pins)
 
 
 def _constants(sol):
@@ -25,20 +27,83 @@ def _grid(bvp, points=2001):
     return np.linspace(*bvp.domain, points)
 
 
+def _with_data(bvp, forcing_factor, values, pin_factor):
+    """bvp with every forcing coefficient and pin value times a factor, and
+    the given condition values."""
+    return dataclasses.replace(
+        bvp,
+        pieces=tuple(dataclasses.replace(p, forcing=tuple(forcing_factor * q for q in p.forcing))
+                     for p in bvp.pieces),
+        conditions=tuple(dataclasses.replace(c, value=v) for c, v in zip(bvp.conditions, values)),
+        pins=tuple(dataclasses.replace(p, value=pin_factor * p.value) for p in bvp.pins))
+
+
+def _scaled(bvp, f):
+    return _with_data(bvp, f, [f * c.value for c in bvp.conditions], f)
+
+
 @pytest.mark.parametrize("k", [-10, 10])
 @pytest.mark.parametrize("ex_id", EXAMPLE_IDS)
 def test_scaling_data_by_power_of_two_scales_constants_exactly(ex_id, k):
     # The problem is linear in (forcing, condition values, pin values), and a
     # power of two scales every rounding exactly.
-    f = 2.0 ** k
     bvp = get_example(ex_id).bvp
-    scaled = dataclasses.replace(
-        bvp,
-        pieces=tuple(dataclasses.replace(p, forcing=tuple(f * q for q in p.forcing))
-                     for p in bvp.pieces),
-        conditions=tuple(dataclasses.replace(c, value=f * c.value) for c in bvp.conditions),
-        pins=tuple(dataclasses.replace(p, value=f * p.value) for p in bvp.pins))
-    assert np.array_equal(_constants(solve_exact(scaled)), f * _constants(solve_exact(bvp)))
+    assert np.array_equal(_constants(solve_exact(_scaled(bvp, 2.0 ** k))),
+                          2.0 ** k * _constants(solve_exact(bvp)))
+
+
+@pytest.mark.parametrize("k", [-10, 10])
+@pytest.mark.parametrize("ex_id", UNPINNED)
+def test_scaling_data_by_power_of_two_scales_oracle_exactly(ex_id, k):
+    # The oracle's homogeneous states do not see the data and its forced
+    # states are linear in it, so every rounding scales exactly too.
+    bvp = get_example(ex_id).bvp
+    plain = shooting_solve(bvp, 0.01).piece_trajectories
+    scaled = shooting_solve(_scaled(bvp, 2.0 ** k), 0.01).piece_trajectories
+    for (xs, ys, top), (xs_s, ys_s, top_s) in zip(plain, scaled):
+        assert np.array_equal(xs_s, xs)
+        assert np.array_equal(ys_s, 2.0 ** k * ys)
+        assert np.array_equal(top_s, 2.0 ** k * top)
+
+
+def _reflected(bvp):
+    """The problem under x -> -x: v(x) = u(-x) has v^(j)(x) = (-1)^j u^(j)(-x)."""
+    n = bvp.order
+    pieces = tuple(PieceOde(n, (-p.hi, -p.lo),
+                            tuple((-1.0) ** (n - j) * a for j, a in enumerate(p.coeffs)),
+                            tuple((-1.0) ** (n + j) * q for j, q in enumerate(p.forcing)))
+                   for p in reversed(bvp.pieces))
+    conditions = tuple(dataclasses.replace(c, location=-c.location,
+                                           value=(-1.0) ** c.deriv_order * c.value)
+                       for c in bvp.conditions)
+    return dataclasses.replace(bvp, pieces=pieces, conditions=conditions)
+
+
+@pytest.mark.parametrize("ex_id", UNPINNED)
+def test_reflection_mirrors_every_derivative(ex_id):
+    # Only signs change, so the input is reflected without rounding.
+    bvp = get_example(ex_id).bvp
+    mirror = _reflected(bvp)
+    sol, sol_m = solve_exact(bvp), solve_exact(mirror)
+    xs = _grid(bvp)
+    for j in range(bvp.order):
+        delta = np.abs(eval_solution(sol_m, mirror, -xs, j)
+                       - (-1.0) ** j * eval_solution(sol, bvp, xs, j))
+        assert delta.max() <= 1e-14 * solution_scale(sol, bvp)
+
+
+@pytest.mark.parametrize("ex_id", EXAMPLE_IDS)
+def test_superposition_of_forcing_and_condition_data(ex_id):
+    # Solution of (q, v) = solution of (q, 0) + solution of (0, v), where v
+    # holds the condition and pin values.
+    bvp = get_example(ex_id).bvp
+    values = [0.5 - 0.375 * i for i in range(len(bvp.conditions))]
+    sols = [solve_exact(_with_data(bvp, *data))
+            for data in ((1.0, values, 1.0), (1.0, [0.0] * len(values), 0.0), (0.0, values, 1.0))]
+    xs = _grid(bvp)
+    for j in range(bvp.order):
+        u, u_forced, u_conditioned = (eval_solution(s, bvp, xs, j) for s in sols)
+        assert np.abs(u_forced + u_conditioned - u).max() <= 1e-14 * (1 + np.abs(u).max())
 
 
 @pytest.mark.parametrize("ex_id", FULL_CONTINUITY)
@@ -68,9 +133,10 @@ def _shifted(bvp, s):
                          for c in bvp.conditions))
 
 
-@pytest.mark.xfail(strict=True, raises=RankDeficientError,
+@pytest.mark.xfail(strict=True, raises=InconsistentSystemError,
                    reason="ROADMAP item 3: _echelon's rank tolerance scales with the "
-                          "largest entry, e^100 here, and sinks the polynomial columns")
+                          "largest entry, e^100 here, sinks the polynomial columns and "
+                          "drops rows whose rhs the gate then rejects")
 def test_shifted_domain_solves_like_the_original():
     bvp = get_example("3.1.1").bvp
     moved = _shifted(bvp, 100.0)

@@ -10,8 +10,8 @@ from obstacle_bvp.examples import EXAMPLE_IDS, get_example
 from obstacle_bvp.model import (ContinuitySpec, PieceOde, PiecewiseBvp,
                                 PointCondition, ProblemError,
                                 build_second_order)
-from obstacle_bvp.oracle import (IntegrationError, _companion, _partial_step,
-                                 _step_maps, integrate_fundamental, sample,
+from obstacle_bvp.oracle import (IntegrationError, _generator, _partial_step,
+                                 _rk4_map, integrate_fundamental, sample,
                                  shooting_solve)
 from obstacle_bvp.verify import compare_solutions, pin_anchors
 
@@ -65,7 +65,7 @@ class TestIntegrateFundamental:
         piece = PieceOde(2, (0.0, 1.0), coeffs, forcing)
         traj = integrate_fundamental(piece, 0.1)
         for x in (0.537, 0.05, 0.99):
-            phi, part = _partial_step(piece, traj, x)
+            phi, part = _partial_step(traj, x)
             short = integrate_fundamental(PieceOde(2, (0.0, x), coeffs, forcing), 0.1)
             assert np.abs(phi - short.homogeneous[-1]).max() <= (
                 1e-13 * np.abs(phi).max())
@@ -73,7 +73,7 @@ class TestIntegrateFundamental:
                 1e-13 * np.abs(part).max())
         # On a grid node (both ends included) the state is the node's own.
         for i in (0, 5, len(traj.xs) - 1):
-            phi, part = _partial_step(piece, traj, traj.xs[i])
+            phi, part = _partial_step(traj, traj.xs[i])
             assert np.array_equal(phi, traj.homogeneous[i])
             assert np.array_equal(part, traj.particular[i])
 
@@ -85,56 +85,140 @@ class TestIntegrateFundamental:
                 integrate_fundamental(piece, 1e-3)
 
 
+def _grid(piece, h):
+    xs = piece.lo + h * np.arange(int((piece.hi - piece.lo) / h) + 2)
+    return np.append(xs[xs < piece.hi - 1e-15 * max(1.0, abs(piece.hi))], piece.hi)
+
+
 def _sequential_sweep(piece, h):
-    """Reference sweep: one affine RK4 step per node, in grid order."""
-    n, lo, hi = piece.order, piece.lo, piece.hi
-    xs = lo + h * np.arange(int((hi - lo) / h) + 2)
-    xs = np.append(xs[xs < hi - 1e-15 * max(1.0, abs(hi))], hi)
-    a = _companion(piece)
-    full = _step_maps(a, h)
-    phi, part = [np.eye(n)], [np.zeros(n)]
+    """Reference sweep: one step of the augmented RK4 map per node, in grid
+    order, applied to all n + d initial states."""
+    xs, n = _grid(piece, h), piece.order
+    a = _generator(piece)
+    full = _rk4_map(a, h)
+    states = [np.eye(len(a))]
     for i, (x0, x1) in enumerate(zip(xs, xs[1:])):
         step = x1 - x0 if i == len(xs) - 2 else h
-        t, b = full if step == h else _step_maps(a, step)
+        states.append((full if step == h else _rk4_map(a, step)) @ states[-1])
+    states = np.array(states)[:, :n]
+    return xs, states[:, :, :n], states[:, :, -1]
+
+
+def _companion(piece):
+    """Matrix A of y' = A y + e_n q(x), y = (u, ..., u^(n-1))."""
+    n = piece.order
+    a = np.zeros((n, n))
+    a[:-1, 1:] = np.eye(n - 1)
+    a[-1] = piece.coeffs
+    return a
+
+
+def _step_maps(a, h):
+    """One classic RK4 step of length h on y' = A y + e_n q(x) as an affine
+    map: y(x + h) = T y(x) + B @ (q(x), q(x + h/2), q(x + h))."""
+    eye = np.eye(len(a))
+    m = h * a
+    m2 = m @ m
+    m3 = m2 @ m
+    t = eye + m + m2 / 2 + m3 / 6 + m3 @ m / 24
+    b = h / 6 * np.column_stack([(eye + m + m2 / 2 + m3 / 4)[:, -1],
+                                 (4 * eye + 2 * m + m2 / 2)[:, -1],
+                                 eye[:, -1]])
+    return t, b
+
+
+def _stage_forcing_sweep(piece, h):
+    """Independent reference: RK4 on the unaugmented system, the forcing
+    evaluated exactly at each step's three stage abscissae."""
+    xs, n = _grid(piece, h), piece.order
+    a = _companion(piece)
+    phi, part = [np.eye(n)], [np.zeros(n)]
+    for x0, x1 in zip(xs, xs[1:]):
+        step = x1 - x0 if x1 == xs[-1] else h
+        t, b = _step_maps(a, step)
         q = np.polynomial.polynomial.polyval([x0, x0 + step / 2, x1], piece.forcing)
         phi.append(t @ phi[-1])
         part.append(t @ part[-1] + b @ q)
     return xs, np.array(phi), np.array(part)
 
 
+def _assert_sweeps_match(piece, h, reference, rel):
+    """The same grid, and states equal up to rel times the largest state."""
+    traj = integrate_fundamental(piece, h)
+    xs, phi, part = reference(piece, h)
+    assert np.array_equal(traj.xs, xs)
+    assert np.abs(traj.homogeneous - phi).max() <= rel * np.abs(phi).max()
+    assert np.abs(traj.particular - part).max() <= rel * np.abs(part).max()
+
+
+STEPS = [1e-3, 0.01, 0.025, 0.05, 0.125]
+STEP_COUNTS = [1, 2, 3, 4, 5, 64, 65, 1024, 1025]
+
+
+def _step_count_piece(steps, h=0.01):
+    # steps - 1 full steps and a last one of h/2; one step is a piece shorter
+    # than h.  The forcing is quadratic.
+    return PieceOde(3, (0.2, 0.2 + (steps - 0.5) * h), (-1.0, 0.5, -0.3), (1.0, -2.0, 0.5))
+
+
 class TestDoublingSweep:
-    """The doubling sweep against the per-step one: the same grid, and states
-    equal up to rounding relative to the largest state."""
+    """The doubling sweep against the per-step one of the same map."""
 
-    @staticmethod
-    def _assert_matches_sequential(piece, h, rel):
-        traj = integrate_fundamental(piece, h)
-        xs, phi, part = _sequential_sweep(piece, h)
-        assert np.array_equal(traj.xs, xs)
-        assert np.abs(traj.homogeneous - phi).max() <= rel * np.abs(phi).max()
-        assert np.abs(traj.particular - part).max() <= rel * np.abs(part).max()
-
-    @pytest.mark.parametrize("h", [1e-3, 0.01, 0.025, 0.05, 0.125])
+    @pytest.mark.parametrize("h", STEPS)
     def test_registry_pieces(self, h):
         for ex_id in EXAMPLE_IDS:
             for piece in get_example(ex_id).bvp.pieces:
-                self._assert_matches_sequential(piece, h, 1e-12)
+                _assert_sweeps_match(piece, h, _sequential_sweep, 1e-12)
 
-    @pytest.mark.parametrize("steps", [1, 2, 3, 4, 5, 64, 65, 1024, 1025])
+    @pytest.mark.parametrize("steps", STEP_COUNTS)
     def test_step_counts(self, steps):
-        # steps - 1 full steps and a last one of h/2; one step is a piece
-        # shorter than h.
-        h = 0.01
-        piece = PieceOde(3, (0.2, 0.2 + (steps - 0.5) * h), (-1.0, 0.5, -0.3),
-                         (1.0, -2.0, 0.5))
-        assert len(integrate_fundamental(piece, h).xs) == steps + 1
-        self._assert_matches_sequential(piece, h, 1e-12)
+        piece = _step_count_piece(steps)
+        assert len(integrate_fundamental(piece, 0.01).xs) == steps + 1
+        _assert_sweeps_match(piece, 0.01, _sequential_sweep, 1e-12)
 
     def test_long_fourth_order_piece(self):
         # u^(4) = -u - 2u'' + q: roots +-i, each double; 30,000 steps.
         piece = PieceOde(4, (0.0, 30.0), (-1.0, 0.0, -2.0, 0.0), (1.0, -0.5, 0.02))
         assert len(integrate_fundamental(piece, 1e-3).xs) == 30_001
-        self._assert_matches_sequential(piece, 1e-3, 1e-11)
+        _assert_sweeps_match(piece, 1e-3, _sequential_sweep, 1e-11)
+
+
+class TestStageForcingReference:
+    """The augmented map against RK4 with the forcing evaluated at the stage
+    abscissae.  The two agree up to rounding for forcing of degree <= 1; from
+    degree 2 on, the stages of w are not exact monomials, and they differ at
+    O(h^4)."""
+
+    @pytest.mark.parametrize("h", STEPS)
+    def test_registry_pieces(self, h):
+        # Registry forcing has degree <= 1.
+        for ex_id in EXAMPLE_IDS:
+            for piece in get_example(ex_id).bvp.pieces:
+                _assert_sweeps_match(piece, h, _stage_forcing_sweep, 1e-12)
+
+    @pytest.mark.parametrize("steps", STEP_COUNTS)
+    def test_quadratic_forcing(self, steps):
+        _assert_sweeps_match(_step_count_piece(steps), 0.01, _stage_forcing_sweep, 1e-9)
+
+    def test_degree_six_forcing_converges_at_fourth_order(self):
+        # u'' = -u + 0.5u' + q with q chosen so that the degree-6 polynomial
+        # p is the exact solution: the error from its Cauchy data at lo must
+        # fall by ~16 when h halves.
+        p = (1.0, -2.0, 0.5, 1.0, -0.3, 0.2, 0.1)
+        npoly = np.polynomial.polynomial
+        q = npoly.polysub(npoly.polyder(p, 2),
+                          npoly.polyadd(0.5 * npoly.polyder(p), npoly.polymul([-1.0], p)))
+        piece = PieceOde(2, (0.3, 2.3), (-1.0, 0.5), tuple(float(c) for c in q))
+        assert len(piece.forcing) == 7
+
+        def error(h):
+            traj = integrate_fundamental(piece, h)
+            y0 = [npoly.polyval(piece.lo, npoly.polyder(p, j)) for j in (0, 1)]
+            exact = np.stack([npoly.polyval(traj.xs, npoly.polyder(p, j)) for j in (0, 1)],
+                             axis=1)
+            return np.abs(traj.homogeneous @ y0 + traj.particular - exact).max()
+
+        assert error(0.05) / error(0.025) >= 12.0
 
 
 class TestShootingSolve:
