@@ -165,7 +165,6 @@ def _real_basis(raw, coeffs: list[float]) -> tuple[BasisFunction, ...]:
     return tuple(sorted(out, key=lambda b: (b.alpha, _KIND_ORDER[b.kind], b.beta, b.k)))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def basis_derivatives(fns, x, orders):
     """Entry [..., j] is fns[j]^(orders[j]) at x[..., j], exact and analytic.
 
@@ -178,40 +177,59 @@ def basis_derivatives(fns, x, orders):
     vectorised complex multiply rounds differently from its scalar one), so
     an entry does not depend on its neighbours.  Overflow is silent (inf/nan).
     """
-    x = np.asarray(x, dtype=float)
-    if isinstance(orders, (int, np.integer)):
-        orders = (orders,) * len(fns)
-    terms = []  # per function: lambda, coefficients, powers of x
-    for fn, m in zip(fns, orders):
-        m = int(m)  # lambda ** m stays CPython's complex power
-        if not 0 <= m <= 4:
-            raise ValueError(f"derivative order {m} outside [0, 4]")
-        lam = complex(fn.alpha, fn.beta)
-        try:
-            cs = [math.comb(m, i) * math.perm(fn.k, i) * lam ** (m - i)
-                  for i in range(min(fn.k, m) + 1)]
-        except OverflowError:  # CPython's complex power raises, numpy's gives inf
-            cs = [complex(math.nan, math.nan)] * (min(fn.k, m) + 1)
-        if fn.kind == EXP_SIN:  # Im(z) = Re(-i z)
-            cs = [complex(c.imag, -c.real) for c in cs]
-        terms.append((lam, cs, range(fn.k, fn.k - len(cs), -1)))
-    lams, coefs, powers = zip(*terms)
-    # Row i: term i of every function (zero where a function has fewer terms).
-    coefs = np.array(list(zip_longest(*coefs, fillvalue=0j)))
-    real = all(fn.kind == POLY_EXP for fn in fns)  # real lambda: e.imag = +-0
-    k_max = max(fn.k for fn in fns)
-    if k_max == 0:  # one term, times x^0 = 1
-        env_r, env_i = coefs[0].real, coefs[0].imag
-    else:
-        x_pows = [1.0] + [x ** p for p in range(1, k_max + 1)]
-        env_r = env_i = 0.0
-        for c, p in zip(coefs, zip_longest(*powers, fillvalue=0)):
-            xp = x_pows[p[0]] if len(set(p)) == 1 else np.choose(p, x_pows)
-            env_r = env_r + c.real * xp
-            if not real:
-                env_i = env_i + c.imag * xp
-    e = np.exp(np.array(lams) * x)
-    return e.real * env_r if real else e.real * env_r - e.imag * env_i
+    return eval_terms(basis_terms(fns, [orders]), np.asarray(x, dtype=float), [0])[0]
+
+
+def basis_terms(fns, order_sets):
+    """The kernel's x-independent half: lambdas, all real?, largest k and per
+    order set (an int or one per function) its term rows.  Row i is term i of
+    every function: real and imaginary coefficients (zero where a function has
+    fewer terms) and the power of x, one int or one per function."""
+    lams, rows = [complex(fn.alpha, fn.beta) for fn in fns], []
+    for orders in order_sets:
+        if isinstance(orders, (int, np.integer)):
+            orders = (orders,) * len(fns)
+        coefs, powers = [], []
+        for fn, lam, m in zip(fns, lams, orders):
+            m = int(m)  # lambda ** m stays CPython's complex power
+            if not 0 <= m <= 4:
+                raise ValueError(f"derivative order {m} outside [0, 4]")
+            try:
+                cs = [math.comb(m, i) * math.perm(fn.k, i) * lam ** (m - i)
+                      for i in range(min(fn.k, m) + 1)]
+            except OverflowError:  # CPython's complex power raises, numpy's gives inf
+                cs = [complex(math.nan, math.nan)] * (min(fn.k, m) + 1)
+            if fn.kind == EXP_SIN:  # Im(z) = Re(-i z)
+                cs = [complex(c.imag, -c.real) for c in cs]
+            coefs.append(cs)
+            powers.append(range(fn.k, fn.k - len(cs), -1))
+        coefs = np.array(list(zip_longest(*coefs, fillvalue=0j)))
+        rows.append([(c.real, c.imag, p[0] if len(set(p)) == 1 else np.array(p))
+                     for c, p in zip(coefs, zip_longest(*powers, fillvalue=0))])
+    return np.array(lams), all(fn.kind == POLY_EXP for fn in fns), max(fn.k for fn in fns), rows
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def eval_terms(terms, x, sets):
+    """The kernel's numeric half: the order sets at indices sets of
+    :func:`basis_terms`' terms at a float array x, one array each; exp(lambda x)
+    and the powers of x are computed once for all of them."""
+    lams, real, k_max, rows = terms
+    x_pows = [1.0] + [x ** p for p in range(1, k_max + 1)]
+    e = np.exp(lams * x)
+    out = []
+    for s in sets:
+        if k_max == 0:  # one term, times x^0 = 1
+            env_r, env_i, _ = rows[s][0]
+        else:
+            env_r = env_i = 0.0
+            for c_r, c_i, p in rows[s]:
+                xp = x_pows[p] if isinstance(p, int) else np.choose(p, x_pows)
+                env_r = env_r + c_r * xp
+                if not real:  # a real lambda has e.imag = +-0
+                    env_i = env_i + c_i * xp
+        out.append(e.real * env_r if real else e.real * env_r - e.imag * env_i)
+    return out
 
 
 def piece_basis(pieces) -> list[tuple[BasisFunction, ...]]:

@@ -161,19 +161,14 @@ def _solution_table(sol, bvp, samples: int) -> str:
             x = xs[np.argmin(np.isfinite(column))]
             raise SolveError(f"closed-form solution is non-finite (overflow): "
                              f"u^({j})({x:g}) on piece {bvp.owning_piece(x)}")
-    columns = [column.tolist() for column in columns]
-    row = ",".join(["%.17g", "%d"] + ["%.17g"] * bvp.order)
-    lines = [",".join(header)]
-    lines += [row % values
-              for values in zip(xs.tolist(), bvp.owning_piece(xs).tolist(), *columns)]
-    return "\n".join(lines) + "\n"
+    rows = zip(xs.tolist(), bvp.owning_piece(xs).tolist(), *(c.tolist() for c in columns))
+    row = ",".join(["%.17g", "%d"] + ["%.17g"] * bvp.order) + "\n"
+    return ",".join(header) + "\n" + row * samples % tuple(v for r in rows for v in r)
 
 
 def _constants_report(sol) -> str:
-    lines = ["constants:"]
-    for piece, render, value in sol.labeled_constants():
-        lines.append(f"  piece {piece}: [{render}] = {value:.17g}")
-    return "\n".join(lines)
+    return "\n".join(["constants:"] + [f"  piece {piece}: [{render}] = {value:.17g}"
+                                       for piece, render, value in sol.labeled_constants()])
 
 
 def cmd_solve(args) -> int:
@@ -249,11 +244,7 @@ def _reproduce_one(example_id: str, with_oracle: bool, step: float) -> int:
 
 def cmd_reproduce(args) -> int:
     ids = list(registry.EXAMPLE_IDS) if args.example == "all" else [args.example]
-    worst = EXIT_OK
-    for ex_id in ids:
-        code = _reproduce_one(ex_id, args.oracle, args.step)
-        worst = max(worst, code)
-    return worst
+    return max(_reproduce_one(ex_id, args.oracle, args.step) for ex_id in ids)
 
 
 def cmd_verify(args) -> int:

@@ -16,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import (MAX_ORDER, BasisFunction, basis_derivatives,
-                    characteristic_coeffs, piece_basis)
+from .basis import (MAX_ORDER, BasisFunction, basis_derivatives, basis_terms,
+                    characteristic_coeffs, eval_terms, piece_basis)
 from .model import MAX_FORCING_DEGREE, PiecewiseBvp, SolveError
 
 CONSISTENCY_TOL = 1e-9
@@ -29,15 +29,14 @@ _FALLING = np.array([[math.perm(p, j) for j in range(MAX_ORDER + 1)]
 
 
 class InconsistentSystemError(SolveError):
-    """System with no solution: the residual of an overdetermined system, or
-    the rhs left below a rank-deficient one's rank, exceeds the gate."""
+    """No solution: an overdetermined system's residual (rank None), or the rhs
+    a rank-deficient one leaves below its rank, has inf-norm above the gate."""
 
-    def __init__(self, residual_norm: float):
-        super().__init__(
-            f"matching system is inconsistent (residual inf-norm "
-            f"{residual_norm:.3e} exceeds {CONSISTENCY_TOL:.0e} gate)"
-        )
-        self.residual_norm = residual_norm
+    def __init__(self, norm: float, rank: int | None = None):
+        what = "residual" if rank is None else f"rhs left below rank {rank}:"
+        super().__init__(f"matching system is inconsistent ({what} inf-norm "
+                         f"{norm:.3e} exceeds {CONSISTENCY_TOL:.0e} gate)")
+        self.norm, self.rank = norm, rank
 
 
 class RankDeficientError(SolveError):
@@ -101,24 +100,30 @@ class PieceSolution:
             raise ValueError("one constant per basis function required")
 
     @cached_property
-    def _particular_table(self) -> np.ndarray:
-        """Row d: the particular's d-th derivative, for every supported d."""
-        return _derivative_table([self.particular], MAX_ORDER + 1)[:, 0]
+    def _kernel(self):
+        """Basis kernel terms and particular coefficients, set/row d for order d."""
+        return (basis_terms(self.basis, range(MAX_ORDER + 1)),
+                _derivative_table([self.particular], MAX_ORDER + 1)[:, 0])
 
     def value(self, x, deriv_order: int = 0):
         """u^(deriv_order) at a scalar or an array x; an overflow gives inf or
         nan without a numpy warning."""
-        return self._combine(np.asarray(x, dtype=float), self.constants, deriv_order)[()]
+        return self._combine(np.asarray(x, dtype=float), self.constants, [deriv_order])[0][()]
 
     @np.errstate(over="ignore", invalid="ignore")
-    def _combine(self, x, constants, deriv_order: int):
-        """One kernel call for the whole basis at x, then constants[..., j]
-        times column j added in basis order to the particular."""
-        columns = basis_derivatives(self.basis, x[..., None], deriv_order)
-        total = _horner(self._particular_table[deriv_order], x)
-        for j in range(len(self.basis)):
-            total += constants[..., j] * columns[..., j]
-        return total
+    def _combine(self, x, constants, orders):
+        """u^(d) at x for every d in orders from one kernel pass: constants[..., j]
+        times basis column j, added in basis order to the particular."""
+        if not all(0 <= d <= MAX_ORDER for d in orders):
+            raise ValueError(f"derivative orders {list(orders)} outside [0, {MAX_ORDER}]")
+        terms, table = self._kernel
+        out = []
+        for d, columns in zip(orders, eval_terms(terms, x[..., None], orders)):
+            total = _horner(table[d], x)
+            for j in range(len(self.basis)):
+                total += constants[..., j] * columns[..., j]
+            out.append(total)
+        return out
 
 
 @dataclass(frozen=True)
@@ -137,11 +142,8 @@ class PiecewiseSolution:
 
     def labeled_constants(self):
         """Flat list of (piece_index, basis_render, constant)."""
-        out = []
-        for k, ps in enumerate(self.pieces):
-            for b, c in zip(ps.basis, ps.constants):
-                out.append((k, b.render(), float(c)))
-        return out
+        return [(k, b.render(), float(c)) for k, ps in enumerate(self.pieces)
+                for b, c in zip(ps.basis, ps.constants)]
 
 
 def _bits(values) -> tuple[str, ...]:
@@ -219,8 +221,8 @@ def _horner(coeffs: np.ndarray, x) -> np.ndarray:
     """Polynomials with ascending coefficients on the last axis, at x, in
     numpy polyval's operation order (a zero leading coefficient adds +-0)."""
     out = 0.0
-    for c in np.moveaxis(coeffs, -1, 0)[::-1]:
-        out = c + out * x
+    for i in range(coeffs.shape[-1] - 1, -1, -1):
+        out = coeffs[..., i] + out * x
     return out
 
 
@@ -338,7 +340,7 @@ def gauss_solve(system: MatchSystem) -> GaussResult:
         # Rows below the rank are zero in the matrix: no solution meets their rhs.
         dropped = float(np.abs(aug[rank:, n]).max(initial=0.0))
         if not dropped <= gate:
-            raise InconsistentSystemError(dropped)
+            raise InconsistentSystemError(dropped, rank)
         free = tuple(divmod(c, system.order) for c in range(n) if c not in pivot_cols)
         raise RankDeficientError(rank, n - rank, free)
     x = _back_substitute(aug, n)
@@ -389,5 +391,5 @@ def eval_solution(sol: PiecewiseSolution, bvp: PiecewiseBvp, x,
     for g, ps in enumerate(shared):
         at = at_group == g
         if at.any():
-            out[at] = ps._combine(x[at], constants[owner[at]], deriv_order)
+            out[at] = ps._combine(x[at], constants[owner[at]], [deriv_order])[0]
     return out[()]

@@ -14,6 +14,7 @@ basis or particular-solution code with the closed-form path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,10 +41,11 @@ def _generator(piece: PieceOde) -> np.ndarray:
     """Â of z' = Â z for z = (u, ..., u^(n-1), w_(d-1), ..., w_0), where
     w_k = (x - lo)^k / k! and d = len(forcing): the companion rows, the ODE
     row taking q(x) = sum_k q^(k)(lo) w_k, and the shift w_k' = w_(k-1)."""
-    n, d = piece.order, len(piece.forcing)
-    taylor = [np.polynomial.polynomial.polyval(
-        piece.lo, np.polynomial.polynomial.polyder(piece.forcing, k)) for k in range(d)]
-    a = np.eye(n + d, k=1)
+    n, lo, q, taylor = piece.order, piece.lo, [float(c) for c in piece.forcing], []
+    while q:  # q^(k)(lo) in numpy polyder's and polyval's operation order
+        taylor.append(functools.reduce(lambda v, c: c + v * lo, q[-2::-1], q[-1] + lo * 0))
+        q = [j * q[j] for j in range(1, len(q))]
+    a = np.eye(n + len(taylor), k=1)
     a[n - 1] = [*piece.coeffs, *taylor[::-1]]
     return a
 

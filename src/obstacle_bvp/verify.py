@@ -85,14 +85,14 @@ def residual_report(sol: PiecewiseSolution, bvp: PiecewiseBvp,
     """Per-piece max of |u^(n) - sum_j a_j u^(j) - q| on interior samples."""
     if samples_per_piece < 2:
         raise ProblemError("samples_per_piece must be at least 2")
-    n = bvp.order
     out = []
     for piece, psol in zip(bvp.pieces, sol.pieces):
         xs = np.linspace(piece.lo, piece.hi, samples_per_piece + 2)[1:-1]
-        r = psol.value(xs, n) - piece.forcing_value(xs)
-        for j, aj in enumerate(piece.coeffs):
-            if aj != 0.0:
-                r -= aj * psol.value(xs, j)
+        orders = [j for j, aj in enumerate(piece.coeffs) if aj != 0.0]
+        *lower, top = psol._combine(xs, psol.constants, orders + [bvp.order])
+        r = top - piece.forcing_value(xs)
+        for j, u in zip(orders, lower):
+            r -= piece.coeffs[j] * u
         out.append(float(np.abs(r).max()))
     return tuple(out)
 
@@ -109,26 +109,32 @@ def continuity_report(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> tuple[JumpEn
     """Jumps across every interior breakpoint for every order 0..n-1.
 
     Orders outside the enforced continuity set are reported too, flagged
-    informational; they never fail a profile.  Each piece is evaluated once
-    per order at both of its ends.
+    informational; they never fail a profile.  Each piece is evaluated in
+    one pass over every order at both of its ends.
     """
     if not bvp.interior_breakpoints:
         return ()
-    # ends[j][k] = (u_k^(j)(lo_k), u_k^(j)(hi_k))
-    ends = [[psol.value(np.array(piece.interval), j)
-             for piece, psol in zip(bvp.pieces, sol.pieces)]
-            for j in range(bvp.order)]
-    return tuple(JumpEntry(x, j, abs(ends[j][k][1] - ends[j][k + 1][0]),
+    # ends[k][j] = (u_k^(j)(lo_k), u_k^(j)(hi_k))
+    ends = [psol._combine(np.array(piece.interval), psol.constants, range(bvp.order))
+            for piece, psol in zip(bvp.pieces, sol.pieces)]
+    return tuple(JumpEntry(x, j, abs(ends[k][j][1] - ends[k + 1][j][0]),
                            j in bvp.continuity.enforced_orders)
                  for k, x in enumerate(bvp.interior_breakpoints)
                  for j in range(bvp.order))
 
 
 def condition_report(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> tuple[float, ...]:
-    out = []
-    for cond in bvp.conditions:
-        k = bvp.owning_piece(cond.location, side="left")
-        out.append(abs(sol.pieces[k].value(cond.location, cond.deriv_order) - cond.value))
+    """|u^(d)(x) - value| per point condition; one pass per (left) owning piece."""
+    conds = bvp.conditions
+    where = np.array([c.location for c in conds])
+    owner = bvp.owning_piece(where, side="left").tolist()
+    out = [None] * len(conds)
+    for k in set(owner):
+        at = [i for i, o in enumerate(owner) if o == k]
+        orders = sorted({conds[i].deriv_order for i in at})
+        u = dict(zip(orders, sol.pieces[k]._combine(where[at], sol.pieces[k].constants, orders)))
+        for col, i in enumerate(at):
+            out[i] = abs(u[conds[i].deriv_order][col] - conds[i].value)
     return tuple(out)
 
 

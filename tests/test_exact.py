@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from obstacle_bvp.basis import basis_derivatives, piece_basis
+from obstacle_bvp.basis import MAX_ORDER, basis_derivatives, piece_basis
 from obstacle_bvp.exact import (InconsistentSystemError, MatchSystem,
                                 PieceSolution, RankDeficientError, SolveError,
                                 assemble_system, eval_solution, gauss_solve,
@@ -224,7 +224,21 @@ class TestGaussSolve:
                              1, None)
         with pytest.raises(InconsistentSystemError) as exc:
             gauss_solve(system)
-        assert exc.value.residual_norm > 0.1
+        assert exc.value.norm > 0.1 and exc.value.rank is None
+
+    def test_no_solution_names_the_rhs_below_the_rank(self):
+        # u'' = -u + 1 on (0, pi), u = 0 at both ends: u(0) + u(pi) = 2 for
+        # every solution of the ODE, so the rhs left below rank 1 is 2.
+        bvp = PiecewiseBvp(2, (PieceOde(2, (0.0, math.pi), (-1.0, 0.0), (1.0,)),),
+                           (PointCondition(0.0, 0, 0.0), PointCondition(math.pi, 0, 0.0)),
+                           ContinuitySpec(frozenset({0, 1})))
+        with pytest.raises(InconsistentSystemError) as exc:
+            solve_exact(bvp)
+        assert exc.value.rank == 1
+        assert exc.value.norm == pytest.approx(2.0)
+        message = str(exc.value)
+        assert "inconsistent" in message and "rhs left below rank 1" in message
+        assert "residual" not in message and "pin" not in message
 
     def test_consistent_redundant_rows_accepted(self):
         system = MatchSystem(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
@@ -409,6 +423,39 @@ class TestEvalSolution:
             assert np.abs(piece.value(xs, j) - per_point).max() <= (
                 1e-15 * np.abs(per_point).max())
 
+    @pytest.mark.parametrize("ex_id", EXAMPLE_IDS)
+    def test_value_is_its_row_of_the_multi_order_pass(self, ex_id):
+        bvp = get_example(ex_id).bvp
+        for piece, ps in zip(bvp.pieces, solve_exact(bvp).pieces):
+            xs = np.linspace(piece.lo, piece.hi, 37)
+            rows = ps._combine(xs, ps.constants, range(MAX_ORDER + 1))
+            for d in range(MAX_ORDER + 1):
+                assert _bitwise(ps.value(xs, d), rows[d])
+                assert _bitwise(ps.value(xs[5], d), rows[d][5])
+            # any subset of orders, in any order, gives the same rows
+            assert all(_bitwise(got, rows[d]) for d, got in
+                       zip((3, 0, 2), ps._combine(xs, ps.constants, (3, 0, 2))))
+
+    @pytest.mark.parametrize("coeffs", [(1.0, 0.0), (-5.0, 2.0)], ids=["exp", "exp-trig"])
+    def test_overflowing_value_is_its_row_silently(self, coeffs):
+        piece = PieceOde(2, (0.0, 1.0), coeffs, (1.0, 0.5))
+        basis, particular = piece_basis([piece])[0], particular_solution([piece])[0]
+        ps = PieceSolution(basis, np.array([1.0, -2.0]), particular)
+        xs = np.array([0.5, 700.0, 750.0, 1000.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = ps._combine(xs, ps.constants, range(MAX_ORDER + 1))
+            for d in range(MAX_ORDER + 1):
+                assert _bitwise(ps.value(xs, d), rows[d])
+                assert _bitwise(ps.value(1000.0, d), rows[d][3])
+        assert np.isfinite(rows[0][0]) and not np.isfinite(rows[0][3])
+
+    @pytest.mark.parametrize("order", [-1, MAX_ORDER + 1])
+    def test_unsupported_order_rejected(self, order):
+        ps = solve_exact(get_example("3.1.1").bvp).pieces[0]
+        with pytest.raises(ValueError):
+            ps.value(0.0, order)
+
     def test_outside_domain_rejected(self):
         entry = get_example("3.1.1")
         sol = solve_exact(entry.bvp)
@@ -505,9 +552,20 @@ class TestSharedOdeWork:
         bvp = _sixteen_region_obstacle()
         sol = solve_exact(bvp)
         xs = np.linspace(*bvp.domain, 2001)
-        kernel = _counting(monkeypatch, "basis_derivatives")
+        kernel = _counting(monkeypatch, "eval_terms")
         eval_solution(sol, bvp, xs, 1)
         assert len(kernel) == 2
+
+    def test_each_piece_builds_its_kernel_terms_once(self, monkeypatch):
+        bvp = _sixteen_region_obstacle()
+        sol = solve_exact(bvp)
+        terms = _counting(monkeypatch, "basis_terms")
+        xs = np.linspace(*bvp.domain, 101)
+        for j in range(bvp.order):
+            eval_solution(sol, bvp, xs, j)
+            for ps in sol.pieces:
+                ps.value(xs, j)
+        assert len(terms) == 16  # one per piece, each for every order
 
     def test_perturbed_twin_evaluates_its_own_particular(self):
         bvp = _sixteen_region_obstacle()

@@ -161,6 +161,37 @@ def _step_count_piece(steps, h=0.01):
     return PieceOde(3, (0.2, 0.2 + (steps - 0.5) * h), (-1.0, 0.5, -0.3), (1.0, -2.0, 0.5))
 
 
+def _polyder_generator(piece):
+    """Â with the forcing's Taylor coefficients from numpy polyder and
+    polyval, one call each per coefficient."""
+    npoly = np.polynomial.polynomial
+    n, d = piece.order, len(piece.forcing)
+    taylor = [npoly.polyval(piece.lo, npoly.polyder(piece.forcing, k)) for k in range(d)]
+    a = np.eye(n + d, k=1)
+    a[n - 1] = [*piece.coeffs, *taylor[::-1]]
+    return a
+
+
+class TestGenerator:
+    """The Horner Taylor shift is bitwise numpy's polyder and polyval."""
+
+    def test_registry_pieces(self):
+        for ex_id in EXAMPLE_IDS:
+            for piece in get_example(ex_id).bvp.pieces:
+                assert _generator(piece).tobytes() == _polyder_generator(piece).tobytes()
+
+    @pytest.mark.parametrize("degree", range(7))
+    def test_random_forcing(self, degree):
+        rng = np.random.default_rng(degree)
+        for _ in range(200):
+            lo = float(rng.choice([0.0, -1.0, rng.uniform(-3.0, 3.0)]))
+            order = int(rng.integers(2, 5))
+            forcing = rng.uniform(-2.0, 2.0, degree + 1) * (rng.random(degree + 1) > 0.2)
+            piece = PieceOde(order, (lo, lo + 1.5), tuple(rng.uniform(-2.0, 2.0, order)),
+                             tuple(forcing.tolist()))
+            assert _generator(piece).tobytes() == _polyder_generator(piece).tobytes()
+
+
 class TestDoublingSweep:
     """The doubling sweep against the per-step one of the same map."""
 

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from obstacle_bvp.exact import PieceSolution, solve_exact
-from obstacle_bvp.examples import get_example
+from obstacle_bvp.exact import PieceSolution, SolveError, solve_exact
+from obstacle_bvp.examples import EXAMPLE_IDS, get_example
 from obstacle_bvp.model import (ContinuitySpec, PieceOde, PiecewiseBvp,
                                 PointCondition, ProblemError)
 from obstacle_bvp.oracle import shooting_solve
@@ -13,7 +14,8 @@ from obstacle_bvp.verify import (DEFAULT_PROFILE, JumpEntry,
                                  ToleranceProfile, VerificationReport,
                                  compare_solutions, condition_report,
                                  continuity_report, pin_anchors,
-                                 residual_report, verification_report)
+                                 residual_report, solution_scale,
+                                 verification_report)
 
 E = math.e
 
@@ -238,3 +240,159 @@ class TestPinAnchors:
         assert len(anchors) == 1
         piece = entry.bvp.pieces[2]
         assert anchors[0].location == pytest.approx((piece.lo + piece.hi) / 2)
+
+
+# The per-call reports: one PieceSolution.value call per order, per piece
+# and per condition.  The reports evaluate every order a piece needs in one
+# kernel pass; each entry must come out of the same IEEE operations.
+
+def _residuals_per_call(sol, bvp, samples_per_piece=1000):
+    n = bvp.order
+    out = []
+    for piece, psol in zip(bvp.pieces, sol.pieces):
+        xs = np.linspace(piece.lo, piece.hi, samples_per_piece + 2)[1:-1]
+        r = psol.value(xs, n) - piece.forcing_value(xs)
+        for j, aj in enumerate(piece.coeffs):
+            if aj != 0.0:
+                r -= aj * psol.value(xs, j)
+        out.append(float(np.abs(r).max()))
+    return tuple(out)
+
+
+def _jumps_per_call(sol, bvp):
+    ends = [[psol.value(np.array(piece.interval), j)
+             for piece, psol in zip(bvp.pieces, sol.pieces)]
+            for j in range(bvp.order)]
+    return tuple(JumpEntry(x, j, abs(ends[j][k][1] - ends[j][k + 1][0]),
+                           j in bvp.continuity.enforced_orders)
+                 for k, x in enumerate(bvp.interior_breakpoints)
+                 for j in range(bvp.order))
+
+
+def _conditions_per_call(sol, bvp):
+    out = []
+    for cond in bvp.conditions:
+        k = bvp.owning_piece(cond.location, side="left")
+        out.append(abs(sol.pieces[k].value(cond.location, cond.deriv_order) - cond.value))
+    return tuple(out)
+
+
+def _scale_per_call(sol, bvp):
+    return 1.0 + max(
+        float(np.abs(psol.value(np.linspace(piece.lo, piece.hi, 100))).max())
+        for piece, psol in zip(bvp.pieces, sol.pieces))
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def _assert_reports_bitwise(sol, bvp):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _bits(residual_report(sol, bvp)) == _bits(_residuals_per_call(sol, bvp))
+        jumps, reference = continuity_report(sol, bvp), _jumps_per_call(sol, bvp)
+        assert [(j.breakpoint, j.order, j.enforced) for j in jumps] == [
+            (j.breakpoint, j.order, j.enforced) for j in reference]
+        assert _bits([j.jump for j in jumps]) == _bits([j.jump for j in reference])
+        assert _bits(condition_report(sol, bvp)) == _bits(_conditions_per_call(sol, bvp))
+        assert _bits(solution_scale(sol, bvp)) == _bits(_scale_per_call(sol, bvp))
+
+
+def _sixteen_region_obstacle():
+    from obstacle_bvp.penalty import Obstacle, PenaltyProblem, reformulate
+    rng = np.random.default_rng(7)
+    cuts = np.linspace(0.0, math.pi, 17)
+    contact = rng.permutation([True, False] * 8)
+    regions = tuple(((cuts[k], cuts[k + 1]),
+                     1.0 if contact[k] else float(rng.uniform(-2.0, 0.5)))
+                    for k in range(16))
+    return reformulate(PenaltyProblem(
+        Obstacle(regions), force=0.7,
+        conditions=(PointCondition(0.0, 0, 0.0), PointCondition(math.pi, 0, 0.0))))
+
+
+def _random_bvp(rng, order):
+    """1-4 pieces with random coefficients (some zeroed), forcing of degree
+    0-3 and conditions at both ends, at interior breakpoints and inside
+    pieces, several of them on one piece."""
+    n_pieces = int(rng.integers(1, 5))
+    cuts = np.sort(rng.uniform(-1.0, 2.5, n_pieces - 1)).tolist()
+    cuts = [-1.0] + cuts + [2.5]
+    pieces = tuple(PieceOde(order, (cuts[k], cuts[k + 1]),
+                            tuple(float(c) * (rng.random() > 0.3)
+                                  for c in rng.uniform(-2.0, 2.0, order)),
+                            tuple(float(q) for q in rng.uniform(-2.0, 2.0, rng.integers(1, 5))))
+                   for k in range(n_pieces))
+    where = [-1.0, 2.5] + cuts[1:-1] + rng.uniform(-1.0, 2.5, order).tolist()
+    conditions = tuple(PointCondition(float(x), int(rng.integers(0, order)),
+                                      float(rng.uniform(-1.0, 1.0)))
+                       for x in rng.choice(where, order, replace=False))
+    return PiecewiseBvp(order, pieces, conditions,
+                        ContinuitySpec(frozenset(range(order))))
+
+
+class TestReportsEqualPerCallReports:
+    @pytest.mark.parametrize("ex_id", EXAMPLE_IDS)
+    def test_registry(self, ex_id):
+        bvp = get_example(ex_id).bvp
+        _assert_reports_bitwise(solve_exact(bvp), bvp)
+
+    def test_sixteen_region_obstacle(self):
+        bvp = _sixteen_region_obstacle()
+        _assert_reports_bitwise(solve_exact(bvp), bvp)
+
+    def test_perturbed_solution(self):
+        entry = get_example("3.1.1")
+        _assert_reports_bitwise(_perturb_particular(solve_exact(entry.bvp), 1, 1e-3),
+                                entry.bvp)
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_random_family(self, order):
+        rng = np.random.default_rng(order)
+        solved = 0
+        for _ in range(40):
+            bvp = _random_bvp(rng, order)
+            try:
+                sol = solve_exact(bvp)
+            except SolveError:
+                continue
+            _assert_reports_bitwise(sol, bvp)
+            solved += 1
+        assert solved >= 20
+
+
+class TestOnePassPerPiece:
+    def _count(self, monkeypatch):
+        import obstacle_bvp.exact as exact_module
+        calls = []
+        original = exact_module.eval_terms
+
+        def counted(*args):
+            calls.append(args[2])
+            return original(*args)
+
+        monkeypatch.setattr(exact_module, "eval_terms", counted)
+        return calls
+
+    def test_residual_and_continuity(self, monkeypatch):
+        bvp = get_example("3.1.2").bvp  # three pieces
+        sol = solve_exact(bvp)
+        calls = self._count(monkeypatch)
+        residual_report(sol, bvp)
+        assert len(calls) == 3
+        assert [list(orders)[-1] for orders in calls] == [bvp.order] * 3
+        calls.clear()
+        continuity_report(sol, bvp)
+        assert [list(orders) for orders in calls] == [list(range(bvp.order))] * 3
+
+    def test_condition_report_one_pass_per_owning_piece(self, monkeypatch):
+        entry = get_example("3.1.1")
+        sol = solve_exact(entry.bvp)
+        conds = (PointCondition(-0.5, 0, 0.25), PointCondition(1.0, 0, 0.0),
+                 PointCondition(0.5, 1, 0.0), PointCondition(-1.0, 0, 0.0),
+                 PointCondition(0.5, 0, 0.0), PointCondition(-0.5, 1, -0.5))
+        bvp = dataclasses.replace(entry.bvp, conditions=conds)
+        calls = self._count(monkeypatch)
+        condition_report(sol, bvp)
+        assert len(calls) == 3  # owners 0, 1 and 2
