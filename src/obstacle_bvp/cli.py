@@ -12,11 +12,11 @@ Problem files are JSON with fields mirroring the model types:
       "pins": [{"piece": 2, "basis": 0, "value": 1.0}]
     }
 
-Numbers are plain literals (no expression evaluation).  Exit codes: 0 ok,
-1 input error (including a command-line usage error and an unwritable
-output), 2 solve failure (any SolveError: rank, consistency, overflow, root
-finding), 3 verification failure (including an oracle integration that blows
-up).
+Numbers are plain literals (no expression evaluation).  Commands raise;
+:data:`FAILURES` maps each failure to its exit code and :func:`run` applies it:
+0 ok, 1 input error (ProblemError; a command-line usage error exits 1 from the
+parser), 2 solve failure (any SolveError), 3 verification failure (a failed
+check, or an IntegrationError from the oracle).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import sys
 
 import numpy as np
 
-from .exact import eval_solution, solve_exact
+from .exact import solve_exact
 from .model import (ContinuitySpec, PiecewiseBvp, PinnedConstant,
                     PointCondition, ProblemError, SolveError, normalize_piece,
                     validate_bvp)
@@ -45,10 +45,18 @@ EXIT_VERIFY = 3
 # Rows of the solve table: 10^6 rows are 60-110 MB of CSV text.
 MAX_SAMPLES = 10 ** 6
 
+# Every failure a command may raise, with its exit code.
+FAILURES = ((ProblemError, EXIT_INPUT), (SolveError, EXIT_RANK), (IntegrationError, EXIT_VERIFY))
 
-def _error(message, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+
+def run(command, *args) -> int:
+    """command(*args)'s exit code; a failure listed in FAILURES prints
+    ``error: <message>`` on stderr and gives that failure's code."""
+    try:
+        return command(*args)
+    except tuple(kind for kind, _ in FAILURES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code in FAILURES if isinstance(exc, kind))
 
 
 def _number(value, what: str):
@@ -155,13 +163,14 @@ def _solution_table(sol, bvp, samples: int) -> str:
     a, b = bvp.domain
     header = ["x", "piece"] + ["u"] + [f"du{j}" for j in range(1, bvp.order)]
     xs = np.linspace(a, b, samples)
-    columns = [eval_solution(sol, bvp, xs, j) for j in range(bvp.order)]
+    owner = bvp.owning_piece(xs)
+    columns = sol.evaluate(xs, owner, range(bvp.order))
     for j, column in enumerate(columns):
         if not np.isfinite(column).all():
-            x = xs[np.argmin(np.isfinite(column))]
+            i = np.argmin(np.isfinite(column))
             raise SolveError(f"closed-form solution is non-finite (overflow): "
-                             f"u^({j})({x:g}) on piece {bvp.owning_piece(x)}")
-    rows = zip(xs.tolist(), bvp.owning_piece(xs).tolist(), *(c.tolist() for c in columns))
+                             f"u^({j})({xs[i]:g}) on piece {owner[i]}")
+    rows = zip(xs.tolist(), owner.tolist(), *(c.tolist() for c in columns))
     row = ",".join(["%.17g", "%d"] + ["%.17g"] * bvp.order) + "\n"
     return ",".join(header) + "\n" + row * samples % tuple(v for r in rows for v in r)
 
@@ -172,26 +181,19 @@ def _constants_report(sol) -> str:
 
 
 def cmd_solve(args) -> int:
-    try:
-        bvp = load_problem(args.input)
-    except ProblemError as exc:
-        return _error(exc, EXIT_INPUT)
+    bvp = load_problem(args.input)
     if not 2 <= args.samples <= MAX_SAMPLES:
-        return _error(f"--samples must be between 2 and {MAX_SAMPLES}, got {args.samples}",
-                      EXIT_INPUT)
+        raise ProblemError(f"--samples must be between 2 and {MAX_SAMPLES}, got {args.samples}")
     diag = validate_bvp(bvp)
     print(f"unknowns: {diag.n_unknowns}, equations: {diag.n_equations}"
           f" ({diag.determinacy})")
-    try:
-        sol = solve_exact(bvp)
-        table = _solution_table(sol, bvp, args.samples)
-    except SolveError as exc:
-        return _error(exc, EXIT_RANK)
+    sol = solve_exact(bvp)
+    table = _solution_table(sol, bvp, args.samples)
     try:
         with open(args.output, "w") as fh:
             fh.write(table)
     except OSError as exc:
-        return _error(f"cannot write {args.output}: {exc}", EXIT_INPUT)
+        raise ProblemError(f"cannot write {args.output}: {exc}") from exc
     print(_constants_report(sol))
     print(f"wrote {args.samples} samples to {args.output}")
     return EXIT_OK
@@ -201,36 +203,19 @@ def _report(sol, bvp, step) -> int:
     """Print the verification table and return the verdict's exit code; a
     ``step`` first runs the oracle, ``None`` skips it.  The oracle receives
     the problem with its pins traded for anchor point conditions."""
-    numeric = None
-    if step is not None:
-        try:
-            anchored = dataclasses.replace(
-                bvp, pins=(), conditions=bvp.conditions + pin_anchors(sol, bvp))
-            numeric = shooting_solve(anchored, step)
-        except ProblemError as exc:  # a step too small for the domain
-            return _error(exc, EXIT_INPUT)
-        except SolveError as exc:
-            return _error(exc, EXIT_RANK)
-        except IntegrationError as exc:
-            return _error(exc, EXIT_VERIFY)
+    numeric = None if step is None else shooting_solve(dataclasses.replace(
+        bvp, pins=(), conditions=bvp.conditions + pin_anchors(sol, bvp)), step)
     report = verification_report(sol, bvp, numeric)
     print(report.render_table())
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
 def _reproduce_one(example_id: str, with_oracle: bool, step: float) -> int:
-    try:
-        entry = registry.get_example(example_id)
-    except ProblemError as exc:
-        return _error(exc, EXIT_INPUT)
+    entry = registry.get_example(example_id)
     print(f"== {entry.id}: {entry.description}")
     if entry.notes:
         print(f"   note: {entry.notes}")
-    bvp = entry.bvp
-    try:
-        sol = solve_exact(bvp)
-    except SolveError as exc:
-        return _error(exc, EXIT_RANK)
+    sol = solve_exact(entry.bvp)
     print(_constants_report(sol))
     if entry.reference_constants:
         print("published constants:")
@@ -239,24 +224,19 @@ def _reproduce_one(example_id: str, with_oracle: bool, step: float) -> int:
     if with_oracle and not entry.oracle_comparable:
         print("   oracle comparison skipped: printed solution inconsistent")
         with_oracle = False
-    return _report(sol, bvp, step if with_oracle else None)
+    return _report(sol, entry.bvp, step if with_oracle else None)
 
 
 def cmd_reproduce(args) -> int:
+    """Every example runs through :func:`run`, so ``all`` reports each
+    entry and returns the largest code."""
     ids = list(registry.EXAMPLE_IDS) if args.example == "all" else [args.example]
-    return max(_reproduce_one(ex_id, args.oracle, args.step) for ex_id in ids)
+    return max(run(_reproduce_one, ex_id, args.oracle, args.step) for ex_id in ids)
 
 
 def cmd_verify(args) -> int:
-    try:
-        bvp = load_problem(args.input)
-    except ProblemError as exc:
-        return _error(exc, EXIT_INPUT)
-    try:
-        sol = solve_exact(bvp)
-    except SolveError as exc:
-        return _error(exc, EXIT_RANK)
-    return _report(sol, bvp, args.step)
+    bvp = load_problem(args.input)
+    return _report(solve_exact(bvp), bvp, args.step)
 
 
 def cmd_list(_args) -> int:
@@ -309,12 +289,15 @@ def build_parser() -> argparse.ArgumentParser:
 PARSER = build_parser()
 
 
-def main(argv=None) -> int:
-    args = PARSER.parse_args(argv)
+def _dispatch(args) -> int:
     step = getattr(args, "step", DEFAULT_STEP)  # reproduce and verify only
     if not (math.isfinite(step) and step > 0):
-        return _error(f"--step must be positive and finite, got {step}", EXIT_INPUT)
+        raise ProblemError(f"--step must be positive and finite, got {step}")
     return args.func(args)
+
+
+def main(argv=None) -> int:
+    return run(_dispatch, PARSER.parse_args(argv))
 
 
 if __name__ == "__main__":

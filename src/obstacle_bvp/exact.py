@@ -140,6 +140,19 @@ class PiecewiseSolution:
             _bits(ps.particular)))
         return shared, np.array(group), np.array([ps.constants for ps in self.pieces])
 
+    def evaluate(self, x, owner, orders) -> np.ndarray:
+        """u^(d) at a float array x for every d in orders (one row each), point i
+        on piece owner[i]: one kernel pass per group of pieces that share their
+        basis and particular, each point with its own piece's constants."""
+        shared, group, constants = self._groups
+        at_group = group[owner]
+        out = np.empty((len(orders),) + x.shape)
+        for g, ps in enumerate(shared):
+            at = at_group == g
+            if at.any():
+                out[:, at] = ps._combine(x[at], constants[owner[at]], orders)
+        return out
+
     def labeled_constants(self):
         """Flat list of (piece_index, basis_render, constant)."""
         return [(k, b.render(), float(c)) for k, ps in enumerate(self.pieces)
@@ -381,15 +394,6 @@ def eval_solution(sol: PiecewiseSolution, bvp: PiecewiseBvp, x,
                   deriv_order: int = 0):
     """Evaluate the piecewise solution at a scalar or an array x; breakpoints
     belong to the right piece (except the global endpoint b, owned by the
-    last piece).  One kernel pass per group of pieces that share their basis
-    and particular; each point takes its own piece's constants."""
+    last piece), by :meth:`PiecewiseSolution.evaluate`."""
     x = np.asarray(x, dtype=float)
-    owner = bvp.owning_piece(x)
-    shared, group, constants = sol._groups
-    at_group = group[owner]
-    out = np.empty(x.shape)
-    for g, ps in enumerate(shared):
-        at = at_group == g
-        if at.any():
-            out[at] = ps._combine(x[at], constants[owner[at]], [deriv_order])[0]
-    return out[()]
+    return sol.evaluate(x, bvp.owning_piece(x), [deriv_order])[0][()]

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from obstacle_bvp.cli import (EXIT_INPUT, EXIT_OK, EXIT_RANK, EXIT_VERIFY,
                               _solution_table, export_problem, load_problem,
                               main, parse_problem)
-from obstacle_bvp.exact import PieceSolution, eval_solution, solve_exact
+from obstacle_bvp.basis import RootFindingError
+from obstacle_bvp.exact import (InconsistentSystemError, PieceSolution, RankDeficientError,
+                                eval_solution, solve_exact)
 from obstacle_bvp.examples import get_example
-from obstacle_bvp.model import PointCondition, ProblemError
+from obstacle_bvp.model import PointCondition, ProblemError, SolveError
 from obstacle_bvp.oracle import DEFAULT_STEP, IntegrationError
 from obstacle_bvp.penalty import Obstacle, PenaltyProblem, reformulate
 
@@ -438,6 +440,34 @@ class TestMain:
         assert main(["reproduce", "--example", "3.1.3", "--oracle"]) == EXIT_OK
         assert calls == [("3.1.1", True, 0.01), ("3.1.2", False, DEFAULT_STEP),
                          ("3.1.3", True, DEFAULT_STEP)]
+
+
+class TestFailureTable:
+    """A listed failure raised from inside any command exits with its code."""
+
+    @pytest.mark.parametrize("failure, code", [
+        (ProblemError("bad input"), EXIT_INPUT),
+        (RankDeficientError(3, 1, [(0, 1)]), EXIT_RANK),
+        (InconsistentSystemError(2.0, 1), EXIT_RANK),
+        (RootFindingError("unpaired complex root"), EXIT_RANK),
+        (SolveError("overflow"), EXIT_RANK),
+        (IntegrationError("integration blew up near x = 0.5"), EXIT_VERIFY),
+    ])
+    @pytest.mark.parametrize("argv, target", [
+        (["verify", "--input", "{problem}"], "verification_report"),
+        (["reproduce", "--example", "3.1.1", "--oracle"], "verification_report"),
+        (["solve", "--input", "{problem}", "--output", "{csv}"], "validate_bvp"),
+    ])
+    def test_failure_maps_to_its_exit_code(self, tmp_path, monkeypatch, capsys,
+                                           failure, code, argv, target):
+        def fail(*args):
+            raise failure
+
+        monkeypatch.setattr(f"obstacle_bvp.cli.{target}", fail)
+        paths = {"problem": _write_problem(tmp_path, get_example("3.1.1").bvp),
+                 "csv": str(tmp_path / "out.csv")}
+        assert main([a.format(**paths) for a in argv]) == code
+        assert capsys.readouterr().err == f"error: {failure}\n"
 
 
 def _sixteen_region_obstacle():

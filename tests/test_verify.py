@@ -395,4 +395,4 @@ class TestOnePassPerPiece:
         bvp = dataclasses.replace(entry.bvp, conditions=conds)
         calls = self._count(monkeypatch)
         condition_report(sol, bvp)
-        assert len(calls) == 3  # owners 0, 1 and 2
+        assert len(calls) == 2  # owners 0 and 2 share an ODE, owner 1 has its own
