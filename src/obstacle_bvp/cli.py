@@ -170,9 +170,11 @@ def _solution_table(sol, bvp, samples: int) -> str:
             i = np.argmin(np.isfinite(column))
             raise SolveError(f"closed-form solution is non-finite (overflow): "
                              f"u^({j})({xs[i]:g}) on piece {owner[i]}")
-    rows = zip(xs.tolist(), owner.tolist(), *(c.tolist() for c in columns))
+    # The piece index goes through the float row as an integral float, which
+    # "%d" prints as the integer.
+    values = np.column_stack([xs, owner, *columns]).ravel().tolist()
     row = ",".join(["%.17g", "%d"] + ["%.17g"] * bvp.order) + "\n"
-    return ",".join(header) + "\n" + row * samples % tuple(v for r in rows for v in r)
+    return ",".join(header) + "\n" + row * samples % tuple(values)
 
 
 def _constants_report(sol) -> str:

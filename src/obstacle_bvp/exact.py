@@ -4,8 +4,11 @@ Per piece: a particular polynomial by undetermined coefficients plus a real
 fundamental basis from the characteristic roots.  The basis constants of all
 pieces are coupled through one dense matching system (point conditions,
 interface continuity, pins) solved by Gauss elimination with partial
-pivoting.  Rank deficiency is a first-class outcome carrying the free-column
-labels so the caller can pin them.
+pivoting.  The elimination touches only the entries that can hold a nonzero
+and gives the same pivots and bits as dense partial pivoting; back
+substitution stays numpy, because a Python sum would not reproduce the bits
+of its BLAS row dot.  Rank deficiency is a first-class outcome carrying the
+free-column labels so the caller can pin them.
 """
 
 from __future__ import annotations
@@ -293,27 +296,104 @@ def assemble_system(bvp: PiecewiseBvp, bases, particulars) -> MatchSystem:
 def _echelon(matrix: np.ndarray, rhs: np.ndarray):
     """Row echelon form by Gauss elimination with partial pivoting.
 
-    Returns (augmented, pivot_columns).
+    Returns (augmented, pivot_columns), bit for bit those of the dense loop
+
+        p = r + argmax(|aug[r:, c]|), rows r and p swapped,
+        aug[r + 1:, c:] -= (aug[r + 1:, c] / aug[r, c])[:, None] * aug[r, c:],
+        aug[r + 1:, c] = 0,
+
+    but on Python-float rows, touching only the entries that can hold a
+    nonzero.  A piecewise problem's matching system keeps each row's nonzeros
+    in a band a few pieces wide, so each column's pivot search and update
+    reach a few rows and columns instead of all of them.  The dense loop also
+    changes entries a zero factor or a zero pivot-row entry reaches, where
+    the product is non-finite or a -0.0 product meets a -0.0 entry; this loop
+    does the same there.
     """
     m, n = matrix.shape
     aug = np.hstack([matrix.astype(float), rhs.reshape(-1, 1).astype(float)])
     tol = max(m, n) * np.finfo(float).eps * max(1.0, float(np.abs(matrix).max(initial=0.0)))
+    nonzero = aug[:, :n] != 0
+    # ext[i]: one past the last column row i can hold a nonzero in.  hi[c]:
+    # one past the last row holding a nonzero in a column <= c; rows from
+    # hi[c] on stay zero in those columns until elimination reaches them.
+    ext = (nonzero * np.arange(1, n + 1)).max(axis=1, initial=0).tolist()
+    hi = np.maximum.accumulate((nonzero * np.arange(1, m + 1)[:, None]).max(axis=0, initial=0)).tolist()
+    # negative[i]: the columns, rhs included, where row i holds -0.0.
+    negative = {}
+    for i, j in np.argwhere((aug == 0) & np.signbit(aug)).tolist():
+        negative.setdefault(i, set()).add(j)
+    rows = aug.tolist()
     pivot_cols = []
     r = 0
     for c in range(n):
         if r >= m:
             break
-        p = r + int(np.argmax(np.abs(aug[r:, c])))
-        if abs(aug[p, c]) <= tol:
+        end = hi[c]
+        if end <= r:
             continue
-        if p != r:
-            aug[[r, p]] = aug[[p, r]]
-        factors = aug[r + 1:, c] / aug[r, c]
-        aug[r + 1:, c:] -= factors[:, None] * aug[r, c:]
-        aug[r + 1:, c] = 0.0
+        column = [row[c] for row in rows[r:end]]
+        size = list(map(abs, column))
+        best, total = max(size), sum(size)
+        if total != total:  # np.argmax's rule: the first NaN wins
+            k = next(k for k, s in enumerate(size) if s != s)
+        elif best <= tol:
+            continue
+        else:
+            k = size.index(best)
+        moved = negative.pop(r, None)
+        if k:
+            p = r + k
+            rows[r], rows[p], ext[r], ext[p] = rows[p], rows[r], ext[p], ext[r]
+            column[0], column[k] = column[k], column[0]
+            negative.pop(p, None)
+            if moved:
+                negative[p] = moved
+        prow, pivot, last = rows[r], column[0], ext[r]
+        if pivot != pivot or not math.isfinite(sum(prow[c + 1:last]) + prow[n]):
+            # A NaN pivot or a non-finite pivot-row entry reaches every row
+            # below, zero factor or not, in every column.
+            below = [(i, rows[i][c]) for i in range(r + 1, m)]
+            last = n
+            hi[c + 1:] = [m] * (n - c - 1)
+        else:
+            below = [(r + d, a) for d, a in enumerate(column) if d and a]
+            # A zero factor changes a row only where it holds -0.0.
+            for i in [i for i in negative if not rows[i][c]]:
+                row = rows[i]
+                factor = row[c] / pivot
+                for j in negative[i]:
+                    if j > c:
+                        row[j] -= factor * prow[j]
+                row[c] = 0.0
+                _keep_negative(negative, i, row, c)
+        for i, a in below:
+            row = rows[i]
+            factor = a / pivot
+            # A non-finite factor times a zero pivot-row entry is NaN.
+            stop = last if factor - factor == 0 else n
+            for j in range(c + 1, stop):
+                row[j] -= factor * prow[j]
+            row[n] -= factor * prow[n]
+            row[c] = 0.0
+            if ext[i] < stop:
+                ext[i] = stop
+            if i in negative:
+                for j in negative[i]:
+                    if stop <= j < n:
+                        row[j] -= factor * prow[j]
+                _keep_negative(negative, i, row, c)
         pivot_cols.append(c)
         r += 1
-    return aug, pivot_cols
+    return np.array(rows).reshape(m, n + 1), pivot_cols
+
+
+def _keep_negative(negative, i, row, c):
+    """Track only the entries of row i past column c that still hold -0.0."""
+    kept = {j for j in negative.pop(i) if j > c and row[j] == 0
+            and math.copysign(1.0, row[j]) < 0}
+    if kept:
+        negative[i] = kept
 
 
 def _back_substitute(aug: np.ndarray, n: int) -> np.ndarray:

@@ -9,13 +9,14 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from obstacle_bvp.basis import MAX_ORDER, basis_derivatives, piece_basis
+import obstacle_bvp.exact as exact_module
 from obstacle_bvp.exact import (InconsistentSystemError, MatchSystem,
                                 PieceSolution, RankDeficientError, SolveError,
                                 assemble_system, eval_solution, gauss_solve,
                                 particular_solution, solve_exact)
 from obstacle_bvp.examples import EXAMPLE_IDS, get_example
 from obstacle_bvp.oracle import shooting_solve
-from obstacle_bvp.verify import verification_report
+from obstacle_bvp.verify import pin_anchors, verification_report
 from obstacle_bvp.model import (ContinuitySpec, PieceOde, PiecewiseBvp,
                                 PinnedConstant, PointCondition, ProblemError,
                                 build_fourth_order, build_second_order,
@@ -300,6 +301,187 @@ class TestGaussSolve:
             result = gauss_solve(MatchSystem(a, b, n, None))
             assert np.abs(a @ result.constants - b).max() <= 1e-10 * np.abs(b).max()
             checked += 1
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _dense_echelon(matrix, rhs):
+    """Reference elimination: each column's pivot search and update over every
+    row below and every column to the right, in numpy."""
+    m, n = matrix.shape
+    aug = np.hstack([matrix.astype(float), rhs.reshape(-1, 1).astype(float)])
+    tol = max(m, n) * np.finfo(float).eps * max(1.0, float(np.abs(matrix).max(initial=0.0)))
+    pivot_cols = []
+    r = 0
+    for c in range(n):
+        if r >= m:
+            break
+        p = r + int(np.argmax(np.abs(aug[r:, c])))
+        if abs(aug[p, c]) <= tol:
+            continue
+        if p != r:
+            aug[[r, p]] = aug[[p, r]]
+        factors = aug[r + 1:, c] / aug[r, c]
+        aug[r + 1:, c:] -= factors[:, None] * aug[r, c:]
+        aug[r + 1:, c] = 0.0
+        pivot_cols.append(c)
+        r += 1
+    return aug, pivot_cols
+
+
+def _outcome(system):
+    """gauss_solve's result as exact bits, or its exception type and text."""
+    try:
+        result = gauss_solve(system)
+    except SolveError as exc:
+        return type(exc), str(exc)
+    return (result.constants.view(np.int64).tolist(), result.rank,
+            float(result.residual_norm).hex())
+
+
+def _assert_matches_dense(system, monkeypatch):
+    """The banded elimination gives the dense one's echelon bits and pivots,
+    so gauss_solve's outcome is the same bit for bit."""
+    banded, pivots = exact_module._echelon(system.matrix, system.rhs)
+    dense, dense_pivots = _dense_echelon(system.matrix, system.rhs)
+    assert pivots == dense_pivots
+    assert banded.shape == dense.shape
+    assert banded.tobytes() == dense.tobytes()
+    outcome = _outcome(system)
+    with monkeypatch.context() as patch:
+        patch.setattr(exact_module, "_echelon", _dense_echelon)
+        assert outcome == _outcome(system)
+    return outcome
+
+
+def _seeded_bvp(rng, order, n_pieces):
+    """Random coefficients in [-2, 2] with about one in four zeroed (zero
+    roots and resonance), forcing of degree 0-3 with some zero pieces, a
+    domain that may straddle 0, conditions at both ends."""
+    cuts = np.sort(rng.uniform(-1.0, 2.0, n_pieces - 1)).tolist()
+    cuts = [-1.0 - rng.uniform(0.0, 0.5)] + cuts + [2.0 + rng.uniform(0.0, 0.5)]
+    pieces = []
+    for k in range(n_pieces):
+        coeffs = [0.0 if rng.random() < 0.25 else float(v) for v in rng.uniform(-2, 2, order)]
+        forcing = [0.0] if rng.random() < 0.25 else rng.uniform(-2, 2, int(rng.integers(1, 5))).tolist()
+        pieces.append(PieceOde(order, (cuts[k], cuts[k + 1]), tuple(coeffs), tuple(forcing)))
+    conditions = ([PointCondition(cuts[0], j, float(rng.uniform(-1, 1))) for j in range((order + 1) // 2)]
+                  + [PointCondition(cuts[-1], j, float(rng.uniform(-1, 1))) for j in range(order // 2)])
+    return PiecewiseBvp(order, tuple(pieces), tuple(conditions),
+                        ContinuitySpec(frozenset(range(order))))
+
+
+def _block_system(rng, order, n_pieces):
+    """A matching system's layout built directly: condition rows on the first
+    and last piece, then each breakpoint's rows over its two pieces; about
+    one block entry in ten is -0.0."""
+    width = order * n_pieces
+    matrix = np.zeros((width, width))
+    first = (order + 1) // 2
+    matrix[:first, :order] = rng.normal(size=(first, order))
+    matrix[first:order, -order:] = rng.normal(size=(order - first, order))
+    for k in range(n_pieces - 1):
+        rows = slice(order + k * order, order + (k + 1) * order)
+        matrix[rows, k * order:(k + 2) * order] = rng.normal(size=(order, 2 * order))
+    matrix[(matrix != 0) & (rng.random(matrix.shape) < 0.1)] = -0.0
+    rhs = rng.normal(size=width)
+    rhs[rng.random(width) < 0.2] = -0.0
+    return MatchSystem(matrix, rhs, order, None)
+
+
+class TestBandedElimination:
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    @pytest.mark.parametrize("n_pieces", [1, 2, 3, 5, 8, 16])
+    def test_seeded_problems(self, order, n_pieces, monkeypatch):
+        rng = np.random.default_rng([order, n_pieces])
+        for _ in range(4):
+            _assert_matches_dense(_system_for(_seeded_bvp(rng, order, n_pieces)), monkeypatch)
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_seeded_problems_with_a_pin(self, order, monkeypatch):
+        rng = np.random.default_rng([order, 99])
+        bvp = dataclasses.replace(_seeded_bvp(rng, order, 6),
+                                  pins=(PinnedConstant(2, order - 1, 0.5),))
+        _assert_matches_dense(_system_for(bvp), monkeypatch)
+
+    @pytest.mark.parametrize("ex_id", EXAMPLE_IDS)
+    def test_registry_exact_and_oracle_systems(self, ex_id, monkeypatch):
+        import obstacle_bvp.oracle as oracle_module
+        bvp = get_example(ex_id).bvp
+        _assert_matches_dense(_system_for(bvp), monkeypatch)
+        systems = []
+
+        def recorded(system):
+            systems.append(system)
+            return gauss_solve(system)
+
+        anchored = dataclasses.replace(bvp, pins=(), conditions=bvp.conditions
+                                       + pin_anchors(solve_exact(bvp), bvp))
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle_module, "gauss_solve", recorded)
+            shooting_solve(anchored, 1e-2)
+        assert len(systems) == 1
+        _assert_matches_dense(systems[0], monkeypatch)
+
+    def test_zero_rows(self, monkeypatch):
+        outcome = _assert_matches_dense(MatchSystem(np.zeros((0, 3)), np.zeros(0), 3, None),
+                                        monkeypatch)
+        assert outcome[0] is RankDeficientError
+
+    @pytest.mark.parametrize("rhs, consistent", [([2.0, 3.0, 5.0, -1.0], True),
+                                                 ([2.0, 3.0, 6.0, -1.0], False)])
+    def test_overdetermined(self, rhs, consistent, monkeypatch):
+        matrix = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        outcome = _assert_matches_dense(MatchSystem(matrix, np.array(rhs), 3, None), monkeypatch)
+        assert (outcome[0] is InconsistentSystemError) is not consistent
+
+    def test_rank_deficient_with_free_columns(self, monkeypatch):
+        matrix = np.array([[1.0, 2.0, 0.0, 1.0], [2.0, 4.0, 0.0, 2.0],
+                           [0.0, 0.0, 0.0, 3.0], [-1.0, 0.5, 0.0, 0.0]])
+        outcome = _assert_matches_dense(MatchSystem(matrix, np.array([1.0, 2.0, 3.0, 0.0]), 2,
+                                                    None), monkeypatch)
+        assert outcome[0] is RankDeficientError
+        assert "free columns: (piece 1, basis 0);" in outcome[1]
+
+    def test_exact_pivot_ties(self, monkeypatch):
+        # |entries| tie in every column; the first row holding the maximum
+        # is the pivot, as np.argmax picks it.
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            matrix = rng.choice([-1.0, 0.0, -0.0, 1.0, 2.0, -2.0], size=(6, 6))
+            _assert_matches_dense(MatchSystem(matrix, rng.choice([0.0, -0.0, 1.0], size=6),
+                                              3, None), monkeypatch)
+
+    def test_signed_zeros(self, monkeypatch):
+        # The dense loop turns a -0.0 entry +0.0 only where a -0.0 product
+        # meets it, and never in a column left of the pivot's.
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            matrix = rng.normal(size=(6, 6))
+            matrix[rng.random((6, 6)) < 0.7] = -0.0
+            matrix[rng.random((6, 6)) < 0.3] = 0.0
+            rhs = rng.choice([-0.0, 0.0, 1.0], size=6)
+            _assert_matches_dense(MatchSystem(matrix, rhs, 3, None), monkeypatch)
+
+    def test_fully_dense_random(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        _assert_matches_dense(MatchSystem(rng.normal(size=(24, 24)), rng.normal(size=24),
+                                          4, None), monkeypatch)
+
+    def test_elimination_overflow_to_nan(self, monkeypatch):
+        # Finite entries near the float maximum: sums of two overflow, and
+        # the infinities meet zero factors and each other as NaN.
+        rng = np.random.default_rng(5)
+        nan_seen = False
+        for _ in range(30):
+            matrix = rng.choice([-1.0, 1.0], size=(5, 5)) * rng.uniform(0.5, 1.79, size=(5, 5)) * 1e308
+            matrix[rng.random((5, 5)) < 0.3] = 0.0
+            system = MatchSystem(matrix, rng.normal(size=5), 5, None)
+            nan_seen |= bool(np.isnan(_dense_echelon(matrix, system.rhs)[0]).any())
+            _assert_matches_dense(system, monkeypatch)
+        assert nan_seen
+
+    def test_two_hundred_piece_block_matrix(self, monkeypatch):
+        _assert_matches_dense(_block_system(np.random.default_rng(200), 2, 200), monkeypatch)
 
 
 class TestSolveExact:
