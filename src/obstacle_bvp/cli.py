@@ -170,11 +170,9 @@ def _solution_table(sol, bvp, samples: int) -> str:
             i = np.argmin(np.isfinite(column))
             raise SolveError(f"closed-form solution is non-finite (overflow): "
                              f"u^({j})({xs[i]:g}) on piece {owner[i]}")
-    # The piece index goes through the float row as an integral float, which
-    # "%d" prints as the integer.
-    values = np.column_stack([xs, owner, *columns]).ravel().tolist()
-    row = ",".join(["%.17g", "%d"] + ["%.17g"] * bvp.order) + "\n"
-    return ",".join(header) + "\n" + row * samples % tuple(values)
+    rows = [f"%.17g,{k}" + ",%.17g" * bvp.order + "\n" for k in range(len(bvp.pieces))]
+    values = np.column_stack([xs, *columns]).ravel().tolist()
+    return ",".join(header) + "\n" + "".join([rows[k] for k in owner.tolist()]) % tuple(values)
 
 
 def _constants_report(sol) -> str:

@@ -136,11 +136,10 @@ class PiecewiseSolution:
 
     @cached_property
     def _groups(self):
-        """Pieces with bit-identical basis and particular share one group:
-        (one piece solution per group, each piece's group, all constants)."""
-        shared, group = _distinct(self.pieces, lambda ps: (
-            tuple((b.kind, b.k) + _bits((b.alpha, b.beta)) for b in ps.basis),
-            _bits(ps.particular)))
+        """Pieces holding the same basis and particular objects, as solve_exact
+        shares them across the pieces of one ODE, form one group: (one piece
+        solution per group, each piece's group, all constants)."""
+        shared, group = _distinct(self.pieces, lambda ps: (id(ps.basis), id(ps.particular)))
         return shared, np.array(group), np.array([ps.constants for ps in self.pieces])
 
     def evaluate(self, x, owner, orders) -> np.ndarray:

@@ -133,15 +133,15 @@ def condition_report(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> tuple[float, 
 
 
 def compare_solutions(sol: PiecewiseSolution, bvp: PiecewiseBvp,
-                      numeric: NumericSolution, grid_points: int = 2001) -> float:
-    """Max |exact - oracle| over a uniform grid spanning the shared domain."""
+                      numeric: NumericSolution) -> float:
+    """Max |exact - oracle| over 2001 evenly spaced points of the shared domain."""
     a, b = bvp.domain
     na, nb = numeric.domain
     if abs(a - na) > 1e-12 or abs(b - nb) > 1e-12:
         raise ProblemError(
             f"domain mismatch: exact on [{a}, {b}], numeric on [{na}, {nb}]"
         )
-    xs = np.linspace(a, b, grid_points)
+    xs = np.linspace(a, b, 2001)
     return float(np.abs(eval_solution(sol, bvp, xs) - sample(numeric, xs)).max())
 
 

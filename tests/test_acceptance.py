@@ -90,7 +90,7 @@ class TestAcceptance:
             anchored = dataclasses.replace(
                 entry.bvp, pins=(), conditions=entry.bvp.conditions + pin_anchors(sol, entry.bvp))
             numeric = shooting_solve(anchored, 1e-3)
-            worst = max(worst, compare_solutions(sol, entry.bvp, numeric, 2001))
+            worst = max(worst, compare_solutions(sol, entry.bvp, numeric))
         elapsed = time.perf_counter() - start
         _report("4 oracle equivalence over registry",
                 worst <= 1e-6 and elapsed < 10.0,
@@ -172,10 +172,8 @@ class TestAcceptance:
     def test_criterion_7_oracle_convergence_order(self):
         entry = get_example("3.1.1")
         sol = solve_exact(entry.bvp)
-        coarse = compare_solutions(sol, entry.bvp,
-                                   shooting_solve(entry.bvp, 0.05), 501)
-        fine = compare_solutions(sol, entry.bvp,
-                                 shooting_solve(entry.bvp, 0.025), 501)
+        coarse = compare_solutions(sol, entry.bvp, shooting_solve(entry.bvp, 0.05))
+        fine = compare_solutions(sol, entry.bvp, shooting_solve(entry.bvp, 0.025))
         factor = coarse / fine
         _report("7 fourth-order oracle convergence", factor >= 12.0,
                 f"error reduction factor {factor:.1f}")

@@ -478,9 +478,22 @@ def _sixteen_region_obstacle():
                                        PointCondition(2.0, 0, 0.0))))
 
 
+def _sixteen_piece_cantilever():
+    """The order-4, 16-piece cantilever of CI: clamped at 0, free at 2,
+    alternate pieces on a foundation."""
+    cuts = np.linspace(0.0, 2.0, 17).tolist()
+    return parse_problem({
+        "order": 4, "continuity": [0, 1, 2, 3],
+        "pieces": [{"interval": [cuts[k], cuts[k + 1]],
+                    "coeffs": [-4.0 if k % 2 else 0.0, 0.0, 0.0, 0.0], "forcing": [-1.0, 0.1 * k]}
+                   for k in range(16)],
+        "conditions": [{"x": 0.0, "deriv": 0, "value": 0.0}, {"x": 0.0, "deriv": 1, "value": 0.0},
+                       {"x": 2.0, "deriv": 2, "value": 0.0}, {"x": 2.0, "deriv": 3, "value": 0.0}]})
+
+
 class TestSolutionTable:
     @pytest.mark.parametrize("make_bvp", [lambda: get_example("3.1.6").bvp,
-                                          _sixteen_region_obstacle])
+                                          _sixteen_region_obstacle, _sixteen_piece_cantilever])
     def test_same_text_as_f_string_formatting(self, make_bvp):
         bvp = make_bvp()
         sol = solve_exact(bvp)

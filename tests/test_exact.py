@@ -738,6 +738,25 @@ class TestSharedOdeWork:
         eval_solution(sol, bvp, xs, 1)
         assert len(kernel) == 2
 
+    def test_equal_copies_group_alone_with_the_same_bits(self, monkeypatch):
+        bvp = _sixteen_region_obstacle()
+        sol = solve_exact(bvp)
+        rebuilt = dataclasses.replace(sol, pieces=tuple(
+            PieceSolution(tuple(dataclasses.replace(b) for b in ps.basis),
+                          ps.constants.copy(), tuple(list(ps.particular)))
+            for ps in sol.pieces))
+        for ps, copy in zip(sol.pieces, rebuilt.pieces):
+            assert copy.basis == ps.basis and copy.basis is not ps.basis
+            assert copy.particular == ps.particular and copy.particular is not ps.particular
+        xs = np.concatenate([np.linspace(*bvp.domain, 2001), bvp.breakpoints])
+        kernel = _counting(monkeypatch, "eval_terms")
+        for j in range(bvp.order + 1):
+            assert _bitwise(eval_solution(rebuilt, bvp, xs, j), eval_solution(sol, bvp, xs, j))
+        assert len(kernel) == (16 + 2) * (bvp.order + 1)
+        kernel.clear()
+        eval_solution(sol, bvp, xs, 0)
+        assert len(kernel) == 2
+
     def test_each_piece_builds_its_kernel_terms_once(self, monkeypatch):
         bvp = _sixteen_region_obstacle()
         sol = solve_exact(bvp)

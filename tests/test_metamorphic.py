@@ -10,7 +10,7 @@ from numpy.polynomial import Polynomial
 from obstacle_bvp.exact import InconsistentSystemError, eval_solution, solve_exact
 from obstacle_bvp.examples import EXAMPLE_IDS, get_example
 from obstacle_bvp.model import ContinuitySpec, PieceOde, PiecewiseBvp, PointCondition
-from obstacle_bvp.oracle import shooting_solve
+from obstacle_bvp.oracle import sample, shooting_solve
 from obstacle_bvp.verify import solution_scale, verification_report
 
 # Entries whose continuity covers every order below the problem order, so
@@ -103,6 +103,34 @@ def test_superposition_of_forcing_and_condition_data(ex_id):
     xs = _grid(bvp)
     for j in range(bvp.order):
         u, u_forced, u_conditioned = (eval_solution(s, bvp, xs, j) for s in sols)
+        assert np.abs(u_forced + u_conditioned - u).max() <= 1e-14 * (1 + np.abs(u).max())
+
+
+@pytest.mark.parametrize("ex_id", UNPINNED)
+def test_oracle_reflection_mirrors_every_derivative(ex_id):
+    # The mirrored problem is stepped from the other end on another grid, so
+    # the relation holds to the RK4 and Hermite errors, O(h^4): <= 2e-11 of
+    # the scale on the registry at h = 0.01.
+    bvp = get_example(ex_id).bvp
+    numeric, mirror = shooting_solve(bvp, 0.01), shooting_solve(_reflected(bvp), 0.01)
+    xs, scale = _grid(bvp), solution_scale(solve_exact(bvp), bvp)
+    for j in range(bvp.order):
+        delta = np.abs(sample(mirror, -xs, j) - (-1.0) ** j * sample(numeric, xs, j))
+        assert delta.max() <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("ex_id", UNPINNED)
+def test_oracle_superposition_of_forcing_and_condition_data(ex_id):
+    # The fundamental maps do not see the data and the forced states are
+    # linear in it, so only the rounding of the solve and the sums remains.
+    bvp = get_example(ex_id).bvp
+    values = [0.5 - 0.375 * i for i in range(len(bvp.conditions))]
+    numerics = [shooting_solve(_with_data(bvp, *data), 0.01)
+                for data in ((1.0, values, 1.0), (1.0, [0.0] * len(values), 0.0),
+                             (0.0, values, 1.0))]
+    xs = _grid(bvp)
+    for j in range(bvp.order):
+        u, u_forced, u_conditioned = (sample(n, xs, j) for n in numerics)
         assert np.abs(u_forced + u_conditioned - u).max() <= 1e-14 * (1 + np.abs(u).max())
 
 

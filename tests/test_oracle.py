@@ -361,6 +361,6 @@ class TestConvergence:
     def test_fourth_order_error_decay(self):
         entry = get_example("3.1.1")
         sol = solve_exact(entry.bvp)
-        coarse = compare_solutions(sol, entry.bvp, shooting_solve(entry.bvp, 0.05), 501)
-        fine = compare_solutions(sol, entry.bvp, shooting_solve(entry.bvp, 0.025), 501)
+        coarse = compare_solutions(sol, entry.bvp, shooting_solve(entry.bvp, 0.05))
+        fine = compare_solutions(sol, entry.bvp, shooting_solve(entry.bvp, 0.025))
         assert coarse / fine >= 12.0
