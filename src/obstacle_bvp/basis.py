@@ -145,7 +145,8 @@ def _real_basis(raw, coeffs: list[float]) -> tuple[BasisFunction, ...]:
     complex_roots = []
     for group in clusters:
         mean = sum(group) / len(group)
-        if abs(mean.imag) <= tol:
+        # Members are all snapped or all more than tol off one side of the axis.
+        if mean.imag == 0.0:
             roots.append((complex(mean.real, 0.0), len(group)))
         else:
             complex_roots.append((mean, len(group)))

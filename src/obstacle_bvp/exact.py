@@ -4,8 +4,9 @@ Per piece: a particular polynomial by undetermined coefficients plus a real
 fundamental basis from the characteristic roots.  The basis constants of all
 pieces are coupled through one dense matching system (point conditions,
 interface continuity, pins) solved by Gauss elimination with partial
-pivoting.  The elimination touches only the entries that can hold a nonzero
-and gives the same pivots and bits as dense partial pivoting; back
+pivoting.  The elimination reads -0.0 as +0.0, which moves no pivot and no
+nonzero bit, touches only the entries that can hold a nonzero, and gives the
+same pivots and bits as dense partial pivoting on that input; back
 substitution stays numpy, because a Python sum would not reproduce the bits
 of its BLAS row dot.  Rank deficiency is a first-class outcome carrying the
 free-column labels so the caller can pin them.
@@ -301,16 +302,18 @@ def _echelon(matrix: np.ndarray, rhs: np.ndarray):
         aug[r + 1:, c:] -= (aug[r + 1:, c] / aug[r, c])[:, None] * aug[r, c:],
         aug[r + 1:, c] = 0,
 
-    but on Python-float rows, touching only the entries that can hold a
-    nonzero.  A piecewise problem's matching system keeps each row's nonzeros
-    in a band a few pieces wide, so each column's pivot search and update
-    reach a few rows and columns instead of all of them.  The dense loop also
-    changes entries a zero factor or a zero pivot-row entry reaches, where
-    the product is non-finite or a -0.0 product meets a -0.0 entry; this loop
-    does the same there.
+    run on the system with -0.0 read as +0.0, but on Python-float rows,
+    touching only the entries that can hold a nonzero.  A piecewise problem's
+    matching system keeps each row's nonzeros in a band a few pieces wide, so
+    each column's pivot search and update reach a few rows and columns
+    instead of all of them.  The pivot search compares |a| and a zero's sign
+    reaches no nonzero result, so the read moves no pivot and no nonzero bit;
+    a - f*p is -0.0 only where a is, so no -0.0 arises after it.  A zero
+    factor or pivot-row entry changes an entry only through a non-finite
+    product; this loop follows the dense one there.
     """
     m, n = matrix.shape
-    aug = np.hstack([matrix.astype(float), rhs.reshape(-1, 1).astype(float)])
+    aug = np.hstack([matrix.astype(float), rhs.reshape(-1, 1).astype(float)]) + 0.0
     tol = max(m, n) * np.finfo(float).eps * max(1.0, float(np.abs(matrix).max(initial=0.0)))
     nonzero = aug[:, :n] != 0
     # ext[i]: one past the last column row i can hold a nonzero in.  hi[c]:
@@ -318,10 +321,6 @@ def _echelon(matrix: np.ndarray, rhs: np.ndarray):
     # hi[c] on stay zero in those columns until elimination reaches them.
     ext = (nonzero * np.arange(1, n + 1)).max(axis=1, initial=0).tolist()
     hi = np.maximum.accumulate((nonzero * np.arange(1, m + 1)[:, None]).max(axis=0, initial=0)).tolist()
-    # negative[i]: the columns, rhs included, where row i holds -0.0.
-    negative = {}
-    for i, j in np.argwhere((aug == 0) & np.signbit(aug)).tolist():
-        negative.setdefault(i, set()).add(j)
     rows = aug.tolist()
     pivot_cols = []
     r = 0
@@ -340,14 +339,10 @@ def _echelon(matrix: np.ndarray, rhs: np.ndarray):
             continue
         else:
             k = size.index(best)
-        moved = negative.pop(r, None)
         if k:
             p = r + k
             rows[r], rows[p], ext[r], ext[p] = rows[p], rows[r], ext[p], ext[r]
             column[0], column[k] = column[k], column[0]
-            negative.pop(p, None)
-            if moved:
-                negative[p] = moved
         prow, pivot, last = rows[r], column[0], ext[r]
         if pivot != pivot or not math.isfinite(sum(prow[c + 1:last]) + prow[n]):
             # A NaN pivot or a non-finite pivot-row entry reaches every row
@@ -356,16 +351,8 @@ def _echelon(matrix: np.ndarray, rhs: np.ndarray):
             last = n
             hi[c + 1:] = [m] * (n - c - 1)
         else:
+            # A zero factor leaves its row as it is.
             below = [(r + d, a) for d, a in enumerate(column) if d and a]
-            # A zero factor changes a row only where it holds -0.0.
-            for i in [i for i in negative if not rows[i][c]]:
-                row = rows[i]
-                factor = row[c] / pivot
-                for j in negative[i]:
-                    if j > c:
-                        row[j] -= factor * prow[j]
-                row[c] = 0.0
-                _keep_negative(negative, i, row, c)
         for i, a in below:
             row = rows[i]
             factor = a / pivot
@@ -377,22 +364,9 @@ def _echelon(matrix: np.ndarray, rhs: np.ndarray):
             row[c] = 0.0
             if ext[i] < stop:
                 ext[i] = stop
-            if i in negative:
-                for j in negative[i]:
-                    if stop <= j < n:
-                        row[j] -= factor * prow[j]
-                _keep_negative(negative, i, row, c)
         pivot_cols.append(c)
         r += 1
     return np.array(rows).reshape(m, n + 1), pivot_cols
-
-
-def _keep_negative(negative, i, row, c):
-    """Track only the entries of row i past column c that still hold -0.0."""
-    kept = {j for j in negative.pop(i) if j > c and row[j] == 0
-            and math.copysign(1.0, row[j]) < 0}
-    if kept:
-        negative[i] = kept
 
 
 def _back_substitute(aug: np.ndarray, n: int) -> np.ndarray:

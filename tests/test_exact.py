@@ -306,9 +306,9 @@ class TestGaussSolve:
 @np.errstate(over="ignore", invalid="ignore")
 def _dense_echelon(matrix, rhs):
     """Reference elimination: each column's pivot search and update over every
-    row below and every column to the right, in numpy."""
+    row below and every column to the right, in numpy, with -0.0 read as +0.0."""
     m, n = matrix.shape
-    aug = np.hstack([matrix.astype(float), rhs.reshape(-1, 1).astype(float)])
+    aug = np.hstack([matrix.astype(float), rhs.reshape(-1, 1).astype(float)]) + 0.0
     tol = max(m, n) * np.finfo(float).eps * max(1.0, float(np.abs(matrix).max(initial=0.0)))
     pivot_cols = []
     r = 0
@@ -351,6 +351,50 @@ def _assert_matches_dense(system, monkeypatch):
         patch.setattr(exact_module, "_echelon", _dense_echelon)
         assert outcome == _outcome(system)
     return outcome
+
+
+def _flip_zero_signs(rng, system):
+    """The system with a random subset of its zero entries, matrix and rhs
+    alike, negated: +0.0 to -0.0 and -0.0 to +0.0."""
+    def flip(values):
+        values = values.copy()
+        at = (values == 0) & (rng.random(values.shape) < rng.random())
+        values[at] = -values[at]
+        return values
+    return dataclasses.replace(system, matrix=flip(system.matrix), rhs=flip(system.rhs))
+
+
+def _assert_sign_blind(system, rng):
+    """The sign of a zero entry changes neither the echelon's bits, its pivots
+    nor gauss_solve's outcome, and the echelon holds no -0.0."""
+    aug, pivots = exact_module._echelon(system.matrix, system.rhs)
+    assert not ((aug == 0) & np.signbit(aug)).any()
+    outcome = _outcome(system)
+    for _ in range(3):
+        flipped = _flip_zero_signs(rng, system)
+        flipped_aug, flipped_pivots = exact_module._echelon(flipped.matrix, flipped.rhs)
+        assert flipped_pivots == pivots
+        assert flipped_aug.tobytes() == aug.tobytes()
+        assert _outcome(flipped) == outcome
+
+
+def _registry_systems(ex_id, monkeypatch):
+    """The entry's exact matching system and the one its oracle solves."""
+    import obstacle_bvp.oracle as oracle_module
+    bvp = get_example(ex_id).bvp
+    systems = [_system_for(bvp)]
+
+    def recorded(system):
+        systems.append(system)
+        return gauss_solve(system)
+
+    anchored = dataclasses.replace(bvp, pins=(), conditions=bvp.conditions
+                                   + pin_anchors(solve_exact(bvp), bvp))
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle_module, "gauss_solve", recorded)
+        shooting_solve(anchored, 1e-2)
+    assert len(systems) == 2
+    return systems
 
 
 def _seeded_bvp(rng, order, n_pieces):
@@ -405,22 +449,8 @@ class TestBandedElimination:
 
     @pytest.mark.parametrize("ex_id", EXAMPLE_IDS)
     def test_registry_exact_and_oracle_systems(self, ex_id, monkeypatch):
-        import obstacle_bvp.oracle as oracle_module
-        bvp = get_example(ex_id).bvp
-        _assert_matches_dense(_system_for(bvp), monkeypatch)
-        systems = []
-
-        def recorded(system):
-            systems.append(system)
-            return gauss_solve(system)
-
-        anchored = dataclasses.replace(bvp, pins=(), conditions=bvp.conditions
-                                       + pin_anchors(solve_exact(bvp), bvp))
-        with monkeypatch.context() as patch:
-            patch.setattr(oracle_module, "gauss_solve", recorded)
-            shooting_solve(anchored, 1e-2)
-        assert len(systems) == 1
-        _assert_matches_dense(systems[0], monkeypatch)
+        for system in _registry_systems(ex_id, monkeypatch):
+            _assert_matches_dense(system, monkeypatch)
 
     def test_zero_rows(self, monkeypatch):
         outcome = _assert_matches_dense(MatchSystem(np.zeros((0, 3)), np.zeros(0), 3, None),
@@ -451,16 +481,20 @@ class TestBandedElimination:
             _assert_matches_dense(MatchSystem(matrix, rng.choice([0.0, -0.0, 1.0], size=6),
                                               3, None), monkeypatch)
 
-    def test_signed_zeros(self, monkeypatch):
-        # The dense loop turns a -0.0 entry +0.0 only where a -0.0 product
-        # meets it, and never in a column left of the pivot's.
+    def test_sign_of_zero_is_invisible(self, monkeypatch):
+        # -0.0 is read as +0.0: pivots, echelon bits and outcome (the sign of
+        # an exactly zero constant included) do not depend on it.
         rng = np.random.default_rng(17)
         for _ in range(200):
             matrix = rng.normal(size=(6, 6))
             matrix[rng.random((6, 6)) < 0.7] = -0.0
             matrix[rng.random((6, 6)) < 0.3] = 0.0
             rhs = rng.choice([-0.0, 0.0, 1.0], size=6)
-            _assert_matches_dense(MatchSystem(matrix, rhs, 3, None), monkeypatch)
+            _assert_sign_blind(MatchSystem(matrix, rhs, 3, None), rng)
+        for ex_id in EXAMPLE_IDS:
+            for system in _registry_systems(ex_id, monkeypatch):
+                _assert_sign_blind(system, rng)
+        _assert_sign_blind(_block_system(np.random.default_rng(200), 2, 200), rng)
 
     def test_fully_dense_random(self, monkeypatch):
         rng = np.random.default_rng(11)

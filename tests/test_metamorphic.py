@@ -5,11 +5,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 from obstacle_bvp.exact import InconsistentSystemError, eval_solution, solve_exact
 from obstacle_bvp.examples import EXAMPLE_IDS, get_example
-from obstacle_bvp.model import ContinuitySpec, PieceOde, PiecewiseBvp, PointCondition
+from obstacle_bvp.model import (ContinuitySpec, PieceOde, PiecewiseBvp, PointCondition,
+                                SolveError)
 from obstacle_bvp.oracle import sample, shooting_solve
 from obstacle_bvp.verify import solution_scale, verification_report
 
@@ -50,6 +53,52 @@ def test_scaling_data_by_power_of_two_scales_constants_exactly(ex_id, k):
     bvp = get_example(ex_id).bvp
     assert np.array_equal(_constants(solve_exact(_scaled(bvp, 2.0 ** k))),
                           2.0 ** k * _constants(solve_exact(bvp)))
+
+
+def _sweep_like_bvp(seed, order, n_pieces, degree):
+    """A problem drawn like the solve-sweep benchmark's: per piece a random
+    characteristic polynomial (coefficients in [-2, 2], about 3 in 10
+    zeroed), a repeated real root or a complex pair, forcing of the given
+    degree; cut widths in ratio up to 3 over a domain of length 1 to pi that
+    starts in [-1, 0]; C^(n-1) continuity and conditions at both ends."""
+    rng = np.random.default_rng(seed)
+    widths = rng.uniform(0.5, 1.5, n_pieces)
+    lo, length = rng.uniform(-1.0, 0.0), rng.uniform(1.0, np.pi)
+    cuts = (lo + length * np.concatenate([[0.0], np.cumsum(widths) / widths.sum()])).tolist()
+    pieces = []
+    for k in range(n_pieces):
+        family = rng.integers(6)
+        if family < 4:
+            coeffs = np.where(rng.random(order) < 0.3, 0.0, rng.uniform(-2.0, 2.0, order))
+        else:
+            alpha, beta = rng.uniform(-1.0, 1.0), rng.uniform(0.5, 3.0)
+            pair = [alpha] * 2 if family == 4 else [complex(alpha, beta), complex(alpha, -beta)]
+            # lambda^n - sum_j a_j lambda^j = prod (lambda - root)
+            coeffs = -np.real(np.poly(pair + list(rng.uniform(-2.0, 2.0, order - 2))))[:0:-1]
+        pieces.append(PieceOde(order, (cuts[k], cuts[k + 1]), tuple(coeffs.tolist()),
+                               tuple(rng.uniform(-2.0, 2.0, degree + 1).tolist())))
+    ends = ([(cuts[0], j) for j in range((order + 1) // 2)]
+            + [(cuts[-1], j) for j in range(order // 2)])
+    return PiecewiseBvp(order, tuple(pieces),
+                        tuple(PointCondition(x, j, float(rng.uniform(-1.0, 1.0))) for x, j in ends),
+                        ContinuitySpec(frozenset(range(order))))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.sampled_from([2, 3, 4]),
+       n_pieces=st.integers(1, 16), degree=st.integers(0, 3))
+def test_scaling_random_family_by_power_of_two_scales_constants_exactly(seed, order, n_pieces,
+                                                                        degree):
+    # As on the registry, bit for bit, sign of zero included; an input that
+    # raises at either scale (a tolerance with an absolute part) is skipped.
+    bvp = _sweep_like_bvp(seed, order, n_pieces, degree)
+    try:
+        plain = _constants(solve_exact(bvp))
+        scaled = {k: _constants(solve_exact(_scaled(bvp, 2.0 ** k))) for k in (-10, 10)}
+    except SolveError:
+        return
+    for k, constants in scaled.items():
+        assert constants.tobytes() == (2.0 ** k * plain).tobytes()
 
 
 @pytest.mark.parametrize("k", [-10, 10])

@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,20 @@ from obstacle_bvp.oracle import (IntegrationError, _generator, _partial_step,
                                  _rk4_map, integrate_fundamental, sample,
                                  shooting_solve)
 from obstacle_bvp.verify import compare_solutions, pin_anchors
+
+
+def _package_imports(source):
+    """(module, name) for every import in source, module without the package
+    prefix or leading dots; importing a module itself gives (module, "*")."""
+    pairs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            pairs |= {(a.name.removeprefix("obstacle_bvp."), "*") for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "obstacle_bvp"):
+            pairs |= {(a.name, "*") for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            pairs |= {(node.module.removeprefix("obstacle_bvp."), a.name) for a in node.names}
+    return pairs
 
 
 def _single_piece_bvp(piece, conditions):
@@ -291,11 +307,16 @@ class TestShootingSolve:
         assert compare_solutions(sol, entry.bvp, numeric) <= 1e-6
 
     def test_no_basis_machinery_dependency(self):
-        # the oracle must stay independent of the closed-form path
+        # the oracle must stay independent of the closed-form path: nothing
+        # from the basis module, and from the exact one only the linear solve
         import obstacle_bvp.oracle as oracle_mod
-        source = open(oracle_mod.__file__).read()
+        source = Path(oracle_mod.__file__).read_text()
         for name in ("piece_basis", "real_basis", "particular_solution", "basis_derivatives"):
             assert name not in source
+        imports = _package_imports(source)
+        assert not [pair for pair in imports if pair[0] == "basis"]
+        assert {name for module, name in imports if module == "exact"} <= {"MatchSystem",
+                                                                           "gauss_solve"}
 
 
 class TestSample:
