@@ -6,9 +6,10 @@ pieces are coupled through one dense matching system (point conditions,
 interface continuity, pins) solved by Gauss elimination with partial
 pivoting.  The elimination reads -0.0 as +0.0, which moves no pivot and no
 nonzero bit, touches only the entries that can hold a nonzero, and gives the
-same pivots and bits as dense partial pivoting on that input; back
-substitution stays numpy, because a Python sum would not reproduce the bits
-of its BLAS row dot.  Rank deficiency is a first-class outcome carrying the
+same pivots and bits as dense partial pivoting on that input whenever it
+stays finite; an elimination that overflows is refused.  Back substitution
+stays numpy, because a Python sum would not reproduce the bits of its BLAS
+row dot.  Rank deficiency is a first-class outcome carrying the
 free-column labels so the caller can pin them.
 """
 
@@ -309,8 +310,9 @@ def _echelon(matrix: np.ndarray, rhs: np.ndarray):
     instead of all of them.  The pivot search compares |a| and a zero's sign
     reaches no nonzero result, so the read moves no pivot and no nonzero bit;
     a - f*p is -0.0 only where a is, so no -0.0 arises after it.  A zero
-    factor or pivot-row entry changes an entry only through a non-finite
-    product; this loop follows the dense one there.
+    factor or pivot-row entry changes no entry until a value overflows, so both
+    loops agree up to the first overflow; after it, only a non-finite echelon
+    is promised.
     """
     m, n = matrix.shape
     aug = np.hstack([matrix.astype(float), rhs.reshape(-1, 1).astype(float)]) + 0.0
@@ -332,38 +334,25 @@ def _echelon(matrix: np.ndarray, rhs: np.ndarray):
             continue
         column = [row[c] for row in rows[r:end]]
         size = list(map(abs, column))
-        best, total = max(size), sum(size)
-        if total != total:  # np.argmax's rule: the first NaN wins
-            k = next(k for k, s in enumerate(size) if s != s)
-        elif best <= tol:
+        best = max(size)
+        if best <= tol:
             continue
-        else:
-            k = size.index(best)
+        k = size.index(best)
         if k:
             p = r + k
             rows[r], rows[p], ext[r], ext[p] = rows[p], rows[r], ext[p], ext[r]
             column[0], column[k] = column[k], column[0]
         prow, pivot, last = rows[r], column[0], ext[r]
-        if pivot != pivot or not math.isfinite(sum(prow[c + 1:last]) + prow[n]):
-            # A NaN pivot or a non-finite pivot-row entry reaches every row
-            # below, zero factor or not, in every column.
-            below = [(i, rows[i][c]) for i in range(r + 1, m)]
-            last = n
-            hi[c + 1:] = [m] * (n - c - 1)
-        else:
-            # A zero factor leaves its row as it is.
-            below = [(r + d, a) for d, a in enumerate(column) if d and a]
-        for i, a in below:
-            row = rows[i]
-            factor = a / pivot
-            # A non-finite factor times a zero pivot-row entry is NaN.
-            stop = last if factor - factor == 0 else n
-            for j in range(c + 1, stop):
-                row[j] -= factor * prow[j]
-            row[n] -= factor * prow[n]
-            row[c] = 0.0
-            if ext[i] < stop:
-                ext[i] = stop
+        for i, a in enumerate(column[1:], r + 1):
+            if a:  # a zero factor leaves its row as it is
+                row = rows[i]
+                factor = a / pivot
+                for j in range(c + 1, last):
+                    row[j] -= factor * prow[j]
+                row[n] -= factor * prow[n]
+                row[c] = 0.0
+                if ext[i] < last:
+                    ext[i] = last
         pivot_cols.append(c)
         r += 1
     return np.array(rows).reshape(m, n + 1), pivot_cols
@@ -385,9 +374,9 @@ def gauss_solve(system: MatchSystem) -> GaussResult:
     A rank-deficient system whose rows below the rank keep a rhs above that
     gate has no solution and raises :class:`InconsistentSystemError`; any
     other raises :class:`RankDeficientError` with its free-column labels.
-    A system with non-finite entries raises
-    :class:`SolveError` naming its first such row before elimination, and
-    one whose elimination overflows raises it after.
+    A system with non-finite entries raises :class:`SolveError` naming its
+    first such row; an elimination or back substitution that overflows
+    raises it too, as no answer is read from non-finite bits.
     """
     matrix, rhs = system.matrix, system.rhs
     bad = ~np.isfinite(matrix).all(axis=1) | ~np.isfinite(rhs)
@@ -400,6 +389,9 @@ def gauss_solve(system: MatchSystem) -> GaussResult:
         )
     m, n = matrix.shape
     aug, pivot_cols = _echelon(matrix, rhs)
+    if not np.isfinite(aug).all():
+        raise SolveError("matching system elimination overflows (element growth "
+                         "leaves non-finite entries in its echelon form)")
     rank = len(pivot_cols)
     gate = CONSISTENCY_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
     if rank < n:

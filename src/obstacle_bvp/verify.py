@@ -8,8 +8,7 @@ against a tolerance profile.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,9 +67,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(status != "FAIL" for *_, status in self._rows())
-
-    def to_json(self) -> str:
-        return json.dumps({"passed": self.passed, **asdict(self)}, indent=2)
 
     def render_table(self) -> str:
         lines = ["check                          value         tolerance    status"]

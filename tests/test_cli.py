@@ -149,6 +149,24 @@ class TestCmdSolve:
         assert code == EXIT_RANK
         assert "pin" not in capsys.readouterr().err
 
+    def test_elimination_overflow_exits_2(self, tmp_path, capsys):
+        # u'' = 2u' - 2.21u with u(h) = 1, u'(h) = 0 at h = 709.26: every
+        # matrix entry stays below 0.84 * DBL_MAX, but its eliminated second
+        # pivot is 1.34 * DBL_MAX.  Constants read from those bits give u = 0,
+        # which breaks u(h) = 1.
+        h = 709.26
+        path = tmp_path / "growth.json"
+        path.write_text(json.dumps({
+            "order": 2, "continuity": [0, 1],
+            "pieces": [{"interval": [h - 1.0, h], "coeffs": [-2.21, 2.0], "forcing": [0.0]}],
+            "conditions": [{"x": h, "deriv": 0, "value": 1.0},
+                           {"x": h, "deriv": 1, "value": 0.0}]}))
+        out = tmp_path / "o.csv"
+        code = main(["solve", "--input", str(path), "--output", str(out)])
+        assert code == EXIT_RANK
+        assert "elimination overflows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

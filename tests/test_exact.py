@@ -289,6 +289,17 @@ class TestGaussSolve:
         with pytest.raises(SolveError, match="first: row 1;"):
             gauss_solve(system)
 
+    @pytest.mark.parametrize("pad", [0, 1], ids=["2x2", "zero-padded 3x3"])
+    def test_elimination_overflow_is_refused(self, pad):
+        # x = [0, 1e-308] solves it, but eliminating the first column adds
+        # 1e308 to 1e308.  Neither constants from those bits nor, with a zero
+        # column, rank deficiency with pin advice may come out.
+        matrix = np.pad(np.array([[1e308, 1e308], [-1e308, 1e308]]), (0, pad))
+        with pytest.raises(SolveError, match="elimination overflows") as exc:
+            gauss_solve(MatchSystem(matrix, np.pad(np.ones(2), (0, pad)), 2, None))
+        assert type(exc.value) is SolveError
+        assert "pin" not in str(exc.value)
+
     def test_random_square_systems_residual(self):
         rng = np.random.default_rng(13)
         checked = 0
@@ -502,17 +513,26 @@ class TestBandedElimination:
                                           4, None), monkeypatch)
 
     def test_elimination_overflow_to_nan(self, monkeypatch):
-        # Finite entries near the float maximum: sums of two overflow, and
-        # the infinities meet zero factors and each other as NaN.
+        # Finite entries near the float maximum: sums of two overflow.  Where
+        # the dense loop stays finite the banded one gives its bits; where it
+        # overflows the banded echelon is non-finite too, and gauss_solve
+        # refuses the system instead of reading an answer from it.
         rng = np.random.default_rng(5)
-        nan_seen = False
+        finite_seen = set()
         for _ in range(30):
             matrix = rng.choice([-1.0, 1.0], size=(5, 5)) * rng.uniform(0.5, 1.79, size=(5, 5)) * 1e308
             matrix[rng.random((5, 5)) < 0.3] = 0.0
             system = MatchSystem(matrix, rng.normal(size=5), 5, None)
-            nan_seen |= bool(np.isnan(_dense_echelon(matrix, system.rhs)[0]).any())
-            _assert_matches_dense(system, monkeypatch)
-        assert nan_seen
+            finite = bool(np.isfinite(_dense_echelon(matrix, system.rhs)[0]).all())
+            finite_seen.add(finite)
+            if finite:
+                _assert_matches_dense(system, monkeypatch)
+                continue
+            assert not np.isfinite(exact_module._echelon(matrix, system.rhs)[0]).all()
+            with pytest.raises(SolveError, match="elimination overflows") as exc:
+                gauss_solve(system)
+            assert type(exc.value) is SolveError
+        assert finite_seen == {True, False}
 
     def test_two_hundred_piece_block_matrix(self, monkeypatch):
         _assert_matches_dense(_block_system(np.random.default_rng(200), 2, 200), monkeypatch)

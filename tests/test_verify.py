@@ -143,22 +143,6 @@ class TestVerificationReport:
         assert any(not j.enforced and j.jump > 1e-9 for j in report.jumps)
         assert report.passed
 
-    def test_serialization_round_trip(self):
-        import json
-        entry = get_example("3.1.1")
-        sol = solve_exact(entry.bvp)
-        report = verification_report(sol, entry.bvp)
-        data = json.loads(report.to_json())
-        assert data["passed"] is True
-        assert len(data["piece_residuals"]) == 3
-        # The keys come from the report's field names: renaming a field
-        # changes the JSON.
-        assert set(data) == {"passed", "piece_residuals", "jumps", "condition_violations",
-                             "oracle_delta", "tolerances", "residual_scale"}
-        assert set(data["tolerances"]) == {"residual", "jump", "condition", "oracle_delta"}
-        assert set(data["jumps"][0]) == {"breakpoint", "order", "jump", "enforced"}
-        assert "overall: PASS" in report.render_table()
-
     def test_condition_report(self):
         entry = get_example("3.1.6")
         sol = solve_exact(entry.bvp)
