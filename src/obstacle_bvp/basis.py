@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import zip_longest
 
 import numpy as np
 
@@ -57,8 +56,8 @@ class BasisFunction:
     def __post_init__(self):
         if self.kind not in _KIND_ORDER:
             raise ValueError(f"unknown basis kind {self.kind!r}")
-        if self.k < 0:
-            raise ValueError("power k must be non-negative")
+        if not 0 <= self.k < MAX_ORDER:
+            raise ValueError(f"power k must be in [0, {MAX_ORDER - 1}]")
         if self.kind in (EXP_COS, EXP_SIN) and not self.beta > 0:
             raise ValueError("trigonometric kinds require beta > 0")
         if self.kind == POLY_EXP and self.beta != 0.0:
@@ -173,62 +172,130 @@ def basis_derivatives(fns, x, orders):
     Every kind is the real part (PolyExp, ExpCos) or the imaginary part
     (ExpSin) of x^k e^(lambda x) with lambda = alpha + i beta, whose m-th
     derivative is e^(lambda x) * sum_i C(m, i) k!/(k-i)! lambda^(m-i) x^(k-i).
-    Coefficients are Python complex numbers, x meets only scalar integer
-    powers and complex products are written out in real arithmetic (numpy's
-    vectorised complex multiply rounds differently from its scalar one), so
-    an entry does not depend on its neighbours.  Overflow is silent (inf/nan).
+    x meets only scalar integer powers and complex products are written out
+    in real arithmetic (numpy's vectorised complex multiply rounds
+    differently from its scalar one), so an entry does not depend on its
+    neighbours, except in the sign of a zero.  Overflow is silent (inf/nan).
     """
-    return eval_terms(basis_terms(fns, [orders]), np.asarray(x, dtype=float), [0])[0]
+    orders = np.broadcast_to(orders, (len(fns),))
+    if not ((0 <= orders) & (orders <= MAX_ORDER)).all():
+        raise ValueError(f"derivative orders {orders.tolist()} outside [0, {MAX_ORDER}]")
+    terms = take_terms(basis_terms(fns, int(orders.max())), orders, np.arange(len(fns)))
+    return eval_terms(terms, np.asarray(x, dtype=float), [0])[0]
 
 
-def basis_terms(fns, order_sets):
-    """The kernel's x-independent half: lambdas, all real?, largest k and per
-    order set (an int or one per function) its term rows.  Row i is term i of
-    every function: real and imaginary coefficients (zero where a function has
-    fewer terms) and the power of x, one int or one per function."""
-    lams, rows = [complex(fn.alpha, fn.beta) for fn in fns], []
-    for orders in order_sets:
-        if isinstance(orders, (int, np.integer)):
-            orders = (orders,) * len(fns)
-        coefs, powers = [], []
-        for fn, lam, m in zip(fns, lams, orders):
-            m = int(m)  # lambda ** m stays CPython's complex power
-            if not 0 <= m <= 4:
-                raise ValueError(f"derivative order {m} outside [0, 4]")
+# _TERMS[k, :, m, i]: term i of the m-th derivative of x^k e^(lambda x) is
+# comb(m, i) * perm(k, i) * lambda^(m - i) * x^(k - i); the fields hold that
+# integer factor, the power of lambda and the power of x.  Past min(k, m) a
+# term is padding: factor 0, lambda power -1 (the last column of
+# basis_terms' power table) and x power 0.
+_TERMS = np.array([[[(math.comb(m, i) * math.perm(k, i), m - i, k - i) if i <= min(k, m)
+                     else (0, -1, 0) for i in range(MAX_ORDER)]
+                    for m in range(MAX_ORDER + 1)] for k in range(MAX_ORDER)]).transpose(0, 3, 1, 2)
+
+# CPython's int * complex turns K into complex(K, 0.0), so its product is
+# (K re - 0 im, K im + 0 re): K * (re, im) + (re, im)[::-1] * _CROSS.
+_CROSS = np.array([-0.0, 0.0])
+
+
+def basis_terms(fns, top: int):
+    """The kernel's x-independent half: terms of every function in fns for
+    the derivative orders 0..top (at most 4), order set m holding order m,
+    as (lams, real, k_max, counts, coefs, powers, shared).  Column j has
+    lambda lams[j]; in set s its term i is coefficient (real, imaginary)
+    coefs[j, s, i] times x ** powers[j, s, i].  Set s evaluates counts[s]
+    terms, shared[s][i] is the power of x all columns share in term i, or
+    None, and real says every lambda is real, k_max the largest power.
+
+    lambda ** p is CPython's own complex power, once per function and p; the
+    integer factor is applied in array form with the operations of CPython's
+    int * complex, and an ExpSin term becomes the real coefficient pair of
+    Im(z) = Re(-i z).  So every term has the bits of the scalar expression
+    ``math.comb(m, i) * math.perm(k, i) * lam ** (m - i)``, and an order
+    whose power overflows (CPython raises where numpy gives inf) is NaN in
+    every term.  Set m has min(k_max, m) + 1 terms; a function with fewer is
+    padded with +0.0 terms.
+    """
+    ks, lams, sin, table, raised = [], [], [], [], []
+    for j, fn in enumerate(fns):
+        lam = complex(fn.alpha, fn.beta)
+        ks.append(fn.k)
+        lams.append(lam)
+        for p in range(top + 1):
             try:
-                cs = [math.comb(m, i) * math.perm(fn.k, i) * lam ** (m - i)
-                      for i in range(min(fn.k, m) + 1)]
-            except OverflowError:  # CPython's complex power raises, numpy's gives inf
-                cs = [complex(math.nan, math.nan)] * (min(fn.k, m) + 1)
-            if fn.kind == EXP_SIN:  # Im(z) = Re(-i z)
-                cs = [complex(c.imag, -c.real) for c in cs]
-            coefs.append(cs)
-            powers.append(range(fn.k, fn.k - len(cs), -1))
-        coefs = np.array(list(zip_longest(*coefs, fillvalue=0j)))
-        rows.append([(c.real, c.imag, p[0] if len(set(p)) == 1 else np.array(p))
-                     for c, p in zip(coefs, zip_longest(*powers, fillvalue=0))])
-    return np.array(lams), all(fn.kind == POLY_EXP for fn in fns), max(fn.k for fn in fns), rows
+                z = lam ** p
+            except OverflowError:
+                z = complex(math.nan, math.nan)
+                raised.append((j, p))
+            table += (z.real, z.imag)
+        # The padding column: times the zero factor, (0, 0) gives the term
+        # (+0.0, +0.0) and (-1, 1) gives (-0.0, +0.0), which the ExpSin swap
+        # below turns into (+0.0, +0.0).
+        if fn.kind == EXP_SIN:
+            sin.append(j)
+            table += (-1.0, 1.0)
+        else:
+            table += (0.0, 0.0)
+    k_max = max(ks)
+    table = np.array(table).reshape(len(fns), top + 2, 2)
+    factor, lam_pow, x_pow = _TERMS[ks][:, :, :top + 1, :min(k_max, top) + 1].transpose(1, 0, 2, 3)
+    at = np.arange(len(fns))[:, None, None]
+    z = table[at, lam_pow]
+    coefs = factor[..., None] * z + z[..., ::-1] * _CROSS
+    if raised:
+        hit = np.zeros(table.shape[:2], dtype=bool)
+        hit[tuple(zip(*raised))] = True
+        coefs[hit[at, lam_pow].any(axis=2)[..., None] & (factor != 0)] = math.nan
+    if sin:  # (c_r, c_i) -> (c_i, -c_r)
+        swapped = coefs[sin]
+        np.negative(swapped[..., 0], out=swapped[..., 0])
+        coefs[sin] = swapped[..., ::-1]
+    shared = None
+    if k_max:
+        same = (x_pow == x_pow[:1]).all(axis=0).tolist()
+        shared = [[q if u else None for q, u in zip(qs, us)]
+                  for qs, us in zip(x_pow[0].tolist(), same)]
+    return (np.array(lams), not any(lam.imag for lam in lams), k_max,
+            [min(k_max, m) + 1 for m in range(top + 1)], coefs, x_pow, shared)
+
+
+def take_terms(terms, sets, columns):
+    """Terms in :func:`basis_terms`' form with one order set over the
+    broadcast shape of the index arrays sets and columns: entry [...] is
+    column columns[...] of terms in its order set sets[...].  One gather per
+    array."""
+    lams, real, k_max, _, coefs, powers, _ = terms
+    lams, coefs = lams[columns], coefs[columns, sets][..., None, :, :]
+    if k_max:  # else no term takes a power of x
+        powers = powers[columns, sets][..., None, :]
+        k_max = int(powers[..., 0].max(initial=0))
+    return (lams, real or not lams.imag.any(), k_max, [min(k_max + 1, coefs.shape[-2])],
+            coefs, powers, [[None] * coefs.shape[-2]])
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def eval_terms(terms, x, sets):
-    """The kernel's numeric half: the order sets at indices sets of
-    :func:`basis_terms`' terms at a float array x, one array each; exp(lambda x)
-    and the powers of x are computed once for all of them."""
-    lams, real, k_max, rows = terms
+    """The kernel's numeric half: the order sets at indices sets of terms at
+    a float array x that broadcasts against the columns, one array each;
+    exp(lambda x) and the powers of x are computed once for all of them.
+    numpy's power can round differently on a strided array than on a
+    contiguous one, so callers pass x C-contiguous and every entry keeps the
+    bits of a contiguous evaluation."""
+    lams, real, k_max, counts, coefs, powers, shared = terms
     x_pows = [1.0] + [x ** p for p in range(1, k_max + 1)]
     e = np.exp(lams * x)
     out = []
     for s in sets:
+        c = coefs[..., s, :, :]
         if k_max == 0:  # one term, times x^0 = 1
-            env_r, env_i, _ = rows[s][0]
+            env_r, env_i = c[..., 0, 0], c[..., 0, 1]
         else:
             env_r = env_i = 0.0
-            for c_r, c_i, p in rows[s]:
-                xp = x_pows[p] if isinstance(p, int) else np.choose(p, x_pows)
-                env_r = env_r + c_r * xp
+            for i, q in zip(range(counts[s]), shared[s]):
+                xp = x_pows[q] if q is not None else np.choose(powers[..., s, i], x_pows)
+                env_r = env_r + c[..., i, 0] * xp
                 if not real:  # a real lambda has e.imag = +-0
-                    env_i = env_i + c_i * xp
+                    env_i = env_i + c[..., i, 1] * xp
         out.append(e.real * env_r if real else e.real * env_r - e.imag * env_i)
     return out
 

@@ -2,27 +2,32 @@
 
 Per piece: a particular polynomial by undetermined coefficients plus a real
 fundamental basis from the characteristic roots.  The basis constants of all
-pieces are coupled through one dense matching system (point conditions,
-interface continuity, pins) solved by Gauss elimination with partial
-pivoting.  The elimination reads -0.0 as +0.0, which moves no pivot and no
-nonzero bit, touches only the entries that can hold a nonzero, and gives the
-same pivots and bits as dense partial pivoting on that input whenever it
-stays finite; an elimination that overflows is refused.  Back substitution
-stays numpy, because a Python sum would not reproduce the bits of its BLAS
-row dot.  Rank deficiency is a first-class outcome carrying the
-free-column labels so the caller can pin them.
+pieces are coupled through one matching system (point conditions, interface
+continuity, pins), built from one kernel-term table over the distinct bases
+and kept both dense and as row bands: each row's entries from its first
+piece's first column over the one or two pieces it couples.  Gauss
+elimination with partial pivoting runs on the bands.  It reads -0.0 as
++0.0, which moves no pivot and no nonzero bit, touches only the entries that
+can hold a nonzero, and gives the same pivots and bits as dense partial
+pivoting on that input whenever it stays finite; an elimination that
+overflows is refused.  Back substitution stays numpy, each row's dot over
+the zero-padded row, because neither a Python sum nor a band-only dot would
+reproduce the bits of its BLAS row dot.  Rank deficiency is a first-class
+outcome carrying the free-column labels so the caller can pin them.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain
 
 import numpy as np
 
-from .basis import (MAX_ORDER, BasisFunction, basis_derivatives, basis_terms,
-                    characteristic_coeffs, eval_terms, piece_basis)
+from .basis import (MAX_ORDER, BasisFunction, basis_terms, characteristic_coeffs,
+                    eval_terms, piece_basis, take_terms)
 from .model import MAX_FORCING_DEGREE, PiecewiseBvp, SolveError
 
 CONSISTENCY_TOL = 1e-9
@@ -60,13 +65,16 @@ class RankDeficientError(SolveError):
 
 @dataclass(frozen=True)
 class MatchSystem:
-    """Dense matching system M c = rhs; column c is (piece c // order,
-    basis c % order).  Rows follow bvp's layout (None for a bare matrix)."""
+    """Matching system M c = rhs; column c is (piece c // order, basis
+    c % order).  Rows follow bvp's layout (None for a bare matrix).  bands
+    holds row i of M as (first column, Python floats from there on): every
+    nonzero of the row lies in its band, and -0.0 reads as +0.0 there."""
 
     matrix: np.ndarray
     rhs: np.ndarray
     order: int
     bvp: PiecewiseBvp | None
+    bands: list[tuple[int, list[float]]]
 
     def describe_row(self, r: int) -> str:
         """Row r's equation in words, for an error message: the layout is
@@ -107,7 +115,7 @@ class PieceSolution:
     @cached_property
     def _kernel(self):
         """Basis kernel terms and particular coefficients, set/row d for order d."""
-        return (basis_terms(self.basis, range(MAX_ORDER + 1)),
+        return (basis_terms(self.basis, MAX_ORDER),
                 _derivative_table([self.particular], MAX_ORDER + 1)[:, 0])
 
     def value(self, x, deriv_order: int = 0):
@@ -156,6 +164,12 @@ class PiecewiseSolution:
             if at.any():
                 out[:, at] = ps._combine(x[at], constants[owner[at]], orders)
         return out
+
+    def piece_derivatives(self, k: int, x, orders):
+        """u^(d) on piece k at a float array x for every d in orders, through
+        the kernel that piece k's group shares."""
+        shared, group, constants = self._groups
+        return shared[group[k]]._combine(x, constants[k], orders)
 
     def labeled_constants(self):
         """Flat list of (piece_index, basis_render, constant)."""
@@ -245,14 +259,18 @@ def _horner(coeffs: np.ndarray, x) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def assemble_system(bvp: PiecewiseBvp, bases, particulars) -> MatchSystem:
-    """Dense matching system over all piece constants.
+    """Matching system over all piece constants, dense and as bands.
 
     Row order is deterministic: point conditions in input order, then
     continuity rows by breakpoint then by enforced order, then pins.  A point
     condition sitting exactly on an interior breakpoint is evaluated on the
-    left-adjacent piece.  Basis and particular values come from one array
-    pass each for the conditions and for the continuity rows.  An overflow
-    leaves a non-finite entry, which :func:`gauss_solve` reports.
+    left-adjacent piece.  Kernel terms are built once over the distinct
+    bases (pieces of one ODE share their basis object) for orders 0..n-1;
+    the conditions and the continuity rows each gather their columns from
+    them and take one array pass.  A condition row's band is its piece's n
+    columns, a continuity row's the 2n columns of its two pieces, a pin's
+    its one column.  An overflow leaves a non-finite entry, which
+    :func:`gauss_solve` reports.
     """
     n, n_pieces = bvp.order, len(bvp.pieces)
     conds, orders, pins = bvp.conditions, bvp.continuity.sorted_orders, bvp.pins
@@ -260,70 +278,95 @@ def assemble_system(bvp: PiecewiseBvp, bases, particulars) -> MatchSystem:
     n_rows = n_cond + (n_pieces - 1) * n_ord + len(pins)
     matrix, rhs = np.zeros((n_rows, n * n_pieces)), np.zeros(n_rows)
     table = _derivative_table(particulars, n)
+    shared, slot = _distinct(bases, id)
+    terms = basis_terms([b for basis in shared for b in basis], n - 1)
+    # column[k, i]: the kernel column of piece k's basis function i
+    column = np.array(slot)[:, None] * n + np.arange(n)
+    bands = []
 
     if conds:
         where = np.array([c.location for c in conds])
         deriv = [c.deriv_order for c in conds]
         owner = bvp.owning_piece(where, side="left")
-        fns = [b for k in owner for b in bases[k]]
-        values = basis_derivatives(fns, np.repeat(where, n), np.repeat(deriv, n))
-        cols = owner[:, None] * n + np.arange(n)
-        matrix[np.arange(n_cond)[:, None], cols] = values.reshape(n_cond, n)
+        values = eval_terms(take_terms(terms, np.array(deriv)[:, None], column[owner]),
+                            np.repeat(where, n).reshape(n_cond, n), [0])[0]
+        matrix[np.arange(n_cond)[:, None], owner[:, None] * n + np.arange(n)] = values
         rhs[:n_cond] = (np.array([c.value for c in conds])
                         - _horner(table[deriv, owner], where))
+        bands += zip((owner * n).tolist(), (values + 0.0).tolist())
 
     if n_pieces > 1:
         # Every column's basis function at its piece's lo and hi, per order.
         ends = np.array([p.interval for p in bvp.pieces])
-        fns = [b for basis in bases for b in basis] * n_ord
-        x = np.tile(np.repeat(ends.T, n, axis=1), n_ord)
-        at_lo, at_hi = basis_derivatives(fns, x, np.repeat(orders, n * n_pieces)).reshape(
-            2, n_ord, n_pieces, n)
+        at_lo, at_hi = eval_terms(take_terms(terms, np.array(orders)[:, None, None], column),
+                                  np.repeat(ends.T, n, axis=1).reshape(2, 1, n_pieces, n), [0])[0]
         p_lo, p_hi = _horner(table[list(orders)], ends.T[:, None, :])
-        # blocks[k, j, i] is breakpoint k's order-j row over piece i's
-        # columns: piece k at its hi minus piece k + 1 at its lo.
+        # pair[k, j] is breakpoint k's order-j row over the columns of pieces
+        # k and k + 1: piece k at its hi minus piece k + 1 at its lo.
+        pair = np.stack([at_hi[:, :-1], -at_lo[:, 1:]], axis=2).transpose(1, 0, 2, 3)
         rows = slice(n_cond, n_rows - len(pins))
         blocks = matrix[rows].reshape(n_pieces - 1, n_ord, n_pieces, n)
         k = np.arange(n_pieces - 1)[:, None]
-        blocks[k, :, k + [0, 1]] = np.stack([at_hi[:, :-1], -at_lo[:, 1:]]).transpose(2, 0, 1, 3)
+        blocks[k, :, k + [0, 1]] = pair.transpose(0, 2, 1, 3)
         rhs[rows] = (p_lo[:, 1:] - p_hi[:, :-1]).T.ravel()
+        bands += zip([n * q for q in range(n_pieces - 1) for _ in orders],
+                     (pair + 0.0).reshape(-1, 2 * n).tolist())
 
     for r, pin in enumerate(pins, start=n_rows - len(pins)):
         matrix[r, pin.piece_index * n + pin.basis_index] = 1.0
         rhs[r] = pin.value
-    return MatchSystem(matrix, rhs, n, bvp)
+        bands.append((pin.piece_index * n + pin.basis_index, [1.0]))
+    return MatchSystem(matrix, rhs, n, bvp, bands)
 
 
-def _echelon(matrix: np.ndarray, rhs: np.ndarray):
-    """Row echelon form by Gauss elimination with partial pivoting.
+_EPS = sys.float_info.epsilon
 
-    Returns (augmented, pivot_columns), bit for bit those of the dense loop
+
+def _echelon(bands, rhs: np.ndarray, n: int):
+    """Row echelon form of the m x n system whose row i is bands[i] = (first
+    column, band of Python floats) with right-hand side rhs[i], by Gauss
+    elimination with partial pivoting.
+
+    Returns (bands, rhs, pivot_columns): the echelon rows in the same band
+    form and their right-hand side, bit for bit those of the dense loop
 
         p = r + argmax(|aug[r:, c]|), rows r and p swapped,
         aug[r + 1:, c:] -= (aug[r + 1:, c] / aug[r, c])[:, None] * aug[r, c:],
         aug[r + 1:, c] = 0,
 
-    run on the system with -0.0 read as +0.0, but on Python-float rows,
-    touching only the entries that can hold a nonzero.  A piecewise problem's
-    matching system keeps each row's nonzeros in a band a few pieces wide, so
-    each column's pivot search and update reach a few rows and columns
-    instead of all of them.  The pivot search compares |a| and a zero's sign
-    reaches no nonzero result, so the read moves no pivot and no nonzero bit;
-    a - f*p is -0.0 only where a is, so no -0.0 arises after it.  A zero
-    factor or pivot-row entry changes no entry until a value overflows, so both
-    loops agree up to the first overflow; after it, only a non-finite echelon
-    is promised.
+    run on the dense system with -0.0 read as +0.0.  Column c's pivot search
+    and update reach the rows down to the last one whose band starts at or
+    before c, and a row is updated over the pivot row's band only, so the
+    work grows with the number of pieces, not with its square.  The pivot
+    search compares |a| and a zero's sign reaches no nonzero result, so
+    reading -0.0 as +0.0 moves no pivot and no nonzero bit; a - f*p is -0.0
+    only where a is, so no -0.0 arises after it.  A zero factor or pivot-row
+    entry changes no entry until a value overflows, so both loops agree up
+    to the first overflow; an elimination that overflows raises
+    :class:`SolveError`.
     """
-    m, n = matrix.shape
-    aug = np.hstack([matrix.astype(float), rhs.reshape(-1, 1).astype(float)]) + 0.0
-    tol = max(m, n) * np.finfo(float).eps * max(1.0, float(np.abs(matrix).max(initial=0.0)))
-    nonzero = aug[:, :n] != 0
-    # ext[i]: one past the last column row i can hold a nonzero in.  hi[c]:
-    # one past the last row holding a nonzero in a column <= c; rows from
-    # hi[c] on stay zero in those columns until elimination reaches them.
-    ext = (nonzero * np.arange(1, n + 1)).max(axis=1, initial=0).tolist()
-    hi = np.maximum.accumulate((nonzero * np.arange(1, m + 1)[:, None]).max(axis=0, initial=0)).tolist()
-    rows = aug.tolist()
+    m = len(bands)
+    # hi[c]: one past the last row whose band starts at or before column c;
+    # rows from hi[c] on stay zero in those columns until elimination
+    # reaches them.
+    hi = [0] * n
+    for i, (f, band) in enumerate(bands):
+        if band:
+            hi[f] = i + 1
+    hi = list(accumulate(hi, max))
+    values = list(chain.from_iterable(band for _, band in bands))
+    tol = max(m, n) * _EPS * max(1.0, max(values, default=0.0), -min(values, default=0.0))
+    # rows[i] holds columns first[i] .. ext[i] - 1, starting no later than
+    # the first column whose pivot search reaches it, so every row the search
+    # reads starts at or before the column read.
+    rows, first, ext, c0 = [], [], [], 0
+    for i, (f, band) in enumerate(bands):
+        while c0 < n and hi[c0] <= i:
+            c0 += 1
+        rows.append([0.0] * (f - c0) + band if c0 < f else list(band))
+        first.append(min(f, c0))
+        ext.append(f + len(band))
+    b = (rhs + 0.0).tolist()
     pivot_cols = []
     r = 0
     for c in range(n):
@@ -332,7 +375,8 @@ def _echelon(matrix: np.ndarray, rhs: np.ndarray):
         end = hi[c]
         if end <= r:
             continue
-        column = [row[c] for row in rows[r:end]]
+        column = [row[c - f] if c < e else 0.0
+                  for row, f, e in zip(rows[r:end], first[r:end], ext[r:end])]
         size = list(map(abs, column))
         best = max(size)
         if best <= tol:
@@ -340,28 +384,43 @@ def _echelon(matrix: np.ndarray, rhs: np.ndarray):
         k = size.index(best)
         if k:
             p = r + k
-            rows[r], rows[p], ext[r], ext[p] = rows[p], rows[r], ext[p], ext[r]
+            rows[r], rows[p], b[r], b[p] = rows[p], rows[r], b[p], b[r]
+            first[r], first[p], ext[r], ext[p] = first[p], first[r], ext[p], ext[r]
             column[0], column[k] = column[k], column[0]
-        prow, pivot, last = rows[r], column[0], ext[r]
+        pivot, last, pb = column[0], ext[r], b[r]
+        tail = rows[r][c + 1 - first[r]:]  # the pivot row's columns c + 1 .. last - 1
         for i, a in enumerate(column[1:], r + 1):
             if a:  # a zero factor leaves its row as it is
-                row = rows[i]
+                row, j = rows[i], c - first[i]
                 factor = a / pivot
-                for j in range(c + 1, last):
-                    row[j] -= factor * prow[j]
-                row[n] -= factor * prow[n]
-                row[c] = 0.0
                 if ext[i] < last:
+                    row += [0.0] * (last - ext[i])
                     ext[i] = last
+                row[j] = 0.0
+                for w in tail:
+                    j += 1
+                    row[j] -= factor * w
+                b[i] -= factor * pb
         pivot_cols.append(c)
         r += 1
-    return np.array(rows).reshape(m, n + 1), pivot_cols
+    if not np.isfinite(np.fromiter(chain(chain.from_iterable(rows), b), float)).all():
+        raise SolveError("matching system elimination overflows (element growth "
+                         "leaves non-finite entries in its echelon form)")
+    return list(zip(first, rows)), b, pivot_cols
 
 
-def _back_substitute(aug: np.ndarray, n: int) -> np.ndarray:
-    x = np.zeros(n)
+def _back_substitute(bands, b, n: int) -> np.ndarray:
+    """x from the first n echelon rows, last row first: x[r] is b[r] minus
+    row r's entries right of its pivot times x[r + 1:], over the pivot.
+    Each row is written from its band into a zeroed buffer of length n, so
+    the dot is numpy's (BLAS) over the same zero-padded row as a dense
+    echelon row; a dot over the band alone would not give its bits."""
+    x, row = np.zeros(n), np.zeros(n)
     for r in range(n - 1, -1, -1):
-        x[r] = (aug[r, n] - aug[r, r + 1: n] @ x[r + 1:]) / aug[r, r]
+        f, band = bands[r]
+        row[f:f + len(band)] = band
+        x[r] = (b[r] - row[r + 1:] @ x[r + 1:]) / band[r - f]
+        row[f:f + len(band)] = 0.0
     return x
 
 
@@ -388,20 +447,17 @@ def gauss_solve(system: MatchSystem) -> GaussResult:
             f"particular solution overflow on this domain"
         )
     m, n = matrix.shape
-    aug, pivot_cols = _echelon(matrix, rhs)
-    if not np.isfinite(aug).all():
-        raise SolveError("matching system elimination overflows (element growth "
-                         "leaves non-finite entries in its echelon form)")
+    bands, b, pivot_cols = _echelon(system.bands, rhs, n)
     rank = len(pivot_cols)
     gate = CONSISTENCY_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
     if rank < n:
         # Rows below the rank are zero in the matrix: no solution meets their rhs.
-        dropped = float(np.abs(aug[rank:, n]).max(initial=0.0))
+        dropped = max(map(abs, b[rank:]), default=0.0)
         if not dropped <= gate:
             raise InconsistentSystemError(dropped, rank)
         free = tuple(divmod(c, system.order) for c in range(n) if c not in pivot_cols)
         raise RankDeficientError(rank, n - rank, free)
-    x = _back_substitute(aug, n)
+    x = _back_substitute(bands, b, n)
     if not np.isfinite(x).all():
         piece, index = divmod(int(np.argmin(np.isfinite(x))), system.order)
         raise SolveError(f"matching system solution is non-finite (overflow), "

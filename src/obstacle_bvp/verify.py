@@ -82,10 +82,10 @@ def residual_report(sol: PiecewiseSolution, bvp: PiecewiseBvp,
     if samples_per_piece < 2:
         raise ProblemError("samples_per_piece must be at least 2")
     out = []
-    for piece, psol in zip(bvp.pieces, sol.pieces):
+    for k, piece in enumerate(bvp.pieces):
         xs = np.linspace(piece.lo, piece.hi, samples_per_piece + 2)[1:-1]
         orders = [j for j, aj in enumerate(piece.coeffs) if aj != 0.0]
-        *lower, top = psol._combine(xs, psol.constants, orders + [bvp.order])
+        *lower, top = sol.piece_derivatives(k, xs, orders + [bvp.order])
         r = top - piece.forcing_value(xs)
         for j, u in zip(orders, lower):
             r -= piece.coeffs[j] * u
@@ -97,8 +97,8 @@ def solution_scale(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> float:
     """1 + max|u| over 100 points per piece, ends included: the natural
     residual normalization."""
     return 1.0 + max(
-        float(np.abs(psol.value(np.linspace(piece.lo, piece.hi, 100))).max())
-        for piece, psol in zip(bvp.pieces, sol.pieces))
+        float(np.abs(sol.piece_derivatives(k, np.linspace(piece.lo, piece.hi, 100), [0])[0]).max())
+        for k, piece in enumerate(bvp.pieces))
 
 
 def continuity_report(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> tuple[JumpEntry, ...]:
@@ -111,8 +111,8 @@ def continuity_report(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> tuple[JumpEn
     if not bvp.interior_breakpoints:
         return ()
     # ends[k][j] = (u_k^(j)(lo_k), u_k^(j)(hi_k))
-    ends = [psol._combine(np.array(piece.interval), psol.constants, range(bvp.order))
-            for piece, psol in zip(bvp.pieces, sol.pieces)]
+    ends = [sol.piece_derivatives(k, np.array(piece.interval), range(bvp.order))
+            for k, piece in enumerate(bvp.pieces)]
     return tuple(JumpEntry(x, j, abs(ends[k][j][1] - ends[k + 1][j][0]),
                            j in bvp.continuity.enforced_orders)
                  for k, x in enumerate(bvp.interior_breakpoints)

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obstacle_bvp.basis import (BasisFunction, RootFindingError, _real_basis,
-                                basis_derivatives, characteristic_coeffs,
-                                piece_basis)
+                                basis_derivatives, basis_terms,
+                                characteristic_coeffs, piece_basis)
 from obstacle_bvp.model import PieceOde, normalize_piece
 
 SQ3_HALF = math.sqrt(3.0) / 2.0
@@ -282,6 +282,70 @@ class TestBasisDerivatives:
             warnings.simplefilter("error")
             got = basis_derivatives(fns, np.array([800.0, 800.0]), 1)
         assert not np.isfinite(got).any()
+
+
+def _scalar_terms(fn, m):
+    """Term coefficients of fn's m-th derivative as complex numbers, one
+    scalar expression per term; an order whose power overflows is NaN."""
+    lam = complex(fn.alpha, fn.beta)
+    try:
+        cs = [math.comb(m, i) * math.perm(fn.k, i) * lam ** (m - i)
+              for i in range(min(fn.k, m) + 1)]
+    except OverflowError:
+        cs = [complex(math.nan, math.nan)] * (min(fn.k, m) + 1)
+    if fn.kind == "ExpSin":  # Im(z) = Re(-i z)
+        cs = [complex(c.imag, -c.real) for c in cs]
+    return cs
+
+
+def _bits(v):
+    return np.float64(v).view(np.int64)
+
+
+class TestKernelTerms:
+    def test_array_terms_equal_scalar_expression_bitwise(self):
+        """basis_terms applies comb(m, i) * perm(k, i) in array form.  It
+        must give, bit for bit with zero and NaN signs, what CPython's
+        ``int * complex`` gives: complex(K, 0.0) times the power, that is
+        (K re - 0 im, K im + 0 re).  This pins those semantics for the
+        Python versions CI runs (3.10-3.13); Python 3.14 multiplies an int
+        into a complex as a real number, which changes zero signs."""
+        rng = np.random.default_rng(19)
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e100, -1e100,
+                   1e80, -1e80]  # |lambda| = 1e80: the fourth power overflows
+        def draw():
+            return (float(rng.choice(special)) if rng.random() < 0.6
+                    else float(rng.normal() * 10.0 ** rng.integers(-3, 4)))
+        fns = []
+        for _ in range(40):
+            for kind in ("PolyExp", "ExpCos", "ExpSin"):
+                for k in range(4):
+                    alpha = draw()
+                    beta = (float(rng.choice([0.0, -0.0])) if kind == "PolyExp"
+                            else abs(draw()) or 1e-300)
+                    fns.append(BasisFunction(kind, k, alpha, beta))
+        _, _, _, counts, coefs, powers, _ = basis_terms(fns, 4)
+        overflowed = 0
+        for m in range(5):
+            assert counts[m] == min(3, m) + 1
+            for j, fn in enumerate(fns):
+                cs = _scalar_terms(fn, m)
+                overflowed += math.isnan(cs[0].real)
+                for i in range(coefs.shape[2]):
+                    want = cs[i] if i < len(cs) else 0j
+                    got = coefs[j, m, i]
+                    assert (_bits(got[0]), _bits(got[1])) == (_bits(want.real), _bits(want.imag)), \
+                        (fn, m, i)
+                    assert powers[j, m, i] == (fn.k - i if i < len(cs) else 0)
+        assert overflowed > 0
+        assert any(math.copysign(1.0, float(c)) < 0 for c in coefs[..., 1].ravel()
+                   if c == 0.0)
+
+    def test_overflowing_order_is_nan_in_every_term(self):
+        fn = BasisFunction("ExpSin", 2, 1e80, 1e80)
+        coefs = basis_terms([fn], 4)[4]
+        assert np.isfinite(coefs[0, :4, :3]).all()
+        assert np.isnan(coefs[0, 4, :3]).all()
 
 
 _basis_fn = st.one_of(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from obstacle_bvp.basis import MAX_ORDER, basis_derivatives, piece_basis
+from obstacle_bvp.basis import MAX_ORDER, BasisFunction, basis_derivatives, piece_basis
 import obstacle_bvp.exact as exact_module
 from obstacle_bvp.exact import (InconsistentSystemError, MatchSystem,
                                 PieceSolution, RankDeficientError, SolveError,
@@ -23,6 +23,42 @@ from obstacle_bvp.model import (ContinuitySpec, PieceOde, PiecewiseBvp,
                                 build_third_order)
 
 E = math.e
+
+
+def _bare(matrix, rhs, order, bvp=None, extents=None):
+    """A bare matching system with its bands, as gauss_solve takes it: row
+    i's band spans extents[i] = (first, stop), by default its first to its
+    last nonzero, and reads -0.0 as +0.0."""
+    matrix = np.asarray(matrix, dtype=float)
+    bands = []
+    for i, row in enumerate(matrix):
+        nonzero = np.flatnonzero(row)
+        first, stop = (extents[i] if extents is not None
+                       else (nonzero[0], nonzero[-1] + 1) if len(nonzero) else (0, 0))
+        bands.append((int(first), (row[first:stop] + 0.0).tolist()))
+    return MatchSystem(matrix, np.asarray(rhs, dtype=float), order, bvp, bands)
+
+
+def _densify(bands, n):
+    """The m x n matrix whose rows are bands."""
+    matrix = np.zeros((len(bands), n))
+    for i, (first, band) in enumerate(bands):
+        matrix[i, first:first + len(band)] = band
+    return matrix
+
+
+def _echelon(system):
+    """The banded elimination's augmented echelon as a dense array, and its
+    pivot columns."""
+    n = system.matrix.shape[1]
+    bands, b, pivots = exact_module._echelon(system.bands, system.rhs, n)
+    return np.column_stack([_densify(bands, n), b]), pivots
+
+
+def _dense_as_bands(matrix, rhs, n):
+    """_dense_echelon's result in _echelon's form: full-width bands."""
+    aug, pivots = _dense_echelon(matrix, rhs)
+    return [(0, row) for row in aug[:, :n].tolist()], aug[:, n].tolist(), pivots
 
 
 def _system_for(bvp):
@@ -157,6 +193,18 @@ class TestAssembleSystem:
     def test_third_order_with_pin(self):
         assert _system_for(get_example("3.1.6").bvp).matrix.shape == (9, 9)
 
+    def test_bands_read_negative_zero_as_positive(self, monkeypatch):
+        # u'' = u' with the constant's alpha a -0.0: u'(0) puts -0.0 * e^0
+        # into the dense row, and its band holds +0.0 there.
+        bvp = PiecewiseBvp(2, (PieceOde(2, (0.0, 1.0), (0.0, 1.0), (0.0,)),),
+                           (PointCondition(0.0, 1, 1.0), PointCondition(1.0, 0, 0.0)),
+                           ContinuitySpec(frozenset({0, 1})))
+        basis = (BasisFunction("PolyExp", 0, -0.0), BasisFunction("PolyExp", 0, 1.0))
+        system = assemble_system(bvp, [basis], [(0.0,)])
+        assert system.matrix[0, 0] == 0.0 and np.signbit(system.matrix[0, 0])
+        assert system.bands[0][0] == 0 and not np.signbit(system.bands[0][1][0])
+        _assert_matches_dense(system, monkeypatch)
+
     def test_row_ordering_is_deterministic(self):
         system = _system_for(get_example("3.1.1").bvp)
         assert system.describe_row(0).startswith("u^(0)(-1)")
@@ -208,12 +256,12 @@ class TestArrayAssemblyIsBitwise:
 
 class TestGaussSolve:
     def test_identity(self):
-        system = MatchSystem(np.eye(2), np.array([3.0, 4.0]), 2, None)
+        system = _bare(np.eye(2), np.array([3.0, 4.0]), 2, None)
         result = gauss_solve(system)
         assert result.constants == pytest.approx([3.0, 4.0])
 
     def test_consistent_singular_reports_rank(self):
-        system = MatchSystem(np.array([[1.0, 1.0], [2.0, 2.0]]),
+        system = _bare(np.array([[1.0, 1.0], [2.0, 2.0]]),
                              np.array([1.0, 2.0]), 2, None)
         with pytest.raises(RankDeficientError) as exc:
             gauss_solve(system)
@@ -221,7 +269,7 @@ class TestGaussSolve:
         assert len(exc.value.free_columns) == 1
 
     def test_inconsistent_overdetermined_raises(self):
-        system = MatchSystem(np.array([[1.0], [1.0]]), np.array([0.0, 1.0]),
+        system = _bare(np.array([[1.0], [1.0]]), np.array([0.0, 1.0]),
                              1, None)
         with pytest.raises(InconsistentSystemError) as exc:
             gauss_solve(system)
@@ -242,7 +290,7 @@ class TestGaussSolve:
         assert "residual" not in message and "pin" not in message
 
     def test_consistent_redundant_rows_accepted(self):
-        system = MatchSystem(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+        system = _bare(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
                              np.array([2.0, 3.0, 5.0]), 2, None)
         result = gauss_solve(system)
         assert result.constants == pytest.approx([2.0, 3.0])
@@ -285,7 +333,7 @@ class TestGaussSolve:
             solve_exact(bvp)
 
     def test_non_finite_bare_matrix_names_row_index(self):
-        system = MatchSystem(np.array([[1.0, 0.0], [np.inf, 1.0]]), np.ones(2), 2, None)
+        system = _bare(np.array([[1.0, 0.0], [np.inf, 1.0]]), np.ones(2), 2, None)
         with pytest.raises(SolveError, match="first: row 1;"):
             gauss_solve(system)
 
@@ -296,7 +344,7 @@ class TestGaussSolve:
         # column, rank deficiency with pin advice may come out.
         matrix = np.pad(np.array([[1e308, 1e308], [-1e308, 1e308]]), (0, pad))
         with pytest.raises(SolveError, match="elimination overflows") as exc:
-            gauss_solve(MatchSystem(matrix, np.pad(np.ones(2), (0, pad)), 2, None))
+            gauss_solve(_bare(matrix, np.pad(np.ones(2), (0, pad)), 2, None))
         assert type(exc.value) is SolveError
         assert "pin" not in str(exc.value)
 
@@ -309,7 +357,7 @@ class TestGaussSolve:
             if np.linalg.cond(a) >= 1e6:
                 continue
             b = rng.normal(size=n)
-            result = gauss_solve(MatchSystem(a, b, n, None))
+            result = gauss_solve(_bare(a, b, n, None))
             assert np.abs(a @ result.constants - b).max() <= 1e-10 * np.abs(b).max()
             checked += 1
 
@@ -350,40 +398,46 @@ def _outcome(system):
 
 
 def _assert_matches_dense(system, monkeypatch):
-    """The banded elimination gives the dense one's echelon bits and pivots,
+    """The system's bands are its matrix with -0.0 read as +0.0, and the
+    banded elimination of them gives the dense one's echelon bits and pivots,
     so gauss_solve's outcome is the same bit for bit."""
-    banded, pivots = exact_module._echelon(system.matrix, system.rhs)
+    n = system.matrix.shape[1]
+    assert _densify(system.bands, n).tobytes() == (system.matrix + 0.0).tobytes()
+    banded, pivots = _echelon(system)
     dense, dense_pivots = _dense_echelon(system.matrix, system.rhs)
     assert pivots == dense_pivots
     assert banded.shape == dense.shape
     assert banded.tobytes() == dense.tobytes()
     outcome = _outcome(system)
     with monkeypatch.context() as patch:
-        patch.setattr(exact_module, "_echelon", _dense_echelon)
+        patch.setattr(exact_module, "_echelon",
+                      lambda bands, rhs, n: _dense_as_bands(system.matrix, rhs, n))
         assert outcome == _outcome(system)
     return outcome
 
 
 def _flip_zero_signs(rng, system):
     """The system with a random subset of its zero entries, matrix and rhs
-    alike, negated: +0.0 to -0.0 and -0.0 to +0.0."""
+    alike, negated (+0.0 to -0.0 and -0.0 to +0.0), and its bands built
+    again over the same columns."""
     def flip(values):
         values = values.copy()
         at = (values == 0) & (rng.random(values.shape) < rng.random())
         values[at] = -values[at]
         return values
-    return dataclasses.replace(system, matrix=flip(system.matrix), rhs=flip(system.rhs))
+    return _bare(flip(system.matrix), flip(system.rhs), system.order, system.bvp,
+                 [(first, first + len(band)) for first, band in system.bands])
 
 
 def _assert_sign_blind(system, rng):
     """The sign of a zero entry changes neither the echelon's bits, its pivots
     nor gauss_solve's outcome, and the echelon holds no -0.0."""
-    aug, pivots = exact_module._echelon(system.matrix, system.rhs)
+    aug, pivots = _echelon(system)
     assert not ((aug == 0) & np.signbit(aug)).any()
     outcome = _outcome(system)
     for _ in range(3):
         flipped = _flip_zero_signs(rng, system)
-        flipped_aug, flipped_pivots = exact_module._echelon(flipped.matrix, flipped.rhs)
+        flipped_aug, flipped_pivots = _echelon(flipped)
         assert flipped_pivots == pivots
         assert flipped_aug.tobytes() == aug.tobytes()
         assert _outcome(flipped) == outcome
@@ -427,20 +481,22 @@ def _seeded_bvp(rng, order, n_pieces):
 
 def _block_system(rng, order, n_pieces):
     """A matching system's layout built directly: condition rows on the first
-    and last piece, then each breakpoint's rows over its two pieces; about
-    one block entry in ten is -0.0."""
+    and last piece, then each breakpoint's rows over its two pieces, each
+    row's band its layout block; about one block entry in ten is -0.0."""
     width = order * n_pieces
     matrix = np.zeros((width, width))
     first = (order + 1) // 2
     matrix[:first, :order] = rng.normal(size=(first, order))
     matrix[first:order, -order:] = rng.normal(size=(order - first, order))
+    extents = [(0, order)] * first + [(width - order, width)] * (order - first)
     for k in range(n_pieces - 1):
         rows = slice(order + k * order, order + (k + 1) * order)
         matrix[rows, k * order:(k + 2) * order] = rng.normal(size=(order, 2 * order))
+        extents += [(k * order, (k + 2) * order)] * order
     matrix[(matrix != 0) & (rng.random(matrix.shape) < 0.1)] = -0.0
     rhs = rng.normal(size=width)
     rhs[rng.random(width) < 0.2] = -0.0
-    return MatchSystem(matrix, rhs, order, None)
+    return _bare(matrix, rhs, order, None, extents)
 
 
 class TestBandedElimination:
@@ -464,7 +520,7 @@ class TestBandedElimination:
             _assert_matches_dense(system, monkeypatch)
 
     def test_zero_rows(self, monkeypatch):
-        outcome = _assert_matches_dense(MatchSystem(np.zeros((0, 3)), np.zeros(0), 3, None),
+        outcome = _assert_matches_dense(_bare(np.zeros((0, 3)), np.zeros(0), 3, None),
                                         monkeypatch)
         assert outcome[0] is RankDeficientError
 
@@ -472,13 +528,13 @@ class TestBandedElimination:
                                                  ([2.0, 3.0, 6.0, -1.0], False)])
     def test_overdetermined(self, rhs, consistent, monkeypatch):
         matrix = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        outcome = _assert_matches_dense(MatchSystem(matrix, np.array(rhs), 3, None), monkeypatch)
+        outcome = _assert_matches_dense(_bare(matrix, np.array(rhs), 3, None), monkeypatch)
         assert (outcome[0] is InconsistentSystemError) is not consistent
 
     def test_rank_deficient_with_free_columns(self, monkeypatch):
         matrix = np.array([[1.0, 2.0, 0.0, 1.0], [2.0, 4.0, 0.0, 2.0],
                            [0.0, 0.0, 0.0, 3.0], [-1.0, 0.5, 0.0, 0.0]])
-        outcome = _assert_matches_dense(MatchSystem(matrix, np.array([1.0, 2.0, 3.0, 0.0]), 2,
+        outcome = _assert_matches_dense(_bare(matrix, np.array([1.0, 2.0, 3.0, 0.0]), 2,
                                                     None), monkeypatch)
         assert outcome[0] is RankDeficientError
         assert "free columns: (piece 1, basis 0);" in outcome[1]
@@ -489,7 +545,7 @@ class TestBandedElimination:
         rng = np.random.default_rng(3)
         for _ in range(50):
             matrix = rng.choice([-1.0, 0.0, -0.0, 1.0, 2.0, -2.0], size=(6, 6))
-            _assert_matches_dense(MatchSystem(matrix, rng.choice([0.0, -0.0, 1.0], size=6),
+            _assert_matches_dense(_bare(matrix, rng.choice([0.0, -0.0, 1.0], size=6),
                                               3, None), monkeypatch)
 
     def test_sign_of_zero_is_invisible(self, monkeypatch):
@@ -501,7 +557,7 @@ class TestBandedElimination:
             matrix[rng.random((6, 6)) < 0.7] = -0.0
             matrix[rng.random((6, 6)) < 0.3] = 0.0
             rhs = rng.choice([-0.0, 0.0, 1.0], size=6)
-            _assert_sign_blind(MatchSystem(matrix, rhs, 3, None), rng)
+            _assert_sign_blind(_bare(matrix, rhs, 3, None), rng)
         for ex_id in EXAMPLE_IDS:
             for system in _registry_systems(ex_id, monkeypatch):
                 _assert_sign_blind(system, rng)
@@ -509,30 +565,45 @@ class TestBandedElimination:
 
     def test_fully_dense_random(self, monkeypatch):
         rng = np.random.default_rng(11)
-        _assert_matches_dense(MatchSystem(rng.normal(size=(24, 24)), rng.normal(size=24),
+        _assert_matches_dense(_bare(rng.normal(size=(24, 24)), rng.normal(size=24),
                                           4, None), monkeypatch)
 
     def test_elimination_overflow_to_nan(self, monkeypatch):
         # Finite entries near the float maximum: sums of two overflow.  Where
         # the dense loop stays finite the banded one gives its bits; where it
-        # overflows the banded echelon is non-finite too, and gauss_solve
-        # refuses the system instead of reading an answer from it.
+        # overflows the banded elimination refuses the system, and so does
+        # gauss_solve, instead of reading an answer from it.
         rng = np.random.default_rng(5)
         finite_seen = set()
         for _ in range(30):
             matrix = rng.choice([-1.0, 1.0], size=(5, 5)) * rng.uniform(0.5, 1.79, size=(5, 5)) * 1e308
             matrix[rng.random((5, 5)) < 0.3] = 0.0
-            system = MatchSystem(matrix, rng.normal(size=5), 5, None)
+            system = _bare(matrix, rng.normal(size=5), 5, None)
             finite = bool(np.isfinite(_dense_echelon(matrix, system.rhs)[0]).all())
             finite_seen.add(finite)
             if finite:
                 _assert_matches_dense(system, monkeypatch)
                 continue
-            assert not np.isfinite(exact_module._echelon(matrix, system.rhs)[0]).all()
+            with pytest.raises(SolveError, match="elimination overflows"):
+                _echelon(system)
             with pytest.raises(SolveError, match="elimination overflows") as exc:
                 gauss_solve(system)
             assert type(exc.value) is SolveError
         assert finite_seen == {True, False}
+
+    def test_bands_with_zeros_at_their_edges_and_inside(self, monkeypatch):
+        # Row 1's band starts at a stored -0.0 and row 2's holds an exact
+        # zero between nonzeros: band extents, not nonzeros, bound the work.
+        matrix = np.array([[2.0, 1.0, 0.0, 0.0],
+                           [-0.0, 3.0, -1.0, 0.0],
+                           [1.0, 0.0, 0.0, 4.0],
+                           [0.0, 0.0, 5.0, 1.0]])
+        system = _bare(matrix, np.array([1.0, -0.0, 2.0, 3.0]), 2, None,
+                       [(0, 2), (0, 3), (0, 4), (2, 4)])
+        assert system.bands[1] == (0, [0.0, 3.0, -1.0])
+        assert not np.signbit(system.bands[1][1][0])
+        assert system.bands[2] == (0, [1.0, 0.0, 0.0, 4.0])
+        _assert_matches_dense(system, monkeypatch)
 
     def test_two_hundred_piece_block_matrix(self, monkeypatch):
         _assert_matches_dense(_block_system(np.random.default_rng(200), 2, 200), monkeypatch)

@@ -380,3 +380,19 @@ class TestOnePassPerPiece:
         calls = self._count(monkeypatch)
         condition_report(sol, bvp)
         assert len(calls) == 2  # owners 0 and 2 share an ODE, owner 1 has its own
+
+    def test_verification_builds_the_kernel_once_per_ode(self, monkeypatch):
+        import obstacle_bvp.exact as exact_module
+        bvp = _sixteen_region_obstacle()
+        sol = solve_exact(bvp)
+        assert len({p.coeffs + p.forcing for p in bvp.pieces}) == 2
+        calls = []
+        original = exact_module.basis_terms
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(exact_module, "basis_terms", counted)
+        verification_report(sol, bvp)
+        assert len(calls) == 2
