@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -180,124 +182,196 @@ def basis_derivatives(fns, x, orders):
     orders = np.broadcast_to(orders, (len(fns),))
     if not ((0 <= orders) & (orders <= MAX_ORDER)).all():
         raise ValueError(f"derivative orders {orders.tolist()} outside [0, {MAX_ORDER}]")
-    terms = take_terms(basis_terms(fns, int(orders.max())), orders, np.arange(len(fns)))
-    return eval_terms(terms, np.asarray(x, dtype=float), [0])[0]
+    x = np.asarray(x, dtype=float)
+    entries = (1,) * (x.ndim - 1) + (len(fns),)
+    terms = take_terms(basis_terms(fns, int(orders.max())), orders.reshape(entries),
+                       np.arange(len(fns)).reshape(entries))
+    return eval_terms(terms, x, [0])[0]
 
 
-# _TERMS[k, :, m, i]: term i of the m-th derivative of x^k e^(lambda x) is
-# comb(m, i) * perm(k, i) * lambda^(m - i) * x^(k - i); the fields hold that
-# integer factor, the power of lambda and the power of x.  Past min(k, m) a
-# term is padding: factor 0, lambda power -1 (the last column of
-# basis_terms' power table) and x power 0.
-_TERMS = np.array([[[(math.comb(m, i) * math.perm(k, i), m - i, k - i) if i <= min(k, m)
-                     else (0, -1, 0) for i in range(MAX_ORDER)]
-                    for m in range(MAX_ORDER + 1)] for k in range(MAX_ORDER)]).transpose(0, 3, 1, 2)
+# _TERMS[k, sin, :, m, i]: term i of the m-th derivative of x^k e^(lambda x)
+# is comb(m, i) * perm(k, i) * lambda^(m - i) * x^(k - i); the fields hold
+# that integer factor, the power of lambda and the power of x.  Past min(k, m)
+# a term is padding: factor 0, x power 0 and lambda power -1, or -2 for an
+# ExpSin function (sin = 1), the last two columns of basis_terms' power table.
+_TERMS = np.array([[[[(math.comb(m, i) * math.perm(k, i), m - i, k - i) if i <= min(k, m)
+                      else (0, -1 - sin, 0) for i in range(MAX_ORDER)]
+                     for m in range(MAX_ORDER + 1)] for sin in (0, 1)]
+                   for k in range(MAX_ORDER)]).transpose(0, 1, 4, 2, 3)
+
+# The exact bits of a lambda's two parts: +0.0 and -0.0 differ.
+_PAIR_BITS = struct.Struct("dd").pack
 
 # CPython's int * complex turns K into complex(K, 0.0), so its product is
 # (K re - 0 im, K im + 0 re): K * (re, im) + (re, im)[::-1] * _CROSS.
 _CROSS = np.array([-0.0, 0.0])
 
 
-def basis_terms(fns, top: int):
-    """The kernel's x-independent half: terms of every function in fns for
-    the derivative orders 0..top (at most 4), order set m holding order m,
-    as (lams, real, k_max, counts, coefs, powers, shared).  Column j has
-    lambda lams[j]; in set s its term i is coefficient (real, imaginary)
-    coefs[j, s, i] times x ** powers[j, s, i].  Set s evaluates counts[s]
-    terms, shared[s][i] is the power of x all columns share in term i, or
-    None, and real says every lambda is real, k_max the largest power.
+class Terms(NamedTuple):
+    """Kernel terms of columns (:func:`basis_terms`) or of entries
+    (:func:`take_terms`), with what :func:`eval_terms` may skip."""
 
-    lambda ** p is CPython's own complex power, once per function and p; the
-    integer factor is applied in array form with the operations of CPython's
-    int * complex, and an ExpSin term becomes the real coefficient pair of
-    Im(z) = Re(-i z).  So every term has the bits of the scalar expression
-    ``math.comb(m, i) * math.perm(k, i) * lam ** (m - i)``, and an order
-    whose power overflows (CPython raises where numpy gives inf) is NaN in
-    every term.  Set m has min(k_max, m) + 1 terms; a function with fewer is
-    padded with +0.0 terms.
+    lams: np.ndarray              # the lambda of each column
+    exps: np.ndarray              # the lambdas exp runs on
+    exp_index: np.ndarray | None  # column j takes exp row exp_index[j]; None: row j
+    zero: bool                    # every lambda is +-0 + +-0 i: no exp
+    real: bool                    # every lambda is real
+    k_max: int                    # the largest power of x
+    counts: list[int]             # terms evaluated in each order set
+    coefs: np.ndarray             # (real, imaginary) coefficient of each term
+    powers: np.ndarray | None     # power of x of each term
+    paired: bool                  # each entry pairs with the entry of x at its place
+    chosen: dict                  # per tuple of order sets, what eval_terms reads
+
+
+def basis_terms(fns, top: int) -> Terms:
+    """The kernel's x-independent half: terms of every function in fns for
+    the derivative orders 0..top (at most 4), order set m holding order m.
+    In set s, column j's term i is coefficient (real, imaginary)
+    coefs[j, s, i] times x ** powers[j, s, i]; set s evaluates counts[s]
+    terms.  The table evaluates every column at every point of x.
+
+    lambda ** p is CPython's own complex power, once per distinct lambda
+    and p; the integer factor is applied in array form with the operations
+    of CPython's int * complex, and an ExpSin term becomes the real
+    coefficient pair of Im(z) = Re(-i z).  So every term has the bits of the
+    scalar expression ``math.comb(m, i) * math.perm(k, i) * lam ** (m - i)``,
+    and an order whose power overflows (CPython raises where numpy gives
+    inf) is NaN in every term.  Set m has min(k_max, m) + 1 terms; a
+    function with fewer is padded with +0.0 terms times x ** 0.
+
+    What :func:`eval_terms` can skip is decided here, once per table: zero
+    says every lambda is +-0 + +-0 i, so exp(lambda x) is 1 wherever x is
+    finite, and exps (a column vector) holds each distinct lambda once,
+    keyed on the bits of both parts so that +0.0 and -0.0 stay apart: an
+    ExpCos/ExpSin pair and the columns of a repeated root share one exp.
     """
-    ks, lams, sin, table, raised = [], [], [], [], []
-    for j, fn in enumerate(fns):
-        lam = complex(fn.alpha, fn.beta)
-        ks.append(fn.k)
-        lams.append(lam)
+    slot, lams, index = {}, [], []
+    for fn in fns:
+        key = _PAIR_BITS(fn.alpha, fn.beta)
+        if key not in slot:
+            slot[key] = len(lams)
+            lams.append(complex(fn.alpha, fn.beta))
+        index.append(slot[key])
+    table, raised = [], []
+    for s, lam in enumerate(lams):
         for p in range(top + 1):
             try:
                 z = lam ** p
             except OverflowError:
                 z = complex(math.nan, math.nan)
-                raised.append((j, p))
+                raised.append((s, p))
             table += (z.real, z.imag)
-        # The padding column: times the zero factor, (0, 0) gives the term
-        # (+0.0, +0.0) and (-1, 1) gives (-0.0, +0.0), which the ExpSin swap
-        # below turns into (+0.0, +0.0).
-        if fn.kind == EXP_SIN:
-            sin.append(j)
-            table += (-1.0, 1.0)
-        else:
-            table += (0.0, 0.0)
+        # The padding columns: times the zero factor, (0, 0) gives the term
+        # (+0.0, +0.0), and (-1, 1) gives (-0.0, +0.0), which the ExpSin
+        # swap below turns into (+0.0, +0.0).
+        table += (-1.0, 1.0, 0.0, 0.0)
+    ks, sin = [fn.k for fn in fns], [int(fn.kind == EXP_SIN) for fn in fns]
     k_max = max(ks)
-    table = np.array(table).reshape(len(fns), top + 2, 2)
-    factor, lam_pow, x_pow = _TERMS[ks][:, :, :top + 1, :min(k_max, top) + 1].transpose(1, 0, 2, 3)
-    at = np.arange(len(fns))[:, None, None]
-    z = table[at, lam_pow]
+    table = np.array(table).reshape(len(lams), top + 3, 2)
+    fields = _TERMS[ks, sin][:, :, :top + 1, :min(k_max, top) + 1]
+    factor, lam_pow, x_pow = fields.transpose(1, 0, 2, 3)
+    at = np.array(index)[:, None, None], lam_pow
+    z = table[at]
     coefs = factor[..., None] * z + z[..., ::-1] * _CROSS
     if raised:
         hit = np.zeros(table.shape[:2], dtype=bool)
         hit[tuple(zip(*raised))] = True
-        coefs[hit[at, lam_pow].any(axis=2)[..., None] & (factor != 0)] = math.nan
-    if sin:  # (c_r, c_i) -> (c_i, -c_r)
+        coefs[hit[at].any(axis=2)[..., None] & (factor != 0)] = math.nan
+    if any(sin):  # (c_r, c_i) -> (c_i, -c_r)
+        sin = np.array(sin, dtype=bool)
         swapped = coefs[sin]
         np.negative(swapped[..., 0], out=swapped[..., 0])
         coefs[sin] = swapped[..., ::-1]
-    shared = None
-    if k_max:
-        same = (x_pow == x_pow[:1]).all(axis=0).tolist()
-        shared = [[q if u else None for q, u in zip(qs, us)]
-                  for qs, us in zip(x_pow[0].tolist(), same)]
-    return (np.array(lams), not any(lam.imag for lam in lams), k_max,
-            [min(k_max, m) + 1 for m in range(top + 1)], coefs, x_pow, shared)
+    exps = np.array(lams)
+    shared = len(lams) < len(fns)  # else every lambda is its column's
+    return Terms(exps[index] if shared else exps, exps[:, None],
+                 np.array(index) if shared else None,
+                 not any(lams), not any(lam.imag for lam in lams), k_max,
+                 [min(k_max, m) + 1 for m in range(top + 1)], coefs, x_pow, False, {})
 
 
-def take_terms(terms, sets, columns):
-    """Terms in :func:`basis_terms`' form with one order set over the
-    broadcast shape of the index arrays sets and columns: entry [...] is
-    column columns[...] of terms in its order set sets[...].  One gather per
-    array."""
-    lams, real, k_max, _, coefs, powers, _ = terms
-    lams, coefs = lams[columns], coefs[columns, sets][..., None, :, :]
-    if k_max:  # else no term takes a power of x
-        powers = powers[columns, sets][..., None, :]
-        k_max = int(powers[..., 0].max(initial=0))
-    return (lams, real or not lams.imag.any(), k_max, [min(k_max + 1, coefs.shape[-2])],
-            coefs, powers, [[None] * coefs.shape[-2]])
+def take_terms(terms: Terms, sets, columns) -> Terms:
+    """Terms with one order set over the broadcast shape of the index arrays
+    sets and columns: entry [...] is column columns[...] of a
+    :func:`basis_terms` table in its order set sets[...].  Each entry is
+    evaluated at the entry of x it pairs with, so x must have as many axes
+    as the entries.  One gather per array; the terms are laid out for
+    :func:`eval_terms` here, term axis first."""
+    lams, coefs = terms.lams[columns], terms.coefs[columns, sets]
+    r = coefs.ndim - 2
+    axes = (r, *range(r))
+    coefs = coefs.transpose(*axes, r + 1)[:, None]  # [term, set, *entries]
+    powers, k_max = None, 0
+    if terms.k_max:  # else no term takes a power of x
+        powers = terms.powers[columns, sets].transpose(axes)[:, None]
+        k_max = int(powers[0].max(initial=0))
+    n = min(k_max + 1, len(coefs))
+    chosen = (np.ascontiguousarray(coefs[:n, ..., 0]), np.ascontiguousarray(coefs[:n, ..., 1]),
+              None if powers is None else np.ascontiguousarray(powers[:n]))
+    return Terms(lams, lams, None, terms.zero, terms.real or not lams.imag.any(), k_max, [n],
+                 coefs, powers, True, {(0,): chosen})
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def eval_terms(terms, x, sets):
+def eval_terms(terms: Terms, x, sets) -> np.ndarray:
     """The kernel's numeric half: the order sets at indices sets of terms at
-    a float array x that broadcasts against the columns, one array each;
-    exp(lambda x) and the powers of x are computed once for all of them.
-    numpy's power can round differently on a strided array than on a
-    contiguous one, so callers pass x C-contiguous and every entry keeps the
-    bits of a contiguous evaluation."""
-    lams, real, k_max, counts, coefs, powers, shared = terms
-    x_pows = [1.0] + [x ** p for p in range(1, k_max + 1)]
-    e = np.exp(lams * x)
-    out = []
-    for s in sets:
-        c = coefs[..., s, :, :]
-        if k_max == 0:  # one term, times x^0 = 1
-            env_r, env_i = c[..., 0, 0], c[..., 0, 1]
+    a float array x, set t of sets in row t of the result.  A
+    :func:`basis_terms` table gives row [t, j] for column j at every point
+    of x; a :func:`take_terms` table gives row [t] over the broadcast shape
+    of its entries and x.
+
+    x is read C-contiguous once: numpy's power can round differently on a
+    strided array, so every entry keeps the bits of a contiguous
+    evaluation, whatever the layout of the x it came from.  The powers of
+    x are one stacked table, x ** 0 = 1.0 first, from which each term
+    gathers its power (the same rows for every point, or for a take_terms
+    table the row of each entry at its own point).  A padding term adds
+    +0.0 to a sum that starts at +0.0, and so can never be -0.0, which
+    leaves it as it is; so all sets run the terms of the longest.
+
+    exp runs once per distinct lambda, or not at all in a zero table: for
+    finite x, exp(+-0 x + +-0 x i) is exactly 1 + +-0 i, so e.real * env
+    is env bit for bit, and at an infinite or NaN x it is the quiet NaN
+    that exp gives there.
+    """
+    shape, x = np.shape(x), np.ascontiguousarray(x)
+    chosen = terms.chosen.get(tuple(sets))
+    if chosen is None:  # a basis_terms table: [term, set, column, point]
+        n = max(terms.counts[s] for s in sets)
+        c = terms.coefs[:, list(sets), :n].transpose(2, 1, 0, 3)[..., None, :]
+        chosen = terms.chosen[tuple(sets)] = (
+            np.ascontiguousarray(c[..., 0]), np.ascontiguousarray(c[..., 1]),
+            terms.powers[:, list(sets), :n].transpose(2, 1, 0))
+    c_r, c_i, at = chosen
+    u = x if terms.paired else x.reshape(-1)
+    if not terms.zero:
+        e = np.exp(terms.exps * u)
+        if terms.exp_index is not None:
+            e = e[terms.exp_index]
+        e_r, e_i = e.real, e.imag
+    if terms.k_max == 0:  # one term, times x^0 = 1
+        env_r, env_i = c_r[0], c_i[0]
+    else:
+        table = np.empty((terms.k_max + 1,) + u.shape)
+        table[0], table[1] = 1.0, u
+        for p in range(2, terms.k_max + 1):
+            table[p] = u ** p
+        if terms.paired:
+            x_pow = table.reshape(-1)[at * u.size + np.arange(u.size).reshape(u.shape)]
         else:
-            env_r = env_i = 0.0
-            for i, q in zip(range(counts[s]), shared[s]):
-                xp = x_pows[q] if q is not None else np.choose(powers[..., s, i], x_pows)
-                env_r = env_r + c[..., i, 0] * xp
-                if not real:  # a real lambda has e.imag = +-0
-                    env_i = env_i + c[..., i, 1] * xp
-        out.append(e.real * env_r if real else e.real * env_r - e.imag * env_i)
-    return out
+            x_pow = table[at]
+        env_r = env_i = 0.0
+        for term in c_r * x_pow:
+            env_r = env_r + term
+        if not terms.real:  # a real lambda has e.imag = +-0
+            for term in c_i * x_pow:
+                env_i = env_i + term
+    if terms.zero:  # e.real * env is env; at a non-finite x, exp's NaN
+        out = np.where(np.isfinite(u), env_r, np.nan)
+    else:
+        out = e_r * env_r if terms.real else e_r * env_r - e_i * env_i
+    return out if terms.paired else out.reshape(out.shape[:2] + shape)
 
 
 def piece_basis(pieces) -> list[tuple[BasisFunction, ...]]:

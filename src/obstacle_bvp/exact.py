@@ -114,9 +114,10 @@ class PieceSolution:
 
     @cached_property
     def _kernel(self):
-        """Basis kernel terms and particular coefficients, set/row d for order d."""
+        """Basis kernel terms, particular coefficients (set/row d for order d)
+        and the particular's rows per tuple of orders evaluated."""
         return (basis_terms(self.basis, MAX_ORDER),
-                _derivative_table([self.particular], MAX_ORDER + 1)[:, 0])
+                _derivative_table([self.particular], MAX_ORDER + 1)[:, 0], {})
 
     def value(self, x, deriv_order: int = 0):
         """u^(deriv_order) at a scalar or an array x; an overflow gives inf or
@@ -125,18 +126,20 @@ class PieceSolution:
 
     @np.errstate(over="ignore", invalid="ignore")
     def _combine(self, x, constants, orders):
-        """u^(d) at x for every d in orders from one kernel pass: constants[..., j]
-        times basis column j, added in basis order to the particular."""
-        if not all(0 <= d <= MAX_ORDER for d in orders):
-            raise ValueError(f"derivative orders {list(orders)} outside [0, {MAX_ORDER}]")
-        terms, table = self._kernel
-        out = []
-        for d, columns in zip(orders, eval_terms(terms, x[..., None], orders)):
-            total = _horner(table[d], x)
-            for j in range(len(self.basis)):
-                total += constants[..., j] * columns[..., j]
-            out.append(total)
-        return out
+        """u^(d) at x for every d in orders (one row each) from one kernel
+        pass: constants[..., j] times basis column j, added in basis order to
+        the particular, every order at once."""
+        orders = tuple(orders)
+        terms, table, rows = self._kernel
+        if orders not in rows:
+            if not all(0 <= d <= MAX_ORDER for d in orders):
+                raise ValueError(f"derivative orders {list(orders)} outside [0, {MAX_ORDER}]")
+            rows[orders] = table[list(orders)]
+        columns = eval_terms(terms, x, orders)
+        total = _horner(rows[orders].reshape((len(orders),) + (1,) * x.ndim + (-1,)), x)
+        for j in range(len(self.basis)):
+            total += constants[..., j] * columns[:, j]
+        return total
 
 
 @dataclass(frozen=True)
@@ -298,8 +301,9 @@ def assemble_system(bvp: PiecewiseBvp, bases, particulars) -> MatchSystem:
     if n_pieces > 1:
         # Every column's basis function at its piece's lo and hi, per order.
         ends = np.array([p.interval for p in bvp.pieces])
-        at_lo, at_hi = eval_terms(take_terms(terms, np.array(orders)[:, None, None], column),
-                                  np.repeat(ends.T, n, axis=1).reshape(2, 1, n_pieces, n), [0])[0]
+        at_lo, at_hi = eval_terms(
+            take_terms(terms, np.array(orders)[:, None, None], column[None, None]),
+            np.repeat(ends.T, n, axis=1).reshape(2, 1, n_pieces, n), [0])[0]
         p_lo, p_hi = _horner(table[list(orders)], ends.T[:, None, :])
         # pair[k, j] is breakpoint k's order-j row over the columns of pieces
         # k and k + 1: piece k at its hi minus piece k + 1 at its lo.

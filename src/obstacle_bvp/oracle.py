@@ -205,11 +205,15 @@ def _hermite(x, x0, x1, v0, v1, d0, d1):
 
 def sample(sol: NumericSolution, x, deriv_order: int = 0):
     """Cubic Hermite interpolation of one state component at a scalar or an
-    array x.
+    array x, in one pass over the node grids of all pieces end to end.
 
     Each derivative order j uses state component j as values and component
     j+1 (or the ODE right-hand side for the top component) as slopes.
-    Breakpoints belong to the right piece.
+    Breakpoints belong to the right piece: a breakpoint is both the last
+    node of piece k and the first of piece k + 1, and the search from the
+    right takes the interval that starts at the second, so x there is
+    piece k + 1's node value exactly (t = 0).  Any other grid node is its
+    interval's left end too; b, the last node, is the right end (t = 1).
     """
     x = np.asarray(x, dtype=float)
     a, b = sol.domain
@@ -219,16 +223,10 @@ def sample(sol: NumericSolution, x, deriv_order: int = 0):
     n = sol.order
     if not 0 <= deriv_order < n:
         raise ProblemError(f"derivative order {deriv_order} outside [0, {n - 1}]")
-    owner = np.searchsorted(sol.breakpoints[1:-1], x, side="right")
-    out = np.empty(x.shape)
-    for k in np.unique(owner):
-        mask = owner == k
-        xs, ys, top = sol.piece_trajectories[k]
-        values = ys[:, deriv_order]
-        slopes = ys[:, deriv_order + 1] if deriv_order + 1 < n else top
-        # Interval [xs[i], xs[i+1]] holding x; a grid node is its interval's
-        # left end (t = 0, the node value exactly), the piece end t = 1.
-        i = np.minimum(np.searchsorted(xs, x[mask], side="right"), len(xs) - 1) - 1
-        out[mask] = _hermite(x[mask], xs[i], xs[i + 1], values[i], values[i + 1],
-                             slopes[i], slopes[i + 1])
-    return out[()]
+    nodes = np.concatenate([xs for xs, _, _ in sol.piece_trajectories])
+    values = np.concatenate([ys[:, deriv_order] for _, ys, _ in sol.piece_trajectories])
+    slopes = np.concatenate([ys[:, deriv_order + 1] if deriv_order + 1 < n else top
+                             for _, ys, top in sol.piece_trajectories])
+    i = np.minimum(np.searchsorted(nodes, x, side="right"), len(nodes) - 1) - 1
+    return _hermite(x, nodes[i], nodes[i + 1], values[i], values[i + 1],
+                    slopes[i], slopes[i + 1])[()]

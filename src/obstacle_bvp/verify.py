@@ -156,7 +156,7 @@ def pin_anchors(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> tuple[PointConditi
         same = [q.piece_index == pin.piece_index for q in bvp.pins]
         p, j = sum(same), sum(same[:i])
         x = ((p - j) * piece.lo + (j + 1) * piece.hi) / (p + 1)
-        value = sol.pieces[pin.piece_index].value(x, 0)
+        value = sol.piece_derivatives(pin.piece_index, np.array(x), [0])[0][()]
         if not np.isfinite(value):
             raise SolveError(f"closed-form solution is non-finite (overflow) at "
                              f"x = {x:g} in piece {pin.piece_index}, so the "

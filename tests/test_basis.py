@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from obstacle_bvp.basis import (BasisFunction, RootFindingError, _real_basis,
                                 basis_derivatives, basis_terms,
-                                characteristic_coeffs, piece_basis)
+                                characteristic_coeffs, eval_terms, piece_basis,
+                                take_terms)
 from obstacle_bvp.model import PieceOde, normalize_piece
 
 SQ3_HALF = math.sqrt(3.0) / 2.0
@@ -324,7 +325,8 @@ class TestKernelTerms:
                     beta = (float(rng.choice([0.0, -0.0])) if kind == "PolyExp"
                             else abs(draw()) or 1e-300)
                     fns.append(BasisFunction(kind, k, alpha, beta))
-        _, _, _, counts, coefs, powers, _ = basis_terms(fns, 4)
+        terms = basis_terms(fns, 4)
+        counts, coefs, powers = terms.counts, terms.coefs, terms.powers
         overflowed = 0
         for m in range(5):
             assert counts[m] == min(3, m) + 1
@@ -343,9 +345,146 @@ class TestKernelTerms:
 
     def test_overflowing_order_is_nan_in_every_term(self):
         fn = BasisFunction("ExpSin", 2, 1e80, 1e80)
-        coefs = basis_terms([fn], 4)[4]
+        coefs = basis_terms([fn], 4).coefs
         assert np.isfinite(coefs[0, :4, :3]).all()
         assert np.isnan(coefs[0, 4, :3]).all()
+
+
+def _frozen_eval(terms, x, sets, columns=None):
+    """The kernel's evaluation as it was before it skipped work, kept
+    frozen here: complex exp(lambda x) over every column, the powers of x
+    as a list picked by np.choose term by term, one order set at a time.
+    columns None evaluates every column of a basis_terms table at x with a
+    last axis of 1; otherwise sets and columns are index arrays taken as
+    take_terms takes them.  Returns one array per set."""
+    lams, coefs, powers = terms.lams, terms.coefs, terms.powers
+    if columns is None:
+        k_max, real = terms.k_max, terms.real
+        counts = [min(k_max, m) + 1 for m in range(coefs.shape[1])]
+    else:
+        lams, coefs = lams[columns], coefs[columns, sets][..., None, :, :]
+        powers = powers[columns, sets][..., None, :]
+        k_max = int(powers[..., 0].max(initial=0))
+        real, counts, sets = terms.real or not lams.imag.any(), [min(k_max + 1, coefs.shape[-2])], [0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_pows = [1.0] + [x ** p for p in range(1, k_max + 1)]
+        e = np.exp(lams * x)
+        out = []
+        for s in sets:
+            c = coefs[..., s, :, :]
+            if k_max == 0:
+                env_r, env_i = c[..., 0, 0], c[..., 0, 1]
+            else:
+                env_r = env_i = 0.0
+                for i in range(counts[s]):
+                    xp = np.choose(powers[..., s, i], x_pows)
+                    env_r = env_r + c[..., i, 0] * xp
+                    if not real:
+                        env_i = env_i + c[..., i, 1] * xp
+            out.append(e.real * env_r if real else e.real * env_r - e.imag * env_i)
+    return out
+
+
+def _kernel_family(rng):
+    """Seeded bases: all lambda = +-0 with k <= 3, lambda = +-0 mixed with
+    real and complex lambdas, conjugate pairs, and repeated roots (real and
+    complex), some lambda parts +-0.0."""
+    def zero():
+        return float(rng.choice([0.0, -0.0]))
+
+    def pair(alpha, beta, ks):
+        return [BasisFunction(kind, k, alpha, beta) for kind in ("ExpCos", "ExpSin") for k in ks]
+
+    family = []
+    for _ in range(12):
+        family.append([BasisFunction("PolyExp", k, zero()) for k in range(rng.integers(1, 5))])
+        family.append([BasisFunction("PolyExp", k, zero()) for k in range(rng.integers(1, 3))]
+                      + [BasisFunction("PolyExp", 0, float(rng.normal()))]
+                      + pair(zero() if rng.random() < 0.3 else float(rng.normal()),
+                             float(rng.uniform(0.2, 3.0)), [0]))
+        family.append(pair(float(rng.normal()), float(rng.uniform(0.2, 3.0)), [0])
+                      + pair(zero(), float(rng.uniform(0.2, 3.0)), [0]))
+        alpha = float(rng.normal())
+        family.append([BasisFunction("PolyExp", k, alpha) for k in range(rng.integers(2, 5))]
+                      + pair(float(rng.normal()), float(rng.uniform(0.2, 3.0)), [0, 1]))
+    return family
+
+
+_SPECIAL_X = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e-300, 800.0]
+
+
+def _points(rng, shape):
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-2, 2, size=shape)
+    hit = rng.random(shape) < 0.15
+    x[hit] = rng.choice(_SPECIAL_X, size=int(hit.sum()))
+    return x
+
+
+def _same_bits(a, b):
+    """Equal bits, zero signs included, where b is a number; NaN where b is
+    NaN.  Which operand's NaN a product of two NaNs carries is up to the
+    compiled numpy loop, so a NaN's sign and payload are not compared."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape or not np.array_equal(np.isnan(a), np.isnan(b)):
+        return False
+    number = ~np.isnan(b)
+    return a[number].tobytes() == b[number].tobytes()
+
+
+class TestKernelEvaluationIsFrozen:
+    """eval_terms skips exp where every lambda is +-0, runs one exp per
+    distinct lambda and gathers the powers of x from one table; it must
+    give the frozen evaluation's bits, zero and NaN signs included, on the
+    point shapes PieceSolution._combine and assemble_system pass."""
+
+    def test_every_column_at_every_point(self):
+        rng = np.random.default_rng(20)
+        for fns in _kernel_family(rng):
+            terms = basis_terms(fns, 4)
+            x = _points(rng, int(rng.integers(1, 60)))
+            for sets in ([0], [4], [0, 1, 2, 3, 4], [3, 0, 2], [1, 4]):
+                got = eval_terms(terms, x, sets)
+                for row, want in zip(got, _frozen_eval(terms, x[:, None], sets)):
+                    assert _same_bits(row, want.T), (fns, sets)
+
+    def test_taken_entries_at_their_own_points(self):
+        rng = np.random.default_rng(21)
+        family = _kernel_family(rng)
+        for a, b in zip(family[::2], family[1::2]):
+            fns, n = a + b, min(len(a), len(b))
+            top = int(rng.integers(0, 5))
+            terms = basis_terms(fns, top)
+            pieces = int(rng.integers(1, 6))
+            # per piece, n columns of a or of b
+            column = np.array([rng.permutation(len(a))[:n] if rng.random() < 0.5
+                               else len(a) + rng.permutation(len(b))[:n] for _ in range(pieces)])
+            rows = int(rng.integers(1, 5))
+            sets, owner = rng.integers(0, top + 1, size=(rows, 1)), rng.integers(0, pieces, rows)
+            x = _points(rng, (rows, n))
+            got = eval_terms(take_terms(terms, sets, column[owner]), x, [0])[0]
+            assert _same_bits(got, _frozen_eval(terms, x, sets, column[owner])[0]), fns
+            orders = np.arange(top + 1)[:, None, None]
+            x = _points(rng, (2, 1, pieces, n))
+            got = eval_terms(take_terms(terms, orders, column[None, None]), x, [0])[0]
+            assert _same_bits(got, _frozen_eval(terms, x, orders, column)[0]), fns
+
+    def test_zero_tables_skip_exp_and_mixed_tables_share_it(self):
+        zero = basis_terms([BasisFunction("PolyExp", k, s) for k, s in ((0, 0.0), (1, -0.0), (2, 0.0))], 3)
+        assert zero.zero and zero.real and zero.exp_index.tolist() == [0, 1, 0]
+        pair = [BasisFunction("ExpCos", 0, -0.5, 0.8), BasisFunction("ExpSin", 0, -0.5, 0.8)]
+        mixed = basis_terms(pair + [BasisFunction("PolyExp", 0, 0.0), BasisFunction("PolyExp", 1, 0.0),
+                                    BasisFunction("PolyExp", 0, -0.0)], 4)
+        assert not mixed.zero and not mixed.real
+        assert mixed.exp_index.tolist() == [0, 0, 1, 1, 2]  # +0.0 and -0.0 apart
+        assert mixed.exps[:, 0].tolist() == [complex(-0.5, 0.8), 0j, complex(-0.0, 0.0)]
+
+    def test_zero_table_is_nan_where_exp_would_be(self):
+        terms = basis_terms([BasisFunction("PolyExp", 0, 0.0), BasisFunction("PolyExp", 1, 0.0)], 1)
+        x = np.array([math.inf, -math.inf, math.nan, -math.nan, 1.5, -0.0])
+        got = eval_terms(terms, x, [0, 1])
+        for row, want in zip(got, _frozen_eval(terms, x[:, None], [0, 1])):
+            assert _same_bits(row, want.T)
+        assert np.isnan(got[:, :, :4]).all()
 
 
 _basis_fn = st.one_of(

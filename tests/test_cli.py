@@ -42,7 +42,8 @@ def _write_single_piece(tmp_path, interval, coeffs, forcing=(1.0,)):
 
 def _overflow_closed_form(monkeypatch):
     """Every closed-form evaluation is inf, as on a domain where it overflows."""
-    monkeypatch.setattr(PieceSolution, "value", lambda self, x, deriv_order=0: np.inf)
+    monkeypatch.setattr(PieceSolution, "_combine", lambda self, x, constants, orders:
+                        np.full((len(orders),) + np.shape(x), np.inf))
 
 
 class TestProblemFile:

@@ -743,6 +743,20 @@ class TestEvalSolution:
             assert all(_bitwise(got, rows[d]) for d, got in
                        zip((3, 0, 2), ps._combine(xs, ps.constants, (3, 0, 2))))
 
+    def test_value_does_not_depend_on_the_layout_of_x(self):
+        # numpy's power can round differently on a strided array; the kernel
+        # reads x C-contiguous, so a reversed view gives the reversed values.
+        piece = PieceOde(4, (0.0, 2.0), (0.0, 0.0, 0.0, 0.0), (-1.0,))
+        conditions = (PointCondition(0.0, 0, 0.0), PointCondition(0.0, 1, 0.0),
+                      PointCondition(2.0, 2, 0.0), PointCondition(2.0, 3, 0.0))
+        ps = solve_exact(PiecewiseBvp(4, (piece,), conditions,
+                                      ContinuitySpec(frozenset(range(4))))).pieces[0]
+        assert [b.render() for b in ps.basis] == ["1", "x", "x^2", "x^3"]
+        xs = np.linspace(0.0, 2.0, 5000)
+        for d in range(MAX_ORDER + 1):
+            assert _bitwise(ps.value(xs[::-1], d), ps.value(xs, d)[::-1])
+            assert _bitwise(ps.value(xs[::3], d), ps.value(xs, d)[::3])
+
     @pytest.mark.parametrize("coeffs", [(1.0, 0.0), (-5.0, 2.0)], ids=["exp", "exp-trig"])
     def test_overflowing_value_is_its_row_silently(self, coeffs):
         piece = PieceOde(2, (0.0, 1.0), coeffs, (1.0, 0.5))

@@ -12,9 +12,9 @@ from obstacle_bvp.examples import EXAMPLE_IDS, get_example
 from obstacle_bvp.model import (ContinuitySpec, PieceOde, PiecewiseBvp,
                                 PointCondition, ProblemError,
                                 build_second_order)
-from obstacle_bvp.oracle import (IntegrationError, _generator, _partial_step,
-                                 _rk4_map, integrate_fundamental, sample,
-                                 shooting_solve)
+from obstacle_bvp.oracle import (IntegrationError, _generator, _hermite,
+                                 _partial_step, _rk4_map, integrate_fundamental,
+                                 sample, shooting_solve)
 from obstacle_bvp.verify import compare_solutions, pin_anchors
 
 
@@ -319,6 +319,26 @@ class TestShootingSolve:
                                                                            "gauss_solve"}
 
 
+def _per_piece_sample(numeric, x, j):
+    """The oracle's sampling as a loop over pieces, each point on the piece
+    that owns it (breakpoints on the right piece), kept as a reference."""
+    owner = np.searchsorted(numeric.breakpoints[1:-1], x, side="right")
+    out = np.empty(x.shape)
+    for k in np.unique(owner):
+        mask = owner == k
+        xs, ys, top = numeric.piece_trajectories[k]
+        values = ys[:, j]
+        slopes = ys[:, j + 1] if j + 1 < numeric.order else top
+        i = np.minimum(np.searchsorted(xs, x[mask], side="right"), len(xs) - 1) - 1
+        out[mask] = _hermite(x[mask], xs[i], xs[i + 1], values[i], values[i + 1],
+                             slopes[i], slopes[i + 1])
+    return out[()]
+
+
+def _bitwise(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
 class TestSample:
     def test_grid_point_is_exact(self):
         piece = PieceOde(2, (0.0, 1.0), (0.0, 0.0), (0.0,))
@@ -366,6 +386,20 @@ class TestSample:
             scalar = np.array([sample(numeric, x, j) for x in xs])
             assert np.abs(sample(numeric, xs, j) - scalar).max() <= (
                 1e-15 * np.abs(scalar).max())
+
+    @pytest.mark.parametrize("ex_id", EXAMPLE_IDS)
+    def test_one_pass_equals_the_per_piece_loop(self, ex_id):
+        bvp = get_example(ex_id).bvp
+        if bvp.pins:
+            bvp = dataclasses.replace(bvp, pins=(), conditions=bvp.conditions
+                                      + pin_anchors(solve_exact(bvp), bvp))
+        numeric = shooting_solve(bvp, 1e-3)
+        a, b = bvp.domain
+        xs = np.concatenate([np.linspace(a, b, 2001), bvp.breakpoints, [a, b]])
+        for j in range(bvp.order):
+            assert _bitwise(sample(numeric, xs, j), _per_piece_sample(numeric, xs, j))
+            for x in (a, b, *bvp.breakpoints):
+                assert _bitwise(sample(numeric, x, j), _per_piece_sample(numeric, np.array(x), j))
 
     def test_out_of_range(self):
         entry = get_example("3.1.1")
