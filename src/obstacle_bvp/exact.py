@@ -4,21 +4,23 @@ Per piece: a particular polynomial by undetermined coefficients plus a real
 fundamental basis from the characteristic roots.  The basis constants of all
 pieces are coupled through one matching system (point conditions, interface
 continuity, pins), built from one kernel-term table over the distinct bases
-and kept both dense and as row bands: each row's entries from its first
-piece's first column over the one or two pieces it couples.  Gauss
+as row bands: each row's entries from its first piece's first column over
+the one or two pieces it couples.  No dense matrix is built.  Gauss
 elimination with partial pivoting runs on the bands.  It reads -0.0 as
 +0.0, which moves no pivot and no nonzero bit, touches only the entries that
 can hold a nonzero, and gives the same pivots and bits as dense partial
 pivoting on that input whenever it stays finite; an elimination that
 overflows is refused.  Back substitution stays numpy, each row's dot over
 the zero-padded row, because neither a Python sum nor a band-only dot would
-reproduce the bits of its BLAS row dot.  Rank deficiency is a first-class
-outcome carrying the free-column labels so the caller can pin them.
+reproduce the bits of its BLAS row dot.  The consistency residual is one
+band dot per row.  Rank deficiency is a first-class outcome carrying the
+free-column labels so the caller can pin them.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -65,16 +67,17 @@ class RankDeficientError(SolveError):
 
 @dataclass(frozen=True)
 class MatchSystem:
-    """Matching system M c = rhs; column c is (piece c // order, basis
-    c % order).  Rows follow bvp's layout (None for a bare matrix).  bands
-    holds row i of M as (first column, Python floats from there on): every
-    nonzero of the row lies in its band, and -0.0 reads as +0.0 there."""
+    """Matching system M c = rhs over width columns; column c is (piece
+    c // order, basis c % order).  Rows follow bvp's layout (None for a bare
+    system).  bands holds row i of M as (first column, Python floats from
+    there on): every nonzero of the row lies in its band, and -0.0 reads as
+    +0.0 there."""
 
-    matrix: np.ndarray
+    bands: list[tuple[int, list[float]]]
     rhs: np.ndarray
+    width: int
     order: int
     bvp: PiecewiseBvp | None
-    bands: list[tuple[int, list[float]]]
 
     def describe_row(self, r: int) -> str:
         """Row r's equation in words, for an error message: the layout is
@@ -262,7 +265,7 @@ def _horner(coeffs: np.ndarray, x) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def assemble_system(bvp: PiecewiseBvp, bases, particulars) -> MatchSystem:
-    """Matching system over all piece constants, dense and as bands.
+    """Matching system over all piece constants, as row bands.
 
     Row order is deterministic: point conditions in input order, then
     continuity rows by breakpoint then by enforced order, then pins.  A point
@@ -277,9 +280,8 @@ def assemble_system(bvp: PiecewiseBvp, bases, particulars) -> MatchSystem:
     """
     n, n_pieces = bvp.order, len(bvp.pieces)
     conds, orders, pins = bvp.conditions, bvp.continuity.sorted_orders, bvp.pins
-    n_cond, n_ord = len(conds), len(orders)
-    n_rows = n_cond + (n_pieces - 1) * n_ord + len(pins)
-    matrix, rhs = np.zeros((n_rows, n * n_pieces)), np.zeros(n_rows)
+    n_cond = len(conds)
+    rhs = np.zeros(n_cond + (n_pieces - 1) * len(orders) + len(pins))
     table = _derivative_table(particulars, n)
     shared, slot = _distinct(bases, id)
     terms = basis_terms([b for basis in shared for b in basis], n - 1)
@@ -293,7 +295,6 @@ def assemble_system(bvp: PiecewiseBvp, bases, particulars) -> MatchSystem:
         owner = bvp.owning_piece(where, side="left")
         values = eval_terms(take_terms(terms, np.array(deriv)[:, None], column[owner]),
                             np.repeat(where, n).reshape(n_cond, n), [0])[0]
-        matrix[np.arange(n_cond)[:, None], owner[:, None] * n + np.arange(n)] = values
         rhs[:n_cond] = (np.array([c.value for c in conds])
                         - _horner(table[deriv, owner], where))
         bands += zip((owner * n).tolist(), (values + 0.0).tolist())
@@ -308,19 +309,14 @@ def assemble_system(bvp: PiecewiseBvp, bases, particulars) -> MatchSystem:
         # pair[k, j] is breakpoint k's order-j row over the columns of pieces
         # k and k + 1: piece k at its hi minus piece k + 1 at its lo.
         pair = np.stack([at_hi[:, :-1], -at_lo[:, 1:]], axis=2).transpose(1, 0, 2, 3)
-        rows = slice(n_cond, n_rows - len(pins))
-        blocks = matrix[rows].reshape(n_pieces - 1, n_ord, n_pieces, n)
-        k = np.arange(n_pieces - 1)[:, None]
-        blocks[k, :, k + [0, 1]] = pair.transpose(0, 2, 1, 3)
-        rhs[rows] = (p_lo[:, 1:] - p_hi[:, :-1]).T.ravel()
+        rhs[n_cond:len(rhs) - len(pins)] = (p_lo[:, 1:] - p_hi[:, :-1]).T.ravel()
         bands += zip([n * q for q in range(n_pieces - 1) for _ in orders],
                      (pair + 0.0).reshape(-1, 2 * n).tolist())
 
-    for r, pin in enumerate(pins, start=n_rows - len(pins)):
-        matrix[r, pin.piece_index * n + pin.basis_index] = 1.0
+    for r, pin in enumerate(pins, start=len(rhs) - len(pins)):
         rhs[r] = pin.value
         bands.append((pin.piece_index * n + pin.basis_index, [1.0]))
-    return MatchSystem(matrix, rhs, n, bvp, bands)
+    return MatchSystem(bands, rhs, n * n_pieces, n, bvp)
 
 
 _EPS = sys.float_info.epsilon
@@ -437,25 +433,25 @@ def gauss_solve(system: MatchSystem) -> GaussResult:
     A rank-deficient system whose rows below the rank keep a rhs above that
     gate has no solution and raises :class:`InconsistentSystemError`; any
     other raises :class:`RankDeficientError` with its free-column labels.
-    A system with non-finite entries raises :class:`SolveError` naming its
-    first such row; an elimination or back substitution that overflows
-    raises it too, as no answer is read from non-finite bits.
+    A system with a non-finite band entry or rhs raises :class:`SolveError`
+    naming its first such row; an elimination or back substitution that
+    overflows raises it too, as no answer is read from non-finite bits.
     """
-    matrix, rhs = system.matrix, system.rhs
-    bad = ~np.isfinite(matrix).all(axis=1) | ~np.isfinite(rhs)
-    if bad.any():
+    rhs, n = system.rhs, system.width
+    bad = [not (all(map(math.isfinite, band)) and math.isfinite(v))
+           for (_, band), v in zip(system.bands, rhs.tolist())]
+    if any(bad):
         raise SolveError(
             f"matching system has non-finite entries (overflow) in "
-            f"{int(bad.sum())} of {len(bad)} rows, first: "
-            f"{system.describe_row(int(np.argmax(bad)))}; the basis functions or "
+            f"{sum(bad)} of {len(bad)} rows, first: "
+            f"{system.describe_row(bad.index(True))}; the basis functions or "
             f"particular solution overflow on this domain"
         )
-    m, n = matrix.shape
     bands, b, pivot_cols = _echelon(system.bands, rhs, n)
     rank = len(pivot_cols)
     gate = CONSISTENCY_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
     if rank < n:
-        # Rows below the rank are zero in the matrix: no solution meets their rhs.
+        # Rows below the rank are zero in the echelon form: no solution meets their rhs.
         dropped = max(map(abs, b[rank:]), default=0.0)
         if not dropped <= gate:
             raise InconsistentSystemError(dropped, rank)
@@ -467,8 +463,10 @@ def gauss_solve(system: MatchSystem) -> GaussResult:
         raise SolveError(f"matching system solution is non-finite (overflow), "
                          f"first at unknown (piece {piece}, {index})")
 
-    residual = float(np.abs(matrix @ x - rhs).max(initial=0.0))
-    if m > n and not residual <= gate:
+    xs = x.tolist()
+    dots = [sum(map(operator.mul, band, xs[f:f + len(band)])) for f, band in system.bands]
+    residual = float(np.abs(np.array(dots, dtype=float) - rhs).max(initial=0.0))
+    if len(rhs) > n and not residual <= gate:
         raise InconsistentSystemError(residual)
     return GaussResult(x, rank, residual)
 

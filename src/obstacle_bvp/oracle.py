@@ -153,33 +153,28 @@ def shooting_solve(bvp: PiecewiseBvp, h: float = DEFAULT_STEP) -> NumericSolutio
         raise ProblemError(f"step h must be positive and at least {(b - a) / MAX_STEPS:.3g} "
                            f"(at most {MAX_STEPS} RK4 steps on [{a:g}, {b:g}]), got {h}")
     n = bvp.order
-    width = n * len(bvp.pieces)
     trajectories = [integrate_fundamental(p, h) for p in bvp.pieces]
 
     # These rows repeat the row semantics of exact.assemble_system on
     # purpose: sharing that code would make the oracle depend on the path it
-    # checks.  Each row is written into the dense matrix and kept as a band
-    # from its first piece's first column, -0.0 read as +0.0.
+    # checks.  Each row is kept as a band from its first piece's first
+    # column, -0.0 read as +0.0.
     orders = bvp.continuity.sorted_orders
-    n_rows = len(bvp.conditions) + (len(trajectories) - 1) * len(orders)
-    matrix, rhs, bands = np.zeros((n_rows, width)), np.zeros(n_rows), []
+    rhs, bands = np.zeros(len(bvp.conditions) + (len(trajectories) - 1) * len(orders)), []
     for r, cond in enumerate(bvp.conditions):
         k = int(bvp.owning_piece(cond.location, side="left"))
         phi, part = _partial_step(trajectories[k], cond.location)
-        matrix[r, k * n:(k + 1) * n] = phi[cond.deriv_order]
         rhs[r] = cond.value - part[cond.deriv_order]
         bands.append((k * n, (phi[cond.deriv_order] + 0.0).tolist()))
 
     r = len(bvp.conditions)
     for k, traj in enumerate(trajectories[:-1]):
         for j in orders:
-            matrix[r, k * n:(k + 1) * n] = traj.homogeneous[-1, j]
-            matrix[r, (k + 1) * n + j] = -1.0
             rhs[r] = -traj.particular[-1, j]
             bands.append((k * n, (traj.homogeneous[-1, j] + 0.0).tolist() + [0.0] * j + [-1.0]))
             r += 1
 
-    result = gauss_solve(MatchSystem(matrix, rhs, n, bvp, bands))
+    result = gauss_solve(MatchSystem(bands, rhs, n * len(bvp.pieces), n, bvp))
 
     piece_trajs = []
     for k, (piece, traj) in enumerate(zip(bvp.pieces, trajectories)):

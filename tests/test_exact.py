@@ -10,7 +10,7 @@ from numpy.polynomial import polynomial as npoly
 
 from obstacle_bvp.basis import MAX_ORDER, BasisFunction, basis_derivatives, piece_basis
 import obstacle_bvp.exact as exact_module
-from obstacle_bvp.exact import (InconsistentSystemError, MatchSystem,
+from obstacle_bvp.exact import (CONSISTENCY_TOL, InconsistentSystemError, MatchSystem,
                                 PieceSolution, RankDeficientError, SolveError,
                                 assemble_system, eval_solution, gauss_solve,
                                 particular_solution, solve_exact)
@@ -36,7 +36,7 @@ def _bare(matrix, rhs, order, bvp=None, extents=None):
         first, stop = (extents[i] if extents is not None
                        else (nonzero[0], nonzero[-1] + 1) if len(nonzero) else (0, 0))
         bands.append((int(first), (row[first:stop] + 0.0).tolist()))
-    return MatchSystem(matrix, np.asarray(rhs, dtype=float), order, bvp, bands)
+    return MatchSystem(bands, np.asarray(rhs, dtype=float), matrix.shape[1], order, bvp)
 
 
 def _densify(bands, n):
@@ -50,7 +50,7 @@ def _densify(bands, n):
 def _echelon(system):
     """The banded elimination's augmented echelon as a dense array, and its
     pivot columns."""
-    n = system.matrix.shape[1]
+    n = system.width
     bands, b, pivots = exact_module._echelon(system.bands, system.rhs, n)
     return np.column_stack([_densify(bands, n), b]), pivots
 
@@ -179,7 +179,7 @@ class TestParticularSolution:
 class TestAssembleSystem:
     def test_first_example_is_square(self):
         system = _system_for(get_example("3.1.1").bvp)
-        assert system.matrix.shape == (6, 6)
+        assert (len(system.bands), len(system.rhs), system.width) == (6, 6, 6)
         assert system.order == 2
 
     def test_third_order_without_pin(self):
@@ -188,20 +188,23 @@ class TestAssembleSystem:
             conditions=(PointCondition(0.0, 0, 0.0), PointCondition(1.0, 0, 0.0),
                         PointCondition(0.25, 1, 0.0), PointCondition(0.75, 1, 0.0)),
         )
-        assert _system_for(bvp).matrix.shape == (8, 9)
+        system = _system_for(bvp)
+        assert (len(system.bands), system.width) == (8, 9)
 
     def test_third_order_with_pin(self):
-        assert _system_for(get_example("3.1.6").bvp).matrix.shape == (9, 9)
+        system = _system_for(get_example("3.1.6").bvp)
+        assert (len(system.bands), system.width) == (9, 9)
 
     def test_bands_read_negative_zero_as_positive(self, monkeypatch):
-        # u'' = u' with the constant's alpha a -0.0: u'(0) puts -0.0 * e^0
-        # into the dense row, and its band holds +0.0 there.
+        # u'' = u' with the constant's alpha a -0.0: u'(0) is -0.0 * e^0 in
+        # the per-entry reference row, and the band holds +0.0 there.
         bvp = PiecewiseBvp(2, (PieceOde(2, (0.0, 1.0), (0.0, 1.0), (0.0,)),),
                            (PointCondition(0.0, 1, 1.0), PointCondition(1.0, 0, 0.0)),
                            ContinuitySpec(frozenset({0, 1})))
         basis = (BasisFunction("PolyExp", 0, -0.0), BasisFunction("PolyExp", 0, 1.0))
         system = assemble_system(bvp, [basis], [(0.0,)])
-        assert system.matrix[0, 0] == 0.0 and np.signbit(system.matrix[0, 0])
+        reference = _reference_system(bvp, [basis], [(0.0,)])[0]
+        assert reference[0, 0] == 0.0 and np.signbit(reference[0, 0])
         assert system.bands[0][0] == 0 and not np.signbit(system.bands[0][1][0])
         _assert_matches_dense(system, monkeypatch)
 
@@ -221,7 +224,7 @@ class TestArrayAssemblyIsBitwise:
         parts = [particular_solution([p])[0] for p in bvp.pieces]
         system = assemble_system(bvp, bases, parts)
         matrix, rhs, labels = _reference_system(bvp, bases, parts)
-        assert np.array_equal(system.matrix, matrix)
+        assert _densify(system.bands, system.width).tobytes() == (matrix + 0.0).tobytes()
         assert np.array_equal(system.rhs, rhs)
         assert tuple(system.describe_row(r) for r in range(len(rhs))) == labels
 
@@ -337,6 +340,11 @@ class TestGaussSolve:
         with pytest.raises(SolveError, match="first: row 1;"):
             gauss_solve(system)
 
+    def test_non_finite_rhs_names_row_index(self):
+        system = _bare(np.eye(3), np.array([1.0, -np.inf, np.nan]), 3, None)
+        with pytest.raises(SolveError, match=re.escape("in 2 of 3 rows, first: row 1;")):
+            gauss_solve(system)
+
     @pytest.mark.parametrize("pad", [0, 1], ids=["2x2", "zero-padded 3x3"])
     def test_elimination_overflow_is_refused(self, pad):
         # x = [0, 1e-308] solves it, but eliminating the first column adds
@@ -398,34 +406,35 @@ def _outcome(system):
 
 
 def _assert_matches_dense(system, monkeypatch):
-    """The system's bands are its matrix with -0.0 read as +0.0, and the
-    banded elimination of them gives the dense one's echelon bits and pivots,
-    so gauss_solve's outcome is the same bit for bit."""
-    n = system.matrix.shape[1]
-    assert _densify(system.bands, n).tobytes() == (system.matrix + 0.0).tobytes()
+    """The system's bands hold no -0.0, and their banded elimination gives
+    the dense one's echelon bits and pivots on the densified bands, so
+    gauss_solve's outcome is the same bit for bit."""
+    matrix = _densify(system.bands, system.width)
+    assert not ((matrix == 0) & np.signbit(matrix)).any()
     banded, pivots = _echelon(system)
-    dense, dense_pivots = _dense_echelon(system.matrix, system.rhs)
+    dense, dense_pivots = _dense_echelon(matrix, system.rhs)
     assert pivots == dense_pivots
     assert banded.shape == dense.shape
     assert banded.tobytes() == dense.tobytes()
     outcome = _outcome(system)
     with monkeypatch.context() as patch:
         patch.setattr(exact_module, "_echelon",
-                      lambda bands, rhs, n: _dense_as_bands(system.matrix, rhs, n))
+                      lambda bands, rhs, n: _dense_as_bands(matrix, rhs, n))
         assert outcome == _outcome(system)
     return outcome
 
 
 def _flip_zero_signs(rng, system):
-    """The system with a random subset of its zero entries, matrix and rhs
-    alike, negated (+0.0 to -0.0 and -0.0 to +0.0), and its bands built
-    again over the same columns."""
+    """The system with a random subset of its zero entries, densified bands
+    and rhs alike, negated (+0.0 to -0.0 and -0.0 to +0.0), and its bands
+    built again over the same columns."""
     def flip(values):
         values = values.copy()
         at = (values == 0) & (rng.random(values.shape) < rng.random())
         values[at] = -values[at]
         return values
-    return _bare(flip(system.matrix), flip(system.rhs), system.order, system.bvp,
+    return _bare(flip(_densify(system.bands, system.width)), flip(system.rhs),
+                 system.order, system.bvp,
                  [(first, first + len(band)) for first, band in system.bands])
 
 
@@ -499,6 +508,33 @@ def _block_system(rng, order, n_pieces):
     return _bare(matrix, rhs, order, None, extents)
 
 
+def _overdetermined_system(rng, order, n_pieces, perturb):
+    """A matching system's layout over n_pieces blocks of order columns
+    (condition rows on the first and last block, each breakpoint's rows over
+    its two blocks), nonzero normal entries over each band, about one row
+    in four followed by a copy scaled by 0.25-0.75 in size, and a rhs
+    consistent with a random solution; one copy's rhs then moves by perturb
+    times the consistency gate.  Partial pivoting takes each original
+    before its copy, so that copy's residual is about the move."""
+    width = order * n_pieces
+    first = (order + 1) // 2
+    extents = ([(0, order)] * first + [(width - order, width)] * (order - first)
+               + [(k * order, (k + 2) * order) for k in range(n_pieces - 1) for _ in range(order)])
+    twins = set(rng.choice(width, size=max(1, width // 4), replace=False).tolist())
+    rows, copies = [], []
+    for i, (lo, hi) in enumerate(extents):
+        row = np.zeros(width)
+        row[lo:hi] = rng.normal(size=hi - lo)
+        rows.append(row)
+        if i in twins:
+            copies.append(len(rows))
+            rows.append(rng.choice([-1.0, 1.0]) * rng.uniform(0.25, 0.75) * row)
+    matrix = np.array(rows)
+    rhs = matrix @ rng.normal(size=width)
+    rhs[rng.choice(copies)] += perturb * CONSISTENCY_TOL * (1.0 + np.abs(rhs).max())
+    return _bare(matrix, rhs, order, None)
+
+
 class TestBandedElimination:
     @pytest.mark.parametrize("order", [2, 3, 4])
     @pytest.mark.parametrize("n_pieces", [1, 2, 3, 5, 8, 16])
@@ -530,6 +566,37 @@ class TestBandedElimination:
         matrix = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         outcome = _assert_matches_dense(_bare(matrix, np.array(rhs), 3, None), monkeypatch)
         assert (outcome[0] is InconsistentSystemError) is not consistent
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_overdetermined_gate_matches_dense_residual(self, order, monkeypatch):
+        # Seeded overdetermined band systems 2 to 16 blocks wide, with a
+        # consistent rhs and one moved by 0.1 and 10 times the gate: the gate
+        # refuses exactly where the dense residual of the elimination's
+        # solution exceeds it, and the band residual agrees with the dense
+        # one to (width + 2) eps max_i(sum_j |a_ij x_j| + |rhs_i|).
+        rng = np.random.default_rng([order, 21])
+        for n_pieces in range(2, 17):
+            for perturb, consistent in [(0.0, True), (0.1, True), (10.0, False)]:
+                system = _overdetermined_system(rng, order, n_pieces, perturb)
+                matrix, rhs, n = _densify(system.bands, system.width), system.rhs, system.width
+                bands, b, pivots = exact_module._echelon(system.bands, rhs, n)
+                assert len(pivots) == n
+                x = exact_module._back_substitute(bands, b, n)
+                dense = float(np.abs(matrix @ x - rhs).max())
+                bound = (n + 2) * np.finfo(float).eps * float(
+                    (np.abs(matrix * x).sum(axis=1) + np.abs(rhs)).max())
+                gate = CONSISTENCY_TOL * (1.0 + float(np.abs(rhs).max()))
+                assert (dense <= gate) is consistent
+                try:
+                    result = gauss_solve(system)
+                except InconsistentSystemError as exc:
+                    assert not dense <= gate
+                    assert abs(exc.norm - dense) <= bound
+                else:
+                    assert dense <= gate
+                    assert result.constants.tobytes() == x.tobytes()
+                    assert abs(result.residual_norm - dense) <= bound
+                _assert_matches_dense(system, monkeypatch)
 
     def test_rank_deficient_with_free_columns(self, monkeypatch):
         matrix = np.array([[1.0, 2.0, 0.0, 1.0], [2.0, 4.0, 0.0, 2.0],
@@ -651,7 +718,7 @@ class TestSolveExact:
             sols.append(np.concatenate([p.constants for p in sol.pieces]))
         diff = sols[1] - sols[0]
         system = _system_for(unpinned)
-        assert np.abs(system.matrix @ diff).max() <= 1e-8
+        assert np.abs(_densify(system.bands, system.width) @ diff).max() <= 1e-8
 
     @pytest.mark.parametrize("roots", [
         [1.3, 1.3 + 1e-7],
@@ -677,7 +744,8 @@ class TestSolveExact:
         bvp = build_fourth_order(0.0, 1.0, -1.0, a=0.0, c=0.25, d=0.75, b=1.0,
                                  conditions=conditions,
                                  continuity=ContinuitySpec(frozenset({0, 1, 2, 3})))
-        assert _system_for(bvp).matrix.shape == (12, 12)
+        system = _system_for(bvp)
+        assert (len(system.bands), system.width) == (12, 12)
         sol = solve_exact(bvp)
         report = verification_report(sol, bvp, shooting_solve(bvp, 1e-3))
         assert report.passed
