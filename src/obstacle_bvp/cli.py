@@ -15,7 +15,8 @@ Problem files are JSON with fields mirroring the model types:
 Numbers are plain literals (no expression evaluation).  Commands raise;
 :data:`FAILURES` maps each failure to its exit code and :func:`run` applies it:
 0 ok, 1 input error (ProblemError; a command-line usage error exits 1 from the
-parser), 2 solve failure (any SolveError), 3 verification failure (a failed
+parser), 2 solve failure (any SolveError, and a solve whose answer misses its
+own conditions or enforced continuity), 3 verification failure (a failed
 check, or an IntegrationError from the oracle).
 """
 
@@ -34,7 +35,7 @@ from .model import (ContinuitySpec, PiecewiseBvp, PinnedConstant,
                     PointCondition, ProblemError, SolveError, normalize_piece,
                     validate_bvp)
 from .oracle import DEFAULT_STEP, IntegrationError, shooting_solve
-from .verify import pin_anchors, verification_report
+from .verify import DEFAULT_PROFILE, matching_misses, pin_anchors, verification_report
 from . import examples as registry
 
 EXIT_OK = 0
@@ -180,6 +181,22 @@ def _constants_report(sol) -> str:
                                        for piece, render, value in sol.labeled_constants()])
 
 
+def _refuse_unmet(sol, bvp) -> None:
+    """Raise a SolveError when the solution misses one of its own point
+    conditions or enforced continuity rows by more than its DEFAULT_PROFILE
+    tolerance, naming the worst such row (a NaN counts as worst)."""
+    misses = matching_misses(sol, bvp).tolist()
+    tols = [DEFAULT_PROFILE.condition] * len(bvp.conditions)
+    tols += [DEFAULT_PROFILE.jump] * (len(misses) - len(tols))
+    missed = [r for r, (value, tol) in enumerate(zip(misses, tols)) if not value <= tol]
+    if missed:
+        worst = max(missed, key=lambda r: math.inf if math.isnan(misses[r])
+                    else misses[r] / tols[r])
+        raise SolveError(f"solution misses {len(missed)} of its {len(misses)} condition and "
+                         f"continuity rows, worst {sol.rank_report.system.describe_row(worst)} "
+                         f"by {misses[worst]:.3e} (tolerance {tols[worst]:.0e})")
+
+
 def cmd_solve(args) -> int:
     bvp = load_problem(args.input)
     if not 2 <= args.samples <= MAX_SAMPLES:
@@ -189,6 +206,7 @@ def cmd_solve(args) -> int:
           f" ({diag.determinacy})")
     sol = solve_exact(bvp)
     table = _solution_table(sol, bvp, args.samples)
+    _refuse_unmet(sol, bvp)
     try:
         with open(args.output, "w") as fh:
             fh.write(table)

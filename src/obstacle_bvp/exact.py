@@ -13,8 +13,9 @@ pivoting on that input whenever it stays finite; an elimination that
 overflows is refused.  Back substitution stays numpy, each row's dot over
 the zero-padded row, because neither a Python sum nor a band-only dot would
 reproduce the bits of its BLAS row dot.  The consistency residual is one
-band dot per row.  Rank deficiency is a first-class outcome carrying the
-free-column labels so the caller can pin them.
+band dot per row, computed when first read: the overdetermined gate reads
+it, a square solve does not.  Rank deficiency is a first-class outcome
+carrying the free-column labels so the caller can pin them.
 """
 
 from __future__ import annotations
@@ -96,11 +97,21 @@ class MatchSystem:
 class GaussResult:
     constants: np.ndarray
     rank: int
-    residual_norm: float
+    system: MatchSystem
 
     @property
     def nullity(self) -> int:
         return len(self.constants) - self.rank
+
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def residual_norm(self) -> float:
+        """Inf-norm of M c - rhs: one band dot per row, computed on first
+        read (only the overdetermined gate needs it during a solve)."""
+        xs = self.constants.tolist()
+        dots = [sum(map(operator.mul, band, xs[f:f + len(band)]))
+                for f, band in self.system.bands]
+        return float(np.abs(np.array(dots, dtype=float) - self.system.rhs).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -463,12 +474,10 @@ def gauss_solve(system: MatchSystem) -> GaussResult:
         raise SolveError(f"matching system solution is non-finite (overflow), "
                          f"first at unknown (piece {piece}, {index})")
 
-    xs = x.tolist()
-    dots = [sum(map(operator.mul, band, xs[f:f + len(band)])) for f, band in system.bands]
-    residual = float(np.abs(np.array(dots, dtype=float) - rhs).max(initial=0.0))
-    if len(rhs) > n and not residual <= gate:
-        raise InconsistentSystemError(residual)
-    return GaussResult(x, rank, residual)
+    result = GaussResult(x, rank, system)
+    if len(rhs) > n and not result.residual_norm <= gate:
+        raise InconsistentSystemError(result.residual_norm)
+    return result
 
 
 def solve_exact(bvp: PiecewiseBvp) -> PiecewiseSolution:

@@ -5,8 +5,14 @@ forcing's monomials w_k = (x - lo)^k / k!, so the forced ODE becomes the
 constant linear system z' = Â z.  Classic fixed-step RK4 on it is one matrix
 T̂ per full step; the node states T̂^i, whose first n rows hold the
 fundamental matrix and the particular, come from ceil(log2 m) doubling
-passes, and a shortened step is one more matrix.  By linearity the global
-solution is affine in the per-piece initial states, so the exact matcher's
+passes, and a shortened step is one more matrix.  All pieces of a solve are
+integrated in one sweep: pieces of one state width n + d are stacked, each
+padded to the longest piece of its stack, so a doubling pass is one stacked
+matrix product and one stacked RK4 map call gives every step matrix, and
+the Python work does not grow with the number of pieces.  A stacked product
+is the same BLAS product per piece, so every node state has the bits a
+sweep of that piece alone would give.  By linearity the global solution is
+affine in the per-piece initial states, so the exact matcher's
 condition/continuity row semantics apply, with integrated values in place
 of basis evaluations.  This module deliberately shares no root-finding,
 basis or particular-solution code with the closed-form path.
@@ -14,6 +20,7 @@ basis or particular-solution code with the closed-form path.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -29,7 +36,11 @@ DEFAULT_STEP = 1e-3
 # so the cap is on the domain, not the piece; the default step still covers
 # a domain of length 1e3.  A node holds n·(n + d) doubles for order n and d
 # forcing coefficients: 44 for order 4 with degree-6 forcing, 352 MiB at
-# the cap.
+# the cap.  Padding (see _stacks) does not raise that worst case: a piece
+# joins a stack only if it has at least half the nodes of the stack's
+# longest piece, so a stack holds at most twice its real node states, and
+# the padding of all stacks together stays within what the real nodes leave
+# of MAX_STEPS, so the stacks hold at most max(real nodes, MAX_STEPS) nodes.
 MAX_STEPS = 2 ** 20
 
 
@@ -50,22 +61,54 @@ def _generator(piece: PieceOde) -> np.ndarray:
     return a
 
 
-def _rk4_map(a: np.ndarray, h: float) -> np.ndarray:
+def _rk4_map(a: np.ndarray, h) -> np.ndarray:
     """One classic RK4 step of length h on z' = A z: with M = hA,
-    T = I + M + M²/2 + M³/6 + M⁴/24."""
+    T = I + M + M²/2 + M³/6 + M⁴/24.  Stacked generators take an h of
+    shape (len(a), 1, 1), one step length each."""
     m = h * a
     m2 = m @ m
     m3 = m2 @ m
-    return np.eye(len(a)) + m + m2 / 2 + m3 / 6 + m3 @ m / 24
+    return np.eye(a.shape[-1]) + m + m2 / 2 + m3 / 6 + m3 @ m / 24
+
+
+def _step_count(piece: PieceOde, h: float) -> int:
+    """m: nodes 0..m-1 of the piece's grid are lo + i·h, for i up to
+    int((hi - lo) / h) + 1, strictly below a cut-off just under hi (node lo
+    stays even on a piece narrower than that), and node m is hi, reached by
+    a shortened last step.  The nodes increase with i, so a bisection
+    counts them."""
+    lo, hi = piece.interval
+    cut = hi - 1e-15 * max(1.0, abs(hi))
+    below = bisect.bisect_left(range(int((hi - lo) / h) + 2), True,
+                               key=lambda i: lo + h * i >= cut)
+    return max(1, below)
+
+
+def _stacks(widths, steps) -> list[list[int]]:
+    """Piece indices in stacks of one state width, longest piece first.  A
+    piece joins the stack of the one before it when it has at least half
+    the stack's longest node count and its padding fits in what the real
+    nodes leave of MAX_STEPS; otherwise it starts a stack."""
+    spare = MAX_STEPS - sum(steps) - len(steps)
+    stacks = []
+    for k in sorted(range(len(steps)), key=lambda k: (widths[k], -steps[k])):
+        head = stacks[-1][0] if stacks else None
+        pad = 0 if head is None else steps[head] - steps[k]
+        if (head is not None and widths[head] == widths[k]
+                and 2 * (steps[k] + 1) >= steps[head] + 1 and pad <= spare):
+            stacks[-1].append(k)
+            spare -= pad
+        else:
+            stacks.append([k])
+    return stacks
 
 
 @dataclass(frozen=True)
 class FundamentalTrajectory:
-    """First n rows of T̂^i at every node of one piece, with the piece's Â."""
+    """First n rows of T̂^i at every node of one piece."""
 
     xs: np.ndarray         # grid, lo..hi
     states: np.ndarray     # shape (len(xs), n, n + d)
-    generator: np.ndarray  # Â, shape (n + d, n + d)
 
     @property
     def homogeneous(self) -> np.ndarray:  # [:, :, j]: the j-th unit solution
@@ -77,45 +120,78 @@ class FundamentalTrajectory:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def integrate_fundamental(piece: PieceOde, h: float = DEFAULT_STEP) -> FundamentalTrajectory:
-    """RK4 with step h on z' = Â z from the n unit states y = e_j (w = 0) and
-    the forcing state y = 0, w_0 = 1.  Every full step is the matrix T̂, so
-    node i < m holds the first n rows of T̂^i, built by doubling: pass s sets
-    nodes s..2s-1 to nodes 0..s-1 times T̂^s.  The shortened last step maps
-    node m - 1 to hi as a right product, since step matrices commute.
+def integrate_fundamental(pieces, h: float, owner: np.ndarray, where: np.ndarray):
+    """RK4 with step h on every piece's z' = Â z from the n unit states
+    y = e_j (w = 0) and the forcing state y = 0, w_0 = 1, and the states at
+    the points where[c] of the pieces owner[c].
+
+    Returns (one FundamentalTrajectory per piece, an array of shape
+    (len(where), n, n + 1) holding each point's fundamental matrix and then
+    its particular state).  Every full step is the matrix T̂, so node
+    i < m holds the first n rows of T̂^i, built by doubling: pass s sets
+    nodes s..2s-1 to nodes 0..s-1 times T̂^s, one stacked product over the
+    pieces of a stack that still need nodes from s on.  The shortened last
+    step maps node m - 1 to hi as a right product, since step matrices
+    commute, and a point off the grid is one partial step from the node at
+    or below it.  Only a piece's real nodes are checked for blow-up, so an
+    overflow in the padding neither raises nor warns.
     """
     if not (math.isfinite(h) and h > 0):
         raise ProblemError(f"step h must be positive and finite, got {h}")
-    n, lo, hi = piece.order, piece.lo, piece.hi
-    # Grid: nodes lo + i·h strictly below hi, then hi (a shortened last step).
-    # Node lo stays even on a piece narrower than the cut-off below hi.
-    xs = lo + h * np.arange(int((hi - lo) / h) + 2)
-    keep = xs < hi - 1e-15 * max(1.0, abs(hi))
-    keep[0] = True
-    xs = np.append(xs[keep], hi)
-    a = _generator(piece)
-    m, width = len(xs) - 1, len(a)
-    states = np.empty((m + 1, n, width))
-    states[0] = np.eye(n, width)
-    rows = states.reshape(-1, width)  # node i is rows i·n to (i+1)·n: one product per pass
-    s, power = 1, _rk4_map(a, h)
-    while s < m:
-        k = min(s, m - s)
-        rows[s * n:(s + k) * n] = rows[:k * n] @ power
-        s, power = 2 * s, power @ power
-    states[m] = states[m - 1] @ _rk4_map(a, xs[-1] - xs[-2])
-    bad = ~np.isfinite(states).all(axis=(1, 2))
-    if bad.any():
-        raise IntegrationError(f"integration blew up near x = {xs[np.argmax(bad)]}")
-    return FundamentalTrajectory(xs, states, a)
+    n = pieces[0].order
+    gens = [_generator(p) for p in pieces]
+    steps = [_step_count(p, h) for p in pieces]
+    stacks = _stacks([len(a) for a in gens], steps)
+    xs, grids = [None] * len(pieces), []
+    stack_of, row_of = np.empty(len(pieces), int), np.empty(len(pieces), int)
+    for i, stack in enumerate(stacks):
+        grid = np.array([[pieces[k].lo] for k in stack]) + h * np.arange(steps[stack[0]] + 1)
+        for r, k in enumerate(stack):
+            grid[r, steps[k]] = pieces[k].hi
+            xs[k], stack_of[k], row_of[k] = grid[r, :steps[k] + 1], i, r
+        grids.append(grid)
+    # Each point's node: the last at or below it on its own piece.  In all
+    # grids end to end, a piece's hi is also the next piece's lo, so the
+    # search is clamped to the owning piece's last node.
+    first = np.cumsum([0] + steps[:-1]) + np.arange(len(pieces))
+    last = first[owner] + np.array(steps)[owner]
+    node = np.minimum(np.searchsorted(np.concatenate(xs), where, side="right") - 1,
+                      last) - first[owner]
 
-
-def _partial_step(traj: FundamentalTrajectory, x: float):
-    """Fundamental matrix and particular state at x in the piece: one partial
-    RK4 step of length x - xs[i] from the grid node xs[i] at or below x."""
-    i = int(np.searchsorted(traj.xs, x, side="right")) - 1
-    state = traj.states[i] @ _rk4_map(traj.generator, x - traj.xs[i])
-    return state[:, :len(state)], state[:, -1]
+    trajectories, at = [None] * len(pieces), np.empty((len(where), n, n + 1))
+    blown = []
+    for i, (stack, grid) in enumerate(zip(stacks, grids)):
+        mine = np.flatnonzero(stack_of[owner] == i)
+        rows, at_rows = np.arange(len(stack)), row_of[owner[mine]]
+        m = np.array([steps[k] for k in stack])
+        gen = np.array([gens[k] for k in stack])
+        # Full steps, shortened last steps, then the points' partial steps.
+        lengths = np.concatenate([np.full(len(stack), h), grid[rows, m] - grid[rows, m - 1],
+                                  where[mine] - grid[at_rows, node[mine]]])
+        maps = _rk4_map(gen[np.concatenate([rows, rows, at_rows])], lengths[:, None, None])
+        top, width = steps[stack[0]], gen.shape[-1]
+        # Padding a pass does not reach stays zero, so a finite stack needs
+        # one check; otherwise only real nodes count.
+        states = np.zeros((len(stack), top + 1, n, width))
+        states[:, 0] = np.eye(n, width)
+        flat = states.reshape(len(stack), -1, width)  # node i is rows i·n to (i+1)·n
+        s, power = 1, maps[:len(stack)]
+        while s < top:
+            # The pieces that still need nodes from s on lead the stack.
+            live, k = sum(steps[j] > s for j in stack), min(s, top - s)
+            np.matmul(flat[:live, :k * n], power[:live], out=flat[:live, s * n:(s + k) * n])
+            s, power = 2 * s, power[:live] @ power[:live]
+        states[rows, m] = states[rows, m - 1] @ maps[len(stack):2 * len(stack)]
+        if not np.isfinite(states).all():
+            bad = ~np.isfinite(states).all(axis=(2, 3)) & (np.arange(top + 1) <= m[:, None])
+            blown += [(k, xs[k][np.argmax(bad[r])]) for r, k in enumerate(stack) if bad[r].any()]
+        point = states[at_rows, node[mine]] @ maps[2 * len(stack):]
+        at[mine, :, :n], at[mine, :, n] = point[:, :, :n], point[:, :, -1]
+        for r, k in enumerate(stack):
+            trajectories[k] = FundamentalTrajectory(xs[k], states[r, :steps[k] + 1])
+    if blown:
+        raise IntegrationError(f"integration blew up near x = {min(blown)[1]}")
+    return trajectories, at
 
 
 @dataclass(frozen=True)
@@ -152,34 +228,37 @@ def shooting_solve(bvp: PiecewiseBvp, h: float = DEFAULT_STEP) -> NumericSolutio
     if not b - a <= MAX_STEPS * h:
         raise ProblemError(f"step h must be positive and at least {(b - a) / MAX_STEPS:.3g} "
                            f"(at most {MAX_STEPS} RK4 steps on [{a:g}, {b:g}]), got {h}")
-    n = bvp.order
-    trajectories = [integrate_fundamental(p, h) for p in bvp.pieces]
+    n, conds = bvp.order, bvp.conditions
+    where = np.array([c.location for c in conds])
+    owner = bvp.owning_piece(where, side="left")
+    trajectories, at = integrate_fundamental(bvp.pieces, h, owner, where)
 
     # These rows repeat the row semantics of exact.assemble_system on
     # purpose: sharing that code would make the oracle depend on the path it
     # checks.  Each row is kept as a band from its first piece's first
     # column, -0.0 read as +0.0.
     orders = bvp.continuity.sorted_orders
-    rhs, bands = np.zeros(len(bvp.conditions) + (len(trajectories) - 1) * len(orders)), []
-    for r, cond in enumerate(bvp.conditions):
-        k = int(bvp.owning_piece(cond.location, side="left"))
-        phi, part = _partial_step(trajectories[k], cond.location)
-        rhs[r] = cond.value - part[cond.deriv_order]
-        bands.append((k * n, (phi[cond.deriv_order] + 0.0).tolist()))
-
-    r = len(bvp.conditions)
+    rhs = np.zeros(len(conds) + (len(trajectories) - 1) * len(orders))
+    at = at[np.arange(len(conds)), [c.deriv_order for c in conds]]
+    rhs[:len(conds)] = np.array([c.value for c in conds]) - at[:, n]
+    bands = list(zip((owner * n).tolist(), (at[:, :n] + 0.0).tolist()))
+    r = len(conds)
     for k, traj in enumerate(trajectories[:-1]):
+        end = traj.states[-1]
+        hom, part = (end[:, :n] + 0.0).tolist(), (-end[:, -1]).tolist()
         for j in orders:
-            rhs[r] = -traj.particular[-1, j]
-            bands.append((k * n, (traj.homogeneous[-1, j] + 0.0).tolist() + [0.0] * j + [-1.0]))
+            rhs[r] = part[j]
+            bands.append((k * n, hom[j] + [0.0] * j + [-1.0]))
             r += 1
 
     result = gauss_solve(MatchSystem(bands, rhs, n * len(bvp.pieces), n, bvp))
 
     piece_trajs = []
     for k, (piece, traj) in enumerate(zip(bvp.pieces, trajectories)):
-        s = result.constants[k * n:(k + 1) * n]
-        ys = traj.homogeneous @ s + traj.particular
+        # One matrix-vector product over the rows of every node; each row's
+        # dot is the one a product per node gives.
+        rows = traj.states.reshape(-1, traj.states.shape[-1])[:, :n]
+        ys = (rows @ result.constants[k * n:(k + 1) * n]).reshape(-1, n) + traj.particular
         forcing_vals = np.polynomial.polynomial.polyval(traj.xs, piece.forcing)
         top = ys @ np.asarray(piece.coeffs) + forcing_vals  # y_{n-1}' from the ODE
         if not (np.isfinite(ys).all() and np.isfinite(top).all()):

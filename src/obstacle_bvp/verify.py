@@ -9,6 +9,7 @@ against a tolerance profile.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,10 +46,11 @@ class VerificationReport:
     tolerances: ToleranceProfile
     residual_scale: float
 
-    def _rows(self) -> list[tuple[str, float, float, str]]:
-        """(label, value, tolerance, status) per table row.  A check passes
-        only when value <= tolerance, so a NaN fails; an informational jump
-        never fails and shows status '-'."""
+    @cached_property
+    def rows(self) -> list[tuple[str, float, float, str]]:
+        """(label, value, tolerance, status) per table row, built on first
+        read.  A check passes only when value <= tolerance, so a NaN fails;
+        an informational jump never fails and shows status '-'."""
         p = self.tolerances
         checks = [(f"residual piece {k:<2}              ", r,
                    p.residual * self.residual_scale, True)
@@ -66,12 +68,12 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(status != "FAIL" for *_, status in self._rows())
+        return all(status != "FAIL" for *_, status in self.rows)
 
     def render_table(self) -> str:
         lines = ["check                          value         tolerance    status"]
         lines += [f"{label}{value:<13.3e} {tol:<12.1e} {status}"
-                  for label, value, tol, status in self._rows()]
+                  for label, value, tol, status in self.rows]
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
 
@@ -101,20 +103,23 @@ def solution_scale(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> float:
         for k, piece in enumerate(bvp.pieces))
 
 
+@np.errstate(invalid="ignore")
 def continuity_report(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> tuple[JumpEntry, ...]:
     """Jumps across every interior breakpoint for every order 0..n-1.
 
     Orders outside the enforced continuity set are reported too, flagged
-    informational; they never fail a profile.  Each piece is evaluated in
-    one pass over every order at both of its ends.
+    informational; they never fail a profile.  Both ends of every piece are
+    evaluated in one call over every order, one kernel pass per group of
+    pieces that share their ODE.  Ends that overflow give a NaN jump, which
+    fails, without a numpy warning.
     """
     if not bvp.interior_breakpoints:
         return ()
-    # ends[k][j] = (u_k^(j)(lo_k), u_k^(j)(hi_k))
-    ends = [sol.piece_derivatives(k, np.array(piece.interval), range(bvp.order))
-            for k, piece in enumerate(bvp.pieces)]
-    return tuple(JumpEntry(x, j, abs(ends[k][j][1] - ends[k + 1][j][0]),
-                           j in bvp.continuity.enforced_orders)
+    # ends[j, 2k] = u_k^(j)(lo_k), ends[j, 2k + 1] = u_k^(j)(hi_k)
+    ends = sol.evaluate(np.array([p.interval for p in bvp.pieces]).ravel(),
+                        np.repeat(np.arange(len(bvp.pieces)), 2), range(bvp.order))
+    jumps = np.abs(ends[:, 1:-1:2] - ends[:, 2::2]).T.tolist()
+    return tuple(JumpEntry(x, j, jumps[k][j], j in bvp.continuity.enforced_orders)
                  for k, x in enumerate(bvp.interior_breakpoints)
                  for j in range(bvp.order))
 
@@ -126,6 +131,28 @@ def condition_report(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> tuple[float, 
     u = sol.evaluate(where, bvp.owning_piece(where, side="left"), orders)
     return tuple(abs(u[orders.index(c.deriv_order)][i] - c.value)
                  for i, c in enumerate(bvp.conditions))
+
+
+@np.errstate(invalid="ignore")
+def matching_misses(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> np.ndarray:
+    """How far the solution misses each point-condition row and then each
+    enforced continuity row (by breakpoint, then order): the rows of the
+    matching system, in its order, without the pins.  The values are
+    bitwise those of :func:`condition_report` and the enforced entries of
+    :func:`continuity_report`, from one evaluate call over the conditions'
+    points and both ends of every piece."""
+    conds, count = bvp.conditions, len(bvp.pieces)
+    where = np.array([c.location for c in conds])
+    u = sol.evaluate(np.concatenate([where, np.array([p.interval for p in bvp.pieces]).ravel()]),
+                     np.concatenate([bvp.owning_piece(where, side="left"),
+                                     np.repeat(np.arange(count), 2)]),
+                     range(bvp.order))
+    at, ends = u[:, :len(conds)], u[:, len(conds):]
+    orders = list(bvp.continuity.sorted_orders)
+    return np.concatenate([
+        np.abs(at[[c.deriv_order for c in conds], np.arange(len(conds))]
+               - [c.value for c in conds]),
+        np.abs(ends[orders, 1:-1:2] - ends[orders, 2::2]).T.ravel()])
 
 
 def compare_solutions(sol: PiecewiseSolution, bvp: PiecewiseBvp,

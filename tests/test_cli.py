@@ -130,6 +130,36 @@ class TestCmdSolve:
         assert "inconsistent" in err and "pin" not in err
         assert not out.exists()
 
+    def test_answer_missing_its_own_condition_exits_2(self, tmp_path, capsys):
+        # u'' = 1e-8 u + x^3 on [0, 3], u = 0 at both ends: the closed form's
+        # constants are -+3.0e20, and u(3) misses 0 by 6.554e4 (verify exits 3).
+        path = _write_single_piece(tmp_path, (0.0, 3.0), (1e-8, 0.0), (0.0, 0.0, 0.0, 1.0))
+        out = tmp_path / "o.csv"
+        assert main(["solve", "--input", path, "--output", str(out)]) == EXIT_RANK
+        err = capsys.readouterr().err
+        assert "misses 1 of its 2 condition and continuity rows, worst u^(0)(3) = 0 by 6.554e+04" in err
+        assert "pin" not in err
+        assert not out.exists()
+        assert main(["verify", "--input", path]) == EXIT_VERIFY
+
+    def test_missed_continuity_row_is_named(self, tmp_path, capsys, monkeypatch):
+        # A NaN jump is the worst row, above a condition missed by 1e-3.
+        import obstacle_bvp.cli as cli
+        misses = cli.matching_misses
+
+        def missed(sol, bvp):
+            out = misses(sol, bvp)
+            out[1], out[-1] = 1e-3, math.nan
+            return out
+
+        monkeypatch.setattr(cli, "matching_misses", missed)
+        out = tmp_path / "o.csv"
+        path = _write_problem(tmp_path, get_example("3.1.2").bvp)
+        assert main(["solve", "--input", path, "--output", str(out)]) == EXIT_RANK
+        assert ("misses 2 of its 6 condition and continuity rows, worst continuity order 1 "
+                "at x = 0.75 by nan") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_coefficient_is_input_error(self, tmp_path, capsys):
         path = _write_single_piece(tmp_path, (0.0, 1.0), (math.nan, 0.0))
         code = main(["solve", "--input", path, "--output", str(tmp_path / "o.csv")])

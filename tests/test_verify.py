@@ -13,7 +13,7 @@ from obstacle_bvp.oracle import shooting_solve
 from obstacle_bvp.verify import (DEFAULT_PROFILE, JumpEntry,
                                  ToleranceProfile, VerificationReport,
                                  compare_solutions, condition_report,
-                                 continuity_report, pin_anchors,
+                                 continuity_report, matching_misses, pin_anchors,
                                  residual_report, solution_scale,
                                  verification_report)
 
@@ -279,6 +279,8 @@ def _assert_reports_bitwise(sol, bvp):
         assert [(j.breakpoint, j.order, j.enforced) for j in jumps] == [
             (j.breakpoint, j.order, j.enforced) for j in reference]
         assert _bits([j.jump for j in jumps]) == _bits([j.jump for j in reference])
+        assert _bits(matching_misses(sol, bvp)) == _bits(
+            list(_conditions_per_call(sol, bvp)) + [j.jump for j in reference if j.enforced])
         assert _bits(condition_report(sol, bvp)) == _bits(_conditions_per_call(sol, bvp))
         assert _bits(solution_scale(sol, bvp)) == _bits(_scale_per_call(sol, bvp))
 
@@ -366,9 +368,19 @@ class TestOnePassPerPiece:
         residual_report(sol, bvp)
         assert len(calls) == 3
         assert [list(orders)[-1] for orders in calls] == [bvp.order] * 3
+        # Both ends of every piece go through one evaluate call: one kernel
+        # pass per group of pieces sharing an ODE (pieces 0 and 2 here).
         calls.clear()
         continuity_report(sol, bvp)
-        assert [list(orders) for orders in calls] == [list(range(bvp.order))] * 3
+        assert [list(orders) for orders in calls] == [list(range(bvp.order))] * 2
+
+    def test_continuity_one_pass_per_ode_on_sixteen_pieces(self, monkeypatch):
+        bvp = _sixteen_region_obstacle()
+        sol = solve_exact(bvp)
+        assert len({p.coeffs + p.forcing for p in bvp.pieces}) == 2
+        calls = self._count(monkeypatch)
+        continuity_report(sol, bvp)
+        assert [list(orders) for orders in calls] == [list(range(bvp.order))] * 2
 
     def test_condition_report_one_pass_per_owning_piece(self, monkeypatch):
         entry = get_example("3.1.1")
