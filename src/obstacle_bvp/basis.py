@@ -202,10 +202,6 @@ _TERMS = np.array([[[[(math.comb(m, i) * math.perm(k, i), m - i, k - i) if i <= 
 # The exact bits of a lambda's two parts: +0.0 and -0.0 differ.
 _PAIR_BITS = struct.Struct("dd").pack
 
-# CPython's int * complex turns K into complex(K, 0.0), so its product is
-# (K re - 0 im, K im + 0 re): K * (re, im) + (re, im)[::-1] * _CROSS.
-_CROSS = np.array([-0.0, 0.0])
-
 
 class Terms(NamedTuple):
     """Kernel terms of columns (:func:`basis_terms`) or of entries
@@ -231,14 +227,15 @@ def basis_terms(fns, top: int) -> Terms:
     coefs[j, s, i] times x ** powers[j, s, i]; set s evaluates counts[s]
     terms.  The table evaluates every column at every point of x.
 
-    lambda ** p is CPython's own complex power, once per distinct lambda
-    and p; the integer factor is applied in array form with the operations
-    of CPython's int * complex, and an ExpSin term becomes the real
-    coefficient pair of Im(z) = Re(-i z).  So every term has the bits of the
-    scalar expression ``math.comb(m, i) * math.perm(k, i) * lam ** (m - i)``,
-    and an order whose power overflows (CPython raises where numpy gives
-    inf) is NaN in every term.  Set m has min(k_max, m) + 1 terms; a
-    function with fewer is padded with +0.0 terms times x ** 0.
+    Term i of order m is the integer factor K = comb(m, i) * perm(k, i)
+    times each part of z = lambda ** (m - i): (K z.real, K z.imag), with no
+    cross term, and an ExpSin term becomes the real coefficient pair of
+    Im(z) = Re(-i z).  z comes from complex products, once per distinct
+    lambda: lambda * lambda, lambda * lambda ** 2 and lambda ** 2 *
+    lambda ** 2, the products of CPython's integer power, so a finite
+    nonzero part has the bits of ``lam ** p``.  A power that overflows
+    gives a non-finite term; nothing raises.  Set m has min(k_max, m) + 1
+    terms; a function with fewer is padded with +0.0 terms times x ** 0.
 
     What :func:`eval_terms` can skip is decided here, once per table: zero
     says every lambda is +-0 + +-0 i, so exp(lambda x) is 1 wherever x is
@@ -253,14 +250,10 @@ def basis_terms(fns, top: int) -> Terms:
             slot[key] = len(lams)
             lams.append(complex(fn.alpha, fn.beta))
         index.append(slot[key])
-    table, raised = [], []
-    for s, lam in enumerate(lams):
-        for p in range(top + 1):
-            try:
-                z = lam ** p
-            except OverflowError:
-                z = complex(math.nan, math.nan)
-                raised.append((s, p))
+    table = []
+    for lam in lams:
+        sq = lam * lam
+        for z in (1 + 0j, lam, sq, lam * sq, sq * sq)[:top + 1]:
             table += (z.real, z.imag)
         # The padding columns: times the zero factor, (0, 0) gives the term
         # (+0.0, +0.0), and (-1, 1) gives (-0.0, +0.0), which the ExpSin
@@ -271,13 +264,7 @@ def basis_terms(fns, top: int) -> Terms:
     table = np.array(table).reshape(len(lams), top + 3, 2)
     fields = _TERMS[ks, sin][:, :, :top + 1, :min(k_max, top) + 1]
     factor, lam_pow, x_pow = fields.transpose(1, 0, 2, 3)
-    at = np.array(index)[:, None, None], lam_pow
-    z = table[at]
-    coefs = factor[..., None] * z + z[..., ::-1] * _CROSS
-    if raised:
-        hit = np.zeros(table.shape[:2], dtype=bool)
-        hit[tuple(zip(*raised))] = True
-        coefs[hit[at].any(axis=2)[..., None] & (factor != 0)] = math.nan
+    coefs = factor[..., None] * table[np.array(index)[:, None, None], lam_pow]
     if any(sin):  # (c_r, c_i) -> (c_i, -c_r)
         sin = np.array(sin, dtype=bool)
         swapped = coefs[sin]

@@ -28,6 +28,7 @@ from functools import cached_property
 from itertools import accumulate, chain
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .basis import (MAX_ORDER, BasisFunction, basis_terms, characteristic_coeffs,
                     eval_terms, piece_basis, take_terms)
@@ -128,10 +129,10 @@ class PieceSolution:
 
     @cached_property
     def _kernel(self):
-        """Basis kernel terms, particular coefficients (set/row d for order d)
-        and the particular's rows per tuple of orders evaluated."""
+        """Basis kernel terms, particular coefficients (table[:, d] for order
+        d) and the particular's coefficients per tuple of orders evaluated."""
         return (basis_terms(self.basis, MAX_ORDER),
-                _derivative_table([self.particular], MAX_ORDER + 1)[:, 0], {})
+                _derivative_table([self.particular], MAX_ORDER + 1)[:, :, 0], {})
 
     def value(self, x, deriv_order: int = 0):
         """u^(deriv_order) at a scalar or an array x; an overflow gives inf or
@@ -144,13 +145,13 @@ class PieceSolution:
         pass: constants[..., j] times basis column j, added in basis order to
         the particular, every order at once."""
         orders = tuple(orders)
-        terms, table, rows = self._kernel
-        if orders not in rows:
+        terms, table, chosen = self._kernel
+        if orders not in chosen:
             if not all(0 <= d <= MAX_ORDER for d in orders):
                 raise ValueError(f"derivative orders {list(orders)} outside [0, {MAX_ORDER}]")
-            rows[orders] = table[list(orders)]
+            chosen[orders] = table[:, list(orders)]
         columns = eval_terms(terms, x, orders)
-        total = _horner(rows[orders].reshape((len(orders),) + (1,) * x.ndim + (-1,)), x)
+        total = polyval(x, chosen[orders])
         for j in range(len(self.basis)):
             total += constants[..., j] * columns[:, j]
         return total
@@ -254,24 +255,16 @@ def particular_solution(pieces) -> list[tuple[float, ...]]:
 
 
 def _derivative_table(particulars, orders: int) -> np.ndarray:
-    """table[d, k]: zero-padded coefficients of particulars[k]^(d), d < orders,
+    """table[:, d, k]: zero-padded ascending coefficients of
+    particulars[k]^(d), d < orders, on the first axis as polyval reads them,
     built by numpy polyder's own step, so bitwise equal to polyder's."""
     width = max(len(p) for p in particulars)
-    table = np.zeros((orders, len(particulars), width))
+    table = np.zeros((width, orders, len(particulars)))
     for k, p in enumerate(particulars):
-        table[0, k, : len(p)] = p
+        table[: len(p), 0, k] = p
     for d in range(1, orders):
-        table[d, :, :-1] = np.arange(1, width) * table[d - 1, :, 1:]
+        table[:-1, d] = np.arange(1, width)[:, None] * table[1:, d - 1]
     return table
-
-
-def _horner(coeffs: np.ndarray, x) -> np.ndarray:
-    """Polynomials with ascending coefficients on the last axis, at x, in
-    numpy polyval's operation order (a zero leading coefficient adds +-0)."""
-    out = 0.0
-    for i in range(coeffs.shape[-1] - 1, -1, -1):
-        out = coeffs[..., i] + out * x
-    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -307,7 +300,7 @@ def assemble_system(bvp: PiecewiseBvp, bases, particulars) -> MatchSystem:
         values = eval_terms(take_terms(terms, np.array(deriv)[:, None], column[owner]),
                             np.repeat(where, n).reshape(n_cond, n), [0])[0]
         rhs[:n_cond] = (np.array([c.value for c in conds])
-                        - _horner(table[deriv, owner], where))
+                        - polyval(where, table[:, deriv, owner], tensor=False))
         bands += zip((owner * n).tolist(), (values + 0.0).tolist())
 
     if n_pieces > 1:
@@ -316,7 +309,7 @@ def assemble_system(bvp: PiecewiseBvp, bases, particulars) -> MatchSystem:
         at_lo, at_hi = eval_terms(
             take_terms(terms, np.array(orders)[:, None, None], column[None, None]),
             np.repeat(ends.T, n, axis=1).reshape(2, 1, n_pieces, n), [0])[0]
-        p_lo, p_hi = _horner(table[list(orders)], ends.T[:, None, :])
+        p_lo, p_hi = polyval(ends.T[:, None, :], table[:, list(orders)], tensor=False)
         # pair[k, j] is breakpoint k's order-j row over the columns of pieces
         # k and k + 1: piece k at its hi minus piece k + 1 at its lo.
         pair = np.stack([at_hi[:, :-1], -at_lo[:, 1:]], axis=2).transpose(1, 0, 2, 3)

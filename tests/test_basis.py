@@ -1,5 +1,7 @@
 import math
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -286,16 +288,18 @@ class TestBasisDerivatives:
 
 
 def _scalar_terms(fn, m):
-    """Term coefficients of fn's m-th derivative as complex numbers, one
-    scalar expression per term; an order whose power overflows is NaN."""
+    """Term coefficients of fn's m-th derivative as (real, imaginary) pairs,
+    by the kernel's definition written out for one term at a time: the
+    integer factor K times each part of lam ** (m - i), the power from the
+    complex products lam * lam, lam * lam ** 2 and lam ** 2 * lam ** 2."""
     lam = complex(fn.alpha, fn.beta)
-    try:
-        cs = [math.comb(m, i) * math.perm(fn.k, i) * lam ** (m - i)
-              for i in range(min(fn.k, m) + 1)]
-    except OverflowError:
-        cs = [complex(math.nan, math.nan)] * (min(fn.k, m) + 1)
-    if fn.kind == "ExpSin":  # Im(z) = Re(-i z)
-        cs = [complex(c.imag, -c.real) for c in cs]
+    sq = lam * lam
+    powers = (1 + 0j, lam, sq, lam * sq, sq * sq)
+    cs = []
+    for i in range(min(fn.k, m) + 1):
+        factor, z = math.comb(m, i) * math.perm(fn.k, i), powers[m - i]
+        c = (factor * z.real, factor * z.imag)
+        cs.append((c[1], -c[0]) if fn.kind == "ExpSin" else c)  # Im(z) = Re(-i z)
     return cs
 
 
@@ -303,14 +307,35 @@ def _bits(v):
     return np.float64(v).view(np.int64)
 
 
+def _lambda_family(seed, per_kind_k):
+    """Functions of every kind and power k whose lambdas mix +-0,
+    subnormals, +-1e+-100, |lambda| = 1e80 (the fourth power overflows) and
+    ordinary draws."""
+    rng = np.random.default_rng(seed)
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-100, -1e-100,
+               1e100, -1e100, 1e80, -1e80]
+    def draw():
+        return (float(rng.choice(special)) if rng.random() < 0.6
+                else float(rng.normal() * 10.0 ** rng.integers(-3, 4)))
+    fns = []
+    for kind in ("PolyExp", "ExpCos", "ExpSin"):
+        for k in range(4):
+            fns.append(BasisFunction(kind, k, 1e80) if kind == "PolyExp"
+                       else BasisFunction(kind, k, 6e79, 8e79))
+            for _ in range(per_kind_k):
+                alpha = draw()
+                beta = (float(rng.choice([0.0, -0.0])) if kind == "PolyExp"
+                        else abs(draw()) or 1e-300)
+                fns.append(BasisFunction(kind, k, alpha, beta))
+    return fns
+
+
 class TestKernelTerms:
     def test_array_terms_equal_scalar_expression_bitwise(self):
         """basis_terms applies comb(m, i) * perm(k, i) in array form.  It
-        must give, bit for bit with zero and NaN signs, what CPython's
-        ``int * complex`` gives: complex(K, 0.0) times the power, that is
-        (K re - 0 im, K im + 0 re).  This pins those semantics for the
-        Python versions CI runs (3.10-3.13); Python 3.14 multiplies an int
-        into a complex as a real number, which changes zero signs."""
+        must give, bit for bit with zero and NaN signs, the scalar form of
+        the kernel's definition: K times each part of the power, with no
+        cross term, so no interpreter's int * complex rule enters."""
         rng = np.random.default_rng(19)
         special = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e100, -1e100,
                    1e80, -1e80]  # |lambda| = 1e80: the fourth power overflows
@@ -332,22 +357,74 @@ class TestKernelTerms:
             assert counts[m] == min(3, m) + 1
             for j, fn in enumerate(fns):
                 cs = _scalar_terms(fn, m)
-                overflowed += math.isnan(cs[0].real)
+                overflowed += not all(map(math.isfinite, cs[0]))
                 for i in range(coefs.shape[2]):
-                    want = cs[i] if i < len(cs) else 0j
+                    want = cs[i] if i < len(cs) else (0.0, 0.0)
                     got = coefs[j, m, i]
-                    assert (_bits(got[0]), _bits(got[1])) == (_bits(want.real), _bits(want.imag)), \
+                    assert (_bits(got[0]), _bits(got[1])) == (_bits(want[0]), _bits(want[1])), \
                         (fn, m, i)
                     assert powers[j, m, i] == (fn.k - i if i < len(cs) else 0)
         assert overflowed > 0
         assert any(math.copysign(1.0, float(c)) < 0 for c in coefs[..., 1].ravel()
                    if c == 0.0)
 
-    def test_overflowing_order_is_nan_in_every_term(self):
+    def test_terms_within_bound_of_exact_reference(self):
+        """Each part of every finite coefficient lies within
+        2 p eps K |lambda|^p + p K 2^-1074 of the exact value of
+        comb(m, i) perm(k, i) lambda^p, p = m - i, computed in Fractions
+        from lambda's float parts.  A power takes p - 1 complex products
+        and one product with K, each adding at most about eps K |lambda|^p
+        to a part; the second term covers underflow.  A coefficient may be
+        non-finite only in an order m whose exact |lambda|^m, grown by the
+        bound, passes the largest float."""
+        eps, tiny, huge = Fraction(2) ** -52, Fraction(2) ** -1074, Fraction(sys.float_info.max)
+        fns = _lambda_family(23, 20)
+        coefs = basis_terms(fns, 4).coefs
+        overflowed = 0
+        for j, fn in enumerate(fns):
+            re, im = Fraction(fn.alpha), Fraction(fn.beta)
+            exact = [(Fraction(1), Fraction(0))]
+            for _ in range(4):
+                a, b = exact[-1]
+                exact.append((a * re - b * im, a * im + b * re))
+            modulus2 = [(re * re + im * im) ** p for p in range(5)]
+            for m in range(5):
+                beyond = modulus2[m] * (1 + 2 * m * eps) ** 2 > huge ** 2
+                for i in range(coefs.shape[2]):
+                    got = coefs[j, m, i].tolist()
+                    if i > min(fn.k, m):
+                        assert got == [0.0, 0.0], (fn, m, i)
+                        continue
+                    if not all(map(math.isfinite, got)):
+                        assert beyond, (fn, m, i, got)
+                        overflowed += 1
+                        continue
+                    p, factor = m - i, math.comb(m, i) * math.perm(fn.k, i)
+                    z = exact[p]
+                    want = (factor * z[1], -factor * z[0]) if fn.kind == "ExpSin" \
+                        else (factor * z[0], factor * z[1])
+                    scale = 2 * p * eps * factor
+                    for part, ref in zip(got, want):
+                        err = abs(Fraction(part) - ref) - p * factor * tiny
+                        assert err <= 0 or err * err <= scale * scale * modulus2[p], \
+                            (fn, m, i, got, float(ref))
+        assert overflowed > 0
+
+    def test_overflowing_power_is_non_finite_and_silent(self):
+        """lambda = 1e80 (1 + i): lambda ** 4 overflows, lambda ** 3 does not.
+        Only the term that takes the fourth power is non-finite, and order 4
+        evaluates to non-finite values; nothing raises or warns."""
         fn = BasisFunction("ExpSin", 2, 1e80, 1e80)
-        coefs = basis_terms([fn], 4).coefs
+        x = np.array([-1.0, 0.0, 1e-90, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            terms = basis_terms([fn], 4)
+            values = eval_terms(terms, x, [3, 4])
+        coefs = terms.coefs
         assert np.isfinite(coefs[0, :4, :3]).all()
-        assert np.isnan(coefs[0, 4, :3]).all()
+        assert np.isfinite(coefs[0, 4, 1:3]).all()
+        assert not np.isfinite(coefs[0, 4, 0]).all()
+        assert not np.isfinite(values[1]).any()
 
 
 def _frozen_eval(terms, x, sets, columns=None):
