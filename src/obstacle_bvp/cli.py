@@ -45,6 +45,7 @@ EXIT_VERIFY = 3
 
 # Rows of the solve table: 10^6 rows are 60-110 MB of CSV text.
 MAX_SAMPLES = 10 ** 6
+_CHUNK = 1024  # rows per pass of the table writer: bounds its scratch arrays
 
 # Every failure a command may raise, with its exit code.
 FAILURES = ((ProblemError, EXIT_INPUT), (SolveError, EXIT_RANK), (IntegrationError, EXIT_VERIFY))
@@ -160,9 +161,60 @@ def load_problem(path: str) -> PiecewiseBvp:
     return parse_problem(data)
 
 
+_POW10 = np.array([float(10 ** k) for k in range(22)])  # every one exact
+_CELLS = np.zeros((21, 2, 40), np.uint8)  # by [exponent + 4, fraction]
+_CELLS[:4, :, 1:6] = [[list(b"0.000"[:k].ljust(5, b"\0"))] for k in (5, 4, 3, 2)]
+_CELLS[np.arange(4, 20), 1, np.arange(7, 39, 2)] = ord(".")
+
+
+def _g17_cells(values):
+    """``'%.17g' % v`` for each v of a C-contiguous float array as NUL-padded
+    bytes, shape ``values.shape + (40,)``: sign, "0.000" (exponent < 0) in five
+    columns, then each of the 17 digits and a slot for the point; last slot NUL."""
+    v = values.ravel()
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e17)
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    d, at = np.empty(v.size, np.int64), slice(None)
+    for _ in range(2):  # d = round-half-even(a * 10^(16 - e)); then only d out of range
+        x, s = a[at], _POW10[np.clip(16 - e[at], 0, 21)]
+        p = x * s
+        cx, cs = 134217729.0 * x, 134217729.0 * s  # Veltkamp splits
+        xh, sh = cx - (cx - x), cs - (cs - s)
+        xl, sl = x - xh, s - sh
+        err = ((xh * sh - p) + xh * sl + xl * sh) + xl * sl  # Dekker: p + err == x * s
+        d[at] = p.astype(np.int64) + np.rint(err).astype(np.int64)
+        at = np.flatnonzero((d < 10 ** 16) | (d >= 10 ** 17))  # log10 one off, or d = 10^17
+        e[at] += np.where(d[at] < 10 ** 16, -1, 1)
+    fast &= (e >= -4) & (e <= 16)
+    hi = d // 10 ** 9
+    halves = np.stack([hi, d - hi * 10 ** 9]).astype(np.uint32)
+    digits = np.empty((18, v.size), np.uint8)  # row i + 1: digit i, leading first
+    for i in range(8, -1, -1):
+        q = halves // 10
+        digits[i::9] = halves - 10 * q
+        halves = q
+    kept = digits[1:] != 0
+    for i in range(15, -1, -1):  # kept[i]: a nonzero digit at or after i
+        kept[i] |= kept[i + 1]
+    fraction = kept.sum(axis=0, dtype=np.uint8) > e + 1
+    kept |= np.arange(17)[:, None] <= e  # the integer part keeps its zeros
+    cells = np.take(_CELLS.reshape(42, 40), (e + 4) * 2 + fraction, axis=0, mode="clip")
+    cells[:, 0] = np.signbit(v) * ord("-")
+    cells[:, 6::2] = ((digits[1:] + ord("0")) * kept).T
+    text = np.array(["%.17g" % value for value in v[~fast].tolist()], dtype="S39")
+    cells[~fast, :39] = text.view(np.uint8).reshape(-1, 39)
+    return cells.reshape(values.shape + (40,))
+
+
 def _solution_table(sol, bvp, samples: int) -> str:
+    """The CSV text, every float as ``'%.17g' % v`` prints it.  In %g's fixed
+    range (finite 1e-4 <= |v| < 1e17, rounded exponent E in [-4, 16]) numpy
+    passes round |v| * 10^(16 - E), an exact product, half to even to the 17
+    digits (:func:`_g17_cells`); other values go through ``%``.  Rows are built
+    _CHUNK at a time as NUL-padded bytes, then the NULs are deleted."""
     a, b = bvp.domain
-    header = ["x", "piece"] + ["u"] + [f"du{j}" for j in range(1, bvp.order)]
     xs = np.linspace(a, b, samples)
     owner = bvp.owning_piece(xs)
     columns = sol.evaluate(xs, owner, range(bvp.order))
@@ -171,9 +223,16 @@ def _solution_table(sol, bvp, samples: int) -> str:
             i = np.argmin(np.isfinite(column))
             raise SolveError(f"closed-form solution is non-finite (overflow): "
                              f"u^({j})({xs[i]:g}) on piece {owner[i]}")
-    rows = [f"%.17g,{k}" + ",%.17g" * bvp.order + "\n" for k in range(len(bvp.pieces))]
-    values = np.column_stack([xs, *columns]).ravel().tolist()
-    return ",".join(header) + "\n" + "".join([rows[k] for k in owner.tolist()]) % tuple(values)
+    labels = np.array([b",%d," % k for k in range(len(bvp.pieces))])[owner, None].view(np.uint8)
+    values = np.column_stack([xs, *columns])
+    parts = [",".join(["x", "piece", "u"] + [f"du{j}" for j in range(1, bvp.order)]) + "\n"]
+    for start in range(0, samples, _CHUNK):
+        cells = _g17_cells(values[start:start + _CHUNK])
+        cells[:, :, -1] = list(b"\0" + b"," * (bvp.order - 1) + b"\n")
+        rows = np.concatenate([cells[:, 0], labels[start:start + _CHUNK],
+                               cells[:, 1:].reshape(len(cells), -1)], axis=1)
+        parts.append(rows.tobytes().translate(None, b"\0").decode())
+    return "".join(parts)
 
 
 def _constants_report(sol) -> str:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -195,10 +196,10 @@ class PiecewiseSolution:
                 for b, c in zip(ps.basis, ps.constants)]
 
 
-def _bits(values) -> tuple[str, ...]:
+def _bits(values) -> bytes:
     """Exact key of a float sequence: -0.0 and 0.0 differ, as they may in the
     results computed from them."""
-    return tuple(float(v).hex() for v in values)
+    return struct.pack(f"{len(values)}d", *values)
 
 
 def _distinct(items, key):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -553,3 +554,28 @@ class TestSolutionTable:
         for x, k, *values in zip(xs, bvp.owning_piece(xs), *columns):
             lines.append(",".join([f"{x:.17g}", str(k)] + [f"{v:.17g}" for v in values]))
         assert _solution_table(sol, bvp, 2001) == "\n".join(lines) + "\n"
+
+    def test_every_float_exactly_as_percent_17g(self):
+        """The writer's numpy digits against ``'%.17g' % v`` on the edges of
+        the fixed-notation range and on exact 18-digit ties, through tables of
+        several chunks."""
+        rng = np.random.default_rng(24)
+        decades = (rng.uniform(1.0, 10.0, (25, 20)) * 10.0 ** np.arange(-6, 19)[:, None]).ravel()
+        powers = 10.0 ** np.arange(-4, 18)
+        edges = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+        ties = []  # odd m * 2^-j in [10^(17 - j), 10^(18 - j)): 18 digits, the last a 5
+        for j in range(2, 26):
+            lo, hi = -(-10 ** 17 * 2 ** j // 10 ** j), min(10 ** 18 * 2 ** j // 10 ** j, 2 ** 53)
+            ties += [math.ldexp(int(m) | 1, -j) for m in rng.integers(lo, hi, 20)]
+        integers = [float(rng.integers(0, 2 ** k)) for k in range(1, 61)]
+        integers += [float(10 ** k) for k in range(19)]
+        family = np.concatenate([decades, edges, ties, integers, [0.0, 5e-324, 1e300]])
+        family = np.concatenate([family, -family])
+        pieces = 12
+        bvp = SimpleNamespace(domain=(-3.0, 7.0), order=2, pieces=(None,) * pieces,
+                              owning_piece=lambda xs: np.arange(len(xs)) % pieces)
+        sol = SimpleNamespace(evaluate=lambda xs, owner, orders: [family, family[::-1]])
+        xs = np.linspace(-3.0, 7.0, len(family))
+        lines = ["x,piece,u,du1"] + ["%.17g,%d,%.17g,%.17g" % (x, i % pieces, u, du)
+                                     for i, (x, u, du) in enumerate(zip(xs, family, family[::-1]))]
+        assert _solution_table(sol, bvp, len(family)) == "\n".join(lines) + "\n"
