@@ -35,7 +35,7 @@ from .model import (ContinuitySpec, PiecewiseBvp, PinnedConstant,
                     PointCondition, ProblemError, SolveError, normalize_piece,
                     validate_bvp)
 from .oracle import DEFAULT_STEP, IntegrationError, shooting_solve
-from .verify import DEFAULT_PROFILE, matching_misses, pin_anchors, verification_report
+from .verify import DEFAULT_PROFILE, matching_values, pin_anchors, verification_report
 from . import examples as registry
 
 EXIT_OK = 0
@@ -208,12 +208,10 @@ def _g17_cells(values):
     return cells.reshape(values.shape + (40,))
 
 
-def _solution_table(sol, bvp, samples: int) -> str:
-    """The CSV text, every float as ``'%.17g' % v`` prints it.  In %g's fixed
-    range (finite 1e-4 <= |v| < 1e17, rounded exponent E in [-4, 16]) numpy
-    passes round |v| * 10^(16 - E), an exact product, half to even to the 17
-    digits (:func:`_g17_cells`); other values go through ``%``.  Rows are built
-    _CHUNK at a time as NUL-padded bytes, then the NULs are deleted."""
+def _table_values(sol, bvp, samples: int):
+    """(xs, owner, columns) of the solve table: ``samples`` evenly spaced
+    points of the domain, their owning pieces and u^(j) there for every order
+    j < n; a non-finite value raises the SolveError that names it."""
     a, b = bvp.domain
     xs = np.linspace(a, b, samples)
     owner = bvp.owning_piece(xs)
@@ -223,16 +221,25 @@ def _solution_table(sol, bvp, samples: int) -> str:
             i = np.argmin(np.isfinite(column))
             raise SolveError(f"closed-form solution is non-finite (overflow): "
                              f"u^({j})({xs[i]:g}) on piece {owner[i]}")
-    labels = np.array([b",%d," % k for k in range(len(bvp.pieces))])[owner, None].view(np.uint8)
-    values = np.column_stack([xs, *columns])
-    parts = [",".join(["x", "piece", "u"] + [f"du{j}" for j in range(1, bvp.order)]) + "\n"]
-    for start in range(0, samples, _CHUNK):
-        cells = _g17_cells(values[start:start + _CHUNK])
+    return xs, owner, columns
+
+
+def _table_text(bvp, xs, owner, columns):
+    """The CSV text in pieces, the header and then _CHUNK rows at a time, every
+    float as ``'%.17g' % v`` prints it.  In %g's fixed range (finite 1e-4 <=
+    |v| < 1e17, rounded exponent E in [-4, 16]) numpy passes round |v| *
+    10^(16 - E), an exact product, half to even to the 17 digits
+    (:func:`_g17_cells`); other values go through ``%``.  Each chunk is built
+    as NUL-padded bytes, then the NULs are deleted."""
+    labels = np.array([b",%d," % k for k in range(len(bvp.pieces))])
+    yield ",".join(["x", "piece", "u"] + [f"du{j}" for j in range(1, bvp.order)]) + "\n"
+    for start in range(0, len(xs), _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        cells = _g17_cells(np.column_stack([xs[rows], columns[:, rows].T]))
         cells[:, :, -1] = list(b"\0" + b"," * (bvp.order - 1) + b"\n")
-        rows = np.concatenate([cells[:, 0], labels[start:start + _CHUNK],
+        text = np.concatenate([cells[:, 0], labels[owner[rows], None].view(np.uint8),
                                cells[:, 1:].reshape(len(cells), -1)], axis=1)
-        parts.append(rows.tobytes().translate(None, b"\0").decode())
-    return "".join(parts)
+        yield text.tobytes().translate(None, b"\0").decode()
 
 
 def _constants_report(sol) -> str:
@@ -244,7 +251,8 @@ def _refuse_unmet(sol, bvp) -> None:
     """Raise a SolveError when the solution misses one of its own point
     conditions or enforced continuity rows by more than its DEFAULT_PROFILE
     tolerance, naming the worst such row (a NaN counts as worst)."""
-    misses = matching_misses(sol, bvp).tolist()
+    misses, jumps = matching_values(sol, bvp)
+    misses = np.concatenate([misses, jumps[:, list(bvp.continuity.sorted_orders)].ravel()]).tolist()
     tols = [DEFAULT_PROFILE.condition] * len(bvp.conditions)
     tols += [DEFAULT_PROFILE.jump] * (len(misses) - len(tols))
     missed = [r for r, (value, tol) in enumerate(zip(misses, tols)) if not value <= tol]
@@ -264,11 +272,11 @@ def cmd_solve(args) -> int:
     print(f"unknowns: {diag.n_unknowns}, equations: {diag.n_equations}"
           f" ({diag.determinacy})")
     sol = solve_exact(bvp)
-    table = _solution_table(sol, bvp, args.samples)
+    table = _table_values(sol, bvp, args.samples)
     _refuse_unmet(sol, bvp)
     try:
         with open(args.output, "w") as fh:
-            fh.write(table)
+            fh.writelines(_table_text(bvp, *table))
     except OSError as exc:
         raise ProblemError(f"cannot write {args.output}: {exc}") from exc
     print(_constants_report(sol))

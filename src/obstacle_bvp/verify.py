@@ -104,55 +104,40 @@ def solution_scale(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> float:
 
 
 @np.errstate(invalid="ignore")
-def continuity_report(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> tuple[JumpEntry, ...]:
-    """Jumps across every interior breakpoint for every order 0..n-1.
+def matching_values(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> tuple[np.ndarray, np.ndarray]:
+    """(misses, jumps) from one evaluate call over orders 0..n-1 at the
+    conditions' points, on their (left) owning pieces, and at both ends of
+    every piece: |u^(d)(x) - value| per point condition, and jumps[k, j] =
+    |u^(j)(x_k-) - u^(j)(x_k+)| at interior breakpoint x_k.  An overflow gives
+    a NaN, which fails, without a numpy warning."""
+    conds = bvp.conditions
+    where = np.array([c.location for c in conds])
+    u = sol.evaluate(np.concatenate([where, np.array([p.interval for p in bvp.pieces]).ravel()]),
+                     np.concatenate([bvp.owning_piece(where, side="left"),
+                                     np.repeat(np.arange(len(bvp.pieces)), 2)]),
+                     range(bvp.order))
+    at, ends = u[:, :len(conds)], u[:, len(conds):]  # ends[j, 2k + 1] = u_k^(j)(hi_k)
+    misses = np.abs(at[[c.deriv_order for c in conds], np.arange(len(conds))]
+                    - [c.value for c in conds])
+    return misses, np.abs(ends[:, 1:-1:2] - ends[:, 2::2]).T
 
-    Orders outside the enforced continuity set are reported too, flagged
-    informational; they never fail a profile.  Both ends of every piece are
-    evaluated in one call over every order, one kernel pass per group of
-    pieces that share their ODE.  Ends that overflow give a NaN jump, which
-    fails, without a numpy warning.
-    """
-    if not bvp.interior_breakpoints:
-        return ()
-    # ends[j, 2k] = u_k^(j)(lo_k), ends[j, 2k + 1] = u_k^(j)(hi_k)
-    ends = sol.evaluate(np.array([p.interval for p in bvp.pieces]).ravel(),
-                        np.repeat(np.arange(len(bvp.pieces)), 2), range(bvp.order))
-    jumps = np.abs(ends[:, 1:-1:2] - ends[:, 2::2]).T.tolist()
-    return tuple(JumpEntry(x, j, jumps[k][j], j in bvp.continuity.enforced_orders)
-                 for k, x in enumerate(bvp.interior_breakpoints)
-                 for j in range(bvp.order))
+
+def _jump_entries(bvp: PiecewiseBvp, jumps: np.ndarray) -> tuple[JumpEntry, ...]:
+    """A JumpEntry per interior breakpoint and order of a jump table; orders
+    outside the enforced continuity set are informational and never fail."""
+    return tuple(JumpEntry(x, j, jump, j in bvp.continuity.enforced_orders)
+                 for x, row in zip(bvp.interior_breakpoints, jumps.tolist())
+                 for j, jump in enumerate(row))
+
+
+def continuity_report(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> tuple[JumpEntry, ...]:
+    """Jumps across every interior breakpoint for every order 0..n-1."""
+    return _jump_entries(bvp, matching_values(sol, bvp)[1])
 
 
 def condition_report(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> tuple[float, ...]:
     """|u^(d)(x) - value| per point condition, on the (left) owning piece."""
-    where = np.array([c.location for c in bvp.conditions])
-    orders = sorted({c.deriv_order for c in bvp.conditions})
-    u = sol.evaluate(where, bvp.owning_piece(where, side="left"), orders)
-    return tuple(abs(u[orders.index(c.deriv_order)][i] - c.value)
-                 for i, c in enumerate(bvp.conditions))
-
-
-@np.errstate(invalid="ignore")
-def matching_misses(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> np.ndarray:
-    """How far the solution misses each point-condition row and then each
-    enforced continuity row (by breakpoint, then order): the rows of the
-    matching system, in its order, without the pins.  The values are
-    bitwise those of :func:`condition_report` and the enforced entries of
-    :func:`continuity_report`, from one evaluate call over the conditions'
-    points and both ends of every piece."""
-    conds, count = bvp.conditions, len(bvp.pieces)
-    where = np.array([c.location for c in conds])
-    u = sol.evaluate(np.concatenate([where, np.array([p.interval for p in bvp.pieces]).ravel()]),
-                     np.concatenate([bvp.owning_piece(where, side="left"),
-                                     np.repeat(np.arange(count), 2)]),
-                     range(bvp.order))
-    at, ends = u[:, :len(conds)], u[:, len(conds):]
-    orders = list(bvp.continuity.sorted_orders)
-    return np.concatenate([
-        np.abs(at[[c.deriv_order for c in conds], np.arange(len(conds))]
-               - [c.value for c in conds]),
-        np.abs(ends[orders, 1:-1:2] - ends[orders, 2::2]).T.ravel()])
+    return tuple(matching_values(sol, bvp)[0].tolist())
 
 
 def compare_solutions(sol: PiecewiseSolution, bvp: PiecewiseBvp,
@@ -196,10 +181,11 @@ def verification_report(sol: PiecewiseSolution, bvp: PiecewiseBvp,
                         numeric: NumericSolution | None = None) -> VerificationReport:
     """Full report: residuals, jumps, conditions and (optionally) oracle delta."""
     delta = compare_solutions(sol, bvp, numeric) if numeric is not None else None
+    misses, jumps = matching_values(sol, bvp)
     return VerificationReport(
         piece_residuals=residual_report(sol, bvp),
-        jumps=continuity_report(sol, bvp),
-        condition_violations=condition_report(sol, bvp),
+        jumps=_jump_entries(bvp, jumps),
+        condition_violations=tuple(misses.tolist()),
         oracle_delta=delta,
         tolerances=DEFAULT_PROFILE,
         residual_scale=solution_scale(sol, bvp),

@@ -10,15 +10,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from obstacle_bvp.cli import (EXIT_INPUT, EXIT_OK, EXIT_RANK, EXIT_VERIFY,
-                              _solution_table, export_problem, load_problem,
+                              _table_text, _table_values, export_problem, load_problem,
                               main, parse_problem)
 from obstacle_bvp.basis import RootFindingError
 from obstacle_bvp.exact import (InconsistentSystemError, PieceSolution, RankDeficientError,
                                 eval_solution, solve_exact)
-from obstacle_bvp.examples import get_example
+from obstacle_bvp.examples import EXAMPLE_IDS, get_example
 from obstacle_bvp.model import PointCondition, ProblemError, SolveError
 from obstacle_bvp.oracle import DEFAULT_STEP, IntegrationError
 from obstacle_bvp.penalty import Obstacle, PenaltyProblem, reformulate
+from obstacle_bvp.verify import verification_report
 
 
 def _write_problem(tmp_path, bvp, name="problem.json"):
@@ -146,20 +147,41 @@ class TestCmdSolve:
     def test_missed_continuity_row_is_named(self, tmp_path, capsys, monkeypatch):
         # A NaN jump is the worst row, above a condition missed by 1e-3.
         import obstacle_bvp.cli as cli
-        misses = cli.matching_misses
+        values = cli.matching_values
 
         def missed(sol, bvp):
-            out = misses(sol, bvp)
-            out[1], out[-1] = 1e-3, math.nan
-            return out
+            misses, jumps = values(sol, bvp)
+            misses[1], jumps[-1, 1] = 1e-3, math.nan
+            return misses, jumps
 
-        monkeypatch.setattr(cli, "matching_misses", missed)
+        monkeypatch.setattr(cli, "matching_values", missed)
         out = tmp_path / "o.csv"
         path = _write_problem(tmp_path, get_example("3.1.2").bvp)
         assert main(["solve", "--input", path, "--output", str(out)]) == EXIT_RANK
         assert ("misses 2 of its 6 condition and continuity rows, worst continuity order 1 "
                 "at x = 0.75 by nan") in capsys.readouterr().err
         assert not out.exists()
+
+    def test_refuses_exactly_what_verify_fails_on_these_rows(self, tmp_path):
+        # solve exits 2 exactly when verify's table has a failing condition or
+        # enforced-jump row; the residual and oracle rows are verify's alone.
+        bvps = [parse_problem({"order": 2, "continuity": [0, 1],
+                               "pieces": [{"interval": [0.0, 3.0], "coeffs": [a0, 0.0],
+                                           "forcing": [0.0, 0.0, 0.0, 1.0]}],
+                               "conditions": [{"x": x, "deriv": 0, "value": 0.0}
+                                              for x in (0.0, 3.0)]})
+                for a0 in (1e-16, 1e-12, 1e-8, 1e-6, 1e-4, 1e-2)]
+        bvps += [get_example(ex_id).bvp for ex_id in EXAMPLE_IDS] + [_sixteen_region_obstacle()]
+        refused = []
+        for i, bvp in enumerate(bvps):
+            path = _write_problem(tmp_path, bvp, f"{i}.json")
+            rows = verification_report(solve_exact(bvp), bvp).rows
+            fails = any(status == "FAIL" and label.startswith(("condition", "jump"))
+                        for label, _, _, status in rows)
+            code = main(["solve", "--input", path, "--output", str(tmp_path / "o.csv")])
+            assert code == (EXIT_RANK if fails else EXIT_OK), i
+            refused.append(fails)
+        assert 0 < sum(refused) < len(refused)
 
     def test_non_finite_coefficient_is_input_error(self, tmp_path, capsys):
         path = _write_single_piece(tmp_path, (0.0, 1.0), (math.nan, 0.0))
@@ -541,6 +563,11 @@ def _sixteen_piece_cantilever():
                        {"x": 2.0, "deriv": 2, "value": 0.0}, {"x": 2.0, "deriv": 3, "value": 0.0}]})
 
 
+def _solution_table(sol, bvp, samples):
+    """The text ``solve`` writes, joined from its chunks."""
+    return "".join(_table_text(bvp, *_table_values(sol, bvp, samples)))
+
+
 class TestSolutionTable:
     @pytest.mark.parametrize("make_bvp", [lambda: get_example("3.1.6").bvp,
                                           _sixteen_region_obstacle, _sixteen_piece_cantilever])
@@ -574,8 +601,10 @@ class TestSolutionTable:
         pieces = 12
         bvp = SimpleNamespace(domain=(-3.0, 7.0), order=2, pieces=(None,) * pieces,
                               owning_piece=lambda xs: np.arange(len(xs)) % pieces)
-        sol = SimpleNamespace(evaluate=lambda xs, owner, orders: [family, family[::-1]])
+        sol = SimpleNamespace(evaluate=lambda xs, owner, orders: np.array([family, family[::-1]]))
         xs = np.linspace(-3.0, 7.0, len(family))
         lines = ["x,piece,u,du1"] + ["%.17g,%d,%.17g,%.17g" % (x, i % pieces, u, du)
                                      for i, (x, u, du) in enumerate(zip(xs, family, family[::-1]))]
         assert _solution_table(sol, bvp, len(family)) == "\n".join(lines) + "\n"
+        chunks = list(_table_text(bvp, *_table_values(sol, bvp, len(family))))
+        assert [chunk.count("\n") for chunk in chunks] == [1, 1024, 1024, 208]

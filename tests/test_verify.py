@@ -13,7 +13,7 @@ from obstacle_bvp.oracle import shooting_solve
 from obstacle_bvp.verify import (DEFAULT_PROFILE, JumpEntry,
                                  ToleranceProfile, VerificationReport,
                                  compare_solutions, condition_report,
-                                 continuity_report, matching_misses, pin_anchors,
+                                 continuity_report, matching_values, pin_anchors,
                                  residual_report, solution_scale,
                                  verification_report)
 
@@ -279,8 +279,10 @@ def _assert_reports_bitwise(sol, bvp):
         assert [(j.breakpoint, j.order, j.enforced) for j in jumps] == [
             (j.breakpoint, j.order, j.enforced) for j in reference]
         assert _bits([j.jump for j in jumps]) == _bits([j.jump for j in reference])
-        assert _bits(matching_misses(sol, bvp)) == _bits(
-            list(_conditions_per_call(sol, bvp)) + [j.jump for j in reference if j.enforced])
+        misses, table = matching_values(sol, bvp)
+        assert _bits(misses) == _bits(_conditions_per_call(sol, bvp))
+        assert table.shape == (len(bvp.interior_breakpoints), bvp.order)
+        assert _bits(table.ravel()) == _bits([j.jump for j in reference])
         assert _bits(condition_report(sol, bvp)) == _bits(_conditions_per_call(sol, bvp))
         assert _bits(solution_scale(sol, bvp)) == _bits(_scale_per_call(sol, bvp))
 
@@ -392,6 +394,19 @@ class TestOnePassPerPiece:
         calls = self._count(monkeypatch)
         condition_report(sol, bvp)
         assert len(calls) == 2  # owners 0 and 2 share an ODE, owner 1 has its own
+
+    @pytest.mark.parametrize("make_bvp, passes", [(lambda: get_example("3.1.2").bvp, 8),
+                                                  (lambda: get_example("3.1.6").bvp, 8),
+                                                  (_sixteen_region_obstacle, 34)])
+    def test_verification_evaluates_conditions_and_jumps_once(self, monkeypatch,
+                                                              make_bvp, passes):
+        # One kernel pass per piece for the residuals and for the scale, and
+        # one per ODE group for the conditions and jumps together.
+        bvp = make_bvp()
+        sol = solve_exact(bvp)
+        calls = self._count(monkeypatch)
+        verification_report(sol, bvp)
+        assert len(calls) == passes
 
     def test_verification_builds_the_kernel_once_per_ode(self, monkeypatch):
         import obstacle_bvp.exact as exact_module
