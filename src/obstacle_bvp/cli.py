@@ -26,6 +26,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -264,6 +265,23 @@ def _refuse_unmet(sol, bvp) -> None:
                          f"by {misses[worst]:.3e} (tolerance {tols[worst]:.0e})")
 
 
+def _write_whole(path: str, chunks) -> None:
+    """Write the text chunks to a new file beside path, created as
+    ``open(path, "w")`` creates one (through a symbolic link, mode 0o666
+    less the umask), and rename it onto path: a reader sees the old file or
+    the whole new one.  On any failure the new file is deleted."""
+    path = os.path.realpath(path)
+    temporary = f"{path}.{os.urandom(4).hex()}.tmp"
+    fh = open(temporary, "x")
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(temporary, path)
+    except BaseException:
+        os.remove(temporary)
+        raise
+
+
 def cmd_solve(args) -> int:
     bvp = load_problem(args.input)
     if not 2 <= args.samples <= MAX_SAMPLES:
@@ -275,10 +293,9 @@ def cmd_solve(args) -> int:
     table = _table_values(sol, bvp, args.samples)
     _refuse_unmet(sol, bvp)
     try:
-        with open(args.output, "w") as fh:
-            fh.writelines(_table_text(bvp, *table))
+        _write_whole(args.output, _table_text(bvp, *table))
     except OSError as exc:
-        raise ProblemError(f"cannot write {args.output}: {exc}") from exc
+        raise ProblemError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
     print(_constants_report(sol))
     print(f"wrote {args.samples} samples to {args.output}")
     return EXIT_OK

@@ -1,28 +1,28 @@
 """Closed-form piecewise solver.
 
-Per piece: a particular polynomial by undetermined coefficients plus a real
-fundamental basis from the characteristic roots.  The basis constants of all
-pieces are coupled through one matching system (point conditions, interface
-continuity, pins), built from one kernel-term table over the distinct bases
-as row bands: each row's entries from its first piece's first column over
-the one or two pieces it couples.  No dense matrix is built.  Gauss
-elimination with partial pivoting runs on the bands.  It reads -0.0 as
-+0.0, which moves no pivot and no nonzero bit, touches only the entries that
-can hold a nonzero, and gives the same pivots and bits as dense partial
-pivoting on that input whenever it stays finite; an elimination that
-overflows is refused.  Back substitution stays numpy, each row's dot over
-the zero-padded row, because neither a Python sum nor a band-only dot would
-reproduce the bits of its BLAS row dot.  The consistency residual is one
-band dot per row, computed when first read: the overdetermined gate reads
-it, a square solve does not.  Rank deficiency is a first-class outcome
-carrying the free-column labels so the caller can pin them.
+Per row of the problem's ODE table (:attr:`PiecewiseBvp.ode_table`): a
+particular polynomial by undetermined coefficients plus a real fundamental
+basis from the characteristic roots.  The basis constants of all pieces are
+coupled through one matching system (point conditions, interface continuity,
+pins), built from one kernel-term table over the rows' bases as row bands:
+each row's entries from its first piece's first column over the one or two
+pieces it couples.  No dense matrix is built.  Gauss elimination with
+partial pivoting runs on the bands.  It reads -0.0 as +0.0, which moves no
+pivot and no nonzero bit, touches only the entries that can hold a nonzero,
+and gives the same pivots and bits as dense partial pivoting on that input
+whenever it stays finite; an elimination that overflows is refused.  Back
+substitution stays numpy, each row's dot over the zero-padded row, because
+neither a Python sum nor a band-only dot would reproduce the bits of its
+BLAS row dot.  The consistency residual is one band dot per row, computed
+when first read: the overdetermined gate reads it, a square solve does not.
+Rank deficiency is a first-class outcome carrying the free-column labels so
+the caller can pin them.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import struct
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -164,50 +164,36 @@ class PiecewiseSolution:
     rank_report: GaussResult
 
     @cached_property
-    def _groups(self):
-        """Pieces holding the same basis and particular objects, as solve_exact
-        shares them across the pieces of one ODE, form one group: (one piece
-        solution per group, each piece's group, all constants)."""
-        shared, group = _distinct(self.pieces, lambda ps: (id(ps.basis), id(ps.particular)))
-        return shared, np.array(group), np.array([ps.constants for ps in self.pieces])
+    def _rows(self):
+        """(the piece solution of each row's first piece, each piece's row,
+        all constants), by the ODE table of the problem that was solved."""
+        row, first = self.rank_report.system.bvp.ode_table
+        return ([self.pieces[k] for k in first], np.array(row),
+                np.array([ps.constants for ps in self.pieces]))
 
     def evaluate(self, x, owner, orders) -> np.ndarray:
         """u^(d) at a float array x for every d in orders (one row each), point i
-        on piece owner[i]: one kernel pass per group of pieces that share their
-        basis and particular, each point with its own piece's constants."""
-        shared, group, constants = self._groups
-        at_group = group[owner]
+        on piece owner[i]: one kernel pass per row of the ODE table, each point
+        with its own piece's constants."""
+        shared, row, constants = self._rows
+        at_row = row[owner]
         out = np.empty((len(orders),) + x.shape)
-        for g, ps in enumerate(shared):
-            at = at_group == g
+        for r, ps in enumerate(shared):
+            at = at_row == r
             if at.any():
                 out[:, at] = ps._combine(x[at], constants[owner[at]], orders)
         return out
 
     def piece_derivatives(self, k: int, x, orders):
         """u^(d) on piece k at a float array x for every d in orders, through
-        the kernel that piece k's group shares."""
-        shared, group, constants = self._groups
-        return shared[group[k]]._combine(x, constants[k], orders)
+        the kernel of piece k's row."""
+        shared, row, constants = self._rows
+        return shared[row[k]]._combine(x, constants[k], orders)
 
     def labeled_constants(self):
         """Flat list of (piece_index, basis_render, constant)."""
         return [(k, b.render(), float(c)) for k, ps in enumerate(self.pieces)
                 for b, c in zip(ps.basis, ps.constants)]
-
-
-def _bits(values) -> bytes:
-    """Exact key of a float sequence: -0.0 and 0.0 differ, as they may in the
-    results computed from them."""
-    return struct.pack(f"{len(values)}d", *values)
-
-
-def _distinct(items, key):
-    """(the first item of each distinct key, in first-seen order; per item,
-    the index of its key in that list)."""
-    first = {}
-    index = [first.setdefault(key(item), (len(first), item))[0] for item in items]
-    return [item for _, item in first.values()], index
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -270,28 +256,28 @@ def _derivative_table(particulars, orders: int) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def assemble_system(bvp: PiecewiseBvp, bases, particulars) -> MatchSystem:
-    """Matching system over all piece constants, as row bands.
+    """Matching system over all piece constants, as row bands, from one basis
+    and one particular per row of ``bvp.ode_table``.
 
     Row order is deterministic: point conditions in input order, then
     continuity rows by breakpoint then by enforced order, then pins.  A point
     condition sitting exactly on an interior breakpoint is evaluated on the
-    left-adjacent piece.  Kernel terms are built once over the distinct
-    bases (pieces of one ODE share their basis object) for orders 0..n-1;
-    the conditions and the continuity rows each gather their columns from
-    them and take one array pass.  A condition row's band is its piece's n
-    columns, a continuity row's the 2n columns of its two pieces, a pin's
-    its one column.  An overflow leaves a non-finite entry, which
-    :func:`gauss_solve` reports.
+    left-adjacent piece.  Kernel terms are built once over the bases for
+    orders 0..n-1; the conditions and the continuity rows each gather their
+    columns from them, by each piece's row, and take one array pass.  A
+    condition row's band is its piece's n columns, a continuity row's the 2n
+    columns of its two pieces, a pin's its one column.  An overflow leaves a
+    non-finite entry, which :func:`gauss_solve` reports.
     """
     n, n_pieces = bvp.order, len(bvp.pieces)
     conds, orders, pins = bvp.conditions, bvp.continuity.sorted_orders, bvp.pins
     n_cond = len(conds)
     rhs = np.zeros(n_cond + (n_pieces - 1) * len(orders) + len(pins))
-    table = _derivative_table(particulars, n)
-    shared, slot = _distinct(bases, id)
-    terms = basis_terms([b for basis in shared for b in basis], n - 1)
+    row = np.array(bvp.ode_table[0])
+    table = _derivative_table(particulars, n)[..., row]  # by piece
+    terms = basis_terms([b for basis in bases for b in basis], n - 1)
     # column[k, i]: the kernel column of piece k's basis function i
-    column = np.array(slot)[:, None] * n + np.arange(n)
+    column = row[:, None] * n + np.arange(n)
     bands = []
 
     if conds:
@@ -481,19 +467,17 @@ def solve_exact(bvp: PiecewiseBvp) -> PiecewiseSolution:
     a family of solutions and :class:`InconsistentSystemError` when its rows
     contradict each other.
     """
-    # Roots, basis and particular once per distinct ODE (a penalty obstacle
-    # has many pieces but only two ODEs), each stage in stacked array passes
-    # over all of them.
-    odes, slot = _distinct(bvp.pieces, lambda p: _bits(p.coeffs + p.forcing))
+    # Roots, basis and particular once per row of the ODE table (a penalty
+    # obstacle has many pieces but only two ODEs), each stage in stacked
+    # array passes over all rows.
+    row, first = bvp.ode_table
+    odes = [bvp.pieces[k] for k in first]
     bases, particulars = piece_basis(odes), particular_solution(odes)
-    bases, particulars = [bases[i] for i in slot], [particulars[i] for i in slot]
     result = gauss_solve(assemble_system(bvp, bases, particulars))
     n = bvp.order
-    pieces = tuple(
-        PieceSolution(bases[k], result.constants[k * n:(k + 1) * n], particulars[k])
-        for k in range(len(bvp.pieces))
-    )
-    return PiecewiseSolution(pieces, result)
+    return PiecewiseSolution(tuple(
+        PieceSolution(bases[r], result.constants[k * n:(k + 1) * n], particulars[r])
+        for k, r in enumerate(row)), result)
 
 
 def eval_solution(sol: PiecewiseSolution, bvp: PiecewiseBvp, x,

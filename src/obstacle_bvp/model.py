@@ -9,7 +9,9 @@ and optional pinned constants for underdetermined systems.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -134,7 +136,8 @@ class PinnedConstant:
 
 @dataclass(frozen=True)
 class PiecewiseBvp:
-    """A full piecewise problem: pieces + point conditions + continuity + pins."""
+    """A full piecewise problem: pieces + point conditions + continuity + pins,
+    with an ODE table (:attr:`ode_table`) of which pieces share an ODE."""
 
     order: int
     pieces: tuple[PieceOde, ...]
@@ -175,6 +178,16 @@ class PiecewiseBvp:
                 raise ProblemError(f"pin piece index {pin.piece_index} out of range")
             if not (0 <= pin.basis_index < self.order):
                 raise ProblemError(f"pin basis index {pin.basis_index} out of range")
+
+    @cached_property
+    def ode_table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(each piece's row, each row's first piece), rows in first-seen
+        order, built on first read: two pieces share a row exactly when the
+        bits of coeffs + forcing are equal, so -0.0 and 0.0 differ."""
+        rows = {}
+        row = [rows.setdefault(struct.pack(f"{len(key)}d", *key), len(rows))
+               for key in (p.coeffs + p.forcing for p in self.pieces)]
+        return tuple(row), tuple(map(row.index, range(len(rows))))
 
     @property
     def domain(self) -> tuple[float, float]:

@@ -1,6 +1,8 @@
 import dataclasses
+import errno
 import json
 import math
+import os
 import warnings
 from types import SimpleNamespace
 
@@ -239,6 +241,54 @@ class TestCmdSolve:
         code = main(["solve", "--input", path, "--output", str(tmp_path / output)])
         assert code == EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / output}: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["problem.json"]
+        assert not list(tmp_path.parent.glob(f"{tmp_path.name}.*.tmp"))  # beside a directory
+
+    def test_disk_full_mid_table_keeps_the_previous_file(self, tmp_path, capsys, monkeypatch):
+        # The disk fills after the header and the first 1,024 rows: the file
+        # from the last run stays whole and no temporary file is left.
+        import obstacle_bvp.cli as cli
+        text = cli._table_text
+
+        def full_disk(*args):
+            chunks = text(*args)
+            yield next(chunks)
+            yield next(chunks)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "_table_text", full_disk)
+        path = _write_problem(tmp_path, get_example("3.1.1").bvp)
+        out = tmp_path / "o.csv"
+        out.write_text("x,piece,u,du1\n0,0,1,2\n")
+        code = main(["solve", "--input", path, "--output", str(out), "--samples", "5000"])
+        assert code == EXIT_INPUT
+        assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+        assert out.read_text() == "x,piece,u,du1\n0,0,1,2\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["o.csv", "problem.json"]
+
+    def test_table_is_written_through_a_symbolic_link(self, tmp_path):
+        path = _write_problem(tmp_path, get_example("3.1.1").bvp)
+        (tmp_path / "tables").mkdir()
+        target = tmp_path / "tables" / "o.csv"
+        target.write_text("previous\n")
+        (tmp_path / "o.csv").symlink_to(target)
+        assert main(["solve", "--input", path, "--output", str(tmp_path / "o.csv"),
+                     "--samples", "21"]) == EXIT_OK
+        assert (tmp_path / "o.csv").is_symlink()
+        assert target.read_text().startswith("x,piece,u,du1\n")
+        assert [p.name for p in (tmp_path / "tables").iterdir()] == ["o.csv"]
+
+    def test_table_replaces_the_previous_file_with_a_plain_open_mode(self, tmp_path):
+        path = _write_problem(tmp_path, get_example("3.1.1").bvp)
+        out = tmp_path / "o.csv"
+        out.write_text("previous\n" * 10 ** 4)
+        assert main(["solve", "--input", path, "--output", str(out), "--samples", "21"]) == EXIT_OK
+        assert out.read_text() == _solution_table(solve_exact(get_example("3.1.1").bvp),
+                                                  get_example("3.1.1").bvp, 21)
+        plain = tmp_path / "plain"
+        open(plain, "w").close()
+        assert out.stat().st_mode == plain.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["o.csv", "plain", "problem.json"]
 
 
 def _unit_problem(**piece):

@@ -61,10 +61,15 @@ def _dense_as_bands(matrix, rhs, n):
     return [(0, row) for row in aug[:, :n].tolist()], aug[:, n].tolist(), pivots
 
 
+def _row_odes(bvp):
+    """One-ODE basis and particular calls, one of each per row of the
+    problem's ODE table."""
+    odes = [bvp.pieces[k] for k in bvp.ode_table[1]]
+    return [piece_basis([p])[0] for p in odes], [particular_solution([p])[0] for p in odes]
+
+
 def _system_for(bvp):
-    bases = [piece_basis([p])[0] for p in bvp.pieces]
-    parts = [particular_solution([p])[0] for p in bvp.pieces]
-    return assemble_system(bvp, bases, parts)
+    return assemble_system(bvp, *_row_odes(bvp))
 
 
 
@@ -220,10 +225,11 @@ class TestArrayAssemblyIsBitwise:
 
     @staticmethod
     def _check(bvp):
-        bases = [piece_basis([p])[0] for p in bvp.pieces]
-        parts = [particular_solution([p])[0] for p in bvp.pieces]
+        bases, parts = _row_odes(bvp)
         system = assemble_system(bvp, bases, parts)
-        matrix, rhs, labels = _reference_system(bvp, bases, parts)
+        row = bvp.ode_table[0]
+        matrix, rhs, labels = _reference_system(bvp, [bases[r] for r in row],
+                                                [parts[r] for r in row])
         assert _densify(system.bands, system.width).tobytes() == (matrix + 0.0).tobytes()
         assert np.array_equal(system.rhs, rhs)
         assert tuple(system.describe_row(r) for r in range(len(rhs))) == labels
@@ -945,7 +951,7 @@ class TestSharedOdeWork:
         eval_solution(sol, bvp, xs, 1)
         assert len(kernel) == 2
 
-    def test_equal_copies_group_alone_with_the_same_bits(self, monkeypatch):
+    def test_equal_copies_share_their_row_pass_with_the_same_bits(self, monkeypatch):
         bvp = _sixteen_region_obstacle()
         sol = solve_exact(bvp)
         rebuilt = dataclasses.replace(sol, pieces=tuple(
@@ -958,11 +964,10 @@ class TestSharedOdeWork:
         xs = np.concatenate([np.linspace(*bvp.domain, 2001), bvp.breakpoints])
         kernel = _counting(monkeypatch, "eval_terms")
         for j in range(bvp.order + 1):
-            assert _bitwise(eval_solution(rebuilt, bvp, xs, j), eval_solution(sol, bvp, xs, j))
-        assert len(kernel) == (16 + 2) * (bvp.order + 1)
-        kernel.clear()
-        eval_solution(sol, bvp, xs, 0)
-        assert len(kernel) == 2
+            want = eval_solution(sol, bvp, xs, j)
+            kernel.clear()
+            assert _bitwise(eval_solution(rebuilt, bvp, xs, j), want)
+            assert len(kernel) == 2  # one pass per row of the ODE table
 
     def test_each_piece_builds_its_kernel_terms_once(self, monkeypatch):
         bvp = _sixteen_region_obstacle()
@@ -975,37 +980,24 @@ class TestSharedOdeWork:
                 ps.value(xs, j)
         assert len(terms) == 16  # one per piece, each for every order
 
-    def test_perturbed_twin_evaluates_its_own_particular(self):
+    def test_perturbed_row_evaluates_its_own_particular(self):
+        # Every piece of row 1 takes the same shifted particular; row 0 keeps
+        # its bits.
         bvp = _sixteen_region_obstacle()
         sol = solve_exact(bvp)
-        k = next(k for k in range(1, 16)
-                 if bvp.pieces[k].coeffs == bvp.pieces[0].coeffs)
-        piece = sol.pieces[k]
-        shifted = PieceSolution(piece.basis, piece.constants,
-                                (piece.particular[0] + 1e-3,) + piece.particular[1:])
-        perturbed = dataclasses.replace(
-            sol, pieces=sol.pieces[:k] + (shifted,) + sol.pieces[k + 1:])
+        row = np.array(bvp.ode_table[0])
+        piece = sol.pieces[bvp.ode_table[1][1]]
+        particular = (piece.particular[0] + 1e-3,) + piece.particular[1:]
+        perturbed = dataclasses.replace(sol, pieces=tuple(
+            PieceSolution(ps.basis, ps.constants, particular) if r else ps
+            for ps, r in zip(sol.pieces, row)))
         xs = np.linspace(*bvp.domain, 2001)
         got = eval_solution(perturbed, bvp, xs)
         assert _bitwise(got, _per_piece_eval(perturbed, bvp, xs, 0))
-        mine = bvp.owning_piece(xs) == k
+        mine = row[bvp.owning_piece(xs)] == 1
+        assert mine.any() and not mine.all()
         assert np.abs(got[mine] - eval_solution(sol, bvp, xs)[mine]).min() >= 9e-4
         assert _bitwise(got[~mine], eval_solution(sol, bvp, xs)[~mine])
-
-    def test_negative_zero_coefficient_is_a_distinct_ode(self, monkeypatch):
-        pieces = (PieceOde(2, (0.0, 1.0), (0.0, 0.0), (1.0,)),
-                  PieceOde(2, (1.0, 2.0), (-0.0, 0.0), (1.0,)))
-        bvp = PiecewiseBvp(2, pieces, (PointCondition(0.0, 0, 0.0),
-                                       PointCondition(2.0, 0, 1.0)),
-                           ContinuitySpec(frozenset({0, 1})))
-        bases = _counting(monkeypatch, "piece_basis")
-        particulars = _counting(monkeypatch, "particular_solution")
-        sol = solve_exact(bvp)
-        assert [len(odes) for (odes,) in bases] == [2]
-        assert [len(odes) for (odes,) in particulars] == [2]
-        monkeypatch.undo()
-        assert _bitwise(np.concatenate([p.constants for p in sol.pieces]),
-                        gauss_solve(_system_for(bvp)).constants)
 
 
 def _basis_bits(basis):

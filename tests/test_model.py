@@ -1,7 +1,13 @@
 import math
+import struct
+import types
 
 import pytest
 
+import obstacle_bvp.exact as exact_module
+import obstacle_bvp.model as model_module
+from obstacle_bvp.basis import piece_basis
+from obstacle_bvp.exact import solve_exact
 from obstacle_bvp.model import (ContinuitySpec, PieceOde, PiecewiseBvp,
                                 PinnedConstant, PointCondition, ProblemError,
                                 build_second_order, build_third_order,
@@ -136,6 +142,56 @@ class TestPiecewiseBvp:
                 bvp.owning_piece(x, side=side) for x in xs]
         with pytest.raises(ProblemError):
             bvp.owning_piece([0.0, 0.5, 1.5])
+
+
+def _chain(*odes):
+    """An order-2 problem whose piece k on [k, k + 1] has the ODE odes[k], a
+    (coeffs, forcing) pair, with u = 0 and u = 1 at its two ends."""
+    pieces = tuple(PieceOde(2, (float(k), k + 1.0), coeffs, forcing)
+                   for k, (coeffs, forcing) in enumerate(odes))
+    return PiecewiseBvp(2, pieces, (PointCondition(0.0, 0, 0.0),
+                                    PointCondition(float(len(odes)), 0, 1.0)),
+                        ContinuitySpec(frozenset({0, 1})))
+
+
+FREE, CONTACT, SPRING = ((0.0, 0.0), (0.7,)), ((1.0, 0.0), (0.7,)), ((-2.0, 0.5), (1.0,))
+
+
+class TestOdeTable:
+    def test_rows_come_in_first_seen_order(self):
+        assert _chain(SPRING, FREE, SPRING, CONTACT, FREE).ode_table == (
+            (0, 1, 0, 2, 1), (0, 1, 3))
+
+    def test_non_adjacent_twins_share_a_row(self):
+        bvp = _chain(FREE, CONTACT, CONTACT, FREE, CONTACT)
+        assert bvp.ode_table == ((0, 1, 1, 0, 1), (0, 1))
+
+    def test_negative_zero_coefficient_is_a_distinct_ode(self, monkeypatch):
+        # (0.0, 0.0) == (-0.0, 0.0) in Python; their bits differ, and so may
+        # the results computed from them.
+        bvp = _chain(((0.0, 0.0), (1.0,)), ((-0.0, 0.0), (1.0,)))
+        assert bvp.ode_table == ((0, 1), (0, 1))
+        calls = []
+        monkeypatch.setattr(exact_module, "piece_basis",
+                            lambda odes: calls.append(len(odes)) or piece_basis(odes))
+        solve_exact(bvp)
+        assert calls == [2]
+
+    def test_trailing_zero_forcing_is_a_distinct_ode(self):
+        bvp = _chain(((0.0, 0.0), (1.0,)), ((0.0, 0.0), (1.0, 0.0)))
+        assert bvp.ode_table == ((0, 1), (0, 1))
+
+    def test_a_second_solve_does_not_rebuild_the_table(self, monkeypatch):
+        keys = []  # one key per piece each time the table is built
+        monkeypatch.setattr(model_module, "struct", types.SimpleNamespace(
+            pack=lambda *args: keys.append(args) or struct.pack(*args)))
+        bvp = _chain(FREE, CONTACT, FREE)
+        assert keys == []  # built on first read, not by the constructor
+        solve_exact(bvp)
+        table = bvp.ode_table
+        assert len(keys) == 3
+        solve_exact(bvp)
+        assert len(keys) == 3 and bvp.ode_table is table
 
 
 class TestValidateBvp:
