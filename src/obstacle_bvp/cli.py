@@ -27,6 +27,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -266,17 +267,32 @@ def _refuse_unmet(sol, bvp) -> None:
 
 
 def _write_whole(path: str, chunks) -> None:
-    """Write the text chunks to a new file beside path, created as
-    ``open(path, "w")`` creates one (through a symbolic link, mode 0o666
-    less the umask), and rename it onto path: a reader sees the old file or
-    the whole new one.  On any failure the new file is deleted."""
-    path = os.path.realpath(path)
-    temporary = f"{path}.{os.urandom(4).hex()}.tmp"
-    fh = open(temporary, "x")
+    """Write the text chunks to path.  A regular file (or no file) at path is
+    replaced whole: the chunks go to a new file beside it, created as
+    ``open(path, "w")`` creates one (through a symbolic link, mode 0o666 less
+    the umask), which is renamed onto path, so a reader sees the old file or
+    the whole new one; on any failure the new file is deleted.  Anything else
+    at path (a device, a FIFO, a terminal, a directory), and a regular file
+    in a directory where no new file can be made, is opened with
+    ``open(path, "w")`` and written in place."""
+    try:
+        replace = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        replace = True
+    target = os.path.realpath(path)
+    temporary = f"{target}.{os.urandom(4).hex()}.tmp"
+    try:
+        fh = open(temporary, "x") if replace else None
+    except PermissionError:
+        fh = None
+    if fh is None:
+        with open(path, "w") as fh:
+            fh.writelines(chunks)
+        return
     try:
         with fh:
             fh.writelines(chunks)
-        os.replace(temporary, path)
+        os.replace(temporary, target)
     except BaseException:
         os.remove(temporary)
         raise

@@ -166,10 +166,14 @@ class PiecewiseSolution:
     @cached_property
     def _rows(self):
         """(the piece solution of each row's first piece, each piece's row,
-        all constants), by the ODE table of the problem that was solved."""
+        all constants), by the ODE table of the problem that was solved; a
+        piece whose basis or particular is not its row's is refused."""
         row, first = self.rank_report.system.bvp.ode_table
-        return ([self.pieces[k] for k in first], np.array(row),
-                np.array([ps.constants for ps in self.pieces]))
+        heads = [self.pieces[k] for k in first]
+        for k, (ps, head) in enumerate(zip(self.pieces, map(heads.__getitem__, row))):
+            if (ps.basis, ps.particular) != (head.basis, head.particular):
+                raise ValueError(f"piece {k}'s basis or particular is not its ODE row's")
+        return heads, np.array(row), np.array([ps.constants for ps in self.pieces])
 
     def evaluate(self, x, owner, orders) -> np.ndarray:
         """u^(d) at a float array x for every d in orders (one row each), point i
@@ -468,16 +472,14 @@ def solve_exact(bvp: PiecewiseBvp) -> PiecewiseSolution:
     contradict each other.
     """
     # Roots, basis and particular once per row of the ODE table (a penalty
-    # obstacle has many pieces but only two ODEs), each stage in stacked
-    # array passes over all rows.
+    # obstacle has two), each stage in stacked array passes over all rows.
     row, first = bvp.ode_table
     odes = [bvp.pieces[k] for k in first]
     bases, particulars = piece_basis(odes), particular_solution(odes)
     result = gauss_solve(assemble_system(bvp, bases, particulars))
-    n = bvp.order
-    return PiecewiseSolution(tuple(
-        PieceSolution(bases[r], result.constants[k * n:(k + 1) * n], particulars[r])
-        for k, r in enumerate(row)), result)
+    constants = np.split(result.constants, len(row))
+    return PiecewiseSolution(tuple(PieceSolution(bases[r], constants[k], particulars[r])
+                                   for k, r in enumerate(row)), result)
 
 
 def eval_solution(sol: PiecewiseSolution, bvp: PiecewiseBvp, x,

@@ -3,6 +3,8 @@ import errno
 import json
 import math
 import os
+import stat
+import threading
 import warnings
 from types import SimpleNamespace
 
@@ -236,10 +238,20 @@ class TestCmdSolve:
 
     @pytest.mark.parametrize("output", ["", "absent/o.csv"],
                              ids=["directory", "missing-directory"])
-    def test_unwritable_output_is_input_error(self, tmp_path, capsys, output):
+    def test_unwritable_output_is_input_error(self, tmp_path, capsys, monkeypatch, output):
+        # Refused before the first line of the table is formatted.
+        import obstacle_bvp.cli as cli
+        taken, text = [], cli._table_text
+
+        def counted(*args):
+            for chunk in text(*args):
+                taken.append(chunk)
+                yield chunk
+
+        monkeypatch.setattr(cli, "_table_text", counted)
         path = _write_problem(tmp_path, get_example("3.1.1").bvp)
         code = main(["solve", "--input", path, "--output", str(tmp_path / output)])
-        assert code == EXIT_INPUT
+        assert code == EXIT_INPUT and taken == []
         assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / output}: ")
         assert [p.name for p in tmp_path.iterdir()] == ["problem.json"]
         assert not list(tmp_path.parent.glob(f"{tmp_path.name}.*.tmp"))  # beside a directory
@@ -289,6 +301,44 @@ class TestCmdSolve:
         open(plain, "w").close()
         assert out.stat().st_mode == plain.stat().st_mode
         assert sorted(p.name for p in tmp_path.iterdir()) == ["o.csv", "plain", "problem.json"]
+
+    def test_table_is_written_into_a_fifo_in_place(self, tmp_path):
+        # Only a regular file is replaced: a FIFO (as a device or a terminal)
+        # is opened and written as it stands, and stays what it was.
+        bvp = get_example("3.1.1").bvp
+        path = _write_problem(tmp_path, bvp)
+        fifo = tmp_path / "o.csv"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert main(["solve", "--input", path, "--output", str(fifo), "--samples", "5000"]) == EXIT_OK
+        reader.join(10)
+        assert got == [_solution_table(solve_exact(bvp), bvp, 5000)]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["o.csv", "problem.json"]
+
+    def test_table_is_written_in_place_where_no_new_file_can_be_made(self, tmp_path,
+                                                                      monkeypatch):
+        # A writable file in a directory closed to new files (which root does
+        # not meet) is truncated and written through its own inode.
+        import obstacle_bvp.cli as cli
+
+        def closed_directory(name, mode="r", *args, **kwargs):
+            if mode == "x":
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), name)
+            return open(name, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", closed_directory, raising=False)
+        bvp = get_example("3.1.1").bvp
+        path = _write_problem(tmp_path, bvp)
+        out = tmp_path / "o.csv"
+        out.write_text("previous\n" * 10 ** 4)
+        inode = out.stat().st_ino
+        assert main(["solve", "--input", path, "--output", str(out), "--samples", "21"]) == EXIT_OK
+        assert out.read_text() == _solution_table(solve_exact(bvp), bvp, 21)
+        assert out.stat().st_ino == inode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["o.csv", "problem.json"]
 
 
 def _unit_problem(**piece):

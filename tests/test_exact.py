@@ -999,6 +999,19 @@ class TestSharedOdeWork:
         assert np.abs(got[mine] - eval_solution(sol, bvp, xs)[mine]).min() >= 9e-4
         assert _bitwise(got[~mine], eval_solution(sol, bvp, xs)[~mine])
 
+    def test_piece_off_its_row_is_refused(self):
+        # Shifting the particular of one piece that is not first in its row
+        # would evaluate it with another polynomial: refused, not misread.
+        bvp = _sixteen_region_obstacle()
+        sol = solve_exact(bvp)
+        row, first = bvp.ode_table
+        k = next(k for k, r in enumerate(row) if first[r] != k)
+        ps = sol.pieces[k]
+        moved = (ps.particular[0] + 1e-3,) + ps.particular[1:]
+        pieces = sol.pieces[:k] + (PieceSolution(ps.basis, ps.constants, moved),) + sol.pieces[k + 1:]
+        with pytest.raises(ValueError, match=f"piece {k}'s basis or particular"):
+            eval_solution(dataclasses.replace(sol, pieces=pieces), bvp, np.linspace(*bvp.domain, 11))
+
 
 def _basis_bits(basis):
     return tuple((b.kind, b.k, b.alpha.hex(), b.beta.hex()) for b in basis)
