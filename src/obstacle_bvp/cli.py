@@ -210,36 +210,32 @@ def _g17_cells(values):
     return cells.reshape(values.shape + (40,))
 
 
-def _table_values(sol, bvp, samples: int):
-    """(xs, owner, columns) of the solve table: ``samples`` evenly spaced
-    points of the domain, their owning pieces and u^(j) there for every order
-    j < n; a non-finite value raises the SolveError that names it."""
-    a, b = bvp.domain
-    xs = np.linspace(a, b, samples)
-    owner = bvp.owning_piece(xs)
-    columns = sol.evaluate(xs, owner, range(bvp.order))
-    for j, column in enumerate(columns):
-        if not np.isfinite(column).all():
-            i = np.argmin(np.isfinite(column))
-            raise SolveError(f"closed-form solution is non-finite (overflow): "
-                             f"u^({j})({xs[i]:g}) on piece {owner[i]}")
-    return xs, owner, columns
-
-
-def _table_text(bvp, xs, owner, columns):
-    """The CSV text in pieces, the header and then _CHUNK rows at a time, every
-    float as ``'%.17g' % v`` prints it.  In %g's fixed range (finite 1e-4 <=
-    |v| < 1e17, rounded exponent E in [-4, 16]) numpy passes round |v| *
-    10^(16 - E), an exact product, half to even to the 17 digits
+def _table_text(sol, bvp, samples: int):
+    """The CSV text of ``samples`` evenly spaced points of the domain in
+    pieces: the header, then _CHUNK rows at a time.  Each chunk finds its
+    points' owning pieces, evaluates u^(j) there for every order j < n in one
+    call and raises the SolveError that names a non-finite value (the first
+    such chunk, its lowest order), so the grid is never evaluated whole.
+    Every float is written as ``'%.17g' % v`` prints it.  In %g's fixed range
+    (finite 1e-4 <= |v| < 1e17, rounded exponent E in [-4, 16]) numpy passes
+    round |v| * 10^(16 - E), an exact product, half to even to the 17 digits
     (:func:`_g17_cells`); other values go through ``%``.  Each chunk is built
     as NUL-padded bytes, then the NULs are deleted."""
+    xs = np.linspace(*bvp.domain, samples)
     labels = np.array([b",%d," % k for k in range(len(bvp.pieces))])
     yield ",".join(["x", "piece", "u"] + [f"du{j}" for j in range(1, bvp.order)]) + "\n"
-    for start in range(0, len(xs), _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        cells = _g17_cells(np.column_stack([xs[rows], columns[:, rows].T]))
+    for start in range(0, samples, _CHUNK):
+        x = xs[start:start + _CHUNK]
+        owner = bvp.owning_piece(x)
+        columns = sol.evaluate(x, owner, range(bvp.order))
+        for j, column in enumerate(columns):
+            if not np.isfinite(column).all():
+                i = np.argmin(np.isfinite(column))
+                raise SolveError(f"closed-form solution is non-finite (overflow): "
+                                 f"u^({j})({x[i]:g}) on piece {owner[i]}")
+        cells = _g17_cells(np.column_stack([x, columns.T]))
         cells[:, :, -1] = list(b"\0" + b"," * (bvp.order - 1) + b"\n")
-        text = np.concatenate([cells[:, 0], labels[owner[rows], None].view(np.uint8),
+        text = np.concatenate([cells[:, 0], labels[owner, None].view(np.uint8),
                                cells[:, 1:].reshape(len(cells), -1)], axis=1)
         yield text.tobytes().translate(None, b"\0").decode()
 
@@ -271,10 +267,11 @@ def _write_whole(path: str, chunks) -> None:
     replaced whole: the chunks go to a new file beside it, created as
     ``open(path, "w")`` creates one (through a symbolic link, mode 0o666 less
     the umask), which is renamed onto path, so a reader sees the old file or
-    the whole new one; on any failure the new file is deleted.  Anything else
-    at path (a device, a FIFO, a terminal, a directory), and a regular file
-    in a directory where no new file can be made, is opened with
-    ``open(path, "w")`` and written in place."""
+    the whole new one; on any failure, a chunk that raises included, the new
+    file is deleted.  Anything else at path (a device, a FIFO, a terminal, a
+    directory), and a regular file in a directory where no new file can be
+    made, is opened with ``open(path, "w")`` and written in place, where a
+    failure leaves the chunks written before it."""
     try:
         replace = stat.S_ISREG(os.stat(path).st_mode)
     except FileNotFoundError:
@@ -306,10 +303,9 @@ def cmd_solve(args) -> int:
     print(f"unknowns: {diag.n_unknowns}, equations: {diag.n_equations}"
           f" ({diag.determinacy})")
     sol = solve_exact(bvp)
-    table = _table_values(sol, bvp, args.samples)
     _refuse_unmet(sol, bvp)
     try:
-        _write_whole(args.output, _table_text(bvp, *table))
+        _write_whole(args.output, _table_text(sol, bvp, args.samples))
     except OSError as exc:
         raise ProblemError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
     print(_constants_report(sol))

@@ -5,6 +5,7 @@ import math
 import os
 import stat
 import threading
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from obstacle_bvp.cli import (EXIT_INPUT, EXIT_OK, EXIT_RANK, EXIT_VERIFY,
-                              _table_text, _table_values, export_problem, load_problem,
+                              _table_text, export_problem, load_problem,
                               main, parse_problem)
 from obstacle_bvp.basis import RootFindingError
 from obstacle_bvp.exact import (InconsistentSystemError, PieceSolution, RankDeficientError,
@@ -322,14 +323,7 @@ class TestCmdSolve:
                                                                       monkeypatch):
         # A writable file in a directory closed to new files (which root does
         # not meet) is truncated and written through its own inode.
-        import obstacle_bvp.cli as cli
-
-        def closed_directory(name, mode="r", *args, **kwargs):
-            if mode == "x":
-                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), name)
-            return open(name, mode, *args, **kwargs)
-
-        monkeypatch.setattr(cli, "open", closed_directory, raising=False)
+        monkeypatch.setattr("obstacle_bvp.cli.open", _closed_directory, raising=False)
         bvp = get_example("3.1.1").bvp
         path = _write_problem(tmp_path, bvp)
         out = tmp_path / "o.csv"
@@ -339,6 +333,13 @@ class TestCmdSolve:
         assert out.read_text() == _solution_table(solve_exact(bvp), bvp, 21)
         assert out.stat().st_ino == inode
         assert sorted(p.name for p in tmp_path.iterdir()) == ["o.csv", "problem.json"]
+
+
+def _closed_directory(name, mode="r", *args, **kwargs):
+    """``open`` in a directory where no new file can be made."""
+    if mode == "x":
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), name)
+    return open(name, mode, *args, **kwargs)
 
 
 def _unit_problem(**piece):
@@ -378,23 +379,47 @@ class TestMalformedProblem:
         assert _run_both(tmp_path, _unit_problem()) == (EXIT_OK, EXIT_OK)
 
 
+def _overflowing_problem(tmp_path):
+    """u'' = u + 1 with u(0) = 1e308, u(1) = -1e308: the constants are
+    finite, but u' = -c0 e^-x + c1 e^x overflows on the whole grid."""
+    data = _unit_problem(coeffs=[1.0, 0.0])
+    data["conditions"] = [{"x": 0.0, "deriv": 0, "value": 1e308},
+                          {"x": 1.0, "deriv": 0, "value": -1e308}]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
 class TestNonFiniteTable:
     def test_overflowing_derivative_is_solve_error(self, tmp_path, capsys):
-        # u'' = u + 1 with u(0) = 1e308, u(1) = -1e308: the constants are
-        # finite, but u' = -c0 e^-x + c1 e^x overflows on the whole grid.
-        data = _unit_problem(coeffs=[1.0, 0.0])
-        data["conditions"] = [{"x": 0.0, "deriv": 0, "value": 1e308},
-                              {"x": 1.0, "deriv": 0, "value": -1e308}]
-        path = tmp_path / "problem.json"
-        path.write_text(json.dumps(data))
+        path = _overflowing_problem(tmp_path)
         out = tmp_path / "o.csv"
         assert main(["solve", "--input", str(path), "--output", str(out)]) == EXIT_RANK
         err = capsys.readouterr().err
         assert "non-finite (overflow)" in err and "u^(1)" in err
         assert not out.exists()
+        # The overflow is found while the table is written: the file from the
+        # last run stays as it was and the new, partial one is deleted.
+        out.write_text("x,piece,u,du1\n0,0,1,2\n")
+        assert main(["solve", "--input", str(path), "--output", str(out)]) == EXIT_RANK
+        assert "u^(1)" in capsys.readouterr().err
+        assert out.read_text() == "x,piece,u,du1\n0,0,1,2\n"
+        assert not list(tmp_path.glob("*.tmp"))
         # The oracle's shooting system overflows in back substitution.
         assert main(["verify", "--input", str(path)]) == EXIT_RANK
         assert "overflow" in capsys.readouterr().err
+
+    def test_overflow_in_place_leaves_the_header(self, tmp_path, capsys, monkeypatch):
+        # Written in place, the table keeps what came before the first
+        # non-finite chunk: here the header alone.
+        monkeypatch.setattr("obstacle_bvp.cli.open", _closed_directory, raising=False)
+        path = _overflowing_problem(tmp_path)
+        out = tmp_path / "o.csv"
+        out.write_text("previous\n")
+        assert main(["solve", "--input", str(path), "--output", str(out)]) == EXIT_RANK
+        assert "u^(1)" in capsys.readouterr().err
+        assert out.read_text() == "x,piece,u,du1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["o.csv", "problem.json"]
 
 
 # Ordinary and extreme finite numbers; the mutations add the rest.
@@ -665,7 +690,7 @@ def _sixteen_piece_cantilever():
 
 def _solution_table(sol, bvp, samples):
     """The text ``solve`` writes, joined from its chunks."""
-    return "".join(_table_text(bvp, *_table_values(sol, bvp, samples)))
+    return "".join(_table_text(sol, bvp, samples))
 
 
 class TestSolutionTable:
@@ -699,12 +724,29 @@ class TestSolutionTable:
         family = np.concatenate([decades, edges, ties, integers, [0.0, 5e-324, 1e300]])
         family = np.concatenate([family, -family])
         pieces = 12
-        bvp = SimpleNamespace(domain=(-3.0, 7.0), order=2, pieces=(None,) * pieces,
-                              owning_piece=lambda xs: np.arange(len(xs)) % pieces)
-        sol = SimpleNamespace(evaluate=lambda xs, owner, orders: np.array([family, family[::-1]]))
         xs = np.linspace(-3.0, 7.0, len(family))
+        columns = np.array([family, family[::-1]])
+        # The writer asks one chunk of the grid at a time: answer by grid index.
+        bvp = SimpleNamespace(domain=(-3.0, 7.0), order=2, pieces=(None,) * pieces,
+                              owning_piece=lambda x: np.searchsorted(xs, x) % pieces)
+        sol = SimpleNamespace(evaluate=lambda x, owner, orders: columns[:, np.searchsorted(xs, x)])
         lines = ["x,piece,u,du1"] + ["%.17g,%d,%.17g,%.17g" % (x, i % pieces, u, du)
                                      for i, (x, u, du) in enumerate(zip(xs, family, family[::-1]))]
         assert _solution_table(sol, bvp, len(family)) == "\n".join(lines) + "\n"
-        chunks = list(_table_text(bvp, *_table_values(sol, bvp, len(family))))
+        chunks = list(_table_text(sol, bvp, len(family)))
         assert [chunk.count("\n") for chunk in chunks] == [1, 1024, 1024, 208]
+
+    def test_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # Each chunk is evaluated as it is written, so the peak does not grow
+        # with the grid: 10^5 rows (0.8 MB of x alone) stay below 4 MiB.
+        path = _write_problem(tmp_path, _sixteen_region_obstacle())
+        argv = ["solve", "--input", path, "--output", str(tmp_path / "o.csv"),
+                "--samples", "100000"]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 4 * 2 ** 20

@@ -84,6 +84,21 @@ def _sweep_like_bvp(seed, order, n_pieces, degree):
                         ContinuitySpec(frozenset(range(order))))
 
 
+def _verified_sweep_like(seed, order, n_pieces, degree):
+    """(bvp, sol) of a drawn problem that solves and passes verify's own
+    checks.  Any other draw is rejected: those are ROADMAP item 2's
+    near-coincident roots, which a metamorphic relation must not be asked
+    to repair."""
+    bvp = _sweep_like_bvp(seed, order, n_pieces, degree)
+    try:
+        sol = solve_exact(bvp)
+        verified = verification_report(sol, bvp).passed
+    except SolveError:
+        verified = False
+    assume(verified)
+    return bvp, sol
+
+
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), order=st.sampled_from([2, 3, 4]),
        n_pieces=st.integers(1, 16), degree=st.integers(0, 3))
@@ -213,20 +228,44 @@ def test_midpoint_split_leaves_solution_unchanged(ex_id):
        n_pieces=st.integers(1, 8), degree=st.integers(0, 3))
 def test_midpoint_split_random_family_leaves_solution_unchanged(seed, order, n_pieces, degree):
     # Every half has a twin of its ODE, so the split problem has twice the
-    # pieces and the same ODE table rows.  Only an original that solves and
-    # passes verify's own checks is compared: the rest are ROADMAP item 2's
-    # near-coincident roots, which the split must not be asked to repair.
-    # The bound is verify's residual tolerance, relative to solution_scale.
-    bvp = _sweep_like_bvp(seed, order, n_pieces, degree)
-    try:
-        sol = solve_exact(bvp)
-        verified = verification_report(sol, bvp).passed
-    except SolveError:
-        verified = False
-    assume(verified)
+    # pieces and the same ODE table rows.  The bound is verify's residual
+    # tolerance, relative to solution_scale.
+    bvp, sol = _verified_sweep_like(seed, order, n_pieces, degree)
     assert _split(bvp).ode_table[1] == tuple(2 * k for k in bvp.ode_table[1])
     gap, scale = _split_gap(bvp, sol)
     assert gap <= 1e-8 * scale
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.sampled_from([2, 3, 4]),
+       n_pieces=st.integers(1, 8), degree=st.integers(0, 3))
+def test_reflection_random_family_mirrors_every_derivative(seed, order, n_pieces, degree):
+    # As on the registry, with the midpoint split's precondition and bound:
+    # verify's residual tolerance, relative to solution_scale.
+    bvp, sol = _verified_sweep_like(seed, order, n_pieces, degree)
+    mirror = _reflected(bvp)
+    sol_m, xs = solve_exact(mirror), _grid(bvp)
+    for j in range(order):
+        delta = np.abs(eval_solution(sol_m, mirror, -xs, j)
+                       - (-1.0) ** j * eval_solution(sol, bvp, xs, j))
+        assert delta.max() <= 1e-8 * solution_scale(sol, bvp)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.sampled_from([2, 3, 4]),
+       n_pieces=st.integers(1, 8), degree=st.integers(0, 3))
+def test_superposition_random_family_of_forcing_and_condition_data(seed, order, n_pieces,
+                                                                    degree):
+    # As on the registry, with the midpoint split's precondition and its
+    # 1e-8 bound, relative to 1 + max |u^(j)| per order.
+    bvp, sol = _verified_sweep_like(seed, order, n_pieces, degree)
+    values = [c.value for c in bvp.conditions]
+    parts = [solve_exact(_with_data(bvp, *data))
+             for data in ((1.0, [0.0] * len(values), 0.0), (0.0, values, 1.0))]
+    xs = _grid(bvp)
+    for j in range(order):
+        u, u_forced, u_conditioned = (eval_solution(s, bvp, xs, j) for s in [sol] + parts)
+        assert np.abs(u_forced + u_conditioned - u).max() <= 1e-8 * (1 + np.abs(u).max())
 
 
 def _shifted(bvp, s):
