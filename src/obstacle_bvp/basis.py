@@ -167,28 +167,6 @@ def _real_basis(raw, coeffs: list[float]) -> tuple[BasisFunction, ...]:
     return tuple(sorted(out, key=lambda b: (b.alpha, _KIND_ORDER[b.kind], b.beta, b.k)))
 
 
-def basis_derivatives(fns, x, orders):
-    """Entry [..., j] is fns[j]^(orders[j]) at x[..., j], exact and analytic.
-
-    The last axis of x matches fns; orders is one int or one per function.
-    Every kind is the real part (PolyExp, ExpCos) or the imaginary part
-    (ExpSin) of x^k e^(lambda x) with lambda = alpha + i beta, whose m-th
-    derivative is e^(lambda x) * sum_i C(m, i) k!/(k-i)! lambda^(m-i) x^(k-i).
-    x meets only scalar integer powers and complex products are written out
-    in real arithmetic (numpy's vectorised complex multiply rounds
-    differently from its scalar one), so an entry does not depend on its
-    neighbours, except in the sign of a zero.  Overflow is silent (inf/nan).
-    """
-    orders = np.broadcast_to(orders, (len(fns),))
-    if not ((0 <= orders) & (orders <= MAX_ORDER)).all():
-        raise ValueError(f"derivative orders {orders.tolist()} outside [0, {MAX_ORDER}]")
-    x = np.asarray(x, dtype=float)
-    entries = (1,) * (x.ndim - 1) + (len(fns),)
-    terms = take_terms(basis_terms(fns, int(orders.max())), orders.reshape(entries),
-                       np.arange(len(fns)).reshape(entries))
-    return eval_terms(terms, x, [0])[0]
-
-
 # _TERMS[k, sin, :, m, i]: term i of the m-th derivative of x^k e^(lambda x)
 # is comb(m, i) * perm(k, i) * lambda^(m - i) * x^(k - i); the fields hold
 # that integer factor, the power of lambda and the power of x.  Past min(k, m)
@@ -213,7 +191,6 @@ class Terms(NamedTuple):
     zero: bool                    # every lambda is +-0 + +-0 i: no exp
     real: bool                    # every lambda is real
     k_max: int                    # the largest power of x
-    counts: list[int]             # terms evaluated in each order set
     coefs: np.ndarray             # (real, imaginary) coefficient of each term
     powers: np.ndarray | None     # power of x of each term
     paired: bool                  # each entry pairs with the entry of x at its place
@@ -224,8 +201,8 @@ def basis_terms(fns, top: int) -> Terms:
     """The kernel's x-independent half: terms of every function in fns for
     the derivative orders 0..top (at most 4), order set m holding order m.
     In set s, column j's term i is coefficient (real, imaginary)
-    coefs[j, s, i] times x ** powers[j, s, i]; set s evaluates counts[s]
-    terms.  The table evaluates every column at every point of x.
+    coefs[j, s, i] times x ** powers[j, s, i].  The table evaluates every
+    column at every point of x.
 
     Term i of order m is the integer factor K = comb(m, i) * perm(k, i)
     times each part of z = lambda ** (m - i): (K z.real, K z.imag), with no
@@ -274,8 +251,8 @@ def basis_terms(fns, top: int) -> Terms:
     shared = len(lams) < len(fns)  # else every lambda is its column's
     return Terms(exps[index] if shared else exps, exps[:, None],
                  np.array(index) if shared else None,
-                 not any(lams), not any(lam.imag for lam in lams), k_max,
-                 [min(k_max, m) + 1 for m in range(top + 1)], coefs, x_pow, False, {})
+                 not any(lams), not any(lam.imag for lam in lams), k_max, coefs, x_pow,
+                 False, {})
 
 
 def take_terms(terms: Terms, sets, columns) -> Terms:
@@ -296,7 +273,7 @@ def take_terms(terms: Terms, sets, columns) -> Terms:
     n = min(k_max + 1, len(coefs))
     chosen = (np.ascontiguousarray(coefs[:n, ..., 0]), np.ascontiguousarray(coefs[:n, ..., 1]),
               None if powers is None else np.ascontiguousarray(powers[:n]))
-    return Terms(lams, lams, None, terms.zero, terms.real or not lams.imag.any(), k_max, [n],
+    return Terms(lams, lams, None, terms.zero, terms.real or not lams.imag.any(), k_max,
                  coefs, powers, True, {(0,): chosen})
 
 
@@ -325,7 +302,7 @@ def eval_terms(terms: Terms, x, sets) -> np.ndarray:
     shape, x = np.shape(x), np.ascontiguousarray(x)
     chosen = terms.chosen.get(tuple(sets))
     if chosen is None:  # a basis_terms table: [term, set, column, point]
-        n = max(terms.counts[s] for s in sets)
+        n = min(terms.k_max, max(sets)) + 1
         c = terms.coefs[:, list(sets), :n].transpose(2, 1, 0, 3)[..., None, :]
         chosen = terms.chosen[tuple(sets)] = (
             np.ascontiguousarray(c[..., 0]), np.ascontiguousarray(c[..., 1]),

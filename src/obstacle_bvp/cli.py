@@ -153,10 +153,12 @@ def export_problem(bvp: PiecewiseBvp) -> dict:
 
 
 def load_problem(path: str) -> PiecewiseBvp:
+    """The problem in a UTF-8 JSON file (RFC 8259).  A file that cannot be
+    opened, decoded or parsed, or that nests too deeply, is a ProblemError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ProblemError(f"cannot read problem file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ProblemError(f"problem file {path} must hold a JSON object")

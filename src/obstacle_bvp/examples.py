@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import (ContinuitySpec, PiecewiseBvp, PieceOde, PinnedConstant,
+from .model import (ContinuitySpec, PiecewiseBvp, PinnedConstant,
                     PointCondition, ProblemError, build_second_order,
                     build_third_order, normalize_piece)
 from .penalty import PenaltyProblem, reformulate, standard_obstacle

@@ -105,14 +105,11 @@ def _stacks(widths, steps) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class FundamentalTrajectory:
-    """First n rows of T̂^i at every node of one piece."""
+    """First n rows of T̂^i at every node of one piece: states[:, :, j] for
+    j < n is the j-th unit solution."""
 
     xs: np.ndarray         # grid, lo..hi
     states: np.ndarray     # shape (len(xs), n, n + d)
-
-    @property
-    def homogeneous(self) -> np.ndarray:  # [:, :, j]: the j-th unit solution
-        return self.states[:, :, :self.states.shape[1]]
 
     @property
     def particular(self) -> np.ndarray:  # the solution from the zero state at lo

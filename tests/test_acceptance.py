@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from obstacle_bvp.basis import basis_derivatives, piece_basis, BasisFunction
+from obstacle_bvp.basis import piece_basis, BasisFunction
 from obstacle_bvp.exact import RankDeficientError, eval_solution, solve_exact
 from obstacle_bvp.examples import get_example, reference_values
 from obstacle_bvp.model import PieceOde
@@ -19,6 +19,7 @@ from obstacle_bvp.oracle import shooting_solve
 from obstacle_bvp.verify import (compare_solutions, condition_report,
                                  continuity_report, pin_anchors,
                                  residual_report)
+from kernel import basis_derivatives
 
 E = math.e
 PI = math.pi

@@ -3,12 +3,13 @@ import dataclasses
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from obstacle_bvp.basis import MAX_ORDER, BasisFunction, basis_derivatives, piece_basis
+from obstacle_bvp.basis import MAX_ORDER, BasisFunction, piece_basis
 import obstacle_bvp.exact as exact_module
 from obstacle_bvp.exact import (CONSISTENCY_TOL, InconsistentSystemError, MatchSystem,
                                 PieceSolution, RankDeficientError, SolveError,
@@ -21,6 +22,7 @@ from obstacle_bvp.model import (ContinuitySpec, PieceOde, PiecewiseBvp,
                                 PinnedConstant, PointCondition, ProblemError,
                                 build_fourth_order, build_second_order,
                                 build_third_order)
+from kernel import basis_derivatives
 
 E = math.e
 
@@ -680,6 +682,65 @@ class TestBandedElimination:
 
     def test_two_hundred_piece_block_matrix(self, monkeypatch):
         _assert_matches_dense(_block_system(np.random.default_rng(200), 2, 200), monkeypatch)
+
+
+def _exact_solution(system):
+    """The exact solution of a square nonsingular matching system: Gauss
+    elimination in Fractions of its float entries, any nonzero pivot."""
+    n = system.width
+    rows = []
+    for (first, band), value in zip(system.bands, system.rhs.tolist()):
+        row = [Fraction(0)] * n + [Fraction(value)]
+        row[first:first + len(band)] = map(Fraction, band)
+        rows.append(row)
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        for r in range(c + 1, n):
+            if rows[r][c]:
+                q = rows[r][c] / rows[c][c]
+                rows[r] = [a - q * b for a, b in zip(rows[r], rows[c])]
+    x = [Fraction(0)] * n
+    for r in range(n - 1, -1, -1):
+        x[r] = (rows[r][n] - sum(rows[r][j] * x[j] for j in range(r + 1, n))) / rows[r][r]
+    return x
+
+
+def _assert_within_conditioning(result):
+    """gauss_solve's constants lie within 10 cond eps of the exact solution
+    of the system it solved, relative in the inf-norm, cond = cond_inf(M)."""
+    system = result.system
+    assert len(system.bands) == system.width
+    exact = _exact_solution(system)
+    error = max(abs(Fraction(c) - e) for c, e in zip(result.constants.tolist(), exact))
+    cond = np.linalg.cond(_densify(system.bands, system.width), np.inf)
+    assert error <= Fraction(10 * cond * np.finfo(float).eps) * max(map(abs, exact)), \
+        (float(error / max(map(abs, exact))), cond)
+
+
+class TestAgainstExactElimination:
+    """The float elimination against the exact one on the same float system
+    (the registry's condition numbers are at most ~3e2 in the inf-norm and
+    its errors about 1e-16 relative, over 100x inside the bound)."""
+
+    @pytest.mark.parametrize("ex_id", EXAMPLE_IDS)
+    def test_registry(self, ex_id):
+        _assert_within_conditioning(solve_exact(get_example(ex_id).bvp).rank_report)
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_seeded_problems_that_verify(self, order):
+        rng = np.random.default_rng([order, 28])
+        checked = 0
+        for _ in range(12):
+            bvp = _seeded_bvp(rng, order, int(rng.integers(1, 5)))
+            try:
+                sol = solve_exact(bvp)
+            except SolveError:
+                continue
+            if verification_report(sol, bvp, None).passed:
+                _assert_within_conditioning(sol.rank_report)
+                checked += 1
+        assert checked >= 8
 
 
 class TestSolveExact:

@@ -49,15 +49,15 @@ class TestIntegrateFundamental:
         piece = PieceOde(2, (0.0, 1.0), (0.0, 0.0), (0.0,))
         traj = _trajectory(piece, 0.1)
         # RK4 is exact on polynomials of degree <= 3: solutions 1 and x
-        assert np.allclose(traj.homogeneous[:, 0, 0], 1.0, atol=0)
-        assert np.allclose(traj.homogeneous[:, 0, 1], traj.xs, atol=1e-15)
+        assert np.allclose(traj.states[:, 0, 0], 1.0, atol=0)
+        assert np.allclose(traj.states[:, 0, 1], traj.xs, atol=1e-15)
 
     def test_cosh_endpoint(self):
         piece = PieceOde(2, (0.0, 1.0), (1.0, 0.0), (0.0,))
         traj = _trajectory(piece, 1e-3)
         # unit state (1, 0) evolves to (cosh, sinh)
-        assert traj.homogeneous[-1][0, 0] == pytest.approx(math.cosh(1.0), abs=1e-10)
-        assert traj.homogeneous[-1][1, 0] == pytest.approx(math.sinh(1.0), abs=1e-10)
+        assert traj.states[-1, 0, 0] == pytest.approx(math.cosh(1.0), abs=1e-10)
+        assert traj.states[-1, 1, 0] == pytest.approx(math.sinh(1.0), abs=1e-10)
 
     def test_forced_particular_endpoint(self):
         piece = PieceOde(2, (0.0, 1.0), (1.0, 0.0), (-1.0,))  # u'' = u - 1
@@ -92,13 +92,13 @@ class TestIntegrateFundamental:
         for x, state in zip(where[:3], at):
             phi, part = state[:, :2], state[:, 2]
             short = _trajectory(PieceOde(2, (0.0, x), coeffs, forcing), 0.1)
-            assert np.abs(phi - short.homogeneous[-1]).max() <= (
+            assert np.abs(phi - short.states[-1, :, :2]).max() <= (
                 1e-13 * np.abs(phi).max())
             assert np.abs(part - short.particular[-1]).max() <= (
                 1e-13 * np.abs(part).max())
         # On a grid node (both ends included) the state is the node's own.
         for i, state in zip((0, 5, len(traj.xs) - 1), at[3:]):
-            assert np.array_equal(state[:, :2], traj.homogeneous[i])
+            assert np.array_equal(state[:, :2], traj.states[i, :, :2])
             assert np.array_equal(state[:, 2], traj.particular[i])
 
     def test_blow_up_raises_without_warnings(self):
@@ -171,7 +171,7 @@ def _assert_sweeps_match(piece, h, reference, rel):
     traj = _trajectory(piece, h)
     xs, phi, part = reference(piece, h)
     assert np.array_equal(traj.xs, xs)
-    assert np.abs(traj.homogeneous - phi).max() <= rel * np.abs(phi).max()
+    assert np.abs(traj.states[:, :, :piece.order] - phi).max() <= rel * np.abs(phi).max()
     assert np.abs(traj.particular - part).max() <= rel * np.abs(part).max()
 
 
@@ -271,7 +271,7 @@ class TestStageForcingReference:
             y0 = [npoly.polyval(piece.lo, npoly.polyder(p, j)) for j in (0, 1)]
             exact = np.stack([npoly.polyval(traj.xs, npoly.polyder(p, j)) for j in (0, 1)],
                              axis=1)
-            return np.abs(traj.homogeneous @ y0 + traj.particular - exact).max()
+            return np.abs(traj.states[:, :, :2] @ y0 + traj.particular - exact).max()
 
         assert error(0.05) / error(0.025) >= 12.0
 
@@ -566,7 +566,7 @@ class TestShootingSolve:
         # from the basis module, and from the exact one only the linear solve
         import obstacle_bvp.oracle as oracle_mod
         source = Path(oracle_mod.__file__).read_text()
-        for name in ("piece_basis", "real_basis", "particular_solution", "basis_derivatives"):
+        for name in ("piece_basis", "real_basis", "particular_solution", "eval_terms"):
             assert name not in source
         imports = _package_imports(source)
         assert not [pair for pair in imports if pair[0] == "basis"]
