@@ -41,6 +41,8 @@ CONSISTENCY_TOL = 1e-9
 # for p < j.  Rows cover every particular the ansatz can need.
 _FALLING = np.array([[math.perm(p, j) for j in range(MAX_ORDER + 1)]
                      for p in range(MAX_ORDER + MAX_FORCING_DEGREE + 1)], dtype=float)
+# _FALLING_AT[size]: the (p, j) index pairs of the nonzeros of _FALLING[:size].
+_FALLING_AT = [np.nonzero(_FALLING[:size]) for size in range(len(_FALLING) + 1)]
 
 
 class InconsistentSystemError(SolveError):
@@ -223,7 +225,7 @@ def particular_solution(pieces) -> list[tuple[float, ...]]:
         q = np.array([pieces[k].forcing for k in at])
         # Column p holds the coefficients of L[x^p] = sum_j c_j (x^p)^(j):
         # c_j * perm(p, j) in row p - j, and +0.0 where c_j is zero.
-        p, j = np.nonzero(_FALLING[:size])
+        p, j = _FALLING_AT[size]
         full_op = np.zeros((len(at), size, size))
         full_op[:, p - j, p] = np.where(c[:, j] != 0.0, c[:, j] * _FALLING[p, j], 0.0)
         t = np.linalg.solve(full_op[:, : m + 1, s:], q[..., None])[..., 0]
@@ -267,50 +269,42 @@ def assemble_system(bvp: PiecewiseBvp, bases, particulars) -> MatchSystem:
     continuity rows by breakpoint then by enforced order, then pins.  A point
     condition sitting exactly on an interior breakpoint is evaluated on the
     left-adjacent piece.  Kernel terms are built once over the bases for
-    orders 0..n-1; the conditions and the continuity rows each gather their
-    columns from them, by each piece's row, and take one array pass.  A
+    orders 0..n-1.  One entry list holds each condition's n columns at its
+    point, then each continuity row's piece k at its hi and piece k + 1 at
+    its lo; it takes one gather, one kernel pass and one particular
+    ``polyval``, and every band and rhs value is sliced from the result.  A
     condition row's band is its piece's n columns, a continuity row's the 2n
     columns of its two pieces, a pin's its one column.  An overflow leaves a
     non-finite entry, which :func:`gauss_solve` reports.
     """
     n, n_pieces = bvp.order, len(bvp.pieces)
     conds, orders, pins = bvp.conditions, bvp.continuity.sorted_orders, bvp.pins
-    n_cond = len(conds)
-    rhs = np.zeros(n_cond + (n_pieces - 1) * len(orders) + len(pins))
-    row = np.array(bvp.ode_table[0])
-    table = _derivative_table(particulars, n)[..., row]  # by piece
+    n_cond, n_cont = len(conds), (n_pieces - 1) * len(orders)
     terms = basis_terms([b for basis in bases for b in basis], n - 1)
-    # column[k, i]: the kernel column of piece k's basis function i
-    column = row[:, None] * n + np.arange(n)
-    bands = []
-
-    if conds:
-        where = np.array([c.location for c in conds])
-        deriv = [c.deriv_order for c in conds]
-        owner = bvp.owning_piece(where, side="left")
-        values = eval_terms(take_terms(terms, np.array(deriv)[:, None], column[owner]),
-                            np.repeat(where, n).reshape(n_cond, n), [0])[0]
-        rhs[:n_cond] = (np.array([c.value for c in conds])
-                        - polyval(where, table[:, deriv, owner], tensor=False))
-        bands += zip((owner * n).tolist(), (values + 0.0).tolist())
-
-    if n_pieces > 1:
-        # Every column's basis function at its piece's lo and hi, per order.
-        ends = np.array([p.interval for p in bvp.pieces])
-        at_lo, at_hi = eval_terms(
-            take_terms(terms, np.array(orders)[:, None, None], column[None, None]),
-            np.repeat(ends.T, n, axis=1).reshape(2, 1, n_pieces, n), [0])[0]
-        p_lo, p_hi = polyval(ends.T[:, None, :], table[:, list(orders)], tensor=False)
-        # pair[k, j] is breakpoint k's order-j row over the columns of pieces
-        # k and k + 1: piece k at its hi minus piece k + 1 at its lo.
-        pair = np.stack([at_hi[:, :-1], -at_lo[:, 1:]], axis=2).transpose(1, 0, 2, 3)
-        rhs[n_cond:len(rhs) - len(pins)] = (p_lo[:, 1:] - p_hi[:, :-1]).T.ravel()
-        bands += zip([n * q for q in range(n_pieces - 1) for _ in orders],
-                     (pair + 0.0).reshape(-1, 2 * n).tolist())
-
-    for r, pin in enumerate(pins, start=len(rhs) - len(pins)):
-        rhs[r] = pin.value
-        bands.append((pin.piece_index * n + pin.basis_index, [1.0]))
+    # One entry row per condition, then two per continuity row, by
+    # breakpoint then order: piece k at its hi and piece k + 1 at its lo,
+    # entries ends[i] of the pieces' flat (lo, hi, lo, hi, ...) list.
+    owner = bvp.owning_piece([c.location for c in conds], side="left")
+    ends = np.repeat(np.arange(1, 2 * n_pieces - 1).reshape(-1, 2), len(orders), axis=0).ravel()
+    piece = np.concatenate([owner, ends // 2])
+    where = np.concatenate([[c.location for c in conds],
+                            np.array([p.interval for p in bvp.pieces]).ravel()[ends]])
+    deriv = np.array([c.deriv_order for c in conds]
+                     + [j for j in orders for _ in (0, 1)] * (n_pieces - 1), dtype=int)
+    ode = np.array(bvp.ode_table[0])[piece]  # each entry's row of the ODE table
+    values = eval_terms(take_terms(terms, deriv[:, None], ode[:, None] * n + np.arange(n)),
+                        np.repeat(where, n).reshape(-1, n), [0])[0]
+    known = polyval(where, _derivative_table(particulars, n)[:, deriv, ode], tensor=False)
+    # A continuity row is piece k at its hi minus piece k + 1 at its lo.
+    pair = values[n_cond:].reshape(n_cont, 2, n)
+    np.negative(pair[:, 1], out=pair[:, 1])
+    rhs = np.concatenate([np.array([c.value for c in conds]) - known[:n_cond],
+                          known[n_cond + 1::2] - known[n_cond::2],
+                          [pin.value for pin in pins]])
+    first = (piece * n).tolist()
+    bands = list(zip(first[:n_cond], (values[:n_cond] + 0.0).tolist()))
+    bands += zip(first[n_cond::2], (pair + 0.0).reshape(n_cont, 2 * n).tolist())
+    bands += [(pin.piece_index * n + pin.basis_index, [1.0]) for pin in pins]
     return MatchSystem(bands, rhs, n * n_pieces, n, bvp)
 
 
@@ -433,9 +427,10 @@ def gauss_solve(system: MatchSystem) -> GaussResult:
     overflows raises it too, as no answer is read from non-finite bits.
     """
     rhs, n = system.rhs, system.width
-    bad = [not (all(map(math.isfinite, band)) and math.isfinite(v))
-           for (_, band), v in zip(system.bands, rhs.tolist())]
-    if any(bad):
+    if not (all(map(math.isfinite, chain.from_iterable(band for _, band in system.bands)))
+            and all(map(math.isfinite, rhs.tolist()))):
+        bad = [not (all(map(math.isfinite, band)) and math.isfinite(v))
+               for (_, band), v in zip(system.bands, rhs.tolist())]
         raise SolveError(
             f"matching system has non-finite entries (overflow) in "
             f"{sum(bad)} of {len(bad)} rows, first: "
@@ -477,8 +472,8 @@ def solve_exact(bvp: PiecewiseBvp) -> PiecewiseSolution:
     odes = [bvp.pieces[k] for k in first]
     bases, particulars = piece_basis(odes), particular_solution(odes)
     result = gauss_solve(assemble_system(bvp, bases, particulars))
-    constants = np.split(result.constants, len(row))
-    return PiecewiseSolution(tuple(PieceSolution(bases[r], constants[k], particulars[r])
+    x, n = result.constants, bvp.order
+    return PiecewiseSolution(tuple(PieceSolution(bases[r], x[n * k:n * k + n], particulars[r])
                                    for k, r in enumerate(row)), result)
 
 

@@ -189,6 +189,11 @@ class PiecewiseBvp:
                for key in (p.coeffs + p.forcing for p in self.pieces)]
         return tuple(row), tuple(map(row.index, range(len(rows))))
 
+    @cached_property
+    def _cuts(self) -> np.ndarray:
+        """The interior breakpoints as one array, built on first read."""
+        return np.array(self.interior_breakpoints)
+
     @property
     def domain(self) -> tuple[float, float]:
         return self.pieces[0].lo, self.pieces[-1].hi
@@ -211,10 +216,9 @@ class PiecewiseBvp:
         """
         x = np.asarray(x, dtype=float)
         a, b = self.domain
-        outside = x[~((a <= x) & (x <= b))]
-        if outside.size:
-            raise ProblemError(f"x = {outside[0]} outside domain [{a}, {b}]")
-        return np.searchsorted(self.interior_breakpoints, x, side=side)
+        if x.size and not (a <= x.min() and x.max() <= b):  # a NaN fails both
+            raise ProblemError(f"x = {x[~((a <= x) & (x <= b))][0]} outside domain [{a}, {b}]")
+        return np.searchsorted(self._cuts, x, side=side)
 
 
 @dataclass(frozen=True)

@@ -265,6 +265,29 @@ class TestArrayAssemblyIsBitwise:
                                   pins=(PinnedConstant(5, 1, 0.25),))
         self._check(bvp)
 
+    @pytest.mark.parametrize("order, n_pieces, n_cond, n_pins", [
+        (2, 1, 2, 0), (4, 1, 3, 1), (3, 2, 3, 0), (2, 3, 3, 1), (4, 4, 5, 2),
+        (3, 6, 4, 1), (2, 8, 2, 0), (4, 12, 6, 1), (3, 16, 3, 2), (2, 16, 0, 2)])
+    def test_seeded_family(self, order, n_pieces, n_cond, n_pins):
+        # Conditions at seeded points inside pieces and, every other one, on
+        # an interior breakpoint; a seeded nonempty continuity set and pins.
+        # One-piece problems have no continuity rows, and the last problem no
+        # point conditions, so its condition entry list is empty.
+        rng = np.random.default_rng([29, order, n_pieces])
+        bvp = _mixed_bvp(order, n_pieces)
+        cuts, (a, b) = bvp.interior_breakpoints, bvp.domain
+        conditions = tuple(
+            PointCondition(cuts[rng.integers(len(cuts))] if cuts and i % 2 else
+                           float(rng.uniform(a, b)), int(rng.integers(order)),
+                           float(rng.uniform(-1.0, 1.0)))
+            for i in range(n_cond))
+        continuity = rng.choice(order, int(rng.integers(1, order + 1)), replace=False)
+        pins = tuple(PinnedConstant(int(rng.integers(n_pieces)), int(rng.integers(order)),
+                                    float(rng.uniform(-1.0, 1.0))) for _ in range(n_pins))
+        bvp = dataclasses.replace(bvp, conditions=conditions, pins=pins,
+                                  continuity=ContinuitySpec(frozenset(continuity.tolist())))
+        self._check(bvp)
+
 class TestGaussSolve:
     def test_identity(self):
         system = _bare(np.eye(2), np.array([3.0, 4.0]), 2, None)
@@ -352,6 +375,18 @@ class TestGaussSolve:
         system = _bare(np.eye(3), np.array([1.0, -np.inf, np.nan]), 3, None)
         with pytest.raises(SolveError, match=re.escape("in 2 of 3 rows, first: row 1;")):
             gauss_solve(system)
+
+    def test_non_finite_rhs_before_a_non_finite_band_names_the_rhs_row(self):
+        matrix = np.eye(4)
+        matrix[3, 2] = np.inf
+        system = _bare(matrix, np.array([1.0, np.nan, 1.0, 1.0]), 4, None)
+        with pytest.raises(SolveError, match=re.escape("in 2 of 4 rows, first: row 1;")):
+            gauss_solve(system)
+
+    def test_finite_entries_whose_sum_overflows_are_solved(self):
+        system = MatchSystem([(0, [1e308]), (1, [1e308])], np.array([1e308, 1e308]),
+                             2, 1, None)
+        assert gauss_solve(system).constants.tolist() == [1.0, 1.0]
 
     @pytest.mark.parametrize("pad", [0, 1], ids=["2x2", "zero-padded 3x3"])
     def test_elimination_overflow_is_refused(self, pad):

@@ -1,13 +1,16 @@
 import math
+import re
 import struct
 import types
 
+import numpy as np
 import pytest
 
 import obstacle_bvp.exact as exact_module
 import obstacle_bvp.model as model_module
 from obstacle_bvp.basis import piece_basis
 from obstacle_bvp.exact import solve_exact
+from obstacle_bvp.examples import get_example
 from obstacle_bvp.model import (ContinuitySpec, PieceOde, PiecewiseBvp,
                                 PinnedConstant, PointCondition, ProblemError,
                                 build_second_order, build_third_order,
@@ -142,6 +145,21 @@ class TestPiecewiseBvp:
                 bvp.owning_piece(x, side=side) for x in xs]
         with pytest.raises(ProblemError):
             bvp.owning_piece([0.0, 0.5, 1.5])
+
+    @pytest.mark.parametrize("x, shown", [(math.nan, "nan"), ([0.0, math.nan], "nan"),
+                                          (math.inf, "inf"), (-math.inf, "-inf")])
+    def test_owning_piece_refuses_non_finite_points(self, x, shown):
+        bvp = get_example("3.1.1").bvp
+        with pytest.raises(ProblemError, match=re.escape(
+                f"x = {shown} outside domain [-1.0, 1.0]")):
+            bvp.owning_piece(x)
+
+    def test_owning_piece_keeps_the_shape_of_empty_and_scalar_points(self):
+        bvp = get_example("3.1.1").bvp
+        empty = bvp.owning_piece(np.array([]))
+        assert empty.shape == (0,) and empty.dtype.kind == "i"
+        scalar = bvp.owning_piece(np.array(0.0))
+        assert np.ndim(scalar) == 0 and scalar == 1
 
 
 def _chain(*odes):
