@@ -260,7 +260,7 @@ def _refuse_unmet(sol, bvp) -> None:
         worst = max(missed, key=lambda r: math.inf if math.isnan(misses[r])
                     else misses[r] / tols[r])
         raise SolveError(f"solution misses {len(missed)} of its {len(misses)} condition and "
-                         f"continuity rows, worst {sol.rank_report.system.describe_row(worst)} "
+                         f"continuity rows, worst {sol.system.describe_row(worst)} "
                          f"by {misses[worst]:.3e} (tolerance {tols[worst]:.0e})")
 
 

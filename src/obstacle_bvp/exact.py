@@ -14,9 +14,10 @@ whenever it stays finite; an elimination that overflows is refused.  Back
 substitution stays numpy, each row's dot over the zero-padded row, because
 neither a Python sum nor a band-only dot would reproduce the bits of its
 BLAS row dot.  The consistency residual is one band dot per row, computed
-when first read: the overdetermined gate reads it, a square solve does not.
-Rank deficiency is a first-class outcome carrying the free-column labels so
-the caller can pin them.
+only for an overdetermined system.  Rank deficiency is a first-class outcome
+carrying the free-column labels so the caller can pin them.  A solution is
+one closed form per row of the ODE table, the constants as one (pieces,
+order) matrix and the matching system it solved.
 """
 
 from __future__ import annotations
@@ -97,38 +98,21 @@ class MatchSystem:
                    for p in b.pins])[r]
 
 
-@dataclass(frozen=True)
-class GaussResult:
-    constants: np.ndarray
-    rank: int
-    system: MatchSystem
-
-    @property
-    def nullity(self) -> int:
-        return len(self.constants) - self.rank
-
-    @cached_property
-    @np.errstate(over="ignore", invalid="ignore")
-    def residual_norm(self) -> float:
-        """Inf-norm of M c - rhs: one band dot per row, computed on first
-        read (only the overdetermined gate needs it during a solve)."""
-        xs = self.constants.tolist()
-        dots = [sum(map(operator.mul, band, xs[f:f + len(band)]))
-                for f, band in self.system.bands]
-        return float(np.abs(np.array(dots, dtype=float) - self.system.rhs).max(initial=0.0))
+@np.errstate(over="ignore", invalid="ignore")
+def residual_norm(system: MatchSystem, constants: np.ndarray) -> float:
+    """Inf-norm of M c - rhs for the constants c, one band dot per row."""
+    xs = constants.tolist()
+    dots = [sum(map(operator.mul, band, xs[f:f + len(band)])) for f, band in system.bands]
+    return float(np.abs(np.array(dots, dtype=float) - system.rhs).max(initial=0.0))
 
 
 @dataclass(frozen=True)
-class PieceSolution:
-    """Closed form on one piece: sum_i constants[i]*basis[i](x) + particular(x)."""
+class ClosedForm:
+    """One ODE row's closed form: sum_i c[i]*basis[i](x) + particular(x) for
+    the constants c of any piece of the row."""
 
     basis: tuple[BasisFunction, ...]
-    constants: np.ndarray
     particular: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.constants) != len(self.basis):
-            raise ValueError("one constant per basis function required")
 
     @cached_property
     def _kernel(self):
@@ -136,11 +120,6 @@ class PieceSolution:
         d) and the particular's coefficients per tuple of orders evaluated."""
         return (basis_terms(self.basis, MAX_ORDER),
                 _derivative_table([self.particular], MAX_ORDER + 1)[:, :, 0], {})
-
-    def value(self, x, deriv_order: int = 0):
-        """u^(deriv_order) at a scalar or an array x; an overflow gives inf or
-        nan without a numpy warning."""
-        return self._combine(np.asarray(x, dtype=float), self.constants, [deriv_order])[0][()]
 
     @np.errstate(over="ignore", invalid="ignore")
     def _combine(self, x, constants, orders):
@@ -161,45 +140,57 @@ class PieceSolution:
 
 
 @dataclass(frozen=True)
+class PieceSolution:
+    """One piece's view of a solution: its row's closed form and its constants."""
+
+    form: ClosedForm
+    constants: np.ndarray
+
+    def value(self, x, deriv_order: int = 0):
+        """u^(deriv_order) at a scalar or an array x; an overflow gives inf or
+        nan without a numpy warning."""
+        return self.form._combine(np.asarray(x, dtype=float), self.constants,
+                                  [deriv_order])[0][()]
+
+
+@dataclass(frozen=True)
 class PiecewiseSolution:
-    pieces: tuple[PieceSolution, ...]
-    rank_report: GaussResult
+    """The closed form of each row of ``system.bvp.ode_table``, the basis
+    constants as a (pieces, order) matrix, and the matching system solved."""
+
+    forms: tuple[ClosedForm, ...]
+    constants: np.ndarray
+    system: MatchSystem
 
     @cached_property
-    def _rows(self):
-        """(the piece solution of each row's first piece, each piece's row,
-        all constants), by the ODE table of the problem that was solved; a
-        piece whose basis or particular is not its row's is refused."""
-        row, first = self.rank_report.system.bvp.ode_table
-        heads = [self.pieces[k] for k in first]
-        for k, (ps, head) in enumerate(zip(self.pieces, map(heads.__getitem__, row))):
-            if (ps.basis, ps.particular) != (head.basis, head.particular):
-                raise ValueError(f"piece {k}'s basis or particular is not its ODE row's")
-        return heads, np.array(row), np.array([ps.constants for ps in self.pieces])
+    def pieces(self) -> tuple[PieceSolution, ...]:
+        """Per piece, its row's closed form and its constants: a view for
+        reading one piece."""
+        row = self.system.bvp.ode_table[0]
+        return tuple(PieceSolution(self.forms[r], c) for r, c in zip(row, self.constants))
 
     def evaluate(self, x, owner, orders) -> np.ndarray:
         """u^(d) at a float array x for every d in orders (one row each), point i
         on piece owner[i]: one kernel pass per row of the ODE table, each point
         with its own piece's constants."""
-        shared, row, constants = self._rows
-        at_row = row[owner]
+        at_row = np.array(self.system.bvp.ode_table[0])[owner]
         out = np.empty((len(orders),) + x.shape)
-        for r, ps in enumerate(shared):
+        for r, form in enumerate(self.forms):
             at = at_row == r
             if at.any():
-                out[:, at] = ps._combine(x[at], constants[owner[at]], orders)
+                out[:, at] = form._combine(x[at], self.constants[owner[at]], orders)
         return out
 
     def piece_derivatives(self, k: int, x, orders):
         """u^(d) on piece k at a float array x for every d in orders, through
-        the kernel of piece k's row."""
-        shared, row, constants = self._rows
-        return shared[row[k]]._combine(x, constants[k], orders)
+        the form of piece k's row."""
+        return self.forms[self.system.bvp.ode_table[0][k]]._combine(x, self.constants[k], orders)
 
     def labeled_constants(self):
         """Flat list of (piece_index, basis_render, constant)."""
-        return [(k, b.render(), float(c)) for k, ps in enumerate(self.pieces)
-                for b, c in zip(ps.basis, ps.constants)]
+        row = self.system.bvp.ode_table[0]
+        return [(k, b.render(), float(c)) for k, (r, cs) in enumerate(zip(row, self.constants))
+                for b, c in zip(self.forms[r].basis, cs)]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -414,8 +405,9 @@ def _back_substitute(bands, b, n: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def gauss_solve(system: MatchSystem) -> GaussResult:
-    """Solve the matching system by one Gauss elimination with partial pivoting.
+def gauss_solve(system: MatchSystem) -> np.ndarray:
+    """The constants of the matching system, by one Gauss elimination with
+    partial pivoting.
 
     A full-column-rank system is back-substituted from its pivot rows; an
     overdetermined one must then pass a residual inf-norm consistency gate.
@@ -452,11 +444,9 @@ def gauss_solve(system: MatchSystem) -> GaussResult:
         piece, index = divmod(int(np.argmin(np.isfinite(x))), system.order)
         raise SolveError(f"matching system solution is non-finite (overflow), "
                          f"first at unknown (piece {piece}, {index})")
-
-    result = GaussResult(x, rank, system)
-    if len(rhs) > n and not result.residual_norm <= gate:
-        raise InconsistentSystemError(result.residual_norm)
-    return result
+    if len(rhs) > n and not (norm := residual_norm(system, x)) <= gate:
+        raise InconsistentSystemError(norm)
+    return x
 
 
 def solve_exact(bvp: PiecewiseBvp) -> PiecewiseSolution:
@@ -468,13 +458,11 @@ def solve_exact(bvp: PiecewiseBvp) -> PiecewiseSolution:
     """
     # Roots, basis and particular once per row of the ODE table (a penalty
     # obstacle has two), each stage in stacked array passes over all rows.
-    row, first = bvp.ode_table
-    odes = [bvp.pieces[k] for k in first]
+    odes = [bvp.pieces[k] for k in bvp.ode_table[1]]
     bases, particulars = piece_basis(odes), particular_solution(odes)
-    result = gauss_solve(assemble_system(bvp, bases, particulars))
-    x, n = result.constants, bvp.order
-    return PiecewiseSolution(tuple(PieceSolution(bases[r], x[n * k:n * k + n], particulars[r])
-                                   for k, r in enumerate(row)), result)
+    system = assemble_system(bvp, bases, particulars)
+    constants = gauss_solve(system).reshape(-1, bvp.order)
+    return PiecewiseSolution(tuple(map(ClosedForm, bases, particulars)), constants, system)
 
 
 def eval_solution(sol: PiecewiseSolution, bvp: PiecewiseBvp, x,

@@ -248,14 +248,14 @@ def shooting_solve(bvp: PiecewiseBvp, h: float = DEFAULT_STEP) -> NumericSolutio
             bands.append((k * n, hom[j] + [0.0] * j + [-1.0]))
             r += 1
 
-    result = gauss_solve(MatchSystem(bands, rhs, n * len(bvp.pieces), n, bvp))
+    constants = gauss_solve(MatchSystem(bands, rhs, n * len(bvp.pieces), n, bvp))
 
     piece_trajs = []
     for k, (piece, traj) in enumerate(zip(bvp.pieces, trajectories)):
         # One matrix-vector product over the rows of every node; each row's
         # dot is the one a product per node gives.
         rows = traj.states.reshape(-1, traj.states.shape[-1])[:, :n]
-        ys = (rows @ result.constants[k * n:(k + 1) * n]).reshape(-1, n) + traj.particular
+        ys = (rows @ constants[k * n:(k + 1) * n]).reshape(-1, n) + traj.particular
         forcing_vals = np.polynomial.polynomial.polyval(traj.xs, piece.forcing)
         top = ys @ np.asarray(piece.coeffs) + forcing_vals  # y_{n-1}' from the ODE
         if not (np.isfinite(ys).all() and np.isfinite(top).all()):

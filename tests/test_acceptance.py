@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from obstacle_bvp.basis import piece_basis, BasisFunction
-from obstacle_bvp.exact import RankDeficientError, eval_solution, solve_exact
+from obstacle_bvp.exact import RankDeficientError, SolveError, eval_solution, solve_exact
 from obstacle_bvp.examples import get_example, reference_values
 from obstacle_bvp.model import PieceOde
 from obstacle_bvp.oracle import shooting_solve
@@ -162,13 +162,16 @@ class TestAcceptance:
             caught = exc
         deficient_ok = (caught is not None and caught.nullity >= 1
                         and len(caught.free_columns) >= 1)
-        sol = solve_exact(entry.bvp)
-        pinned_ok = sol.rank_report.nullity == 0
+        try:  # full column rank: solve_exact returns
+            solve_exact(entry.bvp)
+            pinned_ok = True
+        except SolveError:
+            pinned_ok = False
         _report("6 rank diagnostics with and without pin",
                 deficient_ok and pinned_ok,
                 f"unpinned nullity {getattr(caught, 'nullity', None)}, "
                 f"free columns {getattr(caught, 'free_columns', ())}, "
-                f"pinned nullity {sol.rank_report.nullity}")
+                f"pinned solve {'returns' if pinned_ok else 'raises'}")
 
     def test_criterion_7_oracle_convergence_order(self):
         entry = get_example("3.1.1")

@@ -508,7 +508,7 @@ class TestKernelEvaluationIsFrozen:
     """eval_terms skips exp where every lambda is +-0, runs one exp per
     distinct lambda and gathers the powers of x from one table; it must
     give the frozen evaluation's bits, zero and NaN signs included, on the
-    point shapes PieceSolution._combine and assemble_system pass."""
+    point shapes ClosedForm._combine and assemble_system pass."""
 
     def test_every_column_at_every_point(self):
         rng = np.random.default_rng(20)

@@ -18,7 +18,7 @@ from obstacle_bvp.cli import (EXIT_INPUT, EXIT_OK, EXIT_RANK, EXIT_VERIFY,
                               _table_text, export_problem, load_problem,
                               main, parse_problem)
 from obstacle_bvp.basis import RootFindingError
-from obstacle_bvp.exact import (InconsistentSystemError, PieceSolution, RankDeficientError,
+from obstacle_bvp.exact import (ClosedForm, InconsistentSystemError, RankDeficientError,
                                 eval_solution, solve_exact)
 from obstacle_bvp.examples import EXAMPLE_IDS, get_example
 from obstacle_bvp.model import PointCondition, ProblemError, SolveError
@@ -49,7 +49,7 @@ def _write_single_piece(tmp_path, interval, coeffs, forcing=(1.0,)):
 
 def _overflow_closed_form(monkeypatch):
     """Every closed-form evaluation is inf, as on a domain where it overflows."""
-    monkeypatch.setattr(PieceSolution, "_combine", lambda self, x, constants, orders:
+    monkeypatch.setattr(ClosedForm, "_combine", lambda self, x, constants, orders:
                         np.full((len(orders),) + np.shape(x), np.inf))
 
 

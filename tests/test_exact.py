@@ -11,10 +11,10 @@ from numpy.polynomial import polynomial as npoly
 
 from obstacle_bvp.basis import MAX_ORDER, BasisFunction, piece_basis
 import obstacle_bvp.exact as exact_module
-from obstacle_bvp.exact import (CONSISTENCY_TOL, InconsistentSystemError, MatchSystem,
-                                PieceSolution, RankDeficientError, SolveError,
+from obstacle_bvp.exact import (CONSISTENCY_TOL, ClosedForm, InconsistentSystemError,
+                                MatchSystem, PieceSolution, RankDeficientError, SolveError,
                                 assemble_system, eval_solution, gauss_solve,
-                                particular_solution, solve_exact)
+                                particular_solution, residual_norm, solve_exact)
 from obstacle_bvp.examples import EXAMPLE_IDS, get_example
 from obstacle_bvp.oracle import shooting_solve
 from obstacle_bvp.verify import pin_anchors, verification_report
@@ -291,8 +291,7 @@ class TestArrayAssemblyIsBitwise:
 class TestGaussSolve:
     def test_identity(self):
         system = _bare(np.eye(2), np.array([3.0, 4.0]), 2, None)
-        result = gauss_solve(system)
-        assert result.constants == pytest.approx([3.0, 4.0])
+        assert gauss_solve(system) == pytest.approx([3.0, 4.0])
 
     def test_consistent_singular_reports_rank(self):
         system = _bare(np.array([[1.0, 1.0], [2.0, 2.0]]),
@@ -326,13 +325,12 @@ class TestGaussSolve:
     def test_consistent_redundant_rows_accepted(self):
         system = _bare(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
                              np.array([2.0, 3.0, 5.0]), 2, None)
-        result = gauss_solve(system)
-        assert result.constants == pytest.approx([2.0, 3.0])
+        assert gauss_solve(system) == pytest.approx([2.0, 3.0])
 
     def test_first_example_constants(self):
-        result = gauss_solve(_system_for(get_example("3.1.1").bvp))
+        constants = gauss_solve(_system_for(get_example("3.1.1").bvp))
         a1 = 2.0 * (E - 1.0) / (1.0 + 3.0 * E)
-        assert result.constants[1] == pytest.approx(a1, abs=1e-12)
+        assert constants[1] == pytest.approx(a1, abs=1e-12)
 
     @pytest.mark.parametrize("coeff, hi", [(1e6, 1.0), (1.0, 800.0)])
     def test_overflowing_system_is_not_rank_deficient(self, coeff, hi):
@@ -386,7 +384,7 @@ class TestGaussSolve:
     def test_finite_entries_whose_sum_overflows_are_solved(self):
         system = MatchSystem([(0, [1e308]), (1, [1e308])], np.array([1e308, 1e308]),
                              2, 1, None)
-        assert gauss_solve(system).constants.tolist() == [1.0, 1.0]
+        assert gauss_solve(system).tolist() == [1.0, 1.0]
 
     @pytest.mark.parametrize("pad", [0, 1], ids=["2x2", "zero-padded 3x3"])
     def test_elimination_overflow_is_refused(self, pad):
@@ -408,8 +406,8 @@ class TestGaussSolve:
             if np.linalg.cond(a) >= 1e6:
                 continue
             b = rng.normal(size=n)
-            result = gauss_solve(_bare(a, b, n, None))
-            assert np.abs(a @ result.constants - b).max() <= 1e-10 * np.abs(b).max()
+            constants = gauss_solve(_bare(a, b, n, None))
+            assert np.abs(a @ constants - b).max() <= 1e-10 * np.abs(b).max()
             checked += 1
 
 
@@ -439,13 +437,13 @@ def _dense_echelon(matrix, rhs):
 
 
 def _outcome(system):
-    """gauss_solve's result as exact bits, or its exception type and text."""
+    """gauss_solve's constants and their residual as exact bits, or its
+    exception type and text."""
     try:
-        result = gauss_solve(system)
+        constants = gauss_solve(system)
     except SolveError as exc:
         return type(exc), str(exc)
-    return (result.constants.view(np.int64).tolist(), result.rank,
-            float(result.residual_norm).hex())
+    return constants.view(np.int64).tolist(), float(residual_norm(system, constants)).hex()
 
 
 def _assert_matches_dense(system, monkeypatch):
@@ -631,14 +629,14 @@ class TestBandedElimination:
                 gate = CONSISTENCY_TOL * (1.0 + float(np.abs(rhs).max()))
                 assert (dense <= gate) is consistent
                 try:
-                    result = gauss_solve(system)
+                    constants = gauss_solve(system)
                 except InconsistentSystemError as exc:
                     assert not dense <= gate
                     assert abs(exc.norm - dense) <= bound
                 else:
                     assert dense <= gate
-                    assert result.constants.tobytes() == x.tobytes()
-                    assert abs(result.residual_norm - dense) <= bound
+                    assert constants.tobytes() == x.tobytes()
+                    assert abs(residual_norm(system, constants) - dense) <= bound
                 _assert_matches_dense(system, monkeypatch)
 
     def test_rank_deficient_with_free_columns(self, monkeypatch):
@@ -741,13 +739,13 @@ def _exact_solution(system):
     return x
 
 
-def _assert_within_conditioning(result):
-    """gauss_solve's constants lie within 10 cond eps of the exact solution
+def _assert_within_conditioning(sol):
+    """A solution's constants lie within 10 cond eps of the exact solution
     of the system it solved, relative in the inf-norm, cond = cond_inf(M)."""
-    system = result.system
+    system = sol.system
     assert len(system.bands) == system.width
     exact = _exact_solution(system)
-    error = max(abs(Fraction(c) - e) for c, e in zip(result.constants.tolist(), exact))
+    error = max(abs(Fraction(c) - e) for c, e in zip(sol.constants.ravel().tolist(), exact))
     cond = np.linalg.cond(_densify(system.bands, system.width), np.inf)
     assert error <= Fraction(10 * cond * np.finfo(float).eps) * max(map(abs, exact)), \
         (float(error / max(map(abs, exact))), cond)
@@ -760,7 +758,7 @@ class TestAgainstExactElimination:
 
     @pytest.mark.parametrize("ex_id", EXAMPLE_IDS)
     def test_registry(self, ex_id):
-        _assert_within_conditioning(solve_exact(get_example(ex_id).bvp).rank_report)
+        _assert_within_conditioning(solve_exact(get_example(ex_id).bvp))
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_seeded_problems_that_verify(self, order):
@@ -773,7 +771,7 @@ class TestAgainstExactElimination:
             except SolveError:
                 continue
             if verification_report(sol, bvp, None).passed:
-                _assert_within_conditioning(sol.rank_report)
+                _assert_within_conditioning(sol)
                 checked += 1
         assert checked >= 8
 
@@ -857,11 +855,13 @@ class TestSolveExact:
                                            b=1.0, conditions=conditions))
         assert exc.value.nullity == 2
 
-    def test_rank_report_attached(self):
-        sol = solve_exact(get_example("3.1.1").bvp)
-        assert sol.rank_report.rank == 6
-        assert sol.rank_report.nullity == 0
-        assert sol.rank_report.residual_norm <= 1e-12
+    def test_matching_system_attached(self):
+        bvp = get_example("3.1.1").bvp
+        sol = solve_exact(bvp)
+        assert sol.system.bvp is bvp and sol.system.width == 6
+        assert sol.constants.shape == (3, 2)
+        assert sol.constants.base is not None  # a view of the elimination's vector
+        assert residual_norm(sol.system, sol.constants.ravel()) <= 1e-12
 
 
 class TestEvalSolution:
@@ -905,13 +905,13 @@ class TestEvalSolution:
         bvp = get_example(ex_id).bvp
         for piece, ps in zip(bvp.pieces, solve_exact(bvp).pieces):
             xs = np.linspace(piece.lo, piece.hi, 37)
-            rows = ps._combine(xs, ps.constants, range(MAX_ORDER + 1))
+            rows = ps.form._combine(xs, ps.constants, range(MAX_ORDER + 1))
             for d in range(MAX_ORDER + 1):
                 assert _bitwise(ps.value(xs, d), rows[d])
                 assert _bitwise(ps.value(xs[5], d), rows[d][5])
             # any subset of orders, in any order, gives the same rows
             assert all(_bitwise(got, rows[d]) for d, got in
-                       zip((3, 0, 2), ps._combine(xs, ps.constants, (3, 0, 2))))
+                       zip((3, 0, 2), ps.form._combine(xs, ps.constants, (3, 0, 2))))
 
     def test_value_does_not_depend_on_the_layout_of_x(self):
         # numpy's power can round differently on a strided array; the kernel
@@ -921,7 +921,7 @@ class TestEvalSolution:
                       PointCondition(2.0, 2, 0.0), PointCondition(2.0, 3, 0.0))
         ps = solve_exact(PiecewiseBvp(4, (piece,), conditions,
                                       ContinuitySpec(frozenset(range(4))))).pieces[0]
-        assert [b.render() for b in ps.basis] == ["1", "x", "x^2", "x^3"]
+        assert [b.render() for b in ps.form.basis] == ["1", "x", "x^2", "x^3"]
         xs = np.linspace(0.0, 2.0, 5000)
         for d in range(MAX_ORDER + 1):
             assert _bitwise(ps.value(xs[::-1], d), ps.value(xs, d)[::-1])
@@ -931,11 +931,11 @@ class TestEvalSolution:
     def test_overflowing_value_is_its_row_silently(self, coeffs):
         piece = PieceOde(2, (0.0, 1.0), coeffs, (1.0, 0.5))
         basis, particular = piece_basis([piece])[0], particular_solution([piece])[0]
-        ps = PieceSolution(basis, np.array([1.0, -2.0]), particular)
+        ps = PieceSolution(ClosedForm(basis, particular), np.array([1.0, -2.0]))
         xs = np.array([0.5, 700.0, 750.0, 1000.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = ps._combine(xs, ps.constants, range(MAX_ORDER + 1))
+            rows = ps.form._combine(xs, ps.constants, range(MAX_ORDER + 1))
             for d in range(MAX_ORDER + 1):
                 assert _bitwise(ps.value(xs, d), rows[d])
                 assert _bitwise(ps.value(1000.0, d), rows[d][3])
@@ -1016,7 +1016,7 @@ class TestSharedOdeWork:
 
     @staticmethod
     def _check_constants(bvp):
-        reference = gauss_solve(_system_for(bvp)).constants
+        reference = gauss_solve(_system_for(bvp))
         got = np.concatenate([p.constants for p in solve_exact(bvp).pieces])
         assert _bitwise(got, reference)
 
@@ -1050,13 +1050,13 @@ class TestSharedOdeWork:
     def test_equal_copies_share_their_row_pass_with_the_same_bits(self, monkeypatch):
         bvp = _sixteen_region_obstacle()
         sol = solve_exact(bvp)
-        rebuilt = dataclasses.replace(sol, pieces=tuple(
-            PieceSolution(tuple(dataclasses.replace(b) for b in ps.basis),
-                          ps.constants.copy(), tuple(list(ps.particular)))
-            for ps in sol.pieces))
-        for ps, copy in zip(sol.pieces, rebuilt.pieces):
-            assert copy.basis == ps.basis and copy.basis is not ps.basis
-            assert copy.particular == ps.particular and copy.particular is not ps.particular
+        rebuilt = dataclasses.replace(sol, constants=sol.constants.copy(), forms=tuple(
+            ClosedForm(tuple(dataclasses.replace(b) for b in form.basis),
+                       tuple(list(form.particular)))
+            for form in sol.forms))
+        for form, copy in zip(sol.forms, rebuilt.forms):
+            assert copy.basis == form.basis and copy.basis is not form.basis
+            assert copy.particular == form.particular and copy.particular is not form.particular
         xs = np.concatenate([np.linspace(*bvp.domain, 2001), bvp.breakpoints])
         kernel = _counting(monkeypatch, "eval_terms")
         for j in range(bvp.order + 1):
@@ -1065,28 +1065,33 @@ class TestSharedOdeWork:
             assert _bitwise(eval_solution(rebuilt, bvp, xs, j), want)
             assert len(kernel) == 2  # one pass per row of the ODE table
 
-    def test_each_piece_builds_its_kernel_terms_once(self, monkeypatch):
+    def test_kernel_terms_are_built_once_per_ode_row(self, monkeypatch):
         bvp = _sixteen_region_obstacle()
         sol = solve_exact(bvp)
+        row = bvp.ode_table[0]
+        assert len(sol.forms) == 2
+        assert all(ps.form is sol.forms[r] for ps, r in zip(sol.pieces, row))
         terms = _counting(monkeypatch, "basis_terms")
         xs = np.linspace(*bvp.domain, 101)
         for j in range(bvp.order):
             eval_solution(sol, bvp, xs, j)
-            for ps in sol.pieces:
+            for k, ps in enumerate(sol.pieces):
+                sol.piece_derivatives(k, xs, [j])
                 ps.value(xs, j)
-        assert len(terms) == 16  # one per piece, each for every order
+        assert len(terms) == 2  # one per row of the ODE table, each for every order
 
     def test_perturbed_row_evaluates_its_own_particular(self):
-        # Every piece of row 1 takes the same shifted particular; row 0 keeps
-        # its bits.
+        # Every piece of row 1 takes the row's shifted particular; row 0
+        # keeps its bits.
         bvp = _sixteen_region_obstacle()
         sol = solve_exact(bvp)
         row = np.array(bvp.ode_table[0])
-        piece = sol.pieces[bvp.ode_table[1][1]]
-        particular = (piece.particular[0] + 1e-3,) + piece.particular[1:]
-        perturbed = dataclasses.replace(sol, pieces=tuple(
-            PieceSolution(ps.basis, ps.constants, particular) if r else ps
-            for ps, r in zip(sol.pieces, row)))
+        form = sol.forms[1]
+        particular = (form.particular[0] + 1e-3,) + form.particular[1:]
+        perturbed = dataclasses.replace(sol, forms=(sol.forms[0],
+                                                    ClosedForm(form.basis, particular)))
+        assert all(ps.form.particular == (particular if r else sol.forms[0].particular)
+                   for ps, r in zip(perturbed.pieces, row))
         xs = np.linspace(*bvp.domain, 2001)
         got = eval_solution(perturbed, bvp, xs)
         assert _bitwise(got, _per_piece_eval(perturbed, bvp, xs, 0))
@@ -1094,19 +1099,6 @@ class TestSharedOdeWork:
         assert mine.any() and not mine.all()
         assert np.abs(got[mine] - eval_solution(sol, bvp, xs)[mine]).min() >= 9e-4
         assert _bitwise(got[~mine], eval_solution(sol, bvp, xs)[~mine])
-
-    def test_piece_off_its_row_is_refused(self):
-        # Shifting the particular of one piece that is not first in its row
-        # would evaluate it with another polynomial: refused, not misread.
-        bvp = _sixteen_region_obstacle()
-        sol = solve_exact(bvp)
-        row, first = bvp.ode_table
-        k = next(k for k, r in enumerate(row) if first[r] != k)
-        ps = sol.pieces[k]
-        moved = (ps.particular[0] + 1e-3,) + ps.particular[1:]
-        pieces = sol.pieces[:k] + (PieceSolution(ps.basis, ps.constants, moved),) + sol.pieces[k + 1:]
-        with pytest.raises(ValueError, match=f"piece {k}'s basis or particular"):
-            eval_solution(dataclasses.replace(sol, pieces=pieces), bvp, np.linspace(*bvp.domain, 11))
 
 
 def _basis_bits(basis):

@@ -336,7 +336,7 @@ def _reference_shooting(bvp, h):
             rhs[r] = -states[-1, j, -1]
             bands.append((k * n, (states[-1, j, :n] + 0.0).tolist() + [0.0] * j + [-1.0]))
             r += 1
-    constants = gauss_solve(MatchSystem(bands, rhs, n * len(bvp.pieces), n, bvp)).constants
+    constants = gauss_solve(MatchSystem(bands, rhs, n * len(bvp.pieces), n, bvp))
     out = []
     for k, (piece, (xs, states, _)) in enumerate(zip(bvp.pieces, trajs)):
         ys = states[:, :, :n] @ constants[k * n:(k + 1) * n] + states[:, :, -1]

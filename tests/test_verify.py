@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from obstacle_bvp.exact import PieceSolution, SolveError, solve_exact
+from obstacle_bvp.exact import ClosedForm, SolveError, solve_exact
 from obstacle_bvp.examples import EXAMPLE_IDS, get_example
 from obstacle_bvp.model import (ContinuitySpec, PieceOde, PiecewiseBvp,
                                 PointCondition, ProblemError)
@@ -21,13 +21,12 @@ E = math.e
 
 
 def _perturb_particular(sol, piece_index, delta):
-    piece = sol.pieces[piece_index]
-    particular = list(piece.particular)
-    particular[0] += delta
-    new_piece = PieceSolution(piece.basis, piece.constants, tuple(particular))
-    pieces = list(sol.pieces)
-    pieces[piece_index] = new_piece
-    return dataclasses.replace(sol, pieces=tuple(pieces))
+    """The solution with the particular of piece_index's ODE row shifted by
+    delta, on every piece of that row."""
+    r = sol.system.bvp.ode_table[0][piece_index]
+    form = sol.forms[r]
+    shifted = ClosedForm(form.basis, (form.particular[0] + delta,) + form.particular[1:])
+    return dataclasses.replace(sol, forms=sol.forms[:r] + (shifted,) + sol.forms[r + 1:])
 
 
 class TestResidualReport:
@@ -40,7 +39,9 @@ class TestResidualReport:
         entry = get_example("3.1.1")
         sol = _perturb_particular(solve_exact(entry.bvp), 1, 1e-3)
         residuals = residual_report(sol, entry.bvp)
-        assert residuals[1] >= 1e-4
+        row = entry.bvp.ode_table[0]
+        # every piece of piece 1's row, and no other, carries the shift
+        assert [residuals[k] >= 1e-4 for k in range(len(row))] == [r == row[1] for r in row]
 
     def test_zero_problem(self):
         from obstacle_bvp.model import build_second_order
