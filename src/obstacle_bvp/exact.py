@@ -7,10 +7,12 @@ coupled through one matching system (point conditions, interface continuity,
 pins), built from one kernel-term table over the rows' bases as row bands:
 each row's entries from its first piece's first column over the one or two
 pieces it couples.  No dense matrix is built.  Gauss elimination with
-partial pivoting runs on the bands.  It reads -0.0 as +0.0, which moves no
-pivot and no nonzero bit, touches only the entries that can hold a nonzero,
-and gives the same pivots and bits as dense partial pivoting on that input
-whenever it stays finite; an elimination that overflows is refused.  Back
+partial pivoting runs on the bands: one pass copies them, then each column
+walks only the rows whose band covers it.  It reads -0.0 as +0.0, which
+moves no pivot and no nonzero bit, and gives the same pivots and bits as
+dense partial pivoting on that input whenever it stays finite.  One
+finiteness check of its echelon form refuses an elimination that overflows
+and a system with a non-finite value, which no step clears.  Back
 substitution stays numpy, each row's dot over the zero-padded row, because
 neither a Python sum nor a band-only dot would reproduce the bits of its
 BLAS row dot.  The consistency residual is one band dot per row, computed
@@ -27,7 +29,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import chain
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -314,76 +316,74 @@ def _echelon(bands, rhs: np.ndarray, n: int):
         aug[r + 1:, c:] -= (aug[r + 1:, c] / aug[r, c])[:, None] * aug[r, c:],
         aug[r + 1:, c] = 0,
 
-    run on the dense system with -0.0 read as +0.0.  Column c's pivot search
-    and update reach the rows down to the last one whose band starts at or
-    before c, and a row is updated over the pivot row's band only, so the
-    work grows with the number of pieces, not with its square.  The pivot
-    search compares |a| and a zero's sign reaches no nonzero result, so
-    reading -0.0 as +0.0 moves no pivot and no nonzero bit; a - f*p is -0.0
-    only where a is, so no -0.0 arises after it.  A zero factor or pivot-row
-    entry changes no entry until a value overflows, so both loops agree up
-    to the first overflow; an elimination that overflows raises
-    :class:`SolveError`.
+    run on the dense system with -0.0 read as +0.0.  One pass over the bands
+    copies the rows and collects the entries for the pivot tolerance.
+    Column c's pivot search and update walk the rows down to the last one
+    whose band starts at or before c, skipping a row whose band starts after
+    c or ended before it (a zero there); the search keeps the first largest
+    |a|, as argmax does, and a row is updated over the pivot row's band
+    only, so the work grows with the number of pieces, not with its square.
+    The pivot search compares |a| and a zero's sign reaches no nonzero
+    result, so reading -0.0 as +0.0 moves no pivot and no nonzero bit;
+    a - f*p is -0.0 only where a is, so no -0.0 arises after it.  A zero
+    factor or pivot-row entry changes no entry until a value overflows, so
+    both loops agree up to the first overflow.  No step clears an inf or a
+    nan (an update that zeroes one carries it into its row's right-hand
+    side), so one finiteness check of the echelon form raises
+    :class:`SolveError` for an overflow and for a non-finite input alike.
     """
     m = len(bands)
-    # hi[c]: one past the last row whose band starts at or before column c;
-    # rows from hi[c] on stay zero in those columns until elimination
-    # reaches them.
-    hi = [0] * n
+    # hi[c]: one past the last row whose band starts at column c.
+    hi, rows, first, ext, entries = [0] * n, [], [], [], []
     for i, (f, band) in enumerate(bands):
         if band:
             hi[f] = i + 1
-    hi = list(accumulate(hi, max))
-    values = list(chain.from_iterable(band for _, band in bands))
-    tol = max(m, n) * _EPS * max(1.0, max(values, default=0.0), -min(values, default=0.0))
-    # rows[i] holds columns first[i] .. ext[i] - 1, starting no later than
-    # the first column whose pivot search reaches it, so every row the search
-    # reads starts at or before the column read.
-    rows, first, ext, c0 = [], [], [], 0
-    for i, (f, band) in enumerate(bands):
-        while c0 < n and hi[c0] <= i:
-            c0 += 1
-        rows.append([0.0] * (f - c0) + band if c0 < f else list(band))
-        first.append(min(f, c0))
+        rows.append(band[:])
+        first.append(f)
         ext.append(f + len(band))
+        entries += band
+    tol = max(m, n) * _EPS * max(1.0, max(entries, default=0.0), -min(entries, default=0.0))
     b = (rhs + 0.0).tolist()
     pivot_cols = []
-    r = 0
+    r = end = 0
     for c in range(n):
         if r >= m:
             break
-        end = hi[c]
-        if end <= r:
+        if hi[c] > end:
+            end = hi[c]
+        best, p = tol, -1
+        for i in range(r, end):
+            f = first[i]
+            if f <= c < ext[i]:
+                a = rows[i][c - f]
+                if a > best or -a > best:
+                    best, p = abs(a), i
+        if p < 0:
             continue
-        column = [row[c - f] if c < e else 0.0
-                  for row, f, e in zip(rows[r:end], first[r:end], ext[r:end])]
-        size = list(map(abs, column))
-        best = max(size)
-        if best <= tol:
-            continue
-        k = size.index(best)
-        if k:
-            p = r + k
+        if p != r:
             rows[r], rows[p], b[r], b[p] = rows[p], rows[r], b[p], b[r]
             first[r], first[p], ext[r], ext[p] = first[p], first[r], ext[p], ext[r]
-            column[0], column[k] = column[k], column[0]
-        pivot, last, pb = column[0], ext[r], b[r]
-        tail = rows[r][c + 1 - first[r]:]  # the pivot row's columns c + 1 .. last - 1
-        for i, a in enumerate(column[1:], r + 1):
-            if a:  # a zero factor leaves its row as it is
-                row, j = rows[i], c - first[i]
-                factor = a / pivot
-                if ext[i] < last:
-                    row += [0.0] * (last - ext[i])
-                    ext[i] = last
-                row[j] = 0.0
-                for w in tail:
-                    j += 1
-                    row[j] -= factor * w
-                b[i] -= factor * pb
+        f, last, pb = first[r], ext[r], b[r]
+        pivot = rows[r][c - f]
+        tail = rows[r][c + 1 - f:]  # the pivot row's columns c + 1 .. last - 1
+        for i in range(r + 1, end):
+            f = first[i]
+            if f <= c < ext[i]:
+                row, j = rows[i], c - f
+                a = row[j]
+                if a:  # a zero factor leaves its row as it is
+                    factor = a / pivot
+                    if ext[i] < last:
+                        row += [0.0] * (last - ext[i])
+                        ext[i] = last
+                    row[j] = 0.0
+                    for w in tail:
+                        j += 1
+                        row[j] -= factor * w
+                    b[i] -= factor * pb
         pivot_cols.append(c)
         r += 1
-    if not np.isfinite(np.fromiter(chain(chain.from_iterable(rows), b), float)).all():
+    if not all(map(math.isfinite, chain(chain.from_iterable(rows), b))):
         raise SolveError("matching system elimination overflows (element growth "
                          "leaves non-finite entries in its echelon form)")
     return list(zip(first, rows)), b, pivot_cols
@@ -392,15 +392,20 @@ def _echelon(bands, rhs: np.ndarray, n: int):
 def _back_substitute(bands, b, n: int) -> np.ndarray:
     """x from the first n echelon rows, last row first: x[r] is b[r] minus
     row r's entries right of its pivot times x[r + 1:], over the pivot.
-    Each row is written from its band into a zeroed buffer of length n, so
-    the dot is numpy's (BLAS) over the same zero-padded row as a dense
-    echelon row; a dot over the band alone would not give its bits."""
+    Those entries are written into one length-n buffer that is zero
+    elsewhere (each row clears only what the previous row wrote past its
+    own band), so the dot is numpy's (BLAS) over the same zero-padded row as
+    a dense echelon row; a dot over the band alone would not give its bits."""
     x, row = np.zeros(n), np.zeros(n)
+    written = n
     for r in range(n - 1, -1, -1):
         f, band = bands[r]
-        row[f:f + len(band)] = band
-        x[r] = (b[r] - row[r + 1:] @ x[r + 1:]) / band[r - f]
-        row[f:f + len(band)] = 0.0
+        k, e = r + 1 - f, f + len(band)
+        row[r + 1:e] = band[k:]
+        if e < written:
+            row[e:written] = 0.0
+        written = e
+        x[r] = (b[r] - float(row[r + 1:].dot(x[r + 1:]))) / band[k - 1]
     return x
 
 
@@ -415,21 +420,24 @@ def gauss_solve(system: MatchSystem) -> np.ndarray:
     gate has no solution and raises :class:`InconsistentSystemError`; any
     other raises :class:`RankDeficientError` with its free-column labels.
     A system with a non-finite band entry or rhs raises :class:`SolveError`
-    naming its first such row; an elimination or back substitution that
-    overflows raises it too, as no answer is read from non-finite bits.
+    naming its first such row: the elimination's finiteness check finds it,
+    and only then are the rows read for it.  An elimination or back
+    substitution that overflows raises it too, as no answer is read from
+    non-finite bits.
     """
     rhs, n = system.rhs, system.width
-    if not (all(map(math.isfinite, chain.from_iterable(band for _, band in system.bands)))
-            and all(map(math.isfinite, rhs.tolist()))):
+    try:
+        bands, b, pivot_cols = _echelon(system.bands, rhs, n)
+    except SolveError:
         bad = [not (all(map(math.isfinite, band)) and math.isfinite(v))
                for (_, band), v in zip(system.bands, rhs.tolist())]
-        raise SolveError(
-            f"matching system has non-finite entries (overflow) in "
-            f"{sum(bad)} of {len(bad)} rows, first: "
-            f"{system.describe_row(bad.index(True))}; the basis functions or "
-            f"particular solution overflow on this domain"
-        )
-    bands, b, pivot_cols = _echelon(system.bands, rhs, n)
+        if any(bad):
+            raise SolveError(
+                f"matching system has non-finite entries (overflow) in "
+                f"{sum(bad)} of {len(bad)} rows, first: "
+                f"{system.describe_row(bad.index(True))}; the basis functions or "
+                f"particular solution overflow on this domain") from None
+        raise
     rank = len(pivot_cols)
     gate = CONSISTENCY_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
     if rank < n:

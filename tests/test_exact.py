@@ -381,6 +381,33 @@ class TestGaussSolve:
         with pytest.raises(SolveError, match=re.escape("in 2 of 4 rows, first: row 1;")):
             gauss_solve(system)
 
+    def test_non_finite_value_anywhere_is_named(self):
+        # No elimination step clears an inf or a nan, so the echelon form's
+        # finiteness check finds one wherever it sits (a pivot row, a row
+        # below the rank, a column without a pivot, the rhs) and the error
+        # names the first row holding one.
+        rng = np.random.default_rng(31)
+        for trial in range(300):
+            if trial % 2:
+                base = _block_system(rng, int(rng.integers(1, 5)), int(rng.integers(1, 9)))
+            else:
+                m, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+                matrix = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.6)
+                matrix[:, rng.integers(0, n)] = 0.0
+                base = _bare(matrix * 10.0 ** rng.integers(-300, 300), rng.normal(size=m),
+                             1, None, [(0, n)] * m)
+            bands, rhs, bad = [(f, list(band)) for f, band in base.bands], base.rhs.copy(), set()
+            for value in rng.choice([np.inf, -np.inf, np.nan], size=int(rng.integers(1, 3))):
+                i = int(rng.integers(0, len(bands)))
+                if rng.random() < 0.3:
+                    rhs[i] = value
+                else:
+                    bands[i][1][int(rng.integers(0, len(bands[i][1])))] = float(value)
+                bad.add(i)
+            with pytest.raises(SolveError, match=re.escape(
+                    f"in {len(bad)} of {len(bands)} rows, first: row {min(bad)};")):
+                gauss_solve(MatchSystem(bands, rhs, base.width, base.order, None))
+
     def test_finite_entries_whose_sum_overflows_are_solved(self):
         system = MatchSystem([(0, [1e308]), (1, [1e308])], np.array([1e308, 1e308]),
                              2, 1, None)
@@ -774,6 +801,34 @@ class TestAgainstExactElimination:
                 _assert_within_conditioning(sol)
                 checked += 1
         assert checked >= 8
+
+    def test_sixteen_piece_cantilever(self):
+        # The CI job's order-4, 16-piece cantilever: 64 unknowns, the widest
+        # system the order and piece caps allow.
+        cuts = [2.0 * k / 16 for k in range(17)]
+        pieces = tuple(PieceOde(4, (cuts[k], cuts[k + 1]), (-4.0 if k % 2 else 0.0, 0.0, 0.0, 0.0),
+                                (-1.0, 0.1 * k)) for k in range(16))
+        conditions = (PointCondition(0.0, 0, 0.0), PointCondition(0.0, 1, 0.0),
+                      PointCondition(2.0, 2, 0.0), PointCondition(2.0, 3, 0.0))
+        sol = solve_exact(PiecewiseBvp(4, pieces, conditions,
+                                       ContinuitySpec(frozenset(range(4)))))
+        assert sol.system.width == 64
+        _assert_within_conditioning(sol)
+
+    def test_seeded_wide_order_four_problems_that_verify(self):
+        # Order 4 with 8 to 16 pieces: 32 to 64 unknowns.
+        rng = np.random.default_rng([4, 31])
+        checked = 0
+        for _ in range(5):
+            bvp = _seeded_bvp(rng, 4, int(rng.integers(8, 17)))
+            try:
+                sol = solve_exact(bvp)
+            except SolveError:
+                continue
+            if verification_report(sol, bvp, None).passed:
+                _assert_within_conditioning(sol)
+                checked += 1
+        assert checked >= 4
 
 
 class TestSolveExact:
