@@ -1,25 +1,17 @@
-"""Closed-form piecewise solver.
+"""Piecewise solver in Cauchy data on bounded segments.
 
-Per row of the problem's ODE table (:attr:`PiecewiseBvp.ode_table`): a
-particular polynomial by undetermined coefficients plus a real fundamental
-basis from the characteristic roots.  The basis constants of all pieces are
-coupled through one matching system (point conditions, interface continuity,
-pins), built from one kernel-term table over the rows' bases as row bands:
-each row's entries from its first piece's first column over the one or two
-pieces it couples.  No dense matrix is built.  Gauss elimination with
-partial pivoting runs on the bands: one pass copies them, then each column
-walks only the rows whose band covers it.  It reads -0.0 as +0.0, which
-moves no pivot and no nonzero bit, and gives the same pivots and bits as
-dense partial pivoting on that input whenever it stays finite.  One
-finiteness check of its echelon form refuses an elimination that overflows
-and a system with a non-finite value, which no step clears.  Back
-substitution stays numpy, each row's dot over the zero-padded row, because
-neither a Python sum nor a band-only dot would reproduce the bits of its
-BLAS row dot.  The consistency residual is one band dot per row, computed
-only for an overdetermined system.  Rank deficiency is a first-class outcome
-carrying the free-column labels so the caller can pin them.  A solution is
-one closed form per row of the ODE table, the constants as one (pieces,
-order) matrix and the matching system it solved.
+Each piece is split into equal segments with rho*h <= GAMMA, rho =
+2 max_j |a_j|^(1/(n-j)) a bound on its characteristic roots.  On a segment u
+is, to rounding, a polynomial in s = (x - lo)/h: the Taylor polynomials of
+the solutions with unit Cauchy data at lo and of the forced one with zero
+data, from the ODE's own recurrence (Corliss & Chang).  No root enters u,
+so near-multiple and near-zero roots need no care and u does not depend on
+where a piece sits.  Conditions, continuity, pins and every order's
+continuity at the joints between segments form one banded matching system
+in the segments' Cauchy data, eliminated by Gauss with partial pivoting.
+Users see each ODE row's closed form (the basis of :mod:`basis` and a
+particular polynomial) with a piece's constants W(lo)^-1 (y - p^(i)(lo)), W
+the Wronskian; pins and pin advice go through that map.
 """
 
 from __future__ import annotations
@@ -32,20 +24,28 @@ from functools import cached_property
 from itertools import chain
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
-from .basis import (MAX_ORDER, BasisFunction, basis_terms, characteristic_coeffs,
-                    eval_terms, piece_basis, take_terms)
+from .basis import (MAX_ORDER, BasisFunction, basis_values, characteristic_coeffs, piece_basis,
+                    powers)
 from .model import MAX_FORCING_DEGREE, PiecewiseBvp, SolveError
 
 CONSISTENCY_TOL = 1e-9
+GAMMA = 4.0           # rho * h of a segment is at most this
+TAYLOR_TOL = 1e-17    # a table ends where (rho h)^r / r! falls below this
+MAX_SEGMENTS = 20000  # budget: solving an order-4 problem at the cap takes about 2 s
 
-# _FALLING[p, j] = perm(p, j), the coefficient of x^(p-j) in (x^p)^(j); zero
-# for p < j.  Rows cover every particular the ansatz can need.
-_FALLING = np.array([[math.perm(p, j) for j in range(MAX_ORDER + 1)]
-                     for p in range(MAX_ORDER + MAX_FORCING_DEGREE + 1)], dtype=float)
-# _FALLING_AT[size]: the (p, j) index pairs of the nonzeros of _FALLING[:size].
-_FALLING_AT = [np.nonzero(_FALLING[:size]) for size in range(len(_FALLING) + 1)]
+# (rho h)^r / r! < TAYLOR_TOL exactly when rho h < _REACH[r - 1] (r = 33 at GAMMA).
+_REACH = np.array([(TAYLOR_TOL * math.factorial(r)) ** (1.0 / r) for r in range(1, 41)])
+_TOP = MAX_ORDER + MAX_FORCING_DEGREE + len(_REACH)  # one past the largest table degree
+# _FALLING[p, j] = perm(p, j), the coefficient of x^(p-j) in (x^p)^(j), zero for p < j.
+_FALLING = np.array([[math.perm(p, j) for j in range(MAX_ORDER + MAX_FORCING_DEGREE + 1)]
+                     for p in range(_TOP)], dtype=float)
+_FACTORIAL = np.array([math.factorial(m) for m in range(_TOP)], dtype=float)
+_BINOMIAL = _FALLING / _FACTORIAL[:_FALLING.shape[1]]  # comb(p, j)
+# _FALLING_AT[size]: the (p, j) index pairs of the nonzeros of
+# _FALLING[:size, :MAX_ORDER + 1], the terms a particular's operator can take.
+_FALLING_AT = [np.nonzero(_FALLING[:size, :MAX_ORDER + 1])
+               for size in range(MAX_ORDER + MAX_FORCING_DEGREE + 2)]
 
 
 class InconsistentSystemError(SolveError):
@@ -74,30 +74,61 @@ class RankDeficientError(SolveError):
 
 
 @dataclass(frozen=True)
+class Segments:
+    """Piece k's segments first[k]..first[k + 1] - 1: left ends, lengths h,
+    scales, degrees and tables[g, m, c], the coefficient of s^m of column c,
+    whose scaled Cauchy data u^(i)(lo) scale^i / i! are e_c for c < n and 0
+    for the forced column n.  A piece's scale, GAMMA / rho up to the domain's
+    length, keeps the system's entries near 1, narrow pieces included."""
+
+    first: np.ndarray
+    lo: np.ndarray
+    h: np.ndarray
+    scale: np.ndarray
+    degree: np.ndarray
+    tables: np.ndarray
+
+    def locate(self, x, owner):
+        """(segment, s) of each point of x: its piece owner's last segment
+        starting at or before it."""
+        first, last = self.first[owner], self.first[owner + 1] - 1
+        if np.ndim(owner) or first != last:
+            first = np.clip(np.searchsorted(self.lo, x, side="right") - 1, first, last)
+        return first, (x - self.lo[first]) / self.h[first]
+
+    def unscale(self, g) -> np.ndarray:
+        """[..., j] = j! / scale^j of segments g, from scaled data to u^(j)."""
+        n = self.tables.shape[2] - 1
+        return _FACTORIAL[:n] / powers(self.scale[g], n)
+
+
+@dataclass(frozen=True)
 class MatchSystem:
-    """Matching system M c = rhs over width columns; column c is (piece
-    c // order, basis c % order).  Rows follow bvp's layout (None for a bare
-    system).  bands holds row i of M as (first column, Python floats from
-    there on): every nonzero of the row lies in its band, and -0.0 reads as
-    +0.0 there."""
+    """Matching system M c = rhs; column c is unknown c % order of block c //
+    order, a segment's if segments is set, else a piece's.  Rows follow bvp's
+    layout (None for a bare system); bands holds row i as (first column,
+    Python floats from there on) with every nonzero, -0.0 read as +0.0."""
 
     bands: list[tuple[int, list[float]]]
     rhs: np.ndarray
     width: int
     order: int
     bvp: PiecewiseBvp | None
+    segments: Segments | None = None
 
     def describe_row(self, r: int) -> str:
-        """Row r's equation in words, for an error message: the layout is
-        point conditions, continuity by breakpoint then order, then pins."""
-        b = self.bvp
+        """Row r's equation in words, for an error message."""
+        b, seg = self.bvp, self.segments
         if b is None:
             return f"row {r}"
+        joints = [] if seg is None else np.delete(seg.lo, seg.first[:-1]).tolist()
         return ([f"u^({c.deriv_order})({c.location:g}) = {c.value:g}" for c in b.conditions]
                 + [f"continuity order {j} at x = {x:g}" for x in b.interior_breakpoints
                    for j in b.continuity.sorted_orders]
                 + [f"pin (piece {p.piece_index}, basis {p.basis_index}) = {p.value:g}"
-                   for p in b.pins])[r]
+                   for p in b.pins]
+                + [f"segment joint order {j} at x = {x:g}" for x in joints
+                   for j in range(b.order)])[r]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -110,89 +141,109 @@ def residual_norm(system: MatchSystem, constants: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """One ODE row's closed form: sum_i c[i]*basis[i](x) + particular(x) for
-    the constants c of any piece of the row."""
+    """One ODE row's published closed form, sum_i c[i] basis[i](x) + particular(x)."""
 
     basis: tuple[BasisFunction, ...]
     particular: tuple[float, ...]
 
-    @cached_property
-    def _kernel(self):
-        """Basis kernel terms, particular coefficients (table[:, d] for order
-        d) and the particular's coefficients per tuple of orders evaluated."""
-        return (basis_terms(self.basis, MAX_ORDER),
-                _derivative_table([self.particular], MAX_ORDER + 1)[:, :, 0], {})
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def _combine(self, x, constants, orders):
-        """u^(d) at x for every d in orders (one row each) from one kernel
-        pass: constants[..., j] times basis column j, added in basis order to
-        the particular, every order at once."""
-        orders = tuple(orders)
-        terms, table, chosen = self._kernel
-        if orders not in chosen:
-            if not all(0 <= d <= MAX_ORDER for d in orders):
-                raise ValueError(f"derivative orders {list(orders)} outside [0, {MAX_ORDER}]")
-            chosen[orders] = table[:, list(orders)]
-        columns = eval_terms(terms, x, orders)
-        total = polyval(x, chosen[orders])
-        for j in range(len(self.basis)):
-            total += constants[..., j] * columns[:, j]
-        return total
-
 
 @dataclass(frozen=True)
 class PieceSolution:
-    """One piece's view of a solution: its row's closed form and its constants."""
+    """One piece's view of a solution."""
 
-    form: ClosedForm
-    constants: np.ndarray
+    solution: PiecewiseSolution
+    index: int
+
+    @property
+    def form(self) -> ClosedForm:
+        return self.solution.forms[self.solution.system.bvp.ode_table[0][self.index]]
+
+    @property
+    def constants(self) -> np.ndarray:
+        return self.solution.constants[self.index]
 
     def value(self, x, deriv_order: int = 0):
-        """u^(deriv_order) at a scalar or an array x; an overflow gives inf or
-        nan without a numpy warning."""
-        return self.form._combine(np.asarray(x, dtype=float), self.constants,
-                                  [deriv_order])[0][()]
+        """u^(deriv_order) at a scalar or an array x; an overflow gives inf or nan."""
+        x = np.asarray(x, dtype=float)
+        return self.solution.evaluate(x, self.index, [deriv_order])[0][()]
 
 
 @dataclass(frozen=True)
 class PiecewiseSolution:
-    """The closed form of each row of ``system.bvp.ode_table``, the basis
-    constants as a (pieces, order) matrix, and the matching system solved."""
+    """The closed form of each row of ``system.bvp.ode_table``, every
+    segment's scaled Cauchy data as a (segments, order) matrix and the
+    matching system solved."""
 
     forms: tuple[ClosedForm, ...]
-    constants: np.ndarray
+    data: np.ndarray
     system: MatchSystem
 
-    @cached_property
+    @property
     def pieces(self) -> tuple[PieceSolution, ...]:
-        """Per piece, its row's closed form and its constants: a view for
-        reading one piece."""
-        row = self.system.bvp.ode_table[0]
-        return tuple(PieceSolution(self.forms[r], c) for r, c in zip(row, self.constants))
+        """Per piece, a view of it, made on each read (no reference cycle)."""
+        return tuple(PieceSolution(self, k) for k in range(len(self.system.bvp.pieces)))
 
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def constants(self) -> np.ndarray:
+        """The published constants W(lo)^-1 (y - p^(i)(lo)), (pieces, order):
+        nan where W(lo) is singular (an exponential under- or overflows)."""
+        seg = self.system.segments
+        first = seg.first[:-1]
+        w, p = _closed_form_at_lo(self.system.bvp, self.forms, range(len(first)))
+        return _in_basis(w, (self.data[first] * seg.unscale(first) - p)[..., None])[..., 0]
+
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def _derivatives(self) -> tuple[np.ndarray, np.ndarray]:
+        """(coefs, tops): coefs[d, m, g], s^m's coefficient in u^(d) on
+        segment g, but zero in the tail summing to TAYLOR_TOL of all in
+        magnitude; tops[d, g] the coefficients kept."""
+        seg = self.system.segments
+        u = (seg.tables[..., :-1] * self.data[:, None]).sum(2) + seg.tables[..., -1]
+        size = u.shape[1]
+        coefs = np.zeros((MAX_ORDER + 1, size, len(u)))
+        for d in range(MAX_ORDER + 1):
+            coefs[d, :size - d] = (u[:, d:] * _FALLING[d:size, d]).T / seg.h ** d
+        magnitude = np.abs(coefs)
+        total = magnitude.sum(1)[:, None]
+        kept = (np.cumsum(magnitude[:, ::-1], axis=1)[:, ::-1] > TAYLOR_TOL * total) | ~np.isfinite(total)
+        coefs[~kept] = 0.0
+        return coefs, kept.sum(1)
+
+    @np.errstate(over="ignore", invalid="ignore")
     def evaluate(self, x, owner, orders) -> np.ndarray:
-        """u^(d) at a float array x for every d in orders (one row each), point i
-        on piece owner[i]: one kernel pass per row of the ODE table, each point
-        with its own piece's constants."""
-        at_row = np.array(self.system.bvp.ode_table[0])[owner]
-        out = np.empty((len(orders),) + x.shape)
-        for r, form in enumerate(self.forms):
-            at = at_row == r
-            if at.any():
-                out[:, at] = form._combine(x[at], self.constants[owner[at]], orders)
+        """u^(d) at a float array x for every d in orders (one row each), point
+        i on piece owner[i] (or all on piece owner), by one Horner pass; a
+        segment's leading zeros keep its bits."""
+        orders = list(orders)
+        if not all(0 <= d <= MAX_ORDER for d in orders):
+            raise ValueError(f"derivative orders {orders} outside [0, {MAX_ORDER}]")
+        (coefs, tops), (g, s) = self._derivatives, self.system.segments.locate(x, owner)
+        if np.ndim(g) == 0 or g.size and g.min() == g.max():  # one segment: broadcast
+            g = np.ravel(g)[0]
+            top = max(int(tops[orders, g].max()), 1)
+            table = coefs[orders, :top, g].reshape((len(orders), top) + (1,) * np.ndim(s))
+            column = lambda m: table[:, m]  # noqa: E731
+        else:  # each point's coefficients, gathered one degree at a time
+            top = max(int(tops[orders][:, g].max(initial=0)), 1)
+            table = coefs[orders, :top]
+            column = lambda m: table[:, m].take(g, axis=1)  # noqa: E731
+        out = np.empty((len(orders),) + np.shape(x))
+        out[...] = column(top - 1)
+        for m in range(top - 2, -1, -1):
+            out *= s
+            out += column(m)
         return out
 
     def piece_derivatives(self, k: int, x, orders):
-        """u^(d) on piece k at a float array x for every d in orders, through
-        the form of piece k's row."""
-        return self.forms[self.system.bvp.ode_table[0][k]]._combine(x, self.constants[k], orders)
+        """u^(d) on piece k at a float array x for every d in orders."""
+        return self.evaluate(x, k, orders)
 
     def labeled_constants(self):
         """Flat list of (piece_index, basis_render, constant)."""
-        row = self.system.bvp.ode_table[0]
-        return [(k, b.render(), float(c)) for k, (r, cs) in enumerate(zip(row, self.constants))
-                for b, c in zip(self.forms[r].basis, cs)]
+        return [(k, b.render(), float(c)) for k, piece in enumerate(self.pieces)
+                for b, c in zip(piece.form.basis, piece.constants)]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -240,65 +291,138 @@ def particular_solution(pieces) -> list[tuple[float, ...]]:
     return [tuple(poly) for poly in polys]
 
 
-def _derivative_table(particulars, orders: int) -> np.ndarray:
-    """table[:, d, k]: zero-padded ascending coefficients of
-    particulars[k]^(d), d < orders, on the first axis as polyval reads them,
-    built by numpy polyder's own step, so bitwise equal to polyder's."""
-    width = max(len(p) for p in particulars)
-    table = np.zeros((width, orders, len(particulars)))
-    for k, p in enumerate(particulars):
-        table[: len(p), 0, k] = p
-    for d in range(1, orders):
-        table[:-1, d] = np.arange(1, width)[:, None] * table[1:, d - 1]
-    return table
+def _padded(polys) -> np.ndarray:
+    """Ascending coefficient tuples as the rows of one zero-padded array."""
+    width = max(map(len, polys))
+    return np.array([list(p) + [0.0] * (width - len(p)) for p in polys])
+
+
+def _poly_derivatives(coeffs: np.ndarray, x: np.ndarray, count: int) -> np.ndarray:
+    """[k, i]: the i-th derivative, i < count, of polynomial coeffs[k] at x[k]."""
+    m = np.arange(coeffs.shape[1])
+    return (coeffs[:, None] * _FALLING[m, :count].T
+            * x[:, None, None] ** np.maximum(m - np.arange(count)[:, None], 0)).sum(-1)
+
+
+def _closed_form_at_lo(bvp: PiecewiseBvp, forms, pieces) -> tuple[np.ndarray, np.ndarray]:
+    """(W, p) of each of the pieces at its left end: W[k, i, j] the i-th
+    derivative of its row's basis function j, p[k, i] of its particular."""
+    n, row = bvp.order, [bvp.ode_table[0][k] for k in pieces]
+    lo = np.array([bvp.pieces[k].lo for k in pieces])
+    w = basis_values([fn for r in row for fn in forms[r].basis], np.repeat(lo, n),
+                     np.arange(n)[:, None])
+    parts = _padded([form.particular for form in forms])[row]
+    return w.reshape(n, len(row), n).transpose(1, 0, 2), _poly_derivatives(parts, lo, n)
+
+
+def _in_basis(w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """W^-1 y per piece, y of shape (pieces, n, k); nan for a singular W."""
+    with np.errstate(all="ignore"):
+        try:
+            return np.linalg.solve(w, y)
+        except np.linalg.LinAlgError:  # nan for the singular one, each piece alone
+            if len(w) == 1:
+                return np.full(y.shape, np.nan)
+            return np.concatenate([_in_basis(w[k:k + 1], y[k:k + 1]) for k in range(len(w))])
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _segments(bvp: PiecewiseBvp) -> Segments:
+    """Split every piece into equal segments with rho*h <= GAMMA and build
+    their Taylor tables; refuse a problem with more than MAX_SEGMENTS."""
+    n, pieces = bvp.order, bvp.pieces
+    a = np.array([p.coeffs for p in pieces])
+    lo, length = np.array([p.interval for p in pieces]).T
+    length = length - lo
+    rho_l = 2.0 * (np.abs(a) ** (1.0 / (n - np.arange(n)))).max(axis=1) * length
+    count = np.maximum(np.ceil(rho_l / GAMMA), 1.0)
+    if not count.sum() <= MAX_SEGMENTS:
+        k = int(np.argmax(rho_l))
+        raise SolveError(f"piece {k} on {pieces[k].interval} needs {count[k]:.3g} segments "
+                         f"of rho*L <= {GAMMA:g} (rho*L = {rho_l[k]:.3g}); the problem needs "
+                         f"{count.sum():.3g}, more than MAX_SEGMENTS = {MAX_SEGMENTS}")
+    count = count.astype(int)
+    first = np.zeros(len(pieces) + 1, dtype=int)
+    np.cumsum(count, out=first[1:])
+    owner = np.repeat(np.arange(len(pieces)), count)
+    h = (length / count)[owner]
+    seg_lo = lo[owner] + (np.arange(first[-1]) - first[owner]) * h
+    scale = np.minimum(GAMMA * length / rho_l, bvp.domain[1] - bvp.domain[0])[owner]
+    # The degree: r past n + deg q, the first r with (rho h)^r / r! < TAYLOR_TOL.
+    q = _padded([p.forcing for p in pieces])
+    degree = (np.searchsorted(_REACH, rho_l / count, side="right")
+              + [n + len(p.forcing) for p in pieces])[owner]
+    size = int(degree.max()) + 1
+    # The derivatives d_m at s = 0 obey d_{m+n} = sum_j a_j h^(n-j) d_{m+j} +
+    # h^(m+n) q^(m)(lo): the state (d_m.., f_m = h^(m+n) q^(m)(lo)..) steps by a
+    # shift matrix C, so d_m = R_m S_0, R_m = e_0 C^m found by doubling.
+    k = n + q.shape[1]
+    hp = h[:, None] ** np.arange(k)
+    comp = np.zeros((len(h), k, k))
+    comp[:, :-1, 1:] = np.eye(k - 1)
+    comp[:, n - 1, :n] = a[owner] * hp[:, n:0:-1]
+    rows = np.zeros((len(h), size, k))
+    rows[:, 0, 0] = 1.0
+    span = 1
+    while span < size:
+        rows[:, span:2 * span] = rows[:, :min(span, size - span)] @ comp
+        comp = comp @ comp
+        span *= 2
+    # S_0: j! (h / scale)^j e_j for column j < n, the forcing for column n.
+    start = np.zeros((len(h), k, n + 1))
+    start[:, np.arange(n), np.arange(n)] = (h / scale)[:, None] ** np.arange(n) * _FACTORIAL[:n]
+    start[:, n:, n] = _poly_derivatives(q[owner], seg_lo, q.shape[1]) * hp[:, n:]
+    tables = rows @ start
+    tables *= np.where(np.arange(size) <= degree[:, None], 1.0 / _FACTORIAL[:size], 0.0)[..., None]
+    return Segments(first, seg_lo, h, scale, degree, tables)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def assemble_system(bvp: PiecewiseBvp, bases, particulars) -> MatchSystem:
-    """Matching system over all piece constants, as row bands, from one basis
-    and one particular per row of ``bvp.ode_table``.
-
-    Row order is deterministic: point conditions in input order, then
-    continuity rows by breakpoint then by enforced order, then pins.  A point
-    condition sitting exactly on an interior breakpoint is evaluated on the
-    left-adjacent piece.  Kernel terms are built once over the bases for
-    orders 0..n-1.  One entry list holds each condition's n columns at its
-    point, then each continuity row's piece k at its hi and piece k + 1 at
-    its lo; it takes one gather, one kernel pass and one particular
-    ``polyval``, and every band and rhs value is sliced from the result.  A
-    condition row's band is its piece's n columns, a continuity row's the 2n
-    columns of its two pieces, a pin's its one column.  An overflow leaves a
-    non-finite entry, which :func:`gauss_solve` reports.
-    """
-    n, n_pieces = bvp.order, len(bvp.pieces)
-    conds, orders, pins = bvp.conditions, bvp.continuity.sorted_orders, bvp.pins
-    n_cond, n_cont = len(conds), (n_pieces - 1) * len(orders)
-    terms = basis_terms([b for basis in bases for b in basis], n - 1)
-    # One entry row per condition, then two per continuity row, by
-    # breakpoint then order: piece k at its hi and piece k + 1 at its lo,
-    # entries ends[i] of the pieces' flat (lo, hi, lo, hi, ...) list.
-    owner = bvp.owning_piece([c.location for c in conds], side="left")
-    ends = np.repeat(np.arange(1, 2 * n_pieces - 1).reshape(-1, 2), len(orders), axis=0).ravel()
-    piece = np.concatenate([owner, ends // 2])
-    where = np.concatenate([[c.location for c in conds],
-                            np.array([p.interval for p in bvp.pieces]).ravel()[ends]])
-    deriv = np.array([c.deriv_order for c in conds]
-                     + [j for j in orders for _ in (0, 1)] * (n_pieces - 1), dtype=int)
-    ode = np.array(bvp.ode_table[0])[piece]  # each entry's row of the ODE table
-    values = eval_terms(take_terms(terms, deriv[:, None], ode[:, None] * n + np.arange(n)),
-                        np.repeat(where, n).reshape(-1, n), [0])[0]
-    known = polyval(where, _derivative_table(particulars, n)[:, deriv, ode], tensor=False)
-    # A continuity row is piece k at its hi minus piece k + 1 at its lo.
-    pair = values[n_cond:].reshape(n_cont, 2, n)
-    np.negative(pair[:, 1], out=pair[:, 1])
-    rhs = np.concatenate([np.array([c.value for c in conds]) - known[:n_cond],
-                          known[n_cond + 1::2] - known[n_cond::2],
-                          [pin.value for pin in pins]])
-    first = (piece * n).tolist()
-    bands = list(zip(first[:n_cond], (values[:n_cond] + 0.0).tolist()))
-    bands += zip(first[n_cond::2], (pair + 0.0).reshape(n_cont, 2 * n).tolist())
-    bands += [(pin.piece_index * n + pin.basis_index, [1.0]) for pin in pins]
-    return MatchSystem(bands, rhs, n * n_pieces, n, bvp)
+    """Matching system in every segment's scaled Cauchy data, as row bands:
+    point conditions (on the left piece at a breakpoint), continuity by
+    breakpoint then order, pins, then the joints by position then order.  A
+    condition is its table at its point in u^(d) scale^d / d!; a continuity
+    or joint row the left table at s = 1 minus the right datum, order i in
+    mu^i / i!, mu the smaller scale; a pin on (piece k, basis i) is row i of
+    W(lo)^-1 over piece k's first data, the only use of bases and
+    particulars.  An overflow leaves a non-finite entry for gauss_solve."""
+    n, conds, pins = bvp.order, bvp.conditions, bvp.pins
+    seg = _segments(bvp)
+    size, scale = seg.tables.shape[1], seg.scale
+    where = np.array([c.location for c in conds])
+    d = np.array([c.deriv_order for c in conds], dtype=int)
+    g, s = seg.locate(where, bvp.owning_piece(where, side="left"))
+    i = np.arange(len(conds))
+    weights = (_BINOMIAL[:size, d].T * powers(scale[g] / seg.h[g], n)[i, d, None]
+               * powers(s, size)[i[:, None], np.maximum(np.arange(size) - d[:, None], 0)])
+    at = (weights[:, :, None] * seg.tables[g]).sum(1)
+    values = np.array([c.value for c in conds]) * powers(scale[g], n)[i, d] / _FACTORIAL[d]
+    mu = np.minimum(scale[:-1], scale[1:])
+    left, right = powers(np.stack([mu / seg.h[:-1], mu / scale[1:]]), n)
+    ends = (_BINOMIAL[:size, :n].T @ seg.tables[:-1]) * left[..., None]
+    pair = np.zeros((len(ends), n, 2 * n))
+    pair[:, :, :n] = ends[..., :n]
+    pair[:, np.arange(n), np.arange(n, 2 * n)] = -right
+    last, joint = seg.first[1:-1] - 1, np.ones((len(ends), n), dtype=bool)
+    joint[last] = False  # the rows of every order at a joint inside a piece
+    take = np.concatenate([(last[:, None] * n + bvp.continuity.sorted_orders).ravel(),
+                           np.flatnonzero(joint)])
+    rhs = np.concatenate([values - at[:, n], -ends[..., n].ravel()[take]])
+    bands = list(zip((g * n).tolist(), (at[:, :n] + 0.0).tolist()))
+    bands += zip((take // n * n).tolist(), (pair.reshape(-1, 2 * n)[take] + 0.0).tolist())
+    if pins:
+        k = np.array([pin.piece_index for pin in pins])
+        w, p = _closed_form_at_lo(bvp, tuple(map(ClosedForm, bases, particulars)), k)
+        inverse = _in_basis(w, np.broadcast_to(np.eye(n), w.shape))
+        pin_rows = inverse[np.arange(len(k)), [pin.basis_index for pin in pins]]
+        pin_rhs = [pin.value for pin in pins] + (pin_rows * p).sum(1)
+        pin_rows = pin_rows * seg.unscale(seg.first[k])
+        top = np.abs(pin_rows).max(axis=1)
+        cut = len(conds) + len(last) * len(bvp.continuity.enforced_orders)
+        bands[cut:cut] = zip((seg.first[k] * n).tolist(), (pin_rows / top[:, None] + 0.0).tolist())
+        rhs = np.concatenate([rhs[:cut], pin_rhs / top, rhs[cut:]])
+    return MatchSystem(bands, rhs, n * len(seg.h), n, bvp, seg)
 
 
 _EPS = sys.float_info.epsilon
@@ -411,7 +535,7 @@ def _back_substitute(bands, b, n: int) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def gauss_solve(system: MatchSystem) -> np.ndarray:
-    """The constants of the matching system, by one Gauss elimination with
+    """The unknowns of the matching system, by one Gauss elimination with
     partial pivoting.
 
     A full-column-rank system is back-substituted from its pivot rows; an
@@ -457,20 +581,48 @@ def gauss_solve(system: MatchSystem) -> np.ndarray:
     return x
 
 
-def solve_exact(bvp: PiecewiseBvp) -> PiecewiseSolution:
-    """Closed-form solve: roots -> real bases -> particulars -> matching system.
+@np.errstate(over="ignore", invalid="ignore")
+def _in_basis_terms(system: MatchSystem, exc: RankDeficientError, forms):
+    """exc in the published basis: the null vectors of the system's echelon
+    form mapped through W(lo)^-1, their free columns chosen as elimination
+    chooses them, the pivots of their echelon form from the last column."""
+    seg, n = system.segments, system.order
+    first = seg.first[:-1]
+    free = [g * n + j for g, j in exc.free_columns][:n * len(first)]
+    bands, _, pivots = _echelon(system.bands, system.rhs, system.width)
+    null = np.zeros((system.width, len(free)))
+    null[free, np.arange(len(free))] = 1.0
+    for r in range(len(pivots) - 1, -1, -1):
+        (f, band), c = bands[r], pivots[r]
+        null[c] = -(np.array(band[c + 1 - f:]) @ null[c + 1:f + len(band)]) / band[c - f]
+    data = null.reshape(-1, n, len(free))[first] * seg.unscale(first)[..., None]
+    left = _in_basis(_closed_form_at_lo(system.bvp, forms, range(len(first)))[0], data)
+    reverse = np.nan_to_num(left.reshape(-1, len(free)).T[:, ::-1], posinf=0.0, neginf=0.0)
+    reverse /= np.maximum(np.abs(reverse).max(axis=1, keepdims=True), np.finfo(float).tiny)
+    chosen = _echelon([(0, row) for row in reverse.tolist()], np.zeros(len(free)), reverse.shape[1])[2]
+    return RankDeficientError(n * len(first) - len(free), len(free),
+                              sorted(divmod(reverse.shape[1] - 1 - c, n) for c in chosen))
 
-    Raises :class:`RankDeficientError` with pin advice when the system has
-    a family of solutions and :class:`InconsistentSystemError` when its rows
-    contradict each other.
-    """
-    # Roots, basis and particular once per row of the ODE table (a penalty
-    # obstacle has two), each stage in stacked array passes over all rows.
+
+def solve_exact(bvp: PiecewiseBvp) -> PiecewiseSolution:
+    """Roots, bases and particulars once per row of the ODE table, then the
+    segment tables and the matching system, solved for the Cauchy data.
+    Raises :class:`RankDeficientError` with pin advice or
+    :class:`InconsistentSystemError`, each with the published basis' rank."""
     odes = [bvp.pieces[k] for k in bvp.ode_table[1]]
     bases, particulars = piece_basis(odes), particular_solution(odes)
+    forms = tuple(map(ClosedForm, bases, particulars))
     system = assemble_system(bvp, bases, particulars)
-    constants = gauss_solve(system).reshape(-1, bvp.order)
-    return PiecewiseSolution(tuple(map(ClosedForm, bases, particulars)), constants, system)
+    try:
+        data = gauss_solve(system)
+    except RankDeficientError as exc:
+        raise _in_basis_terms(system, exc, forms) from None
+    except InconsistentSystemError as exc:
+        if exc.rank is None:
+            raise
+        joints = system.width - bvp.order * len(bvp.pieces)  # each fixes one datum
+        raise InconsistentSystemError(exc.norm, exc.rank - joints) from None
+    return PiecewiseSolution(forms, data.reshape(-1, bvp.order), system)
 
 
 def eval_solution(sol: PiecewiseSolution, bvp: PiecewiseBvp, x,

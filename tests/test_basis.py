@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obstacle_bvp.basis import (BasisFunction, RootFindingError, _real_basis,
-                                basis_terms, characteristic_coeffs, eval_terms,
-                                piece_basis, take_terms)
+                                basis_values, characteristic_coeffs, piece_basis)
 from obstacle_bvp.model import PieceOde, normalize_piece
 from kernel import basis_derivatives
 
@@ -248,20 +247,33 @@ def _one_point(fn, x, m):
     return z.imag if fn.kind == "ExpSin" else z.real
 
 
+def _one_point_scale(fn, x, m):
+    """|e^(lambda x)| times the sum of the magnitudes of the envelope's terms:
+    the size the rounding of one evaluation is relative to."""
+    lam = complex(fn.alpha, fn.beta)
+    return math.exp(fn.alpha * x) * sum(
+        math.comb(m, i) * math.perm(fn.k, i) * abs(lam) ** (m - i) * abs(x) ** (fn.k - i)
+        for i in range(min(fn.k, m) + 1))
+
+
 class TestBasisDerivatives:
     @pytest.mark.parametrize("kind", ["PolyExp", "ExpCos", "ExpSin"])
     def test_array_equals_scalar_calls_bitwise(self, kind):
+        # An array call has the bits of one call per point; both lie within
+        # 8 eps of numpy's scalar form of the closed form, relative to the
+        # size of its terms.
         xs = np.linspace(-2.0, 3.0, 61)
         for alpha in (0.0, -0.8, 1.3):
             beta = 0.0 if kind == "PolyExp" else 1.7
             for k in range(4):
                 fn = BasisFunction(kind, k, alpha, beta)
                 for m in range(5):
-                    one_point = np.array([_one_point(fn, x, m) for x in xs])
                     scalar = np.array([basis_derivatives([fn], [x], m)[0] for x in xs])
-                    assert np.array_equal(scalar, one_point), (fn, m)
                     assert np.array_equal(basis_derivatives([fn], xs[:, None], m)[:, 0],
-                                          one_point), (fn, m)
+                                          scalar), (fn, m)
+                    one_point = np.array([_one_point(fn, x, m) for x in xs])
+                    scale = np.array([_one_point_scale(fn, x, m) for x in xs])
+                    assert (np.abs(scalar - one_point) <= 8 * EPS * scale).all(), (fn, m)
 
     def test_columns_equal_one_function_calls(self):
         fns = [BasisFunction("ExpCos", 1, -0.5, 2.0), BasisFunction("ExpSin", 0, -0.5, 2.0),
@@ -283,24 +295,7 @@ class TestBasisDerivatives:
         assert not np.isfinite(got).any()
 
 
-def _scalar_terms(fn, m):
-    """Term coefficients of fn's m-th derivative as (real, imaginary) pairs,
-    by the kernel's definition written out for one term at a time: the
-    integer factor K times each part of lam ** (m - i), the power from the
-    complex products lam * lam, lam * lam ** 2 and lam ** 2 * lam ** 2."""
-    lam = complex(fn.alpha, fn.beta)
-    sq = lam * lam
-    powers = (1 + 0j, lam, sq, lam * sq, sq * sq)
-    cs = []
-    for i in range(min(fn.k, m) + 1):
-        factor, z = math.comb(m, i) * math.perm(fn.k, i), powers[m - i]
-        c = (factor * z.real, factor * z.imag)
-        cs.append((c[1], -c[0]) if fn.kind == "ExpSin" else c)  # Im(z) = Re(-i z)
-    return cs
-
-
-def _bits(v):
-    return np.float64(v).view(np.int64)
+EPS = sys.float_info.epsilon
 
 
 def _lambda_family(seed, per_kind_k):
@@ -326,136 +321,98 @@ def _lambda_family(seed, per_kind_k):
     return fns
 
 
+_SPECIAL_X = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e-300, 800.0]
+
+
+def _points(rng, shape):
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-2, 2, size=shape)
+    hit = rng.random(shape) < 0.15
+    x[hit] = rng.choice(_SPECIAL_X, size=int(hit.sum()))
+    return x
+
+
+def _same_bits(a, b):
+    """Equal bits, zero signs included, where b is a number; NaN where b is
+    NaN.  Which operand's NaN a product of two NaNs carries is up to the
+    compiled numpy loop, so a NaN's sign and payload are not compared."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape or not np.array_equal(np.isnan(a), np.isnan(b)):
+        return False
+    number = ~np.isnan(b)
+    return a[number].tobytes() == b[number].tobytes()
+
+
+def _one_entry(fns, x, orders):
+    """basis_values entry by entry: one call per function, point and order."""
+    x, orders, _ = np.broadcast_arrays(np.asarray(x, dtype=float), orders, np.empty(len(fns)))
+    out = np.empty(x.shape)
+    for at in np.ndindex(x.shape):
+        out[at] = basis_values([fns[at[-1]]], x[at][None], orders[at][None])[0]
+    return out
+
+
 class TestKernelTerms:
     def test_array_terms_equal_scalar_expression_bitwise(self):
-        """basis_terms applies comb(m, i) * perm(k, i) in array form.  It
-        must give, bit for bit with zero and NaN signs, the scalar form of
-        the kernel's definition: K times each part of the power, with no
-        cross term, so no interpreter's int * complex rule enters."""
+        """basis_values over many functions, points and orders at once gives,
+        bit for bit with zero signs, one call per entry: no entry's bits
+        depend on the others, on lambdas that mix +-0, subnormals, 1e100 and
+        powers that overflow."""
         rng = np.random.default_rng(19)
-        special = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e100, -1e100,
-                   1e80, -1e80]  # |lambda| = 1e80: the fourth power overflows
-        def draw():
-            return (float(rng.choice(special)) if rng.random() < 0.6
-                    else float(rng.normal() * 10.0 ** rng.integers(-3, 4)))
-        fns = []
-        for _ in range(40):
-            for kind in ("PolyExp", "ExpCos", "ExpSin"):
-                for k in range(4):
-                    alpha = draw()
-                    beta = (float(rng.choice([0.0, -0.0])) if kind == "PolyExp"
-                            else abs(draw()) or 1e-300)
-                    fns.append(BasisFunction(kind, k, alpha, beta))
-        terms = basis_terms(fns, 4)
-        coefs, powers = terms.coefs, terms.powers
-        assert coefs.shape[2] == 4  # min(k_max, top) + 1 terms
-        overflowed = 0
-        for m in range(5):
-            for j, fn in enumerate(fns):
-                cs = _scalar_terms(fn, m)
-                overflowed += not all(map(math.isfinite, cs[0]))
-                for i in range(coefs.shape[2]):
-                    want = cs[i] if i < len(cs) else (0.0, 0.0)
-                    got = coefs[j, m, i]
-                    assert (_bits(got[0]), _bits(got[1])) == (_bits(want[0]), _bits(want[1])), \
-                        (fn, m, i)
-                    assert powers[j, m, i] == (fn.k - i if i < len(cs) else 0)
-        assert overflowed > 0
-        assert any(math.copysign(1.0, float(c)) < 0 for c in coefs[..., 1].ravel()
-                   if c == 0.0)
+        fns = _lambda_family(19, 6)
+        x = _points(rng, (5, len(fns)))
+        orders = rng.integers(0, 5, size=(5, len(fns)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = basis_values(fns, x, orders)
+        assert _same_bits(got, _one_entry(fns, x, orders))
+        assert not np.isfinite(got).all() and np.isfinite(got).any()
 
     def test_terms_within_bound_of_exact_reference(self):
-        """Each part of every finite coefficient lies within
-        2 p eps K |lambda|^p + p K 2^-1074 of the exact value of
-        comb(m, i) perm(k, i) lambda^p, p = m - i, computed in Fractions
-        from lambda's float parts.  A power takes p - 1 complex products
-        and one product with K, each adding at most about eps K |lambda|^p
-        to a part; the second term covers underflow.  A coefficient may be
+        """At x = 0 the m-th derivative of x^k e^(lambda x) is
+        comb(m, k) k! lambda^(m - k), the only term whose power of x is
+        x^0; exp(0) = 1 exactly.  Each finite value lies within
+        2 p eps K |lambda|^p + p K 2^-1074 of its exact value in Fractions of
+        lambda's float parts, p = m - k and K = comb(m, k) k!: lambda^p takes
+        p - 1 complex products and one product with K.  A value may be
         non-finite only in an order m whose exact |lambda|^m, grown by the
-        bound, passes the largest float."""
+        bound, passes the largest float (an overflowing power times 0)."""
         eps, tiny, huge = Fraction(2) ** -52, Fraction(2) ** -1074, Fraction(sys.float_info.max)
         fns = _lambda_family(23, 20)
-        coefs = basis_terms(fns, 4).coefs
         overflowed = 0
-        for j, fn in enumerate(fns):
-            re, im = Fraction(fn.alpha), Fraction(fn.beta)
-            exact = [(Fraction(1), Fraction(0))]
-            for _ in range(4):
-                a, b = exact[-1]
-                exact.append((a * re - b * im, a * im + b * re))
-            modulus2 = [(re * re + im * im) ** p for p in range(5)]
-            for m in range(5):
-                beyond = modulus2[m] * (1 + 2 * m * eps) ** 2 > huge ** 2
-                for i in range(coefs.shape[2]):
-                    got = coefs[j, m, i].tolist()
-                    if i > min(fn.k, m):
-                        assert got == [0.0, 0.0], (fn, m, i)
-                        continue
-                    if not all(map(math.isfinite, got)):
-                        assert beyond, (fn, m, i, got)
-                        overflowed += 1
-                        continue
-                    p, factor = m - i, math.comb(m, i) * math.perm(fn.k, i)
-                    z = exact[p]
-                    want = (factor * z[1], -factor * z[0]) if fn.kind == "ExpSin" \
-                        else (factor * z[0], factor * z[1])
-                    scale = 2 * p * eps * factor
-                    for part, ref in zip(got, want):
-                        err = abs(Fraction(part) - ref) - p * factor * tiny
-                        assert err <= 0 or err * err <= scale * scale * modulus2[p], \
-                            (fn, m, i, got, float(ref))
+        for m in range(5):
+            values = basis_values(fns, np.zeros(len(fns)), m)
+            for fn, got in zip(fns, values.tolist()):
+                re, im = Fraction(fn.alpha), Fraction(fn.beta)
+                if fn.k > m:
+                    assert got == 0.0, (fn, m)
+                    continue
+                if not math.isfinite(got):
+                    beyond = (re * re + im * im) ** m * (1 + 2 * m * eps) ** 2 > huge ** 2
+                    assert beyond, (fn, m, got)
+                    overflowed += 1
+                    continue
+                p, factor = m - fn.k, math.comb(m, fn.k) * math.factorial(fn.k)
+                z = (Fraction(1), Fraction(0))
+                for _ in range(p):
+                    z = (z[0] * re - z[1] * im, z[0] * im + z[1] * re)
+                want = factor * (z[1] if fn.kind == "ExpSin" else z[0])
+                scale = 2 * p * eps * factor
+                err = abs(Fraction(got) - want) - p * factor * tiny
+                assert err <= 0 or err * err <= scale * scale * (re * re + im * im) ** p, \
+                    (fn, m, got, float(want))
         assert overflowed > 0
 
     def test_overflowing_power_is_non_finite_and_silent(self):
         """lambda = 1e80 (1 + i): lambda ** 4 overflows, lambda ** 3 does not.
-        Only the term that takes the fourth power is non-finite, and order 4
-        evaluates to non-finite values; nothing raises or warns."""
+        Order 4 is non-finite at every point, order 3 finite at x = 0 and
+        1e-90; nothing raises or warns."""
         fn = BasisFunction("ExpSin", 2, 1e80, 1e80)
         x = np.array([-1.0, 0.0, 1e-90, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            terms = basis_terms([fn], 4)
-            values = eval_terms(terms, x, [3, 4])
-        coefs = terms.coefs
-        assert np.isfinite(coefs[0, :4, :3]).all()
-        assert np.isfinite(coefs[0, 4, 1:3]).all()
-        assert not np.isfinite(coefs[0, 4, 0]).all()
+            values = basis_values([fn], x[:, None], np.array([[3], [4]])[:, None])
+        assert np.isfinite(values[0, 1:3]).all()
         assert not np.isfinite(values[1]).any()
-
-
-def _frozen_eval(terms, x, sets, columns=None):
-    """The kernel's evaluation as it was before it skipped work, kept
-    frozen here: complex exp(lambda x) over every column, the powers of x
-    as a list picked by np.choose term by term, one order set at a time.
-    columns None evaluates every column of a basis_terms table at x with a
-    last axis of 1; otherwise sets and columns are index arrays taken as
-    take_terms takes them.  Returns one array per set."""
-    lams, coefs, powers = terms.lams, terms.coefs, terms.powers
-    if columns is None:
-        k_max, real = terms.k_max, terms.real
-        counts = [min(k_max, m) + 1 for m in range(coefs.shape[1])]
-    else:
-        lams, coefs = lams[columns], coefs[columns, sets][..., None, :, :]
-        powers = powers[columns, sets][..., None, :]
-        k_max = int(powers[..., 0].max(initial=0))
-        real, counts, sets = terms.real or not lams.imag.any(), [min(k_max + 1, coefs.shape[-2])], [0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        x_pows = [1.0] + [x ** p for p in range(1, k_max + 1)]
-        e = np.exp(lams * x)
-        out = []
-        for s in sets:
-            c = coefs[..., s, :, :]
-            if k_max == 0:
-                env_r, env_i = c[..., 0, 0], c[..., 0, 1]
-            else:
-                env_r = env_i = 0.0
-                for i in range(counts[s]):
-                    xp = np.choose(powers[..., s, i], x_pows)
-                    env_r = env_r + c[..., i, 0] * xp
-                    if not real:
-                        env_i = env_i + c[..., i, 1] * xp
-            out.append(e.real * env_r if real else e.real * env_r - e.imag * env_i)
-    return out
 
 
 def _kernel_family(rng):
@@ -483,81 +440,51 @@ def _kernel_family(rng):
     return family
 
 
-_SPECIAL_X = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e-300, 800.0]
-
-
-def _points(rng, shape):
-    x = rng.normal(size=shape) * 10.0 ** rng.integers(-2, 2, size=shape)
-    hit = rng.random(shape) < 0.15
-    x[hit] = rng.choice(_SPECIAL_X, size=int(hit.sum()))
-    return x
-
-
-def _same_bits(a, b):
-    """Equal bits, zero signs included, where b is a number; NaN where b is
-    NaN.  Which operand's NaN a product of two NaNs carries is up to the
-    compiled numpy loop, so a NaN's sign and payload are not compared."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if a.shape != b.shape or not np.array_equal(np.isnan(a), np.isnan(b)):
-        return False
-    number = ~np.isnan(b)
-    return a[number].tobytes() == b[number].tobytes()
-
-
 class TestKernelEvaluationIsFrozen:
-    """eval_terms skips exp where every lambda is +-0, runs one exp per
-    distinct lambda and gathers the powers of x from one table; it must
-    give the frozen evaluation's bits, zero and NaN signs included, on the
-    point shapes ClosedForm._combine and assemble_system pass."""
+    """basis_values is elementwise: every entry has the bits of its one-entry
+    evaluation, zero and NaN signs included, on the shapes the solver and
+    the tests pass (a Wronskian's orders down one axis, one order per
+    column, one per entry), at points that include +-0, +-inf, NaN and
+    overflowing ones."""
 
     def test_every_column_at_every_point(self):
         rng = np.random.default_rng(20)
         for fns in _kernel_family(rng):
-            terms = basis_terms(fns, 4)
-            x = _points(rng, int(rng.integers(1, 60)))
-            for sets in ([0], [4], [0, 1, 2, 3, 4], [3, 0, 2], [1, 4]):
-                got = eval_terms(terms, x, sets)
-                for row, want in zip(got, _frozen_eval(terms, x[:, None], sets)):
-                    assert _same_bits(row, want.T), (fns, sets)
+            x = _points(rng, (int(rng.integers(1, 20)), 1))
+            for m in range(5):
+                got = basis_values(fns, x, m)
+                assert _same_bits(got, _one_entry(fns, x, m)), (fns, m)
 
     def test_taken_entries_at_their_own_points(self):
         rng = np.random.default_rng(21)
-        family = _kernel_family(rng)
-        for a, b in zip(family[::2], family[1::2]):
-            fns, n = a + b, min(len(a), len(b))
-            top = int(rng.integers(0, 5))
-            terms = basis_terms(fns, top)
-            pieces = int(rng.integers(1, 6))
-            # per piece, n columns of a or of b
-            column = np.array([rng.permutation(len(a))[:n] if rng.random() < 0.5
-                               else len(a) + rng.permutation(len(b))[:n] for _ in range(pieces)])
+        for fns in _kernel_family(rng):
             rows = int(rng.integers(1, 5))
-            sets, owner = rng.integers(0, top + 1, size=(rows, 1)), rng.integers(0, pieces, rows)
-            x = _points(rng, (rows, n))
-            got = eval_terms(take_terms(terms, sets, column[owner]), x, [0])[0]
-            assert _same_bits(got, _frozen_eval(terms, x, sets, column[owner])[0]), fns
-            orders = np.arange(top + 1)[:, None, None]
-            x = _points(rng, (2, 1, pieces, n))
-            got = eval_terms(take_terms(terms, orders, column[None, None]), x, [0])[0]
-            assert _same_bits(got, _frozen_eval(terms, x, orders, column)[0]), fns
+            x = _points(rng, (rows, len(fns)))
+            for orders in (rng.integers(0, 5, size=(rows, 1)), rng.integers(0, 5, size=len(fns)),
+                           rng.integers(0, 5, size=(rows, len(fns)))):
+                assert _same_bits(basis_values(fns, x, orders), _one_entry(fns, x, orders)), fns
 
     def test_zero_tables_skip_exp_and_mixed_tables_share_it(self):
-        zero = basis_terms([BasisFunction("PolyExp", k, s) for k, s in ((0, 0.0), (1, -0.0), (2, 0.0))], 3)
-        assert zero.zero and zero.real and zero.exp_index.tolist() == [0, 1, 0]
+        # lambda = +-0: e^(lambda x) is exactly 1 at finite x, so x^k's
+        # derivatives come out exact at dyadic points, alone or beside
+        # columns with other lambdas.
+        zero = [BasisFunction("PolyExp", k, s) for k, s in ((0, 0.0), (1, -0.0), (2, 0.0), (3, 0.0))]
         pair = [BasisFunction("ExpCos", 0, -0.5, 0.8), BasisFunction("ExpSin", 0, -0.5, 0.8)]
-        mixed = basis_terms(pair + [BasisFunction("PolyExp", 0, 0.0), BasisFunction("PolyExp", 1, 0.0),
-                                    BasisFunction("PolyExp", 0, -0.0)], 4)
-        assert not mixed.zero and not mixed.real
-        assert mixed.exp_index.tolist() == [0, 0, 1, 1, 2]  # +0.0 and -0.0 apart
-        assert mixed.exps[:, 0].tolist() == [complex(-0.5, 0.8), 0j, complex(-0.0, 0.0)]
+        x = np.array([0.0, -0.0, 0.5, -1.25, 3.0])[:, None]
+        for m in range(5):
+            want = [[float(math.perm(fn.k, m) * Fraction(v) ** max(fn.k - m, 0)) for fn in zero]
+                    for v in x[:, 0].tolist()]
+            alone = basis_values(zero, x, m)
+            assert alone.tolist() == want
+            mixed = basis_values(pair + zero, x, m)
+            assert _same_bits(mixed[:, 2:], alone)
 
     def test_zero_table_is_nan_where_exp_would_be(self):
-        terms = basis_terms([BasisFunction("PolyExp", 0, 0.0), BasisFunction("PolyExp", 1, 0.0)], 1)
-        x = np.array([math.inf, -math.inf, math.nan, -math.nan, 1.5, -0.0])
-        got = eval_terms(terms, x, [0, 1])
-        for row, want in zip(got, _frozen_eval(terms, x[:, None], [0, 1])):
-            assert _same_bits(row, want.T)
-        assert np.isnan(got[:, :, :4]).all()
+        fns = [BasisFunction("PolyExp", 0, 0.0), BasisFunction("PolyExp", 1, 0.0)]
+        x = np.array([math.inf, -math.inf, math.nan, -math.nan, 1.5, -0.0])[:, None]
+        got = np.array([basis_values(fns, x, m) for m in (0, 1)])
+        assert np.isnan(got[:, :4]).all()
+        assert np.isfinite(got[:, 4:]).all()
 
 
 _basis_fn = st.one_of(

@@ -18,7 +18,8 @@ from obstacle_bvp.cli import (EXIT_INPUT, EXIT_OK, EXIT_RANK, EXIT_VERIFY,
                               _table_text, export_problem, load_problem,
                               main, parse_problem)
 from obstacle_bvp.basis import RootFindingError
-from obstacle_bvp.exact import (ClosedForm, InconsistentSystemError, RankDeficientError,
+from obstacle_bvp.exact import (MAX_SEGMENTS, InconsistentSystemError, PiecewiseSolution,
+                                RankDeficientError,
                                 eval_solution, solve_exact)
 from obstacle_bvp.examples import EXAMPLE_IDS, get_example
 from obstacle_bvp.model import PointCondition, ProblemError, SolveError
@@ -47,9 +48,18 @@ def _write_single_piece(tmp_path, interval, coeffs, forcing=(1.0,)):
     return str(path)
 
 
+def _overdetermined_by(miss):
+    """u'' = 0 on [0, 1] with u(0) = u(1) = 1000 and u(0.5) = 1000 + miss."""
+    return {"order": 2, "continuity": [0, 1],
+            "pieces": [{"interval": [0.0, 1.0], "coeffs": [0.0, 0.0], "forcing": [0.0]}],
+            "conditions": [{"x": 0.0, "deriv": 0, "value": 1000.0},
+                           {"x": 1.0, "deriv": 0, "value": 1000.0},
+                           {"x": 0.5, "deriv": 0, "value": 1000.0 + miss}]}
+
+
 def _overflow_closed_form(monkeypatch):
-    """Every closed-form evaluation is inf, as on a domain where it overflows."""
-    monkeypatch.setattr(ClosedForm, "_combine", lambda self, x, constants, orders:
+    """Every evaluation of a solution is inf, as on a domain where it overflows."""
+    monkeypatch.setattr(PiecewiseSolution, "evaluate", lambda self, x, owner, orders:
                         np.full((len(orders),) + np.shape(x), np.inf))
 
 
@@ -138,16 +148,19 @@ class TestCmdSolve:
         assert not out.exists()
 
     def test_answer_missing_its_own_condition_exits_2(self, tmp_path, capsys):
-        # u'' = 1e-8 u + x^3 on [0, 3], u = 0 at both ends: the closed form's
-        # constants are -+3.0e20, and u(3) misses 0 by 6.554e4 (verify exits 3).
-        path = _write_single_piece(tmp_path, (0.0, 3.0), (1e-8, 0.0), (0.0, 0.0, 0.0, 1.0))
+        # u'' = 0 on [0, 1] with u(0) = u(1) = 1000 and u(0.5) = 1000.0000005:
+        # the residual 5e-7 passes the consistency gate, 1e-9 (1 + 1000), and
+        # u(0.5) misses its value by that much (verify exits 3).
+        path = tmp_path / "single.json"
+        path.write_text(json.dumps(_overdetermined_by(5e-7)))
         out = tmp_path / "o.csv"
-        assert main(["solve", "--input", path, "--output", str(out)]) == EXIT_RANK
+        assert main(["solve", "--input", str(path), "--output", str(out)]) == EXIT_RANK
         err = capsys.readouterr().err
-        assert "misses 1 of its 2 condition and continuity rows, worst u^(0)(3) = 0 by 6.554e+04" in err
+        assert ("misses 1 of its 3 condition and continuity rows, worst u^(0)(0.5) = 1000 "
+                "by 5.000e-07") in err
         assert "pin" not in err
         assert not out.exists()
-        assert main(["verify", "--input", path]) == EXIT_VERIFY
+        assert main(["verify", "--input", str(path)]) == EXIT_VERIFY
 
     def test_missed_continuity_row_is_named(self, tmp_path, capsys, monkeypatch):
         # A NaN jump is the worst row, above a condition missed by 1e-3.
@@ -177,6 +190,7 @@ class TestCmdSolve:
                                               for x in (0.0, 3.0)]})
                 for a0 in (1e-16, 1e-12, 1e-8, 1e-6, 1e-4, 1e-2)]
         bvps += [get_example(ex_id).bvp for ex_id in EXAMPLE_IDS] + [_sixteen_region_obstacle()]
+        bvps += [parse_problem(_overdetermined_by(miss)) for miss in (5e-7, 1e-10)]
         refused = []
         for i, bvp in enumerate(bvps):
             path = _write_problem(tmp_path, bvp, f"{i}.json")
@@ -194,9 +208,11 @@ class TestCmdSolve:
         assert code == EXIT_INPUT
         assert "non-finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("interval, coeffs", [((0.0, 1.0), (1e6, 0.0)),
-                                                  ((0.0, 800.0), (1.0, 0.0)),
-                                                  ((0.0, 1.0), (0.0, 1e200))])
+    @pytest.mark.parametrize("interval, coeffs", [
+        ((0.0, 1e300), (0.0, 0.0)),  # the forced table's h^2 / 2 overflows
+        ((0.0, 1.0), (1e200, 0.0)),  # 5e99 segments, above MAX_SEGMENTS
+        ((0.0, 1.0), (0.0, 1e200)),  # the root finder diverges
+    ])
     def test_overflow_is_solve_error_without_pin_advice(self, tmp_path, capsys,
                                                         interval, coeffs):
         path = _write_single_piece(tmp_path, interval, coeffs)
@@ -208,18 +224,27 @@ class TestCmdSolve:
         assert code == EXIT_RANK
         assert "pin" not in capsys.readouterr().err
 
+    def test_segment_budget_is_solve_error(self, tmp_path, capsys):
+        # u'' = 1e12 u on [0, 100]: rho*L = 2e8 needs 5e7 segments of rho*L <= 4,
+        # refused before any table is built
+        path = _write_single_piece(tmp_path, (0.0, 100.0), (1e12, 0.0), forcing=(0.0,))
+        out = tmp_path / "o.csv"
+        assert main(["solve", "--input", path, "--output", str(out)]) == EXIT_RANK
+        err = capsys.readouterr().err
+        assert ("piece 0 on (0.0, 100.0) needs 5e+07 segments of rho*L <= 4 (rho*L = 2e+08); "
+                f"the problem needs 5e+07, more than MAX_SEGMENTS = {MAX_SEGMENTS}") in err
+        assert not out.exists()
+
     def test_elimination_overflow_exits_2(self, tmp_path, capsys):
-        # u'' = 2u' - 2.21u with u(h) = 1, u'(h) = 0 at h = 709.26: every
-        # matrix entry stays below 0.84 * DBL_MAX, but its eliminated second
-        # pivot is 1.34 * DBL_MAX.  Constants read from those bits give u = 0,
-        # which breaks u(h) = 1.
-        h = 709.26
+        # u'' = 0 with u(0) = 1.5e308 and u(1) = -1.5e308: every matrix entry
+        # and rhs value is finite, but eliminating u(0)'s row from u(1)'s
+        # takes -1.5e308 - 1.5e308 to -inf.  No constants are read from it.
         path = tmp_path / "growth.json"
         path.write_text(json.dumps({
             "order": 2, "continuity": [0, 1],
-            "pieces": [{"interval": [h - 1.0, h], "coeffs": [-2.21, 2.0], "forcing": [0.0]}],
-            "conditions": [{"x": h, "deriv": 0, "value": 1.0},
-                           {"x": h, "deriv": 1, "value": 0.0}]}))
+            "pieces": [{"interval": [0.0, 1.0], "coeffs": [0.0, 0.0], "forcing": [0.0]}],
+            "conditions": [{"x": 0.0, "deriv": 0, "value": 1.5e308},
+                           {"x": 1.0, "deriv": 0, "value": -1.5e308}]}))
         out = tmp_path / "o.csv"
         code = main(["solve", "--input", str(path), "--output", str(out)])
         assert code == EXIT_RANK
@@ -398,11 +423,13 @@ class TestMalformedProblem:
 
 
 def _overflowing_problem(tmp_path):
-    """u'' = u + 1 with u(0) = 1e308, u(1) = -1e308: the constants are
-    finite, but u' = -c0 e^-x + c1 e^x overflows on the whole grid."""
-    data = _unit_problem(coeffs=[1.0, 0.0])
-    data["conditions"] = [{"x": 0.0, "deriv": 0, "value": 1e308},
-                          {"x": 1.0, "deriv": 0, "value": -1e308}]
+    """u'' = 0 on [0, 1] and u'' = 1.7e308 on [1, 2], u(0) = 0, u'(0) = 2e307:
+    every condition and jump is met exactly, but u' = 2e307 + 1.7e308 (x - 1)
+    overflows past x = 1.94 while u stays finite."""
+    data = _unit_problem(forcing=[0.0])
+    data["pieces"].append({"interval": [1.0, 2.0], "coeffs": [0.0, 0.0], "forcing": [1.7e308]})
+    data["conditions"] = [{"x": 0.0, "deriv": 0, "value": 0.0},
+                          {"x": 0.0, "deriv": 1, "value": 2e307}]
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(data))
     return path
@@ -423,8 +450,8 @@ class TestNonFiniteTable:
         assert "u^(1)" in capsys.readouterr().err
         assert out.read_text() == "x,piece,u,du1\n0,0,1,2\n"
         assert not list(tmp_path.glob("*.tmp"))
-        # The oracle's shooting system overflows in back substitution.
-        assert main(["verify", "--input", str(path)]) == EXIT_RANK
+        # The oracle's trajectory overflows too: a verification failure.
+        assert main(["verify", "--input", str(path)]) == EXIT_VERIFY
         assert "overflow" in capsys.readouterr().err
 
     def test_overflow_in_place_leaves_the_header(self, tmp_path, capsys, monkeypatch):

@@ -4,15 +4,15 @@ import math
 import re
 import warnings
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
-from numpy.polynomial import polynomial as npoly
 
-from obstacle_bvp.basis import MAX_ORDER, BasisFunction, piece_basis
+from obstacle_bvp.basis import MAX_ORDER, piece_basis
 import obstacle_bvp.exact as exact_module
 from obstacle_bvp.exact import (CONSISTENCY_TOL, ClosedForm, InconsistentSystemError,
-                                MatchSystem, PieceSolution, RankDeficientError, SolveError,
+                                MatchSystem, RankDeficientError, SolveError,
                                 assemble_system, eval_solution, gauss_solve,
                                 particular_solution, residual_norm, solve_exact)
 from obstacle_bvp.examples import EXAMPLE_IDS, get_example
@@ -22,7 +22,6 @@ from obstacle_bvp.model import (ContinuitySpec, PieceOde, PiecewiseBvp,
                                 PinnedConstant, PointCondition, ProblemError,
                                 build_fourth_order, build_second_order,
                                 build_third_order)
-from kernel import basis_derivatives
 
 E = math.e
 
@@ -76,40 +75,65 @@ def _system_for(bvp):
 
 
 def _reference_system(bvp, bases, particulars):
-    """Row-by-row assembly: one one-point basis_derivatives call per matrix
-    entry and polyder/polyval for every particular value."""
-    n = bvp.order
-    width = n * len(bvp.pieces)
+    """Row-by-row assembly from the problem's segment tables, each row from
+    its own segment alone: a condition from its table at its point, a
+    continuity or joint row from its left table's end and its right datum,
+    a pin from its piece's inverse Wronskian row.  Rows in the layout's
+    order, with their labels; the same formulas as the array assembly, each
+    evaluated on one row."""
+    seg = exact_module._segments(bvp)
+    n, size, binomial = bvp.order, seg.tables.shape[1], exact_module._BINOMIAL
+    powers = exact_module.powers
+    width = n * len(seg.h)
     rows, rhs, labels = [], [], []
 
-    def basis_row(k, x, j):
+    def continuity(g, i):
+        mu = min(seg.scale[g], seg.scale[g + 1])
+        end = (binomial[:size, :n].T @ seg.tables[g])[i] * powers(mu / seg.h[g], n)[i]
         row = np.zeros(width)
-        for i, b in enumerate(bases[k]):
-            row[k * n + i] = basis_derivatives([b], [x], j)[0]
-        return row
-
-    def particular(k, x, j):
-        poly = npoly.polyder(particulars[k], j) if j else particulars[k]
-        return float(npoly.polyval(x, poly))
+        row[g * n:g * n + n] = end[:n]
+        row[(g + 1) * n + i] = -powers(mu / seg.scale[g + 1], n)[i]
+        return row, -end[n]
 
     for cond in bvp.conditions:
         k = int(bvp.owning_piece(cond.location, side="left"))
-        rows.append(basis_row(k, cond.location, cond.deriv_order))
-        rhs.append(cond.value - particular(k, cond.location, cond.deriv_order))
-        labels.append(f"u^({cond.deriv_order})({cond.location:g}) = {cond.value:g}")
+        g, s = seg.locate(np.array([cond.location]), np.array([k]))
+        g, d = int(g[0]), cond.deriv_order
+        weights = (binomial[:size, d] * powers(seg.scale[g] / seg.h[g], n)[d]
+                   * powers(s[0], size)[np.maximum(np.arange(size) - d, 0)])
+        at = (weights[:, None] * seg.tables[g]).sum(0)
+        row = np.zeros(width)
+        row[g * n:g * n + n] = at[:n]
+        rows.append(row)
+        rhs.append(cond.value * powers(seg.scale[g], n)[d] / math.factorial(d) - at[n])
+        labels.append(f"u^({d})({cond.location:g}) = {cond.value:g}")
     for k, x in enumerate(bvp.interior_breakpoints):
         for j in bvp.continuity.sorted_orders:
-            rows.append(basis_row(k, x, j) - basis_row(k + 1, x, j))
-            rhs.append(particular(k + 1, x, j) - particular(k, x, j))
+            row, value = continuity(seg.first[k + 1] - 1, j)
+            rows.append(row)
+            rhs.append(value)
             labels.append(f"continuity order {j} at x = {x:g}")
+    forms = tuple(map(ClosedForm, bases, particulars))
     for pin in bvp.pins:
+        k, g = pin.piece_index, seg.first[pin.piece_index]
+        w, p = exact_module._closed_form_at_lo(bvp, forms, [k])
+        inverse = np.linalg.solve(w, np.eye(n)[None])[0, pin.basis_index]
         row = np.zeros(width)
-        row[pin.piece_index * n + pin.basis_index] = 1.0
+        entries = inverse * [math.factorial(j) / powers(seg.scale[g], n)[j] for j in range(n)]
+        top = np.abs(entries).max()
+        row[g * n:g * n + n] = entries / top
         rows.append(row)
-        rhs.append(pin.value)
+        rhs.append((pin.value + (inverse * p[0]).sum()) / top)
         labels.append(f"pin (piece {pin.piece_index}, basis {pin.basis_index})"
                       f" = {pin.value:g}")
-    return np.array(rows), np.array(rhs), tuple(labels)
+    for k in range(len(bvp.pieces)):
+        for g in range(seg.first[k], seg.first[k + 1] - 1):
+            for j in range(n):
+                row, value = continuity(g, j)
+                rows.append(row)
+                rhs.append(value)
+                labels.append(f"segment joint order {j} at x = {seg.lo[g + 1]:g}")
+    return np.array(rows).reshape(-1, width), np.array(rhs), tuple(labels)
 
 
 # Characteristic roots per order: repeated, complex and zero.
@@ -203,16 +227,20 @@ class TestAssembleSystem:
         assert (len(system.bands), system.width) == (9, 9)
 
     def test_bands_read_negative_zero_as_positive(self, monkeypatch):
-        # u'' = u' with the constant's alpha a -0.0: u'(0) is -0.0 * e^0 in
-        # the per-entry reference row, and the band holds +0.0 there.
-        bvp = PiecewiseBvp(2, (PieceOde(2, (0.0, 1.0), (0.0, 1.0), (0.0,)),),
-                           (PointCondition(0.0, 1, 1.0), PointCondition(1.0, 0, 0.0)),
-                           ContinuitySpec(frozenset({0, 1})))
-        basis = (BasisFunction("PolyExp", 0, -0.0), BasisFunction("PolyExp", 0, 1.0))
-        system = assemble_system(bvp, [basis], [(0.0,)])
-        reference = _reference_system(bvp, [basis], [(0.0,)])[0]
-        assert reference[0, 0] == 0.0 and np.signbit(reference[0, 0])
-        assert system.bands[0][0] == 0 and not np.signbit(system.bands[0][1][0])
+        # A pin on (piece 2, basis 2) of 3.1.6 is row 2 of the inverse
+        # Wronskian of 1, x, x^2, whose first two entries are zero; with
+        # every zero of the inverse made -0.0, the band holds +0.0 there.
+        bvp = dataclasses.replace(get_example("3.1.6").bvp, pins=(PinnedConstant(2, 2, 1.0),))
+        original = exact_module._in_basis
+
+        def negated_zeros(w, y):
+            out = original(w, y)
+            return np.where(out == 0.0, -0.0, out)
+
+        monkeypatch.setattr(exact_module, "_in_basis", negated_zeros)
+        system = _system_for(bvp)
+        first, band = system.bands[len(bvp.conditions) + 2 * len(bvp.continuity.enforced_orders)]
+        assert band[:2] == [0.0, 0.0] and not np.signbit(band[:2]).any()
         _assert_matches_dense(system, monkeypatch)
 
     def test_row_ordering_is_deterministic(self):
@@ -328,38 +356,49 @@ class TestGaussSolve:
         assert gauss_solve(system) == pytest.approx([2.0, 3.0])
 
     def test_first_example_constants(self):
-        constants = gauss_solve(_system_for(get_example("3.1.1").bvp))
+        # Unknown 1 is u'(-1) times the first segment's scale: the slope a1.
+        system = _system_for(get_example("3.1.1").bvp)
+        data = gauss_solve(system)
         a1 = 2.0 * (E - 1.0) / (1.0 + 3.0 * E)
-        assert constants[1] == pytest.approx(a1, abs=1e-12)
+        assert data[1] / system.segments.scale[0] == pytest.approx(a1, abs=1e-12)
 
     @pytest.mark.parametrize("coeff, hi", [(1e6, 1.0), (1.0, 800.0)])
     def test_overflowing_system_is_not_rank_deficient(self, coeff, hi):
-        # u'' = coeff*u on [0, hi]: e^{sqrt(coeff)*hi} overflows, so no pin
-        # can help; the solve must name the overflow, not give pin advice.
+        # u'' = coeff*u + 1 on [0, hi], u = 0 at both ends: e^{sqrt(coeff)*hi}
+        # overflowed the global basis's system.  On segments of rho*h <= 4 no
+        # entry grows past e^4, so the system is neither non-finite nor
+        # rank-deficient: u is (cosh(k(x - hi/2)) / cosh(k hi/2) - 1) / coeff.
+        k = math.sqrt(coeff)
         piece = PieceOde(2, (0.0, hi), (coeff, 0.0), (1.0,))
         bvp = PiecewiseBvp(2, (piece,), (PointCondition(0.0, 0, 0.0),
                                          PointCondition(hi, 0, 0.0)),
                            ContinuitySpec(frozenset({0, 1})))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(SolveError, match="non-finite") as exc:
-                solve_exact(bvp)
+            sol = solve_exact(bvp)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert not isinstance(exc.value, RankDeficientError)
-        assert "pin" not in str(exc.value)
+        xs = np.linspace(0.0, hi, 1001)
+        t = np.minimum(xs, hi - xs)  # the distance to the nearer end
+        truth = (np.exp(-k * t) * (1.0 + np.exp(-k * (hi - 2 * t))) / (1.0 + np.exp(-k * hi))
+                 - 1.0) / coeff
+        assert np.abs(eval_solution(sol, bvp, xs) - truth).max() <= 1e-13 / coeff
+        assert verification_report(sol, bvp).passed
 
     @pytest.mark.parametrize("pieces, conditions, first", [
-        # u'' = 1e6 u: e^1000 at the condition x = 1
-        (((0.0, 1.0, 1e6),), ((0.0, 0), (1.0, 0)), "1 of 2 rows, first: u^(0)(1) = 0;"),
-        # u'' = 1e7 u on the second piece: e^1581 at its lo, in both
-        # continuity rows; the conditions sit on the first piece
-        (((0.0, 0.5, 0.0), (0.5, 2.0, 1e7)), ((0.0, 0), (0.0, 1)),
-         "2 of 4 rows, first: continuity order 0 at x = 0.5;"),
+        # u'' = 1 on [0, 4]: u'(4) = 1e308 times the scale 4 overflows
+        (((0.0, 4.0, (1.0,)),), ((0.0, 0, 0.0), (4.0, 1, 1e308)),
+         "1 of 2 rows, first: u^(1)(4) = 1e+308;"),
+        # u'' = 4.25e307 + 2.125e307 x on [0, 2]: its forced table's s^2 and
+        # s^3 terms are 8.5e307 and 2.8e307, and u'(2) h, 2 * 8.5e307 +
+        # 3 * 2.8e307, overflows in the order-1 continuity row there; the
+        # conditions at x = 0 read s^0 and s^1
+        (((0.0, 2.0, (4.25e307, 2.125e307)), (2.0, 3.0, (1.0,))), ((0.0, 0, 0.0), (0.0, 1, 0.0)),
+         "1 of 4 rows, first: continuity order 1 at x = 2;"),
     ], ids=["condition", "continuity"])
     def test_non_finite_error_names_first_bad_row(self, pieces, conditions, first):
-        bvp = PiecewiseBvp(2, tuple(PieceOde(2, (lo, hi), (a0, 0.0), (1.0,))
-                                    for lo, hi, a0 in pieces),
-                           tuple(PointCondition(x, j, 0.0) for x, j in conditions),
+        bvp = PiecewiseBvp(2, tuple(PieceOde(2, (lo, hi), (0.0, 0.0), q)
+                                    for lo, hi, q in pieces),
+                           tuple(PointCondition(*c) for c in conditions),
                            ContinuitySpec(frozenset({0, 1})))
         with pytest.raises(SolveError, match=re.escape(first)):
             solve_exact(bvp)
@@ -767,12 +806,12 @@ def _exact_solution(system):
 
 
 def _assert_within_conditioning(sol):
-    """A solution's constants lie within 10 cond eps of the exact solution
+    """A solution's Cauchy data lie within 10 cond eps of the exact solution
     of the system it solved, relative in the inf-norm, cond = cond_inf(M)."""
     system = sol.system
     assert len(system.bands) == system.width
     exact = _exact_solution(system)
-    error = max(abs(Fraction(c) - e) for c, e in zip(sol.constants.ravel().tolist(), exact))
+    error = max(abs(Fraction(c) - e) for c, e in zip(sol.data.ravel().tolist(), exact))
     cond = np.linalg.cond(_densify(system.bands, system.width), np.inf)
     assert error <= Fraction(10 * cond * np.finfo(float).eps) * max(map(abs, exact)), \
         (float(error / max(map(abs, exact))), cond)
@@ -872,8 +911,12 @@ class TestSolveExact:
             sol = solve_exact(bvp)
             sols.append(np.concatenate([p.constants for p in sol.pieces]))
         diff = sols[1] - sols[0]
+        assert np.abs(diff).max() > 0.1
+        # The Cauchy data differ by a null vector of the unpinned system.
+        data = [solve_exact(dataclasses.replace(base, pins=(PinnedConstant(2, 0, value),))).data
+                for value in (1.0, 2.0)]
         system = _system_for(unpinned)
-        assert np.abs(_densify(system.bands, system.width) @ diff).max() <= 1e-8
+        assert np.abs(_densify(system.bands, system.width) @ (data[1] - data[0]).ravel()).max() <= 1e-8
 
     @pytest.mark.parametrize("roots", [
         [1.3, 1.3 + 1e-7],
@@ -910,13 +953,26 @@ class TestSolveExact:
                                            b=1.0, conditions=conditions))
         assert exc.value.nullity == 2
 
+    def test_segment_budget_counts_every_piece(self, monkeypatch):
+        # u'' = u on [0, 6] and [6, 8]: rho*L = 12 and 4, three segments and one
+        piece = [PieceOde(2, interval, (1.0, 0.0), (0.0,)) for interval in ((0.0, 6.0), (6.0, 8.0))]
+        bvp = PiecewiseBvp(2, tuple(piece), (PointCondition(0.0, 0, 1.0), PointCondition(8.0, 0, 0.0)),
+                           ContinuitySpec(frozenset({0, 1})))
+        monkeypatch.setattr(exact_module, "MAX_SEGMENTS", 4)
+        assert solve_exact(bvp).system.segments.first.tolist() == [0, 3, 4]
+        monkeypatch.setattr(exact_module, "MAX_SEGMENTS", 3)
+        with pytest.raises(SolveError, match=re.escape(
+                "piece 0 on (0.0, 6.0) needs 3 segments of rho*L <= 4 (rho*L = 12); the "
+                "problem needs 4, more than MAX_SEGMENTS = 3")):
+            solve_exact(bvp)
+
     def test_matching_system_attached(self):
         bvp = get_example("3.1.1").bvp
         sol = solve_exact(bvp)
         assert sol.system.bvp is bvp and sol.system.width == 6
-        assert sol.constants.shape == (3, 2)
-        assert sol.constants.base is not None  # a view of the elimination's vector
-        assert residual_norm(sol.system, sol.constants.ravel()) <= 1e-12
+        assert sol.constants.shape == sol.data.shape == (3, 2)
+        assert sol.data.base is not None  # a view of the elimination's vector
+        assert residual_norm(sol.system, sol.data.ravel()) <= 1e-12
 
 
 class TestEvalSolution:
@@ -958,15 +1014,16 @@ class TestEvalSolution:
     @pytest.mark.parametrize("ex_id", EXAMPLE_IDS)
     def test_value_is_its_row_of_the_multi_order_pass(self, ex_id):
         bvp = get_example(ex_id).bvp
-        for piece, ps in zip(bvp.pieces, solve_exact(bvp).pieces):
+        sol = solve_exact(bvp)
+        for k, (piece, ps) in enumerate(zip(bvp.pieces, sol.pieces)):
             xs = np.linspace(piece.lo, piece.hi, 37)
-            rows = ps.form._combine(xs, ps.constants, range(MAX_ORDER + 1))
+            rows = sol.piece_derivatives(k, xs, range(MAX_ORDER + 1))
             for d in range(MAX_ORDER + 1):
                 assert _bitwise(ps.value(xs, d), rows[d])
                 assert _bitwise(ps.value(xs[5], d), rows[d][5])
             # any subset of orders, in any order, gives the same rows
             assert all(_bitwise(got, rows[d]) for d, got in
-                       zip((3, 0, 2), ps.form._combine(xs, ps.constants, (3, 0, 2))))
+                       zip((3, 0, 2), sol.piece_derivatives(k, xs, (3, 0, 2))))
 
     def test_value_does_not_depend_on_the_layout_of_x(self):
         # numpy's power can round differently on a strided array; the kernel
@@ -982,19 +1039,28 @@ class TestEvalSolution:
             assert _bitwise(ps.value(xs[::-1], d), ps.value(xs, d)[::-1])
             assert _bitwise(ps.value(xs[::3], d), ps.value(xs, d)[::3])
 
-    @pytest.mark.parametrize("coeffs", [(1.0, 0.0), (-5.0, 2.0)], ids=["exp", "exp-trig"])
-    def test_overflowing_value_is_its_row_silently(self, coeffs):
-        piece = PieceOde(2, (0.0, 1.0), coeffs, (1.0, 0.5))
-        basis, particular = piece_basis([piece])[0], particular_solution([piece])[0]
-        ps = PieceSolution(ClosedForm(basis, particular), np.array([1.0, -2.0]))
-        xs = np.array([0.5, 700.0, 750.0, 1000.0])
+    @pytest.mark.parametrize("coeffs, ends", [((1.0, 0.0), ((0.0, 0), (1.0, 0))),
+                                              ((-5.0, -2.0), ((0.0, 0), (0.0, 1)))],
+                             ids=["exp", "exp-trig"])
+    def test_overflowing_value_is_its_row_silently(self, coeffs, ends):
+        # u'' = 1e6 (a0 u + 1e-3 a1 u') + 1 + x/2 on [0, 1], with u = 1e306 at
+        # both ends (roots +-1e3) or u(0) = 1e306, u'(0) = 0 (roots
+        # 1e3 (-1 +- 2i)): the scaled data stay finite, and u'' ~ 1e6 u
+        # overflows at x = 0.
+        piece = PieceOde(2, (0.0, 1.0), (1e6 * coeffs[0], 1e3 * coeffs[1]), (1.0, 0.5))
+        bvp = PiecewiseBvp(2, (piece,), tuple(PointCondition(x, d, 0.0 if d else 1e306)
+                                              for x, d in ends),
+                           ContinuitySpec(frozenset({0, 1})))
+        ps = solve_exact(bvp).pieces[0]
+        xs = np.array([0.5, 1e-6, 0.25, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = ps.form._combine(xs, ps.constants, range(MAX_ORDER + 1))
+            rows = ps.solution.piece_derivatives(0, xs, range(MAX_ORDER + 1))
             for d in range(MAX_ORDER + 1):
                 assert _bitwise(ps.value(xs, d), rows[d])
-                assert _bitwise(ps.value(1000.0, d), rows[d][3])
-        assert np.isfinite(rows[0][0]) and not np.isfinite(rows[0][3])
+                assert _bitwise(ps.value(0.0, d), rows[d][3])
+        assert np.isfinite(rows[0]).all() and np.isfinite(rows[2][0])
+        assert not np.isfinite(rows[2][3])
 
     @pytest.mark.parametrize("order", [-1, MAX_ORDER + 1])
     def test_unsupported_order_rejected(self, order):
@@ -1047,6 +1113,19 @@ def _per_piece_eval(sol, bvp, xs, j):
     return out
 
 
+def _counting_locate(monkeypatch):
+    """The (x, owner) of every Segments.locate call: one per evaluation pass."""
+    calls = []
+    original = exact_module.Segments.locate
+
+    def counted(self, x, owner):
+        calls.append((x, owner))
+        return original(self, x, owner)
+
+    monkeypatch.setattr(exact_module.Segments, "locate", counted)
+    return calls
+
+
 def _bitwise(a, b):
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
@@ -1071,9 +1150,11 @@ class TestSharedOdeWork:
 
     @staticmethod
     def _check_constants(bvp):
+        # The elimination's vector, the Cauchy data, of a solve whose roots
+        # and particulars were shared by the rows of the ODE table equals
+        # that of a system built from one-ODE calls per row.
         reference = gauss_solve(_system_for(bvp))
-        got = np.concatenate([p.constants for p in solve_exact(bvp).pieces])
-        assert _bitwise(got, reference)
+        assert _bitwise(solve_exact(bvp).data.ravel(), reference)
 
     @pytest.mark.parametrize("ex_id", EXAMPLE_IDS)
     def test_eval_bitwise_equal_to_piece_values(self, ex_id):
@@ -1095,49 +1176,58 @@ class TestSharedOdeWork:
                 assert _bitwise(eval_solution(sol, bvp, x, j), sol.pieces[owner].value(x, j))
 
     def test_eval_makes_one_kernel_pass_per_ode(self, monkeypatch):
+        # One Horner pass over all points, whatever their pieces and rows.
         bvp = _sixteen_region_obstacle()
         sol = solve_exact(bvp)
         xs = np.linspace(*bvp.domain, 2001)
-        kernel = _counting(monkeypatch, "eval_terms")
+        passes = _counting_locate(monkeypatch)
         eval_solution(sol, bvp, xs, 1)
-        assert len(kernel) == 2
+        assert len(passes) == 1
 
     def test_equal_copies_share_their_row_pass_with_the_same_bits(self, monkeypatch):
         bvp = _sixteen_region_obstacle()
         sol = solve_exact(bvp)
-        rebuilt = dataclasses.replace(sol, constants=sol.constants.copy(), forms=tuple(
+        rebuilt = dataclasses.replace(sol, data=sol.data.copy(), forms=tuple(
             ClosedForm(tuple(dataclasses.replace(b) for b in form.basis),
                        tuple(list(form.particular)))
             for form in sol.forms))
         for form, copy in zip(sol.forms, rebuilt.forms):
             assert copy.basis == form.basis and copy.basis is not form.basis
             assert copy.particular == form.particular and copy.particular is not form.particular
+        assert _bitwise(rebuilt.constants, sol.constants)
         xs = np.concatenate([np.linspace(*bvp.domain, 2001), bvp.breakpoints])
-        kernel = _counting(monkeypatch, "eval_terms")
+        passes = _counting_locate(monkeypatch)
         for j in range(bvp.order + 1):
             want = eval_solution(sol, bvp, xs, j)
-            kernel.clear()
+            passes.clear()
             assert _bitwise(eval_solution(rebuilt, bvp, xs, j), want)
-            assert len(kernel) == 2  # one pass per row of the ODE table
+            assert len(passes) == 1  # one pass over every piece of every row
 
     def test_kernel_terms_are_built_once_per_ode_row(self, monkeypatch):
+        # The closed forms are one per row; the derivative table every
+        # evaluation reads is built once per solution, for every order.
         bvp = _sixteen_region_obstacle()
         sol = solve_exact(bvp)
         row = bvp.ode_table[0]
         assert len(sol.forms) == 2
         assert all(ps.form is sol.forms[r] for ps, r in zip(sol.pieces, row))
-        terms = _counting(monkeypatch, "basis_terms")
+        built = []
+        table = type(sol)._derivatives
+        monkeypatch.setattr(type(sol), "_derivatives", cached_property(
+            lambda self: built.append(self) or table.func(self)))
+        type(sol)._derivatives.__set_name__(type(sol), "_derivatives")
         xs = np.linspace(*bvp.domain, 101)
         for j in range(bvp.order):
             eval_solution(sol, bvp, xs, j)
             for k, ps in enumerate(sol.pieces):
                 sol.piece_derivatives(k, xs, [j])
                 ps.value(xs, j)
-        assert len(terms) == 2  # one per row of the ODE table, each for every order
+        assert built == [sol]
 
     def test_perturbed_row_evaluates_its_own_particular(self):
-        # Every piece of row 1 takes the row's shifted particular; row 0
-        # keeps its bits.
+        # Every piece of row 1 publishes its constants against the row's
+        # shifted particular; row 0 keeps its bits, and u, which the
+        # segment tables give, does not move.
         bvp = _sixteen_region_obstacle()
         sol = solve_exact(bvp)
         row = np.array(bvp.ode_table[0])
@@ -1147,13 +1237,12 @@ class TestSharedOdeWork:
                                                     ClosedForm(form.basis, particular)))
         assert all(ps.form.particular == (particular if r else sol.forms[0].particular)
                    for ps, r in zip(perturbed.pieces, row))
+        shift = perturbed.constants - sol.constants
+        assert (row == 1).any() and not (row == 1).all()
+        assert np.abs(shift[row == 1]).max(axis=1).min() >= 1e-4
+        assert _bitwise(perturbed.constants[row == 0], sol.constants[row == 0])
         xs = np.linspace(*bvp.domain, 2001)
-        got = eval_solution(perturbed, bvp, xs)
-        assert _bitwise(got, _per_piece_eval(perturbed, bvp, xs, 0))
-        mine = row[bvp.owning_piece(xs)] == 1
-        assert mine.any() and not mine.all()
-        assert np.abs(got[mine] - eval_solution(sol, bvp, xs)[mine]).min() >= 9e-4
-        assert _bitwise(got[~mine], eval_solution(sol, bvp, xs)[~mine])
+        assert _bitwise(eval_solution(perturbed, bvp, xs), eval_solution(sol, bvp, xs))
 
 
 def _basis_bits(basis):

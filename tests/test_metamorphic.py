@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
-from obstacle_bvp.exact import InconsistentSystemError, eval_solution, solve_exact
+from obstacle_bvp.exact import eval_solution, solve_exact
 from obstacle_bvp.examples import EXAMPLE_IDS, get_example
 from obstacle_bvp.model import (ContinuitySpec, PieceOde, PiecewiseBvp, PointCondition,
                                 SolveError)
@@ -280,10 +280,6 @@ def _shifted(bvp, s):
                          for c in bvp.conditions))
 
 
-@pytest.mark.xfail(strict=True, raises=InconsistentSystemError,
-                   reason="ROADMAP item 3: _echelon's rank tolerance scales with the "
-                          "largest entry, e^100 here, sinks the polynomial columns and "
-                          "drops rows whose rhs the gate then rejects")
 def test_shifted_domain_solves_like_the_original():
     bvp = get_example("3.1.1").bvp
     moved = _shifted(bvp, 100.0)
@@ -303,25 +299,13 @@ def _verifies(order, interval, coeffs, forcing, conditions):
     return verification_report(solve_exact(bvp), bvp, shooting_solve(bvp, 1e-3)).passed
 
 
-def _item_2_xfail(reason):
-    return pytest.mark.xfail(strict=True, raises=AssertionError,
-                             reason=f"ROADMAP item 2: {reason}")
-
-
-_NEAR_RESONANT = _item_2_xfail("the resonance shift is taken only at a0 = 0 exactly, so "
-                               "the particular grows like 6/a0^2 and the basis cancels it")
-
-
-@pytest.mark.parametrize("a0", [0.0, *(pytest.param(a0, marks=_NEAR_RESONANT)
-                                      for a0 in (1e-16, 1e-12, 1e-8, 1e-6, 1e-4)), 1e-2])
+@pytest.mark.parametrize("a0", [0.0, 1e-16, 1e-12, 1e-8, 1e-6, 1e-4, 1e-2])
 def test_near_resonant_family_verifies(a0):
     # u'' = a0 u + x^3 on [0, 3], u(0) = u(3) = 0: well posed for every a0 >= 0.
     assert _verifies(2, (0.0, 3.0), (a0, 0.0), (0.0, 0.0, 0.0, 1.0),
                      [(0.0, 0, 0.0), (3.0, 0, 0.0)])
 
 
-@_item_2_xfail("companion eigenvalues split the triple root 2 by ~1.4e-5, above "
-               "CLUSTER_TOL, and it is never merged")
 def test_triple_root_verifies():
     # u''' = 6u'' - 12u' + 8u + 1, characteristic polynomial (lambda - 2)^3;
     # u(0) = u'(0) = 0, u(1) = 1.

@@ -1,11 +1,12 @@
 import dataclasses
 import math
 import warnings
+from functools import cached_property
 
 import numpy as np
 import pytest
 
-from obstacle_bvp.exact import ClosedForm, SolveError, solve_exact
+from obstacle_bvp.exact import SolveError, solve_exact
 from obstacle_bvp.examples import EXAMPLE_IDS, get_example
 from obstacle_bvp.model import (ContinuitySpec, PieceOde, PiecewiseBvp,
                                 PointCondition, ProblemError)
@@ -21,12 +22,17 @@ E = math.e
 
 
 def _perturb_particular(sol, piece_index, delta):
-    """The solution with the particular of piece_index's ODE row shifted by
-    delta, on every piece of that row."""
-    r = sol.system.bvp.ode_table[0][piece_index]
-    form = sol.forms[r]
-    shifted = ClosedForm(form.basis, (form.particular[0] + delta,) + form.particular[1:])
-    return dataclasses.replace(sol, forms=sol.forms[:r] + (shifted,) + sol.forms[r + 1:])
+    """The solution with u shifted by delta on every piece of piece_index's
+    ODE row: the constant term of the forced column of each of their
+    segments' tables, the particular of that segment, moves by delta."""
+    system = sol.system
+    seg, row = system.segments, system.bvp.ode_table[0]
+    tables = seg.tables.copy()
+    for k, r in enumerate(row):
+        if r == row[piece_index]:
+            tables[seg.first[k]:seg.first[k + 1], 0, -1] += delta
+    segments = dataclasses.replace(seg, tables=tables)
+    return dataclasses.replace(sol, system=dataclasses.replace(system, segments=segments))
 
 
 class TestResidualReport:
@@ -353,15 +359,17 @@ class TestReportsEqualPerCallReports:
 
 class TestOnePassPerPiece:
     def _count(self, monkeypatch):
+        """The orders of every PiecewiseSolution.evaluate call, one Horner
+        pass over its points each."""
         import obstacle_bvp.exact as exact_module
         calls = []
-        original = exact_module.eval_terms
+        original = exact_module.PiecewiseSolution.evaluate
 
-        def counted(*args):
-            calls.append(args[2])
-            return original(*args)
+        def counted(self, x, owner, orders):
+            calls.append(list(orders))
+            return original(self, x, owner, orders)
 
-        monkeypatch.setattr(exact_module, "eval_terms", counted)
+        monkeypatch.setattr(exact_module.PiecewiseSolution, "evaluate", counted)
         return calls
 
     def test_residual_and_continuity(self, monkeypatch):
@@ -371,11 +379,11 @@ class TestOnePassPerPiece:
         residual_report(sol, bvp)
         assert len(calls) == 3
         assert [list(orders)[-1] for orders in calls] == [bvp.order] * 3
-        # Both ends of every piece go through one evaluate call: one kernel
-        # pass per group of pieces sharing an ODE (pieces 0 and 2 here).
+        # Both ends of every piece go through one evaluate call, one pass
+        # whatever ODE each piece has.
         calls.clear()
         continuity_report(sol, bvp)
-        assert [list(orders) for orders in calls] == [list(range(bvp.order))] * 2
+        assert [list(orders) for orders in calls] == [list(range(bvp.order))]
 
     def test_continuity_one_pass_per_ode_on_sixteen_pieces(self, monkeypatch):
         bvp = _sixteen_region_obstacle()
@@ -383,7 +391,7 @@ class TestOnePassPerPiece:
         assert len({p.coeffs + p.forcing for p in bvp.pieces}) == 2
         calls = self._count(monkeypatch)
         continuity_report(sol, bvp)
-        assert [list(orders) for orders in calls] == [list(range(bvp.order))] * 2
+        assert [list(orders) for orders in calls] == [list(range(bvp.order))]
 
     def test_condition_report_one_pass_per_owning_piece(self, monkeypatch):
         entry = get_example("3.1.1")
@@ -394,15 +402,15 @@ class TestOnePassPerPiece:
         bvp = dataclasses.replace(entry.bvp, conditions=conds)
         calls = self._count(monkeypatch)
         condition_report(sol, bvp)
-        assert len(calls) == 2  # owners 0 and 2 share an ODE, owner 1 has its own
+        assert len(calls) == 1  # owners 0, 1 and 2 in one pass
 
-    @pytest.mark.parametrize("make_bvp, passes", [(lambda: get_example("3.1.2").bvp, 8),
-                                                  (lambda: get_example("3.1.6").bvp, 8),
-                                                  (_sixteen_region_obstacle, 34)])
+    @pytest.mark.parametrize("make_bvp, passes", [(lambda: get_example("3.1.2").bvp, 7),
+                                                  (lambda: get_example("3.1.6").bvp, 7),
+                                                  (_sixteen_region_obstacle, 33)])
     def test_verification_evaluates_conditions_and_jumps_once(self, monkeypatch,
                                                               make_bvp, passes):
-        # One kernel pass per piece for the residuals and for the scale, and
-        # one per ODE group for the conditions and jumps together.
+        # One pass per piece for the residuals and for the scale, and one for
+        # the conditions and jumps together.
         bvp = make_bvp()
         sol = solve_exact(bvp)
         calls = self._count(monkeypatch)
@@ -410,17 +418,18 @@ class TestOnePassPerPiece:
         assert len(calls) == passes
 
     def test_verification_builds_the_kernel_once_per_ode(self, monkeypatch):
+        # The derivative table every pass reads is built once per solution,
+        # and the closed forms, one per ODE, are not evaluated at all.
         import obstacle_bvp.exact as exact_module
         bvp = _sixteen_region_obstacle()
         sol = solve_exact(bvp)
-        assert len({p.coeffs + p.forcing for p in bvp.pieces}) == 2
-        calls = []
-        original = exact_module.basis_terms
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(exact_module, "basis_terms", counted)
+        assert len({p.coeffs + p.forcing for p in bvp.pieces}) == len(sol.forms) == 2
+        built = []
+        table = exact_module.PiecewiseSolution._derivatives
+        monkeypatch.setattr(exact_module.PiecewiseSolution, "_derivatives", cached_property(
+            lambda self: built.append(self) or table.func(self)))
+        exact_module.PiecewiseSolution._derivatives.__set_name__(
+            exact_module.PiecewiseSolution, "_derivatives")
+        monkeypatch.setattr(exact_module, "basis_values", None)
         verification_report(sol, bvp)
-        assert len(calls) == 2
+        assert built == [sol]
