@@ -2,15 +2,20 @@
 
 Each piece's operator u^(n) - sum_j a_j u^(j) has a degree-n characteristic
 polynomial whose roots give n real basis functions x^k e^(lambda x),
-x^k e^(alpha x) cos(beta x) and the matching sine.  :func:`basis_values`
-evaluates their derivatives in closed form, for each piece's Wronskian at
-its left end.
+x^k e^(alpha x) cos(beta x) and the matching sine.  :func:`piece_basis`
+finds the raw roots of all ODE rows of one order in one stacked call, then
+merges each row's n <= 4 roots into its basis in plain Python: a row is a
+handful of scalars, and an array pass over the few rows of a problem costs
+more in numpy calls than it saves.  :func:`basis_values` evaluates the
+functions' derivatives in closed form, for each piece's Wronskian at its
+left end, with its factor and power tables gathered by row.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +117,10 @@ def _raw_roots(char: np.ndarray) -> list[list[complex]]:
     return np.linalg.eigvals(comp).tolist()
 
 
+_KINDS = (EXP_COS, EXP_SIN, POLY_EXP)  # by _KIND_ORDER
+_REAL_IMAG = operator.attrgetter("real", "imag")
+
+
 def _real_basis(raw, coeffs: list[float]) -> tuple[BasisFunction, ...]:
     """One ODE's real fundamental system from the raw roots of its
     characteristic polynomial coeffs.
@@ -126,13 +135,13 @@ def _real_basis(raw, coeffs: list[float]) -> tuple[BasisFunction, ...]:
     constants are comparable across runs.
     """
     raw = [complex(r) for r in raw]
-    if any(not (math.isfinite(r.real) and math.isfinite(r.imag)) for r in raw):
+    if not all(map(cmath.isfinite, raw)):
         raise RootFindingError(f"root finder diverged on polynomial {coeffs}")
-    tol = CLUSTER_TOL * max(1.0, max(abs(r) for r in raw))
+    tol = CLUSTER_TOL * max(1.0, *map(abs, raw))
 
     clusters: list[list[complex]] = []
-    for r in sorted((complex(r.real, 0.0) if abs(r.imag) <= tol else r for r in raw),
-                    key=lambda z: (z.real, z.imag)):
+    for r in sorted([complex(r.real, 0.0) if -tol <= r.imag <= tol else r for r in raw],
+                    key=_REAL_IMAG):
         for group in clusters:
             if abs(r - group[0]) <= tol:
                 group.append(r)
@@ -158,17 +167,20 @@ def _real_basis(raw, coeffs: list[float]) -> tuple[BasisFunction, ...]:
         s = complex_roots.pop(mate)[0]
         roots.append((complex((r.real + s.real) / 2.0, (abs(r.imag) + abs(s.imag)) / 2.0), m))
 
-    out = []
-    for r, m in sorted(roots, key=lambda rm: (rm[0].real, rm[0].imag)):
-        kinds = (POLY_EXP,) if r.imag == 0.0 else (EXP_COS, EXP_SIN)
-        out += [BasisFunction(kind, k, r.real, r.imag) for kind in kinds for k in range(m)]
-    return tuple(sorted(out, key=lambda b: (b.alpha, _KIND_ORDER[b.kind], b.beta, b.k)))
+    # (alpha, kind order, beta, k) of every function, sorted as plain tuples.
+    keys = sorted((r.real, kind, r.imag, k) for r, m in roots
+                  for kind in ((_KIND_ORDER[POLY_EXP],) if r.imag == 0.0 else
+                               (_KIND_ORDER[EXP_COS], _KIND_ORDER[EXP_SIN]))
+                  for k in range(m))
+    return tuple(BasisFunction(_KINDS[kind], k, alpha, beta) for alpha, kind, beta, k in keys)
 
 
-# _FACTORS[m, k, i] = comb(m, i) * perm(k, i): the factor of term i of the
-# m-th derivative of x^k e^(lambda x), zero past min(k, m).
-_FACTORS = np.array([[[math.comb(m, i) * math.perm(k, i) for i in range(MAX_ORDER)]
-                      for k in range(MAX_ORDER)] for m in range(MAX_ORDER + 1)], dtype=float)
+# _FACTORS[m * MAX_ORDER + k, i] = comb(m, i) * perm(k, i): the factor of
+# term i of the m-th derivative of x^k e^(lambda x), zero past min(k, m);
+# _BELOW[p, i] = max(p - i, 0), the power of a factor of term i.
+_FACTORS = np.array([[math.comb(m, i) * math.perm(k, i) for i in range(MAX_ORDER)]
+                     for m in range(MAX_ORDER + 1) for k in range(MAX_ORDER)], dtype=float)
+_BELOW = np.maximum(np.arange(MAX_ORDER + 1)[:, None] - np.arange(MAX_ORDER), 0)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -180,15 +192,15 @@ def basis_values(fns, x, orders) -> np.ndarray:
     powers by products: an entry does not depend on the others.  An overflow
     gives inf or nan and raises nothing."""
     x, m = np.asarray(x, dtype=float), np.asarray(orders)
-    shape = np.broadcast_shapes(x.shape, m.shape, (len(fns),))
-    x, m = np.broadcast_to(x, shape).ravel(), np.broadcast_to(m, shape).ravel()
+    shape = np.broadcast(x, m, np.empty(len(fns))).shape
+    x, m = np.full(shape, x).ravel(), np.full(shape, m).ravel()
     j = np.arange(x.size) % max(len(fns), 1)  # entry e is function j[e]
     lam = np.array([complex(fn.alpha, fn.beta) for fn in fns] or [0j])[j]
     k = np.array([fn.k for fn in fns] or [0])[j]
-    at, i = np.arange(x.size)[:, None], np.arange(MAX_ORDER)  # term i, factor 0 past min(k, m)
-    terms = (_FACTORS[m[:, None], k[:, None], i]
-             * powers(lam, MAX_ORDER + 1)[at, np.maximum(m[:, None] - i, 0)]
-             * powers(x, MAX_ORDER)[at, np.maximum(k[:, None] - i, 0)])
+    at = np.arange(x.size)[:, None]  # term i, factor 0 past min(k, m)
+    terms = (_FACTORS[m * MAX_ORDER + k]
+             * powers(lam, MAX_ORDER + 1)[at, _BELOW[m]]
+             * powers(x, MAX_ORDER)[at, _BELOW[k]])
     env = np.zeros(x.size, dtype=complex)
     for term in terms.T:
         env += term

@@ -9,9 +9,13 @@ so near-multiple and near-zero roots need no care and u does not depend on
 where a piece sits.  Conditions, continuity, pins and every order's
 continuity at the joints between segments form one banded matching system
 in the segments' Cauchy data, eliminated by Gauss with partial pivoting.
-Users see each ODE row's closed form (the basis of :mod:`basis` and a
-particular polynomial) with a piece's constants W(lo)^-1 (y - p^(i)(lo)), W
-the Wronskian; pins and pin advice go through that map.
+The set-up reads every piece's coefficients, interval and forcing from one
+array and takes its per-order and per-width tables (falling factorials,
+exponents, shift matrices) from module constants, so a solve's fixed cost
+is its numpy calls and the elimination.  Users see each ODE row's closed
+form (the basis of :mod:`basis` and a particular polynomial) with a piece's
+constants W(lo)^-1 (y - p^(i)(lo)), W the Wronskian; pins and pin advice go
+through that map.
 """
 
 from __future__ import annotations
@@ -21,12 +25,11 @@ import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
-from .basis import (MAX_ORDER, BasisFunction, basis_values, characteristic_coeffs, piece_basis,
-                    powers)
+from .basis import MAX_ORDER, BasisFunction, basis_values, piece_basis, powers
 from .model import MAX_FORCING_DEGREE, PiecewiseBvp, SolveError
 
 CONSISTENCY_TOL = 1e-9
@@ -42,10 +45,20 @@ _FALLING = np.array([[math.perm(p, j) for j in range(MAX_ORDER + MAX_FORCING_DEG
                      for p in range(_TOP)], dtype=float)
 _FACTORIAL = np.array([math.factorial(m) for m in range(_TOP)], dtype=float)
 _BINOMIAL = _FALLING / _FACTORIAL[:_FALLING.shape[1]]  # comb(p, j)
-# _FALLING_AT[size]: the (p, j) index pairs of the nonzeros of
-# _FALLING[:size, :MAX_ORDER + 1], the terms a particular's operator can take.
-_FALLING_AT = [np.nonzero(_FALLING[:size, :MAX_ORDER + 1])
-               for size in range(MAX_ORDER + MAX_FORCING_DEGREE + 2)]
+# _DERIVING[w][c]: for _poly_derivatives of width w and count c, the factors
+# perm(p, i) and the exponents max(p - i, 0) of x, both indexed [i, p].
+_DERIVING = [[(_FALLING[np.arange(w), :c].T, np.maximum(np.arange(w) - np.arange(c)[:, None], 0))
+              for c in range(MAX_FORCING_DEGREE + 2)] for w in range(_FALLING.shape[1] + 1)]
+# _BOUND_POWERS[n][j] = 1 / (n - j), and _SHIFT[k] the k x k matrix of ones
+# above the diagonal: the set-up of _segments per order and state width.
+_BOUND_POWERS = [1.0 / (n - np.arange(n)) for n in range(MAX_ORDER + 1)]
+_SHIFT = [np.eye(k, k, 1) for k in range(MAX_ORDER + MAX_FORCING_DEGREE + 2)]
+# _FALLING_AT[size]: the rows p - j, columns p, orders j and values perm(p, j)
+# of the nonzeros of _FALLING[:size, :MAX_ORDER + 1], the terms a
+# particular's operator can take.
+_FALLING_AT = [(p - j, p, j, _FALLING[p, j]) for p, j in
+               (np.nonzero(_FALLING[:size, :MAX_ORDER + 1])
+                for size in range(MAX_ORDER + MAX_FORCING_DEGREE + 2))]
 
 
 class InconsistentSystemError(SolveError):
@@ -76,7 +89,7 @@ class RankDeficientError(SolveError):
 @dataclass(frozen=True)
 class Segments:
     """Piece k's segments first[k]..first[k + 1] - 1: left ends, lengths h,
-    scales, degrees and tables[g, m, c], the coefficient of s^m of column c,
+    scales and tables[g, m, c], the coefficient of s^m of column c,
     whose scaled Cauchy data u^(i)(lo) scale^i / i! are e_c for c < n and 0
     for the forced column n.  A piece's scale, GAMMA / rho up to the domain's
     length, keeps the system's entries near 1, narrow pieces included."""
@@ -85,7 +98,6 @@ class Segments:
     lo: np.ndarray
     h: np.ndarray
     scale: np.ndarray
-    degree: np.ndarray
     tables: np.ndarray
 
     def locate(self, x, owner):
@@ -241,9 +253,12 @@ class PiecewiseSolution:
         return self.evaluate(x, k, orders)
 
     def labeled_constants(self):
-        """Flat list of (piece_index, basis_render, constant)."""
-        return [(k, b.render(), float(c)) for k, piece in enumerate(self.pieces)
-                for b, c in zip(piece.form.basis, piece.constants)]
+        """Flat list of (piece_index, basis_render, constant); each ODE row's
+        basis is rendered once."""
+        labels = [[b.render() for b in form.basis] for form in self.forms]
+        return [(k, label, c) for k, (row, constants)
+                in enumerate(zip(self.system.bvp.ode_table[0], self.constants.tolist()))
+                for label, c in zip(labels[row], constants)]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -257,7 +272,10 @@ def particular_solution(pieces) -> list[tuple[float, ...]]:
     Pieces with the same (s, m) share one stacked build, one solve and one
     identity check; the first piece whose identity fails raises.
     """
-    char = characteristic_coeffs(pieces)
+    width = max(len(p.forcing) for p in pieces)
+    # Per piece: the characteristic coefficients c_j, then the padded forcing.
+    table = np.array([[-a for a in p.coeffs] + [1.0] + [0.0] * (MAX_ORDER - p.order)
+                      + list(p.forcing) + [0.0] * (width - len(p.forcing)) for p in pieces])
     groups = {}
     for k, piece in enumerate(pieces):
         s = next((j for j, aj in enumerate(piece.coeffs) if aj != 0.0), piece.order)
@@ -265,15 +283,15 @@ def particular_solution(pieces) -> list[tuple[float, ...]]:
     polys, checks = [None] * len(pieces), [None] * len(pieces)
     for (s, m), at in groups.items():
         size = s + m + 1
-        c = char[at]
-        q = np.array([pieces[k].forcing for k in at])
+        rows = table[at]
+        c, q = rows[:, :MAX_ORDER + 1], rows[:, MAX_ORDER + 1:MAX_ORDER + m + 2]
         # Column p holds the coefficients of L[x^p] = sum_j c_j (x^p)^(j):
         # c_j * perm(p, j) in row p - j, and +0.0 where c_j is zero.
-        p, j = _FALLING_AT[size]
+        target, p, j, falling = _FALLING_AT[size]
         full_op = np.zeros((len(at), size, size))
-        full_op[:, p - j, p] = np.where(c[:, j] != 0.0, c[:, j] * _FALLING[p, j], 0.0)
-        t = np.linalg.solve(full_op[:, : m + 1, s:], q[..., None])[..., 0]
-        poly = np.concatenate([np.zeros((len(at), s)), t], axis=1)
+        full_op[:, target, p] = np.where(c[:, j] != 0.0, c[:, j] * falling, 0.0)
+        poly = np.zeros((len(at), size))
+        poly[:, s:] = np.linalg.solve(full_op[:, : m + 1, s:], q[..., None])[..., 0]
         # Internal consistency check: the full identity must hold, not just the
         # low-order coefficients the square system matched.
         residual = (full_op @ poly[..., None])[..., 0]
@@ -299,9 +317,8 @@ def _padded(polys) -> np.ndarray:
 
 def _poly_derivatives(coeffs: np.ndarray, x: np.ndarray, count: int) -> np.ndarray:
     """[k, i]: the i-th derivative, i < count, of polynomial coeffs[k] at x[k]."""
-    m = np.arange(coeffs.shape[1])
-    return (coeffs[:, None] * _FALLING[m, :count].T
-            * x[:, None, None] ** np.maximum(m - np.arange(count)[:, None], 0)).sum(-1)
+    factors, exponents = _DERIVING[coeffs.shape[1]][count]
+    return (coeffs[:, None] * factors * x[:, None, None] ** exponents).sum(-1)
 
 
 def _closed_form_at_lo(bvp: PiecewiseBvp, forms, pieces) -> tuple[np.ndarray, np.ndarray]:
@@ -331,10 +348,13 @@ def _segments(bvp: PiecewiseBvp) -> Segments:
     """Split every piece into equal segments with rho*h <= GAMMA and build
     their Taylor tables; refuse a problem with more than MAX_SEGMENTS."""
     n, pieces = bvp.order, bvp.pieces
-    a = np.array([p.coeffs for p in pieces])
-    lo, length = np.array([p.interval for p in pieces]).T
-    length = length - lo
-    rho_l = 2.0 * (np.abs(a) ** (1.0 / (n - np.arange(n)))).max(axis=1) * length
+    width = max(len(p.forcing) for p in pieces)
+    # Per piece: coeffs, interval, forcing length, forcing zero-padded to width.
+    table = np.array([p.coeffs + p.interval + (len(p.forcing),) + p.forcing
+                      + (0.0,) * (width - len(p.forcing)) for p in pieces])
+    a, lo, q = table[:, :n], table[:, n], table[:, n + 3:]
+    length = table[:, n + 1] - lo
+    rho_l = 2.0 * (np.abs(a) ** _BOUND_POWERS[n]).max(axis=1) * length
     count = np.maximum(np.ceil(rho_l / GAMMA), 1.0)
     if not count.sum() <= MAX_SEGMENTS:
         k = int(np.argmax(rho_l))
@@ -342,39 +362,37 @@ def _segments(bvp: PiecewiseBvp) -> Segments:
                          f"of rho*L <= {GAMMA:g} (rho*L = {rho_l[k]:.3g}); the problem needs "
                          f"{count.sum():.3g}, more than MAX_SEGMENTS = {MAX_SEGMENTS}")
     count = count.astype(int)
-    first = np.zeros(len(pieces) + 1, dtype=int)
-    np.cumsum(count, out=first[1:])
+    first = np.array([0, *accumulate(count.tolist())])
     owner = np.repeat(np.arange(len(pieces)), count)
     h = (length / count)[owner]
     seg_lo = lo[owner] + (np.arange(first[-1]) - first[owner]) * h
-    scale = np.minimum(GAMMA * length / rho_l, bvp.domain[1] - bvp.domain[0])[owner]
+    scale = np.minimum(GAMMA * length / rho_l, table[-1, n + 1] - lo[0])[owner]
     # The degree: r past n + deg q, the first r with (rho h)^r / r! < TAYLOR_TOL.
-    q = _padded([p.forcing for p in pieces])
-    degree = (np.searchsorted(_REACH, rho_l / count, side="right")
-              + [n + len(p.forcing) for p in pieces])[owner]
+    degree = (np.searchsorted(_REACH, rho_l / count, side="right") + n + table[:, n + 2])[owner]
     size = int(degree.max()) + 1
     # The derivatives d_m at s = 0 obey d_{m+n} = sum_j a_j h^(n-j) d_{m+j} +
     # h^(m+n) q^(m)(lo): the state (d_m.., f_m = h^(m+n) q^(m)(lo)..) steps by a
     # shift matrix C, so d_m = R_m S_0, R_m = e_0 C^m found by doubling.
-    k = n + q.shape[1]
+    k = n + width
     hp = h[:, None] ** np.arange(k)
-    comp = np.zeros((len(h), k, k))
-    comp[:, :-1, 1:] = np.eye(k - 1)
+    comp = np.repeat(_SHIFT[k][None], len(h), axis=0)
     comp[:, n - 1, :n] = a[owner] * hp[:, n:0:-1]
     rows = np.zeros((len(h), size, k))
     rows[:, 0, 0] = 1.0
     span = 1
-    while span < size:
+    while True:
         rows[:, span:2 * span] = rows[:, :min(span, size - span)] @ comp
-        comp = comp @ comp
         span *= 2
+        if span >= size:
+            break
+        comp = comp @ comp
     # S_0: j! (h / scale)^j e_j for column j < n, the forcing for column n.
     start = np.zeros((len(h), k, n + 1))
     start[:, np.arange(n), np.arange(n)] = (h / scale)[:, None] ** np.arange(n) * _FACTORIAL[:n]
-    start[:, n:, n] = _poly_derivatives(q[owner], seg_lo, q.shape[1]) * hp[:, n:]
+    start[:, n:, n] = _poly_derivatives(q[owner], seg_lo, width) * hp[:, n:]
     tables = rows @ start
     tables *= np.where(np.arange(size) <= degree[:, None], 1.0 / _FACTORIAL[:size], 0.0)[..., None]
-    return Segments(first, seg_lo, h, scale, degree, tables)
+    return Segments(first, seg_lo, h, scale, tables)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -389,17 +407,23 @@ def assemble_system(bvp: PiecewiseBvp, bases, particulars) -> MatchSystem:
     particulars.  An overflow leaves a non-finite entry for gauss_solve."""
     n, conds, pins = bvp.order, bvp.conditions, bvp.pins
     seg = _segments(bvp)
-    size, scale = seg.tables.shape[1], seg.scale
-    where = np.array([c.location for c in conds])
-    d = np.array([c.deriv_order for c in conds], dtype=int)
-    g, s = seg.locate(where, bvp.owning_piece(where, side="left"))
-    i = np.arange(len(conds))
-    weights = (_BINOMIAL[:size, d].T * powers(scale[g] / seg.h[g], n)[i, d, None]
-               * powers(s, size)[i[:, None], np.maximum(np.arange(size) - d[:, None], 0)])
+    size, scale, h = seg.tables.shape[1], seg.scale, seg.h
+    where, d, values = np.array([(c.location, c.deriv_order, c.value)
+                                 for c in conds]).reshape(-1, 3).T
+    d = d.astype(int)
+    # PiecewiseBvp keeps every condition in its domain: no range check here.
+    g, s = seg.locate(where, np.searchsorted(seg.lo[seg.first[1:-1]], where, side="left"))
+    # One table of powers: s, scale / h and scale per condition, then the
+    # joints' mu / h on the left and mu / scale on the right.
+    m, mu = len(conds), np.minimum(scale[:-1], scale[1:])
+    raised = powers(np.concatenate([s, scale[g] / h[g], scale[g], mu / h[:-1], mu / scale[1:]]),
+                    size)
+    i = np.arange(m)
+    weights = (_BINOMIAL[:size, d].T * raised[m + i, d, None]
+               * raised[i[:, None], np.maximum(np.arange(size) - d[:, None], 0)])
     at = (weights[:, :, None] * seg.tables[g]).sum(1)
-    values = np.array([c.value for c in conds]) * powers(scale[g], n)[i, d] / _FACTORIAL[d]
-    mu = np.minimum(scale[:-1], scale[1:])
-    left, right = powers(np.stack([mu / seg.h[:-1], mu / scale[1:]]), n)
+    values = values * raised[2 * m + i, d] / _FACTORIAL[d]
+    left, right = raised[3 * m:3 * m + len(mu), :n], raised[3 * m + len(mu):, :n]
     ends = (_BINOMIAL[:size, :n].T @ seg.tables[:-1]) * left[..., None]
     pair = np.zeros((len(ends), n, 2 * n))
     pair[:, :, :n] = ends[..., :n]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from obstacle_bvp.basis import (BasisFunction, RootFindingError, _real_basis,
                                 basis_values, characteristic_coeffs, piece_basis)
 from obstacle_bvp.model import PieceOde, normalize_piece
-from kernel import basis_derivatives
+from kernel import basis_derivatives, frozen_real_basis
 
 SQ3_HALF = math.sqrt(3.0) / 2.0
 
@@ -212,6 +212,38 @@ class TestPinnedBases:
     def test_bitwise(self, coeffs, raw, expected):
         basis = _real_basis([complex(re, im) for re, im in raw], coeffs)
         assert tuple((b.kind, b.k, b.alpha.hex(), b.beta.hex()) for b in basis) == expected
+
+    @pytest.mark.parametrize("coeffs,raw,expected", _PINNED)
+    def test_equals_frozen_copy(self, coeffs, raw, expected):
+        # Cluster merges, near-real snaps and conjugate pairing as the frozen
+        # per-row pass of tests/kernel.py gives them, bit for bit.
+        raw = [complex(re, im) for re, im in raw]
+        assert _real_basis(raw, coeffs) == frozen_real_basis(raw, coeffs)
+        assert ([(b.alpha.hex(), b.beta.hex()) for b in _real_basis(raw, coeffs)]
+                == [(b.alpha.hex(), b.beta.hex()) for b in frozen_real_basis(raw, coeffs)])
+
+    @pytest.mark.parametrize("raw", [
+        [0.7, 0.7 + 1e-7, 0.7 + 2e-7],                           # a triple merge
+        [0.7, 0.7 - 3e-7, 0.7 + 5e-7, 0.7 + 9e-7],               # a quadruple merge
+        [1.1 + 1.3j, 1.1 - 1.3j, 1.1 + 3e-7 + 1.3j, 1.1 + 3e-7 - 1.3j],  # a double pair
+        [-0.3 + 2e-7j, -0.3 - 4e-7j, 2.0 + 1e-7j],               # snapped, merged
+    ])
+    def test_merged_clusters_equal_frozen_copy(self, raw):
+        coeffs = [0.5, -0.0, 0.0, 1.0, 0.0][:len(raw) + 1]
+        got, want = _real_basis(raw, coeffs), frozen_real_basis(raw, coeffs)
+        assert ([(b.kind, b.k, b.alpha.hex(), b.beta.hex()) for b in got]
+                == [(b.kind, b.k, b.alpha.hex(), b.beta.hex()) for b in want])
+        assert len(got) == len(raw) and any(b.k > 0 for b in got)
+
+    @pytest.mark.parametrize("raw", [[1j, 2.0, 3.0], [1 + 1j, 1 + 1j, 1 - 1j],
+                                     [complex(math.nan, 0.0), 1.0, 2.0]])
+    def test_errors_equal_frozen_copy(self, raw):
+        coeffs = [0.5, -0.0, 0.0, 1.0]
+        with pytest.raises(RootFindingError) as got:
+            _real_basis(raw, coeffs)
+        with pytest.raises(RootFindingError) as want:
+            frozen_real_basis(raw, coeffs)
+        assert str(got.value) == str(want.value)
 
 
 class TestEvalBasis:

@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from obstacle_bvp.basis import MAX_ORDER, piece_basis
+from obstacle_bvp.basis import MAX_ORDER, RootFindingError, piece_basis
 import obstacle_bvp.exact as exact_module
 from obstacle_bvp.exact import (CONSISTENCY_TOL, ClosedForm, InconsistentSystemError,
                                 MatchSystem, RankDeficientError, SolveError,
@@ -22,6 +22,7 @@ from obstacle_bvp.model import (ContinuitySpec, PieceOde, PiecewiseBvp,
                                 PinnedConstant, PointCondition, ProblemError,
                                 build_fourth_order, build_second_order,
                                 build_third_order)
+from kernel import frozen_particular_solution, frozen_piece_basis, frozen_real_basis
 
 E = math.e
 
@@ -966,6 +967,17 @@ class TestSolveExact:
                 "problem needs 4, more than MAX_SEGMENTS = 3")):
             solve_exact(bvp)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: a growing initial-value problem is "
+                       "refused as rank-deficient with no free column named")
+    def test_growing_initial_value_problem_solves(self):
+        # u'' = 1e6 u on [0, 1] with u(0) = u'(0) = 0 (500 segments, growth
+        # e^1000): the solution is u = 0.
+        bvp = PiecewiseBvp(2, (PieceOde(2, (0.0, 1.0), (1e6, 0.0), (0.0,)),),
+                           (PointCondition(0.0, 0, 0.0), PointCondition(0.0, 1, 0.0)),
+                           ContinuitySpec(frozenset({0, 1})))
+        sol = solve_exact(bvp)
+        assert np.abs(eval_solution(sol, bvp, np.linspace(0.0, 1.0, 201))).max() <= 1e-12
+
     def test_matching_system_attached(self):
         bvp = get_example("3.1.1").bvp
         sol = solve_exact(bvp)
@@ -1373,3 +1385,77 @@ class TestStackedOdeStage:
         assert want is not None and got == want
         first = min(root_at) if root_at else min(particular_at)
         assert str(odes[first].coeffs[1] if root_at else odes[first].interval) in got[1]
+
+
+def _sweep_stacks(seed):
+    """The ODE rows of 480 problems drawn from solve-sweep's families, one
+    stack per problem: order 2-4 and 1-16 pieces by index, coefficients
+    uniform in [-2, 2] with a fixed 3 in 10 zeroed, a double real root or a
+    complex pair plus roots in [-2, 2], forcing of degree 0-3."""
+    rng = np.random.default_rng([2, seed])
+    families = ("random",) * 4 + ("repeated", "complex")
+    stacks = []
+    for i in range(480):
+        n, count, degree = 2 + i % 3, (1, 2, 3, 4, 6, 8, 12, 16)[i // 3 % 8], i // 24 % 4
+        stack = []
+        for k in range(count):
+            family = families[(i * 7 + k) % 6]
+            if family == "random":
+                c = rng.uniform(-2.0, 2.0, n)
+                coeffs = tuple(0.0 if (i * 5 + k * 3 + j * 7) % 10 < 3 else float(c[j])
+                               for j in range(n))
+            else:
+                if family == "repeated":
+                    roots = [rng.uniform(-2.0, 2.0)] * 2
+                else:
+                    alpha, beta = rng.uniform(-1.0, 1.0), rng.uniform(0.5, 3.0)
+                    roots = [complex(alpha, beta), complex(alpha, -beta)]
+                roots += list(rng.uniform(-2.0, 2.0, n - 2))
+                coeffs = tuple(float(-c) for c in np.real(np.poly(roots))[::-1][:-1])
+            forcing = tuple(float(q) for q in rng.uniform(-2.0, 2.0, degree + 1))
+            stack.append(PieceOde(n, (float(k), k + 1.0), coeffs, forcing))
+        stacks.append(stack)
+    return stacks
+
+
+class TestOdeStageMatchesFrozenCopies:
+    """piece_basis and particular_solution give the bits of the frozen
+    per-row and per-group passes in tests/kernel.py: kinds, powers, order,
+    alpha, beta and particular coefficients, and the first failure's error."""
+
+    @staticmethod
+    def _check(stack):
+        assert ([_basis_bits(b) for b in piece_basis(stack)]
+                == [_basis_bits(b) for b in frozen_piece_basis(stack)])
+        got, want = particular_solution(stack), frozen_particular_solution(stack)
+        assert len(got) == len(want) and all(map(_bitwise, got, want))
+        assert [len(p) for p in got] == [len(p) for p in want]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sweep_families(self, seed):
+        stacks = _sweep_stacks(seed)
+        kinds = {(b.kind, b.k) for stack in stacks for basis in piece_basis(stack) for b in basis}
+        assert {("ExpCos", 0), ("ExpSin", 0), ("PolyExp", 1)} <= kinds
+        for stack in stacks:
+            self._check(stack)
+
+    def test_mixed_stack(self):
+        self._check(_mixed_stack())
+
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 2, 1)])
+    def test_first_failing_row_raises_first(self, monkeypatch, order):
+        # Raw roots per row: fine, one complex root left unpaired, one
+        # non-finite root, and a conjugate of the wrong multiplicity.  Rows
+        # 1-3 all fail; row 1's error is raised, as the frozen row gives it.
+        from obstacle_bvp import basis as basis_module
+        rows = [[1.0, 2.0, 3.0], [1j, -2j, 2.0], [complex(math.inf, 0.0), 1.0, 2.0],
+                [1 + 1j, 1 + 1j, 1 - 1j]]
+        raw = [rows[k] for k in order]
+        monkeypatch.setattr(basis_module, "_raw_roots", lambda char: raw)
+        odes = [PieceOde(3, (float(k), k + 1.0), (float(k), 0.0, 0.0), (1.0,)) for k in range(4)]
+        with pytest.raises(RootFindingError) as got:
+            piece_basis(odes)
+        with pytest.raises(RootFindingError) as want:
+            frozen_real_basis(raw[1], [-a for a in odes[1].coeffs] + [1.0])
+        assert str(got.value) == str(want.value)
+        assert ("diverged" if order[1] == 2 else "unpaired complex root") in str(got.value)
