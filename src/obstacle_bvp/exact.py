@@ -21,7 +21,6 @@ through that map.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -105,7 +104,8 @@ class Segments:
         starting at or before it."""
         first, last = self.first[owner], self.first[owner + 1] - 1
         if np.ndim(owner) or first != last:
-            first = np.clip(np.searchsorted(self.lo, x, side="right") - 1, first, last)
+            at = np.searchsorted(self.lo, x, side="right") - 1
+            first = np.minimum(np.maximum(at, first), last)
         return first, (x - self.lo[first]) / self.h[first]
 
     def unscale(self, g) -> np.ndarray:
@@ -143,12 +143,13 @@ class MatchSystem:
                    for j in range(b.order)])[r]
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def residual_norm(system: MatchSystem, constants: np.ndarray) -> float:
-    """Inf-norm of M c - rhs for the constants c, one band dot per row."""
+    """Inf-norm of M c - rhs for the constants c, each row's band dot
+    accumulated as the back substitution accumulates it."""
     xs = constants.tolist()
-    dots = [sum(map(operator.mul, band, xs[f:f + len(band)])) for f, band in system.bands]
-    return float(np.abs(np.array(dots, dtype=float) - system.rhs).max(initial=0.0))
+    rows = [_minus_dot(v, band, xs[f:f + len(band)])
+            for (f, band), v in zip(system.bands, system.rhs.tolist())]
+    return float(np.abs(np.array(rows, dtype=float)).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -247,10 +248,6 @@ class PiecewiseSolution:
             out *= s
             out += column(m)
         return out
-
-    def piece_derivatives(self, k: int, x, orders):
-        """u^(d) on piece k at a float array x for every d in orders."""
-        return self.evaluate(x, k, orders)
 
     def labeled_constants(self):
         """Flat list of (piece_index, basis_render, constant); each ODE row's
@@ -537,23 +534,23 @@ def _echelon(bands, rhs: np.ndarray, n: int):
     return list(zip(first, rows)), b, pivot_cols
 
 
-def _back_substitute(bands, b, n: int) -> np.ndarray:
-    """x from the first n echelon rows, last row first: x[r] is b[r] minus
-    row r's entries right of its pivot times x[r + 1:], over the pivot.
-    Those entries are written into one length-n buffer that is zero
-    elsewhere (each row clears only what the previous row wrote past its
-    own band), so the dot is numpy's (BLAS) over the same zero-padded row as
-    a dense echelon row; a dot over the band alone would not give its bits."""
-    x, row = np.zeros(n), np.zeros(n)
-    written = n
-    for r in range(n - 1, -1, -1):
-        f, band = bands[r]
-        k, e = r + 1 - f, f + len(band)
-        row[r + 1:e] = band[k:]
-        if e < written:
-            row[e:written] = 0.0
-        written = e
-        x[r] = (b[r] - float(row[r + 1:].dot(x[r + 1:]))) / band[k - 1]
+def _minus_dot(acc: float, band, xs) -> float:
+    """acc minus the dot of band and xs, one product at a time from the left
+    in Python floats: the same bits on every Python version (a float sum is
+    compensated from 3.12 on), and inf - inf is nan, not an error."""
+    for a, y in zip(band, xs):
+        acc -= a * y
+    return acc
+
+
+def _back_substitute(bands, b, pivots, x: list) -> list:
+    """x with each pivot column solved from its echelon row, last row first:
+    x[c] is b[r] minus row r's band right of its pivot c times x there, over
+    the pivot.  The other columns keep their values in x (zeros, or a free
+    column's 1)."""
+    for r in range(len(pivots) - 1, -1, -1):
+        (f, band), c = bands[r], pivots[r]
+        x[c] = _minus_dot(b[r], band[c + 1 - f:], x[c + 1:f + len(band)]) / band[c - f]
     return x
 
 
@@ -595,7 +592,7 @@ def gauss_solve(system: MatchSystem) -> np.ndarray:
             raise InconsistentSystemError(dropped, rank)
         free = tuple(divmod(c, system.order) for c in range(n) if c not in pivot_cols)
         raise RankDeficientError(rank, n - rank, free)
-    x = _back_substitute(bands, b, n)
+    x = np.array(_back_substitute(bands, b, pivot_cols, [0.0] * n))
     if not np.isfinite(x).all():
         piece, index = divmod(int(np.argmin(np.isfinite(x))), system.order)
         raise SolveError(f"matching system solution is non-finite (overflow), "
@@ -614,11 +611,10 @@ def _in_basis_terms(system: MatchSystem, exc: RankDeficientError, forms):
     first = seg.first[:-1]
     free = [g * n + j for g, j in exc.free_columns][:n * len(first)]
     bands, _, pivots = _echelon(system.bands, system.rhs, system.width)
-    null = np.zeros((system.width, len(free)))
-    null[free, np.arange(len(free))] = 1.0
-    for r in range(len(pivots) - 1, -1, -1):
-        (f, band), c = bands[r], pivots[r]
-        null[c] = -(np.array(band[c + 1 - f:]) @ null[c + 1:f + len(band)]) / band[c - f]
+    null = np.zeros((len(free), system.width))
+    null[np.arange(len(free)), free] = 1.0
+    zeros = [0.0] * len(pivots)
+    null = np.array([_back_substitute(bands, zeros, pivots, x) for x in null.tolist()]).T
     data = null.reshape(-1, n, len(free))[first] * seg.unscale(first)[..., None]
     left = _in_basis(_closed_form_at_lo(system.bvp, forms, range(len(first)))[0], data)
     reverse = np.nan_to_num(left.reshape(-1, len(free)).T[:, ::-1], posinf=0.0, neginf=0.0)

@@ -87,7 +87,7 @@ def residual_report(sol: PiecewiseSolution, bvp: PiecewiseBvp,
     for k, piece in enumerate(bvp.pieces):
         xs = np.linspace(piece.lo, piece.hi, samples_per_piece + 2)[1:-1]
         orders = [j for j, aj in enumerate(piece.coeffs) if aj != 0.0]
-        *lower, top = sol.piece_derivatives(k, xs, orders + [bvp.order])
+        *lower, top = sol.evaluate(xs, k, orders + [bvp.order])
         r = top - piece.forcing_value(xs)
         for j, u in zip(orders, lower):
             r -= piece.coeffs[j] * u
@@ -99,7 +99,7 @@ def solution_scale(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> float:
     """1 + max|u| over 100 points per piece, ends included: the natural
     residual normalization."""
     return 1.0 + max(
-        float(np.abs(sol.piece_derivatives(k, np.linspace(piece.lo, piece.hi, 100), [0])[0]).max())
+        float(np.abs(sol.evaluate(np.linspace(piece.lo, piece.hi, 100), k, [0])[0]).max())
         for k, piece in enumerate(bvp.pieces))
 
 
@@ -168,7 +168,7 @@ def pin_anchors(sol: PiecewiseSolution, bvp: PiecewiseBvp) -> tuple[PointConditi
         same = [q.piece_index == pin.piece_index for q in bvp.pins]
         p, j = sum(same), sum(same[:i])
         x = ((p - j) * piece.lo + (j + 1) * piece.hi) / (p + 1)
-        value = sol.piece_derivatives(pin.piece_index, np.array(x), [0])[0][()]
+        value = sol.evaluate(np.array(x), pin.piece_index, [0])[0][()]
         if not np.isfinite(value):
             raise SolveError(f"closed-form solution is non-finite (overflow) at "
                              f"x = {x:g} in piece {pin.piece_index}, so the "

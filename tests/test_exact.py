@@ -689,7 +689,7 @@ class TestBandedElimination:
                 matrix, rhs, n = _densify(system.bands, system.width), system.rhs, system.width
                 bands, b, pivots = exact_module._echelon(system.bands, rhs, n)
                 assert len(pivots) == n
-                x = exact_module._back_substitute(bands, b, n)
+                x = np.array(exact_module._back_substitute(bands, b, pivots, [0.0] * n))
                 dense = float(np.abs(matrix @ x - rhs).max())
                 bound = (n + 2) * np.finfo(float).eps * float(
                     (np.abs(matrix * x).sum(axis=1) + np.abs(rhs)).max())
@@ -1029,13 +1029,13 @@ class TestEvalSolution:
         sol = solve_exact(bvp)
         for k, (piece, ps) in enumerate(zip(bvp.pieces, sol.pieces)):
             xs = np.linspace(piece.lo, piece.hi, 37)
-            rows = sol.piece_derivatives(k, xs, range(MAX_ORDER + 1))
+            rows = sol.evaluate(xs, k, range(MAX_ORDER + 1))
             for d in range(MAX_ORDER + 1):
                 assert _bitwise(ps.value(xs, d), rows[d])
                 assert _bitwise(ps.value(xs[5], d), rows[d][5])
             # any subset of orders, in any order, gives the same rows
             assert all(_bitwise(got, rows[d]) for d, got in
-                       zip((3, 0, 2), sol.piece_derivatives(k, xs, (3, 0, 2))))
+                       zip((3, 0, 2), sol.evaluate(xs, k, (3, 0, 2))))
 
     def test_value_does_not_depend_on_the_layout_of_x(self):
         # numpy's power can round differently on a strided array; the kernel
@@ -1067,7 +1067,7 @@ class TestEvalSolution:
         xs = np.array([0.5, 1e-6, 0.25, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = ps.solution.piece_derivatives(0, xs, range(MAX_ORDER + 1))
+            rows = ps.solution.evaluate(xs, 0, range(MAX_ORDER + 1))
             for d in range(MAX_ORDER + 1):
                 assert _bitwise(ps.value(xs, d), rows[d])
                 assert _bitwise(ps.value(0.0, d), rows[d][3])
@@ -1232,7 +1232,7 @@ class TestSharedOdeWork:
         for j in range(bvp.order):
             eval_solution(sol, bvp, xs, j)
             for k, ps in enumerate(sol.pieces):
-                sol.piece_derivatives(k, xs, [j])
+                sol.evaluate(xs, k, [j])
                 ps.value(xs, j)
         assert built == [sol]
 

@@ -3,7 +3,8 @@ finer) Decimal arithmetic, from its piecewise closed form, whose constants a
 Decimal elimination of the problem's own conditions and C^(n-1) matching
 finds.  The solver's u must lie within 1e-13 max |u| of it on 201 points of
 the domain: a change of 1e-12 relative in u fails every case.  These share no code with the solver: the breakpoints
-and data are the problem's floats, read exactly."""
+and data are the problem's floats, read exactly.  The clamped beam over a
+floor is checked against its float closed form, an overdetermined problem."""
 
 import dataclasses
 import math
@@ -15,9 +16,13 @@ from numpy.polynomial import Polynomial
 
 from obstacle_bvp.exact import eval_solution, solve_exact
 from obstacle_bvp.examples import get_example
-from obstacle_bvp.model import ContinuitySpec, PieceOde, PiecewiseBvp, PointCondition
+from obstacle_bvp.model import (ContinuitySpec, PieceOde, PiecewiseBvp, PointCondition,
+                                build_fourth_order)
+from obstacle_bvp.oracle import shooting_solve
+from obstacle_bvp.verify import verification_report
 
 PRECISION = 80  # digits; the a0 family cancels about 33 of them
+TOLERANCE = 1e-13  # of max |u|
 
 
 def _pow(x, i):
@@ -84,15 +89,20 @@ def _reference(bvp, closed_forms):
     return u
 
 
-def _error(case):
-    """max |u - reference| over 201 points, over max |reference|."""
+def solve_case(case):
+    """(u, reference) on the case's 201 points: by the solver, and by its
+    Decimal reference rounded to floats."""
     with localcontext() as ctx:
         ctx.prec = PRECISION
         bvp, closed_forms = CASES[case]()
         xs = np.linspace(*bvp.domain, 201)
         u = _reference(bvp, closed_forms)
         truth = np.array([float(u(Decimal(x))) for x in xs.tolist()])
-    got = eval_solution(solve_exact(bvp), bvp, xs)
+    return eval_solution(solve_exact(bvp), bvp, xs), truth
+
+
+def error(got, truth):
+    """max |u - reference| over max |reference|."""
     return float(np.abs(got - truth).max() / np.abs(truth).max())
 
 
@@ -143,6 +153,11 @@ CASES = {
         _one_piece(3, (0.0, 1.0), (8.0, -12.0, 6.0), (1.0,),
                    [(0.0, 0, 0.0), (0.0, 1, 0.0), (1.0, 0, 1.0)]),
         [([_exp(Decimal(2), p) for p in range(3)], _poly(Decimal(-1) / 8))]),
+    # u'''' = 8u''' - 24u'' + 32u' - 16u + 1: (lambda - 2)^4, particular 1/16
+    "quadruple root": lambda: (
+        _one_piece(4, (0.0, 1.0), (-16.0, 32.0, -24.0, 8.0), (1.0,),
+                   [(0.0, 0, 0.0), (0.0, 1, 0.0), (1.0, 0, 1.0), (1.0, 1, 0.0)]),
+        [([_exp(Decimal(2), p) for p in range(4)], _poly(Decimal(1) / 16))]),
     "3.1.1 moved by 100": lambda: (_shifted(get_example("3.1.1").bvp, 100.0), [_FLAT, _COSH, _FLAT]),
     "3.1.1 moved by 1000": lambda: (_shifted(get_example("3.1.1").bvp, 1000.0), [_FLAT, _COSH, _FLAT]),
     # u'' = 4u - 1 on [0, 30], u = 0 at both ends: boundary layers e^(+-2x)
@@ -154,4 +169,29 @@ CASES = {
 
 @pytest.mark.parametrize("case", CASES)
 def test_solution_within_1e_13_of_its_decimal_reference(case):
-    assert _error(case) <= 1e-13
+    assert error(*solve_case(case)) <= TOLERANCE
+
+
+def test_clamped_beam_over_a_floor():
+    # u'''' = -q on [0, 1], u = u' = 0 at both ends, over the floor -c: for
+    # 72c/q < 1/16 it lies on the floor on [a, 1 - a], a = (72c/q)^(1/4), and
+    # on [0, a] u = -q y^4/24 + q a y^3/9 - q a^2 y^2/12, y the distance to
+    # the nearer end.  u = -c, u' = u'' = 0 at both contact points make 16
+    # rows for 12 unknowns: overdetermined, and consistent only at this a.
+    q, c = 1.0, 1e-4
+    a = (72.0 * c / q) ** 0.25
+    clamp = [PointCondition(x, d, 0.0) for x in (0.0, 1.0) for d in range(2)]
+    touch = [PointCondition(x, d, -c if d == 0 else 0.0) for x in (a, 1.0 - a) for d in range(3)]
+    bvp = build_fourth_order(g=-q, f=0.0, r=q, a=0.0, c=a, d=1.0 - a, b=1.0,
+                             conditions=clamp + touch,
+                             continuity=ContinuitySpec(frozenset({0, 1, 2})))
+    sol = solve_exact(bvp)
+    assert len(sol.system.rhs) > sol.system.width  # so residual_norm gates the solve
+    xs = np.linspace(0.0, 1.0, 201)
+    y = np.minimum(xs, 1.0 - xs)
+    truth = np.where(y < a, -q * y ** 4 / 24 + q * a * y ** 3 / 9 - q * a * a * y ** 2 / 12, -c)
+    assert np.abs(eval_solution(sol, bvp, xs) - truth).max() <= 1e-13 * c
+    # the edge reaction: u''' jumps by q a / 3 at the contact point
+    left, right = (sol.evaluate(np.array(a), k, [3])[0][()] for k in (0, 1))
+    assert right - left == pytest.approx(q * a / 3, rel=1e-12, abs=0.0)
+    assert verification_report(sol, bvp, shooting_solve(bvp, 1e-3)).passed

@@ -15,6 +15,9 @@ holds this script (read, never changed).  The pools and their outputs:
 - ``solve-sweep seed S`` for S = 1..5: one output per problem, the outcome
   kind of ``solve_exact`` (``pass``, the kind the benchmark's check returns,
   or the exception's class name) and the bytes of its constants.
+- ``references``: one output per entry of ``CASES`` in
+  ``tests/test_references.py``, u on the case's 201 points.  A pass is u
+  within 1e-13 max |u| of the case's ``Decimal`` truth.
 
 An output differs when its bytes or its outcome differ.  Its relative
 deviation is the largest |a - b| over the largest |a| or |b|, both taken over
@@ -22,8 +25,15 @@ the numbers it holds (a solve's constants, a CSV's fields, a registry block's
 printed values), and infinite when its outcome kind or its count of numbers
 changed or a number turned non-finite.  Per pool the report gives the outputs compared, how many
 differ, the largest and the median deviation over those that differ, and
-each side's pass count.  The exit status is 1 when any output differs.
+each side's pass count; below it, each reference case's error against its
+truth on each side.  The exit status is 1 when any output differs.
 Comparing a checkout with itself checks that every output is reproducible.
+
+A change that moves rounding is judged by accuracy, not by the parent's
+bits.  It must move no ``verify`` tolerance, lose no solve-sweep pass at any
+seed (``perfbench/run.py --workload solve-sweep --seed S``), leave no
+reference case worse than 2x its error at the parent, and report its
+deviations from the parent, which need not be zero.
 """
 
 from __future__ import annotations
@@ -50,7 +60,8 @@ NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf
 
 def collect(checkout: Path, workdir: Path):
     """Every output of the pools for the package in checkout/src: a list of
-    (pool, key, kind, payload bytes, passed)."""
+    (pool, key, kind, payload bytes, passed), with a reference case's error
+    appended."""
     import numpy as np
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
@@ -86,6 +97,16 @@ def collect(checkout: Path, workdir: Path):
             kind = sweep.check(pkg, bvp, sol) or "pass"
             payload = np.concatenate([p.constants for p in sol.pieces]).tobytes()
             out.append((f"solve-sweep seed {seed}", j, kind, payload, kind == "pass"))
+    sys.path.insert(0, str(ROOT / "tests"))
+    import test_references as refs
+    for case in refs.CASES:
+        try:
+            u, truth = refs.solve_case(case)
+        except Exception as exc:  # the outcome is the result
+            out.append(("references", case, type(exc).__name__, b"", False, math.inf))
+            continue
+        error = refs.error(u, truth)
+        out.append(("references", case, "solved", u.tobytes(), error <= refs.TOLERANCE, error))
     return out
 
 
@@ -103,7 +124,7 @@ def run_checkout(checkout: Path):
 
 def _numbers(pool: str, payload: bytes):
     """The numbers an output holds: a solve's constants, or those printed."""
-    if pool.startswith("solve-sweep"):
+    if pool.startswith("solve-sweep") or pool == "references":
         import numpy as np
         return np.frombuffer(payload, dtype=float).tolist()
     return [float(m) for m in NUMBER.findall(payload)]
@@ -125,7 +146,8 @@ def deviation(pool: str, a, b) -> float:
 
 def compare(parent, change):
     """Per pool: outputs, differing outputs, max and median deviation over
-    the differing ones, and each side's passes."""
+    the differing ones, and each side's passes; for the references, each
+    case's [parent, change] error."""
     sides = [{(pool, key): rest for pool, key, *rest in outputs} for outputs in (parent, change)]
     report, found = {}, {}
     for pool, key in dict.fromkeys([*sides[0], *sides[1]]):
@@ -135,6 +157,8 @@ def compare(parent, change):
         row["outputs"] += 1
         row["passed_parent"] += bool(a and a[2])
         row["passed_change"] += bool(b and b[2])
+        if pool == "references":
+            row.setdefault("errors", {})[key] = [a[3] if a else math.nan, b[3] if b else math.nan]
         if a is None or b is None or a[:2] != b[:2]:
             row["differ"] += 1
             found.setdefault(pool, []).append(
@@ -158,6 +182,11 @@ def main(argv=None) -> int:
         print(f"{pool:<26}{row['outputs']:>8}{row['differ']:>8}"
               f"{row['max_rel_deviation']:>13.3g}{row['median_rel_deviation']:>11.3g}"
               f"{row['passed_parent']:>13}{row['passed_change']:>13}")
+    errors = report.get("references", {}).get("errors", {})
+    if errors:
+        print(f"{'reference case':<26}{'error parent':>13}{'error change':>13}{'ratio':>8}")
+    for case, (a, b) in errors.items():
+        print(f"{case:<26}{a:>13.3g}{b:>13.3g}{b / a if a else math.nan:>8.2f}")
     differ = sum(row["differ"] for row in report.values())
     print(f"{differ} of {sum(row['outputs'] for row in report.values())} outputs differ")
     if args.json:
