@@ -305,12 +305,13 @@ def cmd_solve(args) -> int:
     print(f"unknowns: {diag.n_unknowns}, equations: {diag.n_equations}"
           f" ({diag.determinacy})")
     sol = solve_exact(bvp)
+    constants = _constants_report(sol)  # before any write: a form that cannot be built raises
     _refuse_unmet(sol, bvp)
     try:
         _write_whole(args.output, _table_text(sol, bvp, args.samples))
     except OSError as exc:
         raise ProblemError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
-    print(_constants_report(sol))
+    print(constants)
     print(f"wrote {args.samples} samples to {args.output}")
     return EXIT_OK
 

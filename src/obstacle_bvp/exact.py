@@ -14,8 +14,8 @@ array and takes its per-order and per-width tables (falling factorials,
 exponents, shift matrices) from module constants, so a solve's fixed cost
 is its numpy calls and the elimination.  Users see each ODE row's closed
 form (the basis of :mod:`basis` and a particular polynomial) with a piece's
-constants W(lo)^-1 (y - p^(i)(lo)), W the Wronskian; pins and pin advice go
-through that map.
+constants W(lo)^-1 (y - p^(i)(lo)), W the Wronskian.  The answer never reads
+it: pins, pin advice or the constants build it on first use, and raise there.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .basis import MAX_ORDER, BasisFunction, basis_values, piece_basis, powers
+from .basis import (MAX_ORDER, BasisFunction, basis_values, characteristic_coeffs,
+                    piece_basis, powers)
 from .model import MAX_FORCING_DEGREE, PiecewiseBvp, SolveError
 
 CONSISTENCY_TOL = 1e-9
@@ -128,6 +129,12 @@ class MatchSystem:
     bvp: PiecewiseBvp | None
     segments: Segments | None = None
 
+    @cached_property
+    def forms(self) -> tuple[ClosedForm, ...]:
+        """Each row of bvp's ODE table as its closed form, built on first read."""
+        odes = [self.bvp.pieces[k] for k in self.bvp.ode_table[1]]
+        return tuple(map(ClosedForm, piece_basis(odes), particular_solution(odes)))
+
     def describe_row(self, r: int) -> str:
         """Row r's equation in words, for an error message."""
         b, seg = self.bvp, self.segments
@@ -168,10 +175,6 @@ class PieceSolution:
     index: int
 
     @property
-    def form(self) -> ClosedForm:
-        return self.solution.forms[self.solution.system.bvp.ode_table[0][self.index]]
-
-    @property
     def constants(self) -> np.ndarray:
         return self.solution.constants[self.index]
 
@@ -183,13 +186,15 @@ class PieceSolution:
 
 @dataclass(frozen=True)
 class PiecewiseSolution:
-    """The closed form of each row of ``system.bvp.ode_table``, every
-    segment's scaled Cauchy data as a (segments, order) matrix and the
-    matching system solved."""
+    """Every segment's scaled Cauchy data as a (segments, order) matrix and
+    the matching system solved."""
 
-    forms: tuple[ClosedForm, ...]
     data: np.ndarray
     system: MatchSystem
+
+    @property
+    def forms(self) -> tuple[ClosedForm, ...]:
+        return self.system.forms
 
     @property
     def pieces(self) -> tuple[PieceSolution, ...]:
@@ -250,8 +255,7 @@ class PiecewiseSolution:
         return out
 
     def labeled_constants(self):
-        """Flat list of (piece_index, basis_render, constant); each ODE row's
-        basis is rendered once."""
+        """Flat list of (piece_index, basis_render, constant), each row's basis rendered once."""
         labels = [[b.render() for b in form.basis] for form in self.forms]
         return [(k, label, c) for k, (row, constants)
                 in enumerate(zip(self.system.bvp.ode_table[0], self.constants.tolist()))
@@ -269,10 +273,7 @@ def particular_solution(pieces) -> list[tuple[float, ...]]:
     Pieces with the same (s, m) share one stacked build, one solve and one
     identity check; the first piece whose identity fails raises.
     """
-    width = max(len(p.forcing) for p in pieces)
-    # Per piece: the characteristic coefficients c_j, then the padded forcing.
-    table = np.array([[-a for a in p.coeffs] + [1.0] + [0.0] * (MAX_ORDER - p.order)
-                      + list(p.forcing) + [0.0] * (width - len(p.forcing)) for p in pieces])
+    char, forcing = characteristic_coeffs(pieces), _padded([p.forcing for p in pieces])
     groups = {}
     for k, piece in enumerate(pieces):
         s = next((j for j, aj in enumerate(piece.coeffs) if aj != 0.0), piece.order)
@@ -280,8 +281,7 @@ def particular_solution(pieces) -> list[tuple[float, ...]]:
     polys, checks = [None] * len(pieces), [None] * len(pieces)
     for (s, m), at in groups.items():
         size = s + m + 1
-        rows = table[at]
-        c, q = rows[:, :MAX_ORDER + 1], rows[:, MAX_ORDER + 1:MAX_ORDER + m + 2]
+        c, q = char[at], forcing[at, :m + 1]
         # Column p holds the coefficients of L[x^p] = sum_j c_j (x^p)^(j):
         # c_j * perm(p, j) in row p - j, and +0.0 where c_j is zero.
         target, p, j, falling = _FALLING_AT[size]
@@ -393,15 +393,15 @@ def _segments(bvp: PiecewiseBvp) -> Segments:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def assemble_system(bvp: PiecewiseBvp, bases, particulars) -> MatchSystem:
+def assemble_system(bvp: PiecewiseBvp) -> MatchSystem:
     """Matching system in every segment's scaled Cauchy data, as row bands:
     point conditions (on the left piece at a breakpoint), continuity by
     breakpoint then order, pins, then the joints by position then order.  A
     condition is its table at its point in u^(d) scale^d / d!; a continuity
     or joint row the left table at s = 1 minus the right datum, order i in
     mu^i / i!, mu the smaller scale; a pin on (piece k, basis i) is row i of
-    W(lo)^-1 over piece k's first data, the only use of bases and
-    particulars.  An overflow leaves a non-finite entry for gauss_solve."""
+    W(lo)^-1 over piece k's first data, whose closed forms the system keeps
+    as its own.  An overflow leaves a non-finite entry for gauss_solve."""
     n, conds, pins = bvp.order, bvp.conditions, bvp.pins
     seg = _segments(bvp)
     size, scale, h = seg.tables.shape[1], seg.scale, seg.h
@@ -429,21 +429,23 @@ def assemble_system(bvp: PiecewiseBvp, bases, particulars) -> MatchSystem:
     joint[last] = False  # the rows of every order at a joint inside a piece
     take = np.concatenate([(last[:, None] * n + bvp.continuity.sorted_orders).ravel(),
                            np.flatnonzero(joint)])
-    rhs = np.concatenate([values - at[:, n], -ends[..., n].ravel()[take]])
+    cut = m + len(last) * len(bvp.continuity.enforced_orders)  # the first pin row
+    tail = -ends[..., n].ravel()[take]
+    rhs = np.concatenate([values - at[:, n], tail[:cut - m], np.zeros(len(pins)), tail[cut - m:]])
     bands = list(zip((g * n).tolist(), (at[:, :n] + 0.0).tolist()))
     bands += zip((take // n * n).tolist(), (pair.reshape(-1, 2 * n)[take] + 0.0).tolist())
-    if pins:
+    system = MatchSystem(bands, rhs, n * len(seg.h), n, bvp, seg)
+    if pins:  # rows cut.. of the system's bands and rhs, from its closed forms
         k = np.array([pin.piece_index for pin in pins])
-        w, p = _closed_form_at_lo(bvp, tuple(map(ClosedForm, bases, particulars)), k)
+        w, p = _closed_form_at_lo(bvp, system.forms, k)
         inverse = _in_basis(w, np.broadcast_to(np.eye(n), w.shape))
         pin_rows = inverse[np.arange(len(k)), [pin.basis_index for pin in pins]]
         pin_rhs = [pin.value for pin in pins] + (pin_rows * p).sum(1)
         pin_rows = pin_rows * seg.unscale(seg.first[k])
         top = np.abs(pin_rows).max(axis=1)
-        cut = len(conds) + len(last) * len(bvp.continuity.enforced_orders)
         bands[cut:cut] = zip((seg.first[k] * n).tolist(), (pin_rows / top[:, None] + 0.0).tolist())
-        rhs = np.concatenate([rhs[:cut], pin_rhs / top, rhs[cut:]])
-    return MatchSystem(bands, rhs, n * len(seg.h), n, bvp, seg)
+        rhs[cut:cut + len(k)] = pin_rhs / top
+    return system
 
 
 _EPS = sys.float_info.epsilon
@@ -603,7 +605,7 @@ def gauss_solve(system: MatchSystem) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _in_basis_terms(system: MatchSystem, exc: RankDeficientError, forms):
+def _in_basis_terms(system: MatchSystem, exc: RankDeficientError):
     """exc in the published basis: the null vectors of the system's echelon
     form mapped through W(lo)^-1, their free columns chosen as elimination
     chooses them, the pivots of their echelon form from the last column."""
@@ -616,7 +618,7 @@ def _in_basis_terms(system: MatchSystem, exc: RankDeficientError, forms):
     zeros = [0.0] * len(pivots)
     null = np.array([_back_substitute(bands, zeros, pivots, x) for x in null.tolist()]).T
     data = null.reshape(-1, n, len(free))[first] * seg.unscale(first)[..., None]
-    left = _in_basis(_closed_form_at_lo(system.bvp, forms, range(len(first)))[0], data)
+    left = _in_basis(_closed_form_at_lo(system.bvp, system.forms, range(len(first)))[0], data)
     reverse = np.nan_to_num(left.reshape(-1, len(free)).T[:, ::-1], posinf=0.0, neginf=0.0)
     reverse /= np.maximum(np.abs(reverse).max(axis=1, keepdims=True), np.finfo(float).tiny)
     chosen = _echelon([(0, row) for row in reverse.tolist()], np.zeros(len(free)), reverse.shape[1])[2]
@@ -625,24 +627,21 @@ def _in_basis_terms(system: MatchSystem, exc: RankDeficientError, forms):
 
 
 def solve_exact(bvp: PiecewiseBvp) -> PiecewiseSolution:
-    """Roots, bases and particulars once per row of the ODE table, then the
-    segment tables and the matching system, solved for the Cauchy data.
-    Raises :class:`RankDeficientError` with pin advice or
+    """The segment tables and the matching system, solved for the Cauchy
+    data; closed forms only for pins or pin advice.  Raises
+    :class:`RankDeficientError` with pin advice or
     :class:`InconsistentSystemError`, each with the published basis' rank."""
-    odes = [bvp.pieces[k] for k in bvp.ode_table[1]]
-    bases, particulars = piece_basis(odes), particular_solution(odes)
-    forms = tuple(map(ClosedForm, bases, particulars))
-    system = assemble_system(bvp, bases, particulars)
+    system = assemble_system(bvp)
     try:
         data = gauss_solve(system)
     except RankDeficientError as exc:
-        raise _in_basis_terms(system, exc, forms) from None
+        raise _in_basis_terms(system, exc) from None
     except InconsistentSystemError as exc:
         if exc.rank is None:
             raise
         joints = system.width - bvp.order * len(bvp.pieces)  # each fixes one datum
         raise InconsistentSystemError(exc.norm, exc.rank - joints) from None
-    return PiecewiseSolution(forms, data.reshape(-1, bvp.order), system)
+    return PiecewiseSolution(data.reshape(-1, bvp.order), system)
 
 
 def eval_solution(sol: PiecewiseSolution, bvp: PiecewiseBvp, x,

@@ -162,6 +162,25 @@ class TestCmdSolve:
         assert not out.exists()
         assert main(["verify", "--input", str(path)]) == EXIT_VERIFY
 
+    def test_unpublishable_closed_form_exits_2_and_verify_solves(self, tmp_path, capsys):
+        # u'' = 1e-300 u + x^6 on [0, 1], u(0) = 0, u(1) = 1: the particular's
+        # coefficients overflow, so solve cannot print the constants and
+        # writes nothing; verify never reads them and checks the answer.
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(
+            {"order": 2, "continuity": [0, 1],
+             "pieces": [{"interval": [0.0, 1.0], "coeffs": [1e-300, 0.0],
+                         "forcing": [0.0] * 6 + [1.0]}],
+             "conditions": [{"x": 0.0, "deriv": 0, "value": 0.0},
+                            {"x": 1.0, "deriv": 0, "value": 1.0}]}))
+        out = tmp_path / "o.csv"
+        assert main(["solve", "--input", str(path), "--output", str(out)]) == EXIT_RANK
+        assert ("error: particular ansatz failed on (0.0, 1.0)"
+                in capsys.readouterr().err)
+        assert os.listdir(tmp_path) == ["tiny.json"]  # no CSV, no temporary file
+        assert main(["verify", "--input", str(path)]) == EXIT_OK
+        assert "overall: PASS" in capsys.readouterr().out
+
     def test_missed_continuity_row_is_named(self, tmp_path, capsys, monkeypatch):
         # A NaN jump is the worst row, above a condition missed by 1e-3.
         import obstacle_bvp.cli as cli

@@ -71,7 +71,13 @@ def _row_odes(bvp):
 
 
 def _system_for(bvp):
-    return assemble_system(bvp, *_row_odes(bvp))
+    """The problem's matching system, its pin rows' closed forms from
+    one-ODE basis and particular calls per row."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact_module, "piece_basis", lambda odes: [piece_basis([p])[0] for p in odes])
+        patch.setattr(exact_module, "particular_solution",
+                      lambda odes: [particular_solution([p])[0] for p in odes])
+        return assemble_system(bvp)
 
 
 
@@ -257,7 +263,7 @@ class TestArrayAssemblyIsBitwise:
     @staticmethod
     def _check(bvp):
         bases, parts = _row_odes(bvp)
-        system = assemble_system(bvp, bases, parts)
+        system = _system_for(bvp)
         row = bvp.ode_table[0]
         matrix, rhs, labels = _reference_system(bvp, [bases[r] for r in row],
                                                 [parts[r] for r in row])
@@ -1043,9 +1049,9 @@ class TestEvalSolution:
         piece = PieceOde(4, (0.0, 2.0), (0.0, 0.0, 0.0, 0.0), (-1.0,))
         conditions = (PointCondition(0.0, 0, 0.0), PointCondition(0.0, 1, 0.0),
                       PointCondition(2.0, 2, 0.0), PointCondition(2.0, 3, 0.0))
-        ps = solve_exact(PiecewiseBvp(4, (piece,), conditions,
-                                      ContinuitySpec(frozenset(range(4))))).pieces[0]
-        assert [b.render() for b in ps.form.basis] == ["1", "x", "x^2", "x^3"]
+        sol = solve_exact(PiecewiseBvp(4, (piece,), conditions, ContinuitySpec(frozenset(range(4)))))
+        ps = sol.pieces[0]
+        assert [b.render() for b in sol.forms[0].basis] == ["1", "x", "x^2", "x^3"]
         xs = np.linspace(0.0, 2.0, 5000)
         for d in range(MAX_ORDER + 1):
             assert _bitwise(ps.value(xs[::-1], d), ps.value(xs, d)[::-1])
@@ -1138,6 +1144,13 @@ def _counting_locate(monkeypatch):
     return calls
 
 
+def _with_forms(sol, forms, **changes):
+    """A copy of sol, with the changes, whose system publishes forms."""
+    system = dataclasses.replace(sol.system)
+    vars(system)["forms"] = forms
+    return dataclasses.replace(sol, system=system, **changes)
+
+
 def _bitwise(a, b):
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
@@ -1148,7 +1161,7 @@ class TestSharedOdeWork:
         assert len(bvp.pieces) == 16
         bases = _counting(monkeypatch, "piece_basis")
         particulars = _counting(monkeypatch, "particular_solution")
-        solve_exact(bvp)
+        solve_exact(bvp).constants
         assert [len(odes) for (odes,) in bases] == [2]
         assert [len(odes) for (odes,) in particulars] == [2]
 
@@ -1199,10 +1212,10 @@ class TestSharedOdeWork:
     def test_equal_copies_share_their_row_pass_with_the_same_bits(self, monkeypatch):
         bvp = _sixteen_region_obstacle()
         sol = solve_exact(bvp)
-        rebuilt = dataclasses.replace(sol, data=sol.data.copy(), forms=tuple(
+        rebuilt = _with_forms(sol, tuple(
             ClosedForm(tuple(dataclasses.replace(b) for b in form.basis),
                        tuple(list(form.particular)))
-            for form in sol.forms))
+            for form in sol.forms), data=sol.data.copy())
         for form, copy in zip(sol.forms, rebuilt.forms):
             assert copy.basis == form.basis and copy.basis is not form.basis
             assert copy.particular == form.particular and copy.particular is not form.particular
@@ -1220,9 +1233,9 @@ class TestSharedOdeWork:
         # evaluation reads is built once per solution, for every order.
         bvp = _sixteen_region_obstacle()
         sol = solve_exact(bvp)
-        row = bvp.ode_table[0]
-        assert len(sol.forms) == 2
-        assert all(ps.form is sol.forms[r] for ps, r in zip(sol.pieces, row))
+        forms = sol.forms
+        assert len(forms) == 2
+        assert all(sol.forms[r] is forms[r] for r in bvp.ode_table[0])
         built = []
         table = type(sol)._derivatives
         monkeypatch.setattr(type(sol), "_derivatives", cached_property(
@@ -1245,16 +1258,62 @@ class TestSharedOdeWork:
         row = np.array(bvp.ode_table[0])
         form = sol.forms[1]
         particular = (form.particular[0] + 1e-3,) + form.particular[1:]
-        perturbed = dataclasses.replace(sol, forms=(sol.forms[0],
-                                                    ClosedForm(form.basis, particular)))
-        assert all(ps.form.particular == (particular if r else sol.forms[0].particular)
-                   for ps, r in zip(perturbed.pieces, row))
+        perturbed = _with_forms(sol, (sol.forms[0], ClosedForm(form.basis, particular)))
+        assert all(perturbed.forms[r].particular == (particular if r else sol.forms[0].particular)
+                   for r in row)
         shift = perturbed.constants - sol.constants
         assert (row == 1).any() and not (row == 1).all()
         assert np.abs(shift[row == 1]).max(axis=1).min() >= 1e-4
         assert _bitwise(perturbed.constants[row == 0], sol.constants[row == 0])
         xs = np.linspace(*bvp.domain, 2001)
         assert _bitwise(eval_solution(perturbed, bvp, xs), eval_solution(sol, bvp, xs))
+
+
+class TestPublicationOnDemand:
+    """The answer never reads the closed forms: a solve builds them only for
+    pin rows or pin advice, once, and otherwise the constants' first read."""
+
+    @staticmethod
+    def _calls(monkeypatch):
+        return _counting(monkeypatch, "piece_basis"), _counting(monkeypatch, "particular_solution")
+
+    @pytest.mark.parametrize("ex_id", ["3.1.1", "3.1.4", "eq11"])
+    def test_unpinned_solve_builds_none(self, monkeypatch, ex_id):
+        bases, particulars = self._calls(monkeypatch)
+        sol = solve_exact(get_example(ex_id).bvp)
+        assert bases == [] and particulars == []
+        sol.labeled_constants()
+        sol.constants
+        assert len(bases) == len(particulars) == 1
+
+    @pytest.mark.parametrize("ex_id", ["3.1.6", "3.1.7", "3.1.8"])
+    def test_pinned_solve_builds_each_once(self, monkeypatch, ex_id):
+        bases, particulars = self._calls(monkeypatch)
+        sol = solve_exact(get_example(ex_id).bvp)
+        assert len(bases) == len(particulars) == 1
+        sol.constants
+        sol.labeled_constants()
+        assert len(bases) == len(particulars) == 1
+
+    def test_rank_deficient_solve_builds_each_once_for_its_advice(self, monkeypatch):
+        bases, particulars = self._calls(monkeypatch)
+        with pytest.raises(RankDeficientError) as exc:
+            solve_exact(dataclasses.replace(get_example("3.1.6").bvp, pins=()))
+        assert (exc.value.rank, exc.value.nullity, exc.value.free_columns) == (8, 1, ((2, 2),))
+        assert len(bases) == len(particulars) == 1
+
+    def test_unpublishable_problem_is_solved(self):
+        # u'' = 1e-300 u + x^6 on [0, 1], u(0) = 0, u(1) = 1: the particular's
+        # coefficients grow by 1e300 a degree and overflow, so the constants
+        # cannot be published; the segments give u = x^8/56 + 55x/56.
+        piece = PieceOde(2, (0.0, 1.0), (1e-300, 0.0), (0.0,) * 6 + (1.0,))
+        bvp = PiecewiseBvp(2, (piece,), (PointCondition(0.0, 0, 0.0), PointCondition(1.0, 0, 1.0)),
+                           ContinuitySpec(frozenset({0, 1})))
+        sol = solve_exact(bvp)
+        assert abs(eval_solution(sol, bvp, 0.5) - (0.5 ** 8 / 56 + 55 * 0.5 / 56)) <= 1e-14
+        for read in (lambda: sol.constants, sol.labeled_constants):
+            with pytest.raises(SolveError, match=r"particular ansatz failed on \(0\.0, 1\.0\)"):
+                read()
 
 
 def _basis_bits(basis):
