@@ -15,7 +15,7 @@ exponents, shift matrices) from module constants, so a solve's fixed cost
 is its numpy calls and the elimination.  Users see each ODE row's closed
 form (the basis of :mod:`basis` and a particular polynomial) with a piece's
 constants W(lo)^-1 (y - p^(i)(lo)), W the Wronskian.  The answer never reads
-it: pins, pin advice or the constants build it on first use, and raise there.
+it: pins, pin advice or constants build it and W(lo) once, and raise there.
 """
 
 from __future__ import annotations
@@ -73,16 +73,14 @@ class InconsistentSystemError(SolveError):
 
 
 class RankDeficientError(SolveError):
-    """Underdetermined system; carries pin advice via the free-column labels."""
+    """Underdetermined system; carries pin advice via the free-column labels
+    and, from gauss_solve, the echelon (bands, pivot columns) they come from."""
 
-    def __init__(self, rank: int, nullity: int, free_columns):
+    def __init__(self, rank: int, nullity: int, free_columns, echelon=None):
         labels = ", ".join(f"(piece {p}, basis {i})" for p, i in free_columns)
-        super().__init__(
-            f"matching system is rank-deficient (rank {rank}, nullity {nullity}); "
-            f"free columns: {labels}; pin one constant per free column to proceed"
-        )
-        self.rank = rank
-        self.nullity = nullity
+        super().__init__(f"matching system is rank-deficient (rank {rank}, nullity {nullity}); "
+                         f"free columns: {labels}; pin one constant per free column to proceed")
+        self.rank, self.nullity, self.echelon = rank, nullity, echelon
         self.free_columns = tuple(free_columns)
 
 
@@ -135,6 +133,12 @@ class MatchSystem:
         odes = [self.bvp.pieces[k] for k in self.bvp.ode_table[1]]
         return tuple(map(ClosedForm, piece_basis(odes), particular_solution(odes)))
 
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def at_lo(self) -> tuple[np.ndarray, np.ndarray]:
+        """_closed_form_at_lo of every piece: what pins, constants and pin advice read."""
+        return _closed_form_at_lo(self.bvp, self.forms, range(len(self.bvp.pieces)))
+
     def describe_row(self, r: int) -> str:
         """Row r's equation in words, for an error message."""
         b, seg = self.bvp, self.segments
@@ -180,8 +184,7 @@ class PieceSolution:
 
     def value(self, x, deriv_order: int = 0):
         """u^(deriv_order) at a scalar or an array x; an overflow gives inf or nan."""
-        x = np.asarray(x, dtype=float)
-        return self.solution.evaluate(x, self.index, [deriv_order])[0][()]
+        return self.solution.evaluate(np.asarray(x, dtype=float), self.index, [deriv_order])[0][()]
 
 
 @dataclass(frozen=True)
@@ -206,9 +209,8 @@ class PiecewiseSolution:
     def constants(self) -> np.ndarray:
         """The published constants W(lo)^-1 (y - p^(i)(lo)), (pieces, order):
         nan where W(lo) is singular (an exponential under- or overflows)."""
-        seg = self.system.segments
+        seg, (w, p) = self.system.segments, self.system.at_lo
         first = seg.first[:-1]
-        w, p = _closed_form_at_lo(self.system.bvp, self.forms, range(len(first)))
         return _in_basis(w, (self.data[first] * seg.unscale(first) - p)[..., None])[..., 0]
 
     @cached_property
@@ -298,9 +300,10 @@ def particular_solution(pieces) -> list[tuple[float, ...]]:
                                        (1e-10 * scale).tolist()):
             polys[k], checks[k] = row, (defect, tol)
     for piece, poly, (defect, tol) in zip(pieces, polys, checks):
-        if not defect <= tol:  # also catches a NaN from an overflowing solve
-            raise SolveError(f"particular ansatz failed on {piece.interval}: identity "
-                             f"defect {defect:.3e}, tolerance {tol:.3e}")
+        if not defect <= tol:  # also a NaN, and tol is not finite where the coefficients overflow
+            raise SolveError(f"particular ansatz failed on {piece.interval}: " + (
+                f"identity defect {defect:.3e}, tolerance {tol:.3e}" if math.isfinite(tol)
+                else "the ansatz's coefficients overflow"))
         while len(poly) > 1 and poly[-1] == 0.0:
             poly.pop()
     return [tuple(poly) for poly in polys]
@@ -400,8 +403,8 @@ def assemble_system(bvp: PiecewiseBvp) -> MatchSystem:
     condition is its table at its point in u^(d) scale^d / d!; a continuity
     or joint row the left table at s = 1 minus the right datum, order i in
     mu^i / i!, mu the smaller scale; a pin on (piece k, basis i) is row i of
-    W(lo)^-1 over piece k's first data, whose closed forms the system keeps
-    as its own.  An overflow leaves a non-finite entry for gauss_solve."""
+    W(lo)^-1 over piece k's first data, W(lo) from the system's own at_lo.
+    An overflow leaves a non-finite entry for gauss_solve."""
     n, conds, pins = bvp.order, bvp.conditions, bvp.pins
     seg = _segments(bvp)
     size, scale, h = seg.tables.shape[1], seg.scale, seg.h
@@ -437,7 +440,7 @@ def assemble_system(bvp: PiecewiseBvp) -> MatchSystem:
     system = MatchSystem(bands, rhs, n * len(seg.h), n, bvp, seg)
     if pins:  # rows cut.. of the system's bands and rhs, from its closed forms
         k = np.array([pin.piece_index for pin in pins])
-        w, p = _closed_form_at_lo(bvp, system.forms, k)
+        w, p = (v[k] for v in system.at_lo)
         inverse = _in_basis(w, np.broadcast_to(np.eye(n), w.shape))
         pin_rows = inverse[np.arange(len(k)), [pin.basis_index for pin in pins]]
         pin_rhs = [pin.value for pin in pins] + (pin_rows * p).sum(1)
@@ -446,9 +449,6 @@ def assemble_system(bvp: PiecewiseBvp) -> MatchSystem:
         bands[cut:cut] = zip((seg.first[k] * n).tolist(), (pin_rows / top[:, None] + 0.0).tolist())
         rhs[cut:cut + len(k)] = pin_rhs / top
     return system
-
-
-_EPS = sys.float_info.epsilon
 
 
 def _echelon(bands, rhs: np.ndarray, n: int):
@@ -489,7 +489,8 @@ def _echelon(bands, rhs: np.ndarray, n: int):
         first.append(f)
         ext.append(f + len(band))
         entries += band
-    tol = max(m, n) * _EPS * max(1.0, max(entries, default=0.0), -min(entries, default=0.0))
+    tol = (max(m, n) * sys.float_info.epsilon
+           * max(1.0, max(entries, default=0.0), -min(entries, default=0.0)))
     b = (rhs + 0.0).tolist()
     pivot_cols = []
     r = end = 0
@@ -565,7 +566,7 @@ def gauss_solve(system: MatchSystem) -> np.ndarray:
     overdetermined one must then pass a residual inf-norm consistency gate.
     A rank-deficient system whose rows below the rank keep a rhs above that
     gate has no solution and raises :class:`InconsistentSystemError`; any
-    other raises :class:`RankDeficientError` with its free-column labels.
+    other raises :class:`RankDeficientError` with its free columns and echelon.
     A system with a non-finite band entry or rhs raises :class:`SolveError`
     naming its first such row: the elimination's finiteness check finds it,
     and only then are the rows read for it.  An elimination or back
@@ -579,11 +580,9 @@ def gauss_solve(system: MatchSystem) -> np.ndarray:
         bad = [not (all(map(math.isfinite, band)) and math.isfinite(v))
                for (_, band), v in zip(system.bands, rhs.tolist())]
         if any(bad):
-            raise SolveError(
-                f"matching system has non-finite entries (overflow) in "
-                f"{sum(bad)} of {len(bad)} rows, first: "
-                f"{system.describe_row(bad.index(True))}; the basis functions or "
-                f"particular solution overflow on this domain") from None
+            raise SolveError(f"matching system has non-finite entries (overflow) in {sum(bad)} of "
+                             f"{len(bad)} rows, first: {system.describe_row(bad.index(True))}; the "
+                             "basis functions or particular solution overflow on this domain") from None
         raise
     rank = len(pivot_cols)
     gate = CONSISTENCY_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
@@ -592,8 +591,8 @@ def gauss_solve(system: MatchSystem) -> np.ndarray:
         dropped = max(map(abs, b[rank:]), default=0.0)
         if not dropped <= gate:
             raise InconsistentSystemError(dropped, rank)
-        free = tuple(divmod(c, system.order) for c in range(n) if c not in pivot_cols)
-        raise RankDeficientError(rank, n - rank, free)
+        free = tuple(divmod(c, system.order) for c in sorted(set(range(n)).difference(pivot_cols)))
+        raise RankDeficientError(rank, n - rank, free, (bands, pivot_cols))
     x = np.array(_back_substitute(bands, b, pivot_cols, [0.0] * n))
     if not np.isfinite(x).all():
         piece, index = divmod(int(np.argmin(np.isfinite(x))), system.order)
@@ -605,20 +604,24 @@ def gauss_solve(system: MatchSystem) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _in_basis_terms(system: MatchSystem, exc: RankDeficientError):
-    """exc in the published basis: the null vectors of the system's echelon
-    form mapped through W(lo)^-1, their free columns chosen as elimination
-    chooses them, the pivots of their echelon form from the last column."""
+def _in_basis_terms(system: MatchSystem, exc: SolveError) -> SolveError:
+    """gauss_solve's refusal exc in the published basis.  An inconsistent
+    system's rank drops the joint rows, each fixing one datum.  A rank-deficient
+    one's null vectors, from the echelon form exc carries, go through W(lo)^-1;
+    the free columns are the pivots of their echelon from the last column."""
     seg, n = system.segments, system.order
     first = seg.first[:-1]
+    if not isinstance(exc, RankDeficientError):
+        joints = system.width - n * len(first)
+        return exc if exc.rank is None else InconsistentSystemError(exc.norm, exc.rank - joints)
     free = [g * n + j for g, j in exc.free_columns][:n * len(first)]
-    bands, _, pivots = _echelon(system.bands, system.rhs, system.width)
+    bands, pivots = exc.echelon
     null = np.zeros((len(free), system.width))
     null[np.arange(len(free)), free] = 1.0
     zeros = [0.0] * len(pivots)
     null = np.array([_back_substitute(bands, zeros, pivots, x) for x in null.tolist()]).T
     data = null.reshape(-1, n, len(free))[first] * seg.unscale(first)[..., None]
-    left = _in_basis(_closed_form_at_lo(system.bvp, system.forms, range(len(first)))[0], data)
+    left = _in_basis(system.at_lo[0], data)
     reverse = np.nan_to_num(left.reshape(-1, len(free)).T[:, ::-1], posinf=0.0, neginf=0.0)
     reverse /= np.maximum(np.abs(reverse).max(axis=1, keepdims=True), np.finfo(float).tiny)
     chosen = _echelon([(0, row) for row in reverse.tolist()], np.zeros(len(free)), reverse.shape[1])[2]
@@ -634,13 +637,8 @@ def solve_exact(bvp: PiecewiseBvp) -> PiecewiseSolution:
     system = assemble_system(bvp)
     try:
         data = gauss_solve(system)
-    except RankDeficientError as exc:
+    except (RankDeficientError, InconsistentSystemError) as exc:
         raise _in_basis_terms(system, exc) from None
-    except InconsistentSystemError as exc:
-        if exc.rank is None:
-            raise
-        joints = system.width - bvp.order * len(bvp.pieces)  # each fixes one datum
-        raise InconsistentSystemError(exc.norm, exc.rank - joints) from None
     return PiecewiseSolution(data.reshape(-1, bvp.order), system)
 
 

@@ -181,6 +181,15 @@ class TestCmdSolve:
         assert main(["verify", "--input", str(path)]) == EXIT_OK
         assert "overall: PASS" in capsys.readouterr().out
 
+    def test_overflowing_particular_is_named(self, tmp_path, capsys):
+        # u'' = 1e-300 u + x^6 again: solve's message says what overflows.
+        path = _write_single_piece(tmp_path, (0.0, 1.0), (1e-300, 0.0), (0.0,) * 6 + (1.0,))
+        out = tmp_path / "o.csv"
+        assert main(["solve", "--input", path, "--output", str(out)]) == EXIT_RANK
+        assert ("error: particular ansatz failed on (0.0, 1.0): the ansatz's coefficients "
+                "overflow\n" in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_missed_continuity_row_is_named(self, tmp_path, capsys, monkeypatch):
         # A NaN jump is the worst row, above a condition missed by 1e-3.
         import obstacle_bvp.cli as cli

@@ -22,7 +22,8 @@ from obstacle_bvp.model import (ContinuitySpec, PieceOde, PiecewiseBvp,
                                 PinnedConstant, PointCondition, ProblemError,
                                 build_fourth_order, build_second_order,
                                 build_third_order)
-from kernel import frozen_particular_solution, frozen_piece_basis, frozen_real_basis
+from kernel import (basis_derivatives, frozen_particular_solution, frozen_piece_basis,
+                    frozen_real_basis)
 
 E = math.e
 
@@ -188,6 +189,15 @@ class TestParticularSolution:
     def test_quartic_resonance(self):
         piece = PieceOde(3, (0.0, 1.0), (0.0, 0.0, 0.0), (0.0, 1.0))  # u''' = x
         assert particular_solution([piece])[0] == pytest.approx((0.0, 0.0, 0.0, 0.0, 1.0 / 24.0))
+
+    def test_overflowing_ansatz_says_so(self):
+        # u'' = 1e-300 u + x^6: t_6 = -1e300, and t_4 = -30e600 overflows, so
+        # the identity check reads nan; the message names the overflow.
+        piece = PieceOde(2, (0.0, 1.0), (1e-300, 0.0), (0.0,) * 6 + (1.0,))
+        with pytest.raises(SolveError) as exc:
+            particular_solution([piece])
+        assert str(exc.value) == ("particular ansatz failed on (0.0, 1.0): "
+                                  "the ansatz's coefficients overflow")
 
     def test_failed_ansatz_raises(self):
         # a_0 = 1e-200 makes the ansatz solve overflow; the identity check is
@@ -1302,6 +1312,29 @@ class TestPublicationOnDemand:
         assert (exc.value.rank, exc.value.nullity, exc.value.free_columns) == (8, 1, ((2, 2),))
         assert len(bases) == len(particulars) == 1
 
+    def test_rank_deficient_advice_reuses_the_solves_elimination(self, monkeypatch):
+        # gauss_solve's RankDeficientError carries its echelon form, so the
+        # advice eliminates only the one-row matrix of its null vector.
+        bvp = dataclasses.replace(get_example("3.1.6").bvp, pins=())
+        rows = len(assemble_system(bvp).bands)
+        calls = _counting(monkeypatch, "_echelon")
+        with pytest.raises(RankDeficientError) as exc:
+            solve_exact(bvp)
+        assert str(exc.value) == (
+            "matching system is rank-deficient (rank 8, nullity 1); free columns: "
+            "(piece 2, basis 2); pin one constant per free column to proceed")
+        assert [len(bands) for bands, _, _ in calls] == [rows, 1]
+
+    @pytest.mark.parametrize("ex_id", ["3.1.6", "3.1.7", "3.1.8"])
+    def test_pinned_solve_reads_one_wronskian_map(self, monkeypatch, ex_id):
+        # The pin rows, the constants and their labels share the system's at_lo.
+        maps = _counting(monkeypatch, "_closed_form_at_lo")
+        values = _counting(monkeypatch, "basis_values")
+        sol = solve_exact(get_example(ex_id).bvp)
+        sol.constants
+        sol.labeled_constants()
+        assert len(maps) == len(values) == 1
+
     def test_unpublishable_problem_is_solved(self):
         # u'' = 1e-300 u + x^6 on [0, 1], u(0) = 0, u(1) = 1: the particular's
         # coefficients grow by 1e300 a degree and overflow, so the constants
@@ -1314,6 +1347,42 @@ class TestPublicationOnDemand:
         for read in (lambda: sol.constants, sol.labeled_constants):
             with pytest.raises(SolveError, match=r"particular ansatz failed on \(0\.0, 1\.0\)"):
                 read()
+
+
+def _published_miss(sol, bvp, count=9):
+    """(max |sum_i c_i phi_i + p - u|, max |u|) over count evenly spaced
+    points of each piece: its published closed form against evaluate."""
+    miss = top = 0.0
+    for k, piece in enumerate(bvp.pieces):
+        form = sol.forms[bvp.ode_table[0][k]]
+        xs = np.linspace(piece.lo, piece.hi, count)
+        published = (basis_derivatives(form.basis, np.repeat(xs[:, None], bvp.order, axis=1), 0)
+                     @ sol.constants[k] + np.polynomial.polynomial.polyval(xs, form.particular))
+        u = sol.evaluate(xs, k, [0])[0]
+        miss, top = max(miss, float(np.abs(published - u).max())), max(top, float(np.abs(u).max()))
+    return miss, top
+
+
+class TestPublishedFormMatchesTheAnswer:
+    """The printed closed form sum_i c_i phi_i + p is the answer it was
+    fitted to, evaluated from the segments."""
+
+    @pytest.mark.parametrize("ex_id", EXAMPLE_IDS)
+    def test_registry_form_matches(self, ex_id):
+        bvp = get_example(ex_id).bvp
+        miss, top = _published_miss(solve_exact(bvp), bvp)
+        assert miss <= 1e-12 * (1.0 + top)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 26: near resonance the constants (-+3e20) cancel against a "
+        "particular of -6e16 x - 1e8 x^3, and the form misses u by about 3e4"))
+    def test_near_resonant_form_matches(self):
+        # u'' = 1e-8 u + x^3 on [0, 3], u(0) = u(3) = 0: max |u| = 6.5.
+        piece = PieceOde(2, (0.0, 3.0), (1e-8, 0.0), (0.0, 0.0, 0.0, 1.0))
+        bvp = PiecewiseBvp(2, (piece,), (PointCondition(0.0, 0, 0.0), PointCondition(3.0, 0, 0.0)),
+                           ContinuitySpec(frozenset({0, 1})))
+        miss, top = _published_miss(solve_exact(bvp), bvp)
+        assert miss <= 1e-6 * (1.0 + top)
 
 
 def _basis_bits(basis):
